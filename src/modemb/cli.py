@@ -433,9 +433,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_FRACTION_RE = re.compile(r"^-\d+/\d+$")
+
+
+def _attach_negative_fractions(argv: list[str]) -> list[str]:
+    """Rewrite '--opt -a/b' as '--opt=-a/b'. argparse takes '-1/2' for an
+    option (it only knows negative decimals), so '--s -1/2' would otherwise
+    fail with "expected one argument"."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_FRACTION_RE.match(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_fractions(argv))
     try:
         config = _load_config(args.config)
     except (OSError, ValueError) as exc:

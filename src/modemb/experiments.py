@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,8 +28,6 @@ from .grid import GridSpec, lp_norm
 from .norms import space_norm
 from .oracle import Family, SpaceSpec, decide
 from .partitions import build_dyadic, build_uniform, index_set
-
-WORKERS_ENV = "MODEMB_WORKERS"
 
 
 class CatalogueError(ValueError):
@@ -111,21 +107,6 @@ class ExperimentReport:
             writer.writerows(self.csv_rows())
 
 
-def _worker_count(workers: int | None) -> int:
-    cap = os.environ.get(WORKERS_ENV)
-    cap = int(cap) if cap else 1
-    requested = workers if workers is not None else cap
-    return max(1, min(requested, cap if cap > 0 else 1))
-
-
-def _map_levels(fn, levels, workers: int | None):
-    count = _worker_count(workers)
-    if count <= 1:
-        return [fn(level) for level in levels]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, levels))
-
-
 def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fraction:
     """Exact log2 slope of target_norm / source_norm along the family.
 
@@ -180,7 +161,7 @@ def _needs(source: SpaceSpec, target: SpaceSpec, family_enum: Family) -> bool:
     return source.family is family_enum or target.family is family_enum
 
 
-def _run_norms(source, target, family, levels, width, grid, workers):
+def _run_norms(source, target, family, levels, width, grid):
     if family not in _FAMILY_BUILDERS:
         raise CatalogueError(f"unknown family kind {family!r}")
     if grid is None:
@@ -197,7 +178,7 @@ def _run_norms(source, target, family, levels, width, grid, workers):
         tn = space_norm(f, target, uniform, dyadic)
         return sn, tn
 
-    pairs = _map_levels(one, levels, workers)
+    pairs = [one(level) for level in levels]
     source_norms = [sn for sn, _ in pairs]
     target_norms = [tn for _, tn in pairs]
     ratios = [tn / sn for sn, tn in pairs]
@@ -211,8 +192,8 @@ def _level_coordinates(family: str, levels) -> np.ndarray:
 
 
 def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
-                  tolerance: float = 0.2, width=1, grid: GridSpec | None = None,
-                  workers: int | None = None) -> ExperimentReport:
+                  tolerance: float = 0.2, width=1,
+                  grid: GridSpec | None = None) -> ExperimentReport:
     """Fit the log2 ratio growth along the family and compare to the
     catalogued prediction."""
     levels = list(levels)
@@ -220,7 +201,7 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
         raise ValueError("sharpness needs at least two levels to fit a slope")
     predicted = predicted_slope(source, target, family)
     grid, source_norms, target_norms, ratios = _run_norms(
-        source, target, family, levels, width, grid, workers)
+        source, target, family, levels, width, grid)
     xs = _level_coordinates(family, levels)
     fitted = float(np.polyfit(xs, np.log2(ratios), 1)[0])
     passed = abs(fitted - float(predicted)) <= tolerance
@@ -232,8 +213,8 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
 
 
 def run_boundedness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
-                    bound: float = 8.0, width=1, grid: GridSpec | None = None,
-                    workers: int | None = None) -> ExperimentReport:
+                    bound: float = 8.0, width=1,
+                    grid: GridSpec | None = None) -> ExperimentReport:
     """Check that the embedding constant stays bounded along the family.
 
     Requires the oracle to confirm the embedding holds first.
@@ -245,7 +226,7 @@ def run_boundedness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
             f"boundedness requires a holding embedding; oracle says: "
             f"{verdict.explanation}")
     grid, source_norms, target_norms, ratios = _run_norms(
-        source, target, family, levels, width, grid, workers)
+        source, target, family, levels, width, grid)
     spread = max(ratios) / min(ratios)
     return ExperimentReport(
         source=source, target=target, family=family, levels=levels,

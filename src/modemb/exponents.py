@@ -69,7 +69,10 @@ class Exponent:
         return Exponent(self.value / (self.value - 1))
 
     def __eq__(self, other) -> bool:
-        other = Exponent.of(other)
+        try:
+            other = Exponent.of(other)
+        except (TypeError, ValueError):
+            return NotImplemented
         return self.value == other.value
 
     def __lt__(self, other) -> bool:

@@ -28,6 +28,11 @@ class BandLimitError(ValueError):
     """Spectral content violates a band or resolution requirement."""
 
 
+# Largest grid, in samples N^d, that GridSpec admits: one complex128 array of
+# this size takes 256 MiB, and a norm evaluation holds several.
+MAX_SAMPLES = 2 ** 24
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -51,6 +56,11 @@ class GridSpec:
             )
         if self.n <= self.oversampling:
             raise ValueError("N must exceed the oversampling factor")
+        if self.n ** self.d > MAX_SAMPLES:
+            raise ValueError(
+                f"a grid of N^d = {self.n}^{self.d} samples exceeds the budget of "
+                f"{MAX_SAMPLES} samples"
+            )
 
     @property
     def period(self) -> float:
@@ -197,9 +207,6 @@ def lq_seq_norm(values, q, weights=None) -> float:
     return float(np.sum(a ** qf) ** (1.0 / qf))
 
 
-BAND_ZERO_TOL = 1e-12
-
-
 def band_limit_violation(f: GridFunction, max_abs_freq: float) -> float:
     """Largest relative spectral magnitude outside |xi|_inf <= max_abs_freq."""
     spectrum = f.in_frequency().values
@@ -215,16 +222,6 @@ def band_limit_violation(f: GridFunction, max_abs_freq: float) -> float:
     if not mask.any():
         return 0.0
     return float(np.abs(spectrum[mask]).max() / peak)
-
-
-def assert_band_margin(f: GridFunction) -> None:
-    """Require spectral content within the margin |xi| <= Omega * (1 - 2/N)."""
-    margin = float(f.spec.omega) * (1.0 - 2.0 / f.spec.n)
-    violation = band_limit_violation(f, margin)
-    if violation > BAND_ZERO_TOL:
-        raise BandLimitError(
-            f"spectrum leaks {violation:.2e} of its peak outside |xi| <= {margin:.6g}"
-        )
 
 
 def save_grid_function(f: GridFunction, data_path, header_path=None) -> None:

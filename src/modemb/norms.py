@@ -82,32 +82,34 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     """(lattice points, L^p norms of the uniform pieces), skipping boxes with
     negligible windowed spectrum.
 
-    The inverse transform skips the centering shifts: a circular index shift
-    only modulates the output by a unimodular factor, which the magnitudes
-    in the L^p sum cannot see.
+    Each piece's spectrum sigma_k * F f has only S = (3/2)M + 1 nonzero bins
+    x_j, j = 0..S-1, per axis, starting at bin a. Output n of the N-point
+    inverse DFT is exp(2 pi i a n / N) sum_j x_j exp(2 pi i j n / N), times
+    P^-1 per axis. The leading factor, like the centering shifts, is
+    unimodular, which the magnitudes in the L^p sum cannot see, so the
+    samples come from the S bins alone (``UniformPartition.piece_magnitudes``).
+    In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
+    is the length-L inverse DFT in m of the twiddled bins
+    x_j exp(2 pi i j r / N), one per residue r. In d = 2 it separates by axis
+    into E P E^T with the N x S matrix E[n, j] = exp(2 pi i j n / N). Both
+    regroup the same finite sums as the full N^d transform, so they are
+    exact; only the rounding differs. At p = 2 Parseval gives the norm from
+    the patch alone.
     """
     spec = f.spec
     spectrum = _spectrum_of(f)
     peak = np.abs(spectrum).max()
     points = uniform.lattice()
     norms = np.zeros(len(points))
-    buf = np.zeros(spec.shape(), dtype=np.complex128)
-    scale = (spec.n / spec.period) ** spec.d
-    ifft = np.fft.ifftn if spec.d > 1 else np.fft.ifft
     parseval = Exponent.of(p) == 2  # ||piece||_2^2 = P^-d sum |patch|^2, exactly
-    prev = None
     for i, k in enumerate(points):
-        slices, patch = uniform.patch(spectrum, k)
+        _, patch = uniform.patch(spectrum, k)
         if peak == 0.0 or np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
         if parseval:
             norms[i] = np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** spec.d)
             continue
-        if prev is not None:
-            buf[prev] = 0.0
-        buf[slices] = patch
-        prev = slices
-        mags = scale * np.abs(ifft(buf))
+        mags = uniform.piece_magnitudes(patch)
         norms[i] = _riemann_lp(mags, spec.cell_volume, p)
     return points, norms
 

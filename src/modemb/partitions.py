@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,30 @@ class UniformPartition:
         sl = (self._axis_slice(k[0]), self._axis_slice(k[1]))
         return sl, spectrum[sl] * np.outer(self.axis_profile, self.axis_profile)
 
+    @cached_property
+    def _synthesis_table(self) -> np.ndarray:
+        """exp(2 pi i (j n mod N) / N) / P for patch offsets j < S and, per axis,
+        the rows n the pruned synthesis needs: the N/L residues r in d = 1,
+        all N outputs in d = 2. Built on first use, then kept."""
+        spec = self.spec
+        width = 2 * self.half_width + 1
+        rows = spec.n // _pruned_length(width) if spec.d == 1 else spec.n
+        phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
+        return np.exp(2j * np.pi * phase / spec.n) / spec.period
+
+    def piece_magnitudes(self, patch: np.ndarray) -> np.ndarray:
+        """The N^d magnitudes of the space-side piece whose windowed spectrum
+        is ``patch``: the |box_apply| samples, in the transform's order rather
+        than grid order. Only the patch's S = 2 * half_width + 1 bins per axis
+        are touched: one length-L FFT over an (N/L, L) array of twiddled bins
+        in d = 1, E P E^T in d = 2 (``norms.box_piece_norms`` states the
+        factorization)."""
+        table = self._synthesis_table
+        if self.spec.d == 1:
+            return np.abs(np.fft.ifft(table * patch, n=_pruned_length(patch.size),
+                                      axis=-1, norm="forward"))
+        return np.abs((table @ patch) @ table.T)
+
     def _check_index(self, k) -> None:
         if max(abs(c) for c in k) > self.kmax:
             raise IndexError(f"|k|_inf = {max(abs(c) for c in k)} exceeds kmax = {self.kmax}")
@@ -124,6 +149,11 @@ class UniformPartition:
                 out[self._axis_slice(k[0]), self._axis_slice(k[1])] += np.outer(
                     self.axis_profile, self.axis_profile)
         return out
+
+
+def _pruned_length(width: int) -> int:
+    """Next power of two >= width: the inner FFT length of the pruned synthesis."""
+    return 1 << (width - 1).bit_length()
 
 
 def max_uniform_kmax(spec: GridSpec) -> int:

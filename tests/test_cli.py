@@ -135,6 +135,27 @@ def test_table_resolution_guard(capsys):
     capsys.readouterr()
 
 
+def test_table_negative_fraction_after_space(capsys):
+    """'--s -1/2' parses like '--s=-1/2' (argparse alone reads -1/2 as a flag)."""
+    assert main(["table", "--pair", "B-M", "--s=-1/2", "--resolution", "3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["table", "--pair", "B-M", "--s", "-1/2", "--resolution", "3"]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(["decide", "--from", "B[p=1,q=1,s=-1/2]", "--to", "M[p=1,q=1]"]) == 1
+    capsys.readouterr()
+
+
+def test_norm_oversized_grid_exits_cleanly(capsys):
+    """A grid past the sample budget is refused before any allocation."""
+    code = main(["norm", "--family", "annulus", "--level", "40",
+                 "--space", "M[p=1,q=1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "budget" in lines[0]
+
+
 def test_norm_matches_library_call(capsys):
     code = main(["norm", "--family", "annulus", "--level", "5",
                  "--space", "M[p=2,q=1,s=0]"])

@@ -74,6 +74,17 @@ def test_exponent_ordering():
     assert INF == INF
 
 
+def test_exponent_equality_with_foreign_values():
+    assert Exponent(2) == 2 and Exponent(2) == F(2) and Exponent(2) == "2"
+    assert INF == "inf" and INF == None  # noqa: E711 (None means infinity)
+    # values Exponent.of refuses compare unequal instead of raising
+    assert Exponent(2) != "x" and not Exponent(2) == "x"
+    assert Exponent(2) != 2.0 and not Exponent(2) == 2.0
+    assert Exponent(2) != 0 and Exponent(2) != object()
+    assert Exponent(2).__eq__(2.0) is NotImplemented
+    assert Exponent(2) in [2.0, "x", Exponent(2)]
+
+
 def test_floats_rejected():
     with pytest.raises(TypeError):
         Exponent.of(2.0)

@@ -6,6 +6,7 @@ from modemb.grid import (
     FREQUENCY,
     SPACE,
     GridFunction,
+    MAX_SAMPLES,
     GridSpec,
     apply_multiplier,
     band_limit_violation,
@@ -36,6 +37,19 @@ def test_grid_spec_validation():
     spec = GridSpec(d=1, n=256, oversampling=8)
     assert float(spec.omega) == 16.0
     assert spec.delta == 1.0 / 8.0
+
+
+def test_grid_spec_sample_budget():
+    """N^d is capped at MAX_SAMPLES; grids at the cap are still accepted."""
+    assert MAX_SAMPLES == 2 ** 24
+    GridSpec(d=1, n=MAX_SAMPLES, oversampling=8)
+    GridSpec(d=2, n=2 ** 12, oversampling=8)
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(d=1, n=2 * MAX_SAMPLES, oversampling=8)
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(d=2, n=2 ** 13, oversampling=8)
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(d=1, n=2 ** 49, oversampling=64)
 
 
 def test_constant_transform(spec):

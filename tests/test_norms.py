@@ -15,7 +15,9 @@ from modemb.families import (
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lp_norm, transform
 from modemb.norms import (
+    _spectrum_of,
     besov_norm,
+    box_piece_norms,
     fourier_lp_norm,
     modulation_norm,
     sobolev_norm,
@@ -23,7 +25,7 @@ from modemb.norms import (
     triebel_norm,
 )
 from modemb.oracle import SpaceSpec
-from modemb.partitions import build_dyadic, build_uniform
+from modemb.partitions import box_apply, build_dyadic, build_uniform
 
 F = Fraction
 
@@ -282,3 +284,72 @@ def test_space_norm_dispatch(box_partitions):
     ]
     for space, expected in pairs:
         assert space_norm(f, space, uniform, dyadic) == expected
+
+
+def _pruned_cases():
+    """(spec, clean function) pairs in d = 1 and 2: a random band-limited
+    function and an annulus member, both rebuilt on the frequency side from
+    the spectrum box_piece_norms uses, so the dense reference sees the same
+    bins."""
+    cases = []
+    for spec, level in ((GridSpec(d=1, n=2 ** 10, oversampling=8), 4),
+                        (GridSpec(d=2, n=64, oversampling=8), 1)):
+        uniform = build_uniform(spec)
+        for f in (random_band_limited(spec, band_radius=uniform.kmax - 1, seed=5),
+                  family_annulus(spec, level)):
+            cases.append((uniform, GridFunction(spec, _spectrum_of(f), FREQUENCY)))
+    return cases
+
+
+PRUNED_CASES = _pruned_cases()
+
+
+@pytest.mark.parametrize("case", range(len(PRUNED_CASES)))
+@pytest.mark.parametrize("p,rel", [
+    (1, 1e-13), (3, 1e-13), ("inf", 1e-13), (2, 1e-13),
+    # At p = 1/2 the sum of |x|^(1/2) is dominated by samples at roundoff
+    # level in the pieces' tails, so two exact groupings of the same DFT
+    # differ there by up to ~1e-10 (both are equally far from an
+    # extended-precision full-grid transform).
+    ("1/2", 1e-9),
+])
+def test_box_piece_norms_match_dense(case, p, rel):
+    """Every active box's pruned norm equals the full-grid box_apply norm."""
+    uniform, g = PRUNED_CASES[case]
+    points, norms = box_piece_norms(g, p, uniform)
+    active = [(k, v) for k, v in zip(points, norms) if v > 0.0]
+    assert len(active) > 4
+    for k, value in active:
+        assert value == pytest.approx(lp_norm(box_apply(g, k, uniform), p), rel=rel)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2 ** 10), (2, 64)])
+def test_box_piece_norms_parseval_path(d, n):
+    """At p = 2 the norms come from the patches alone, exactly as before,
+    and no synthesis table is built."""
+    spec = GridSpec(d=d, n=n, oversampling=8)
+    uniform = build_uniform(spec)
+    f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=9)
+    points, norms = box_piece_norms(f, 2, uniform)
+    assert "_synthesis_table" not in vars(uniform)
+    spectrum = _spectrum_of(f)
+    for k, value in zip(points, norms):
+        _, patch = uniform.patch(spectrum, k)
+        assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
+    box_piece_norms(f, 1, uniform)
+    assert "_synthesis_table" in vars(uniform)
+
+
+def test_piece_magnitudes_are_the_dense_samples():
+    """The pruned synthesis returns the |box_k f| samples themselves, as a
+    multiset: sorted, they match the full-grid inverse transform."""
+    for spec in (GridSpec(d=1, n=2 ** 9, oversampling=16),
+                 GridSpec(d=2, n=32, oversampling=8)):
+        uniform = build_uniform(spec)
+        f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=13)
+        k = (1,) * spec.d
+        _, patch = uniform.patch(f.in_frequency().values, k)
+        pruned = np.sort(uniform.piece_magnitudes(patch), axis=None)
+        dense = np.sort(np.abs(box_apply(f, k, uniform).values), axis=None)
+        assert pruned.size == spec.n ** spec.d
+        np.testing.assert_allclose(pruned, dense, rtol=0, atol=1e-13 * dense.max())
