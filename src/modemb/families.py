@@ -18,6 +18,7 @@ from .grid import (
     BandLimitError,
     GridFunction,
     GridSpec,
+    band_leak,
     transform,
 )
 from .partitions import (
@@ -63,13 +64,8 @@ def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
 
 
 def _assert_margin(spec: GridSpec, freq_values: np.ndarray) -> None:
-    peak = np.abs(freq_values).max()
-    if peak == 0.0:
-        return
     margin = float(spec.omega) * (1.0 - 2.0 / spec.n)
-    outside = np.abs(spec.freq_axis()) > margin
-    mask = outside if spec.d == 1 else outside[:, None] | outside[None, :]
-    if mask.any() and np.abs(freq_values[mask]).max() > 1e-12 * peak:
+    if band_leak(freq_values, spec.freq_outside_cube(margin)) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
 
 

@@ -104,6 +104,11 @@ class GridSpec:
             return np.abs(grids[0])
         return np.sqrt(grids[0] ** 2 + grids[1] ** 2)
 
+    def freq_outside_cube(self, radius: float) -> np.ndarray:
+        """Mask of the frequency samples with |xi|_inf > radius."""
+        outside = np.abs(self.freq_axis()) > radius
+        return outside if self.d == 1 else outside[:, None] | outside[None, :]
+
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 
@@ -207,21 +212,19 @@ def lq_seq_norm(values, q, weights=None) -> float:
     return float(np.sum(a ** qf) ** (1.0 / qf))
 
 
+def band_leak(spectrum: np.ndarray, outside: np.ndarray) -> float:
+    """Largest |spectrum| on the mask ``outside``, relative to the peak
+    |spectrum|; 0 for a zero spectrum or an empty mask. The toolkit calls a
+    function band-limited to the complement when this is <= 1e-12."""
+    peak = np.abs(spectrum).max()
+    if peak == 0.0 or not outside.any():
+        return 0.0
+    return float(np.abs(spectrum[outside]).max() / peak)
+
+
 def band_limit_violation(f: GridFunction, max_abs_freq: float) -> float:
     """Largest relative spectral magnitude outside |xi|_inf <= max_abs_freq."""
-    spectrum = f.in_frequency().values
-    peak = np.abs(spectrum).max()
-    if peak == 0.0:
-        return 0.0
-    ax = f.spec.freq_axis()
-    outside = np.abs(ax) > max_abs_freq
-    if f.spec.d == 1:
-        mask = outside
-    else:
-        mask = outside[:, None] | outside[None, :]
-    if not mask.any():
-        return 0.0
-    return float(np.abs(spectrum[mask]).max() / peak)
+    return band_leak(f.in_frequency().values, f.spec.freq_outside_cube(max_abs_freq))
 
 
 def save_grid_function(f: GridFunction, data_path, header_path=None) -> None:

@@ -14,9 +14,11 @@ import numpy as np
 from .exponents import Exponent
 from .grid import (
     FREQUENCY,
+    SPACE,
     BandLimitError,
     GridFunction,
     apply_multiplier,
+    band_leak,
     lp_norm,
     lq_seq_norm,
     transform,
@@ -50,37 +52,28 @@ def _spectrum_of(f: GridFunction) -> np.ndarray:
     return np.where(mags > _SPECTRUM_FLOOR * peak, values, 0.0)
 
 
-def _check_uniform_band(f: GridFunction, partition: UniformPartition) -> None:
-    spectrum = f.in_frequency().values
-    peak = np.abs(spectrum).max()
-    if peak == 0.0:
-        return
-    ax = f.spec.freq_axis()
-    outside = np.abs(ax) > partition.kmax - 1
-    mask = outside if f.spec.d == 1 else outside[:, None] | outside[None, :]
-    if mask.any() and np.abs(spectrum[mask]).max() > 1e-12 * peak:
-        raise BandLimitError(
-            f"spectral content beyond |xi|_inf = {partition.kmax - 1}; "
-            "the uniform partition does not cover this function"
-        )
-
-
-def _check_dyadic_band(f: GridFunction, partition: DyadicPartition) -> None:
-    spectrum = f.in_frequency().values
-    peak = np.abs(spectrum).max()
-    if peak == 0.0:
-        return
-    outside = f.spec.freq_radius() > 1.25 * 2 ** partition.levels
-    if outside.any() and np.abs(spectrum[outside]).max() > 1e-12 * peak:
-        raise BandLimitError(
-            f"spectral content beyond |xi| = {1.25 * 2 ** partition.levels:g}; "
-            "the dyadic partition does not cover this function"
-        )
+def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
+             partition: str) -> GridFunction:
+    """f on the frequency side, after the band check: BandLimitError if the
+    spectrum exceeds 1e-12 of its peak on the mask ``outside``. The norms take
+    their spectrum from the result, so the check and the norm share one
+    forward transform."""
+    g = f.in_frequency()
+    if band_leak(g.values, outside) > 1e-12:
+        raise BandLimitError(f"spectral content beyond {edge}; "
+                             f"the {partition} partition does not cover this function")
+    return g
 
 
 def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
-    """(lattice points, L^p norms of the uniform pieces), skipping boxes with
-    negligible windowed spectrum.
+    """(lattice points, L^p norms of the uniform pieces) over the whole
+    lattice.
+
+    Only the boxes ``uniform.reached`` lists are visited: those whose window
+    (per axis, the samples c_k - w .. c_k + w) holds a nonzero bin of the
+    floored spectrum. At every other point sigma_k * spectrum is identically
+    zero, so the piece is 0 and its norm stays 0 exactly. A visited box whose
+    windowed spectrum falls below _NEGLIGIBLE of the peak also counts 0.
 
     Each piece's spectrum sigma_k * F f has only S = (3/2)M + 1 nonzero bins
     x_j, j = 0..S-1, per axis, starting at bin a. Output n of the N-point
@@ -102,9 +95,9 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     points = uniform.lattice()
     norms = np.zeros(len(points))
     parseval = Exponent.of(p) == 2  # ||piece||_2^2 = P^-d sum |patch|^2, exactly
-    for i, k in enumerate(points):
-        _, patch = uniform.patch(spectrum, k)
-        if peak == 0.0 or np.abs(patch).max() <= _NEGLIGIBLE * peak:
+    for i in uniform.reached(spectrum):
+        _, patch = uniform.patch(spectrum, points[i])
+        if np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
         if parseval:
             norms[i] = np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** spec.d)
@@ -119,56 +112,73 @@ def modulation_norm(f: GridFunction, p, q, s,
     """|| <k>^s ||box_k f||_p ||_{l^q} over the partition's lattice."""
     if uniform is None:
         uniform = build_uniform(f.spec)
-    _check_uniform_band(f, uniform)
-    points, norms = box_piece_norms(f, p, uniform)
+    edge = uniform.kmax - 1
+    g = _in_band(f, f.spec.freq_outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
+    points, norms = box_piece_norms(g, p, uniform)
     sf = float(s)
     weights = np.array([(1.0 + np.sqrt(sum(c * c for c in k))) ** sf for k in points])
     return lq_seq_norm(norms, q, weights)
 
 
+def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
+    """(j, delta_j f on the space side) for the levels ``dyadic.reached``
+    lists, after the dyadic band check. Every other level's window is
+    exactly 0 on each nonzero bin of the floored spectrum (see
+    ``DyadicPartition.support``), so its piece is identically zero."""
+    edge = 1.25 * 2 ** dyadic.levels
+    spectrum = _spectrum_of(
+        _in_band(f, f.spec.freq_radius() > edge, f"|xi| = {edge:g}", "dyadic"))
+    for j in dyadic.reached(spectrum):
+        yield j, transform(
+            GridFunction(f.spec, dyadic.window(j) * spectrum, FREQUENCY), SPACE)
+
+
 def besov_norm(f: GridFunction, p, q, s,
                dyadic: DyadicPartition | None = None) -> float:
-    """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels."""
+    """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
+
+    One forward transform, then one inverse transform per level the floored
+    spectrum reaches: a level is skipped when no nonzero bin lies in the
+    support of phi_j (``DyadicPartition.support``). A skipped level's piece is
+    identically zero and enters the sequence as 0.0, exactly the value its
+    transform would give."""
+    p = Exponent.of(p)
     if dyadic is None:
         dyadic = build_dyadic(f.spec)
-    _check_dyadic_band(f, dyadic)
-    spectrum = _spectrum_of(f)
-    sf = float(s)
-    norms = []
-    for j in range(dyadic.levels + 1):
-        piece = transform(
-            GridFunction(f.spec, dyadic.window(j) * spectrum, FREQUENCY), "space")
-        norms.append(lp_norm(piece, p))
-    weights = 2.0 ** (sf * np.arange(dyadic.levels + 1))
+    norms = np.zeros(dyadic.levels + 1)
+    for j, piece in _dyadic_pieces(f, dyadic):
+        norms[j] = lp_norm(piece, p)
+    weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
     return lq_seq_norm(norms, q, weights)
 
 
 def triebel_norm(f: GridFunction, p, q, s,
                  dyadic: DyadicPartition | None = None) -> float:
     """|| || 2^(js) delta_j f ||_{l^q_j} ||_p : pointwise l^q across levels,
-    then the spatial L^p norm. p = inf is not defined here and is rejected."""
+    then the spatial L^p norm. p = inf is not defined here and is rejected.
+
+    Levels are skipped exactly as in ``besov_norm``: a skipped level's piece
+    is identically zero, so it would add only zeros to the pointwise sum or
+    maximum. The zero function reaches no level and has norm 0."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
     if dyadic is None:
         dyadic = build_dyadic(f.spec)
-    _check_dyadic_band(f, dyadic)
-    spectrum = _spectrum_of(f)
     q = Exponent.of(q)
     sf = float(s)
-    stack_q = None
-    stack_max = None
     qf = None if q.is_infinite else float(q.value)
-    for j in range(dyadic.levels + 1):
-        piece = transform(
-            GridFunction(f.spec, dyadic.window(j) * spectrum, FREQUENCY), "space")
+    stack = None
+    for j, piece in _dyadic_pieces(f, dyadic):
         mags = (2.0 ** (sf * j)) * np.abs(piece.values)
         if q.is_infinite:
-            stack_max = mags if stack_max is None else np.maximum(stack_max, mags)
+            stack = mags if stack is None else np.maximum(stack, mags)
         else:
             contrib = mags ** qf
-            stack_q = contrib if stack_q is None else stack_q + contrib
-    pointwise = stack_max if q.is_infinite else stack_q ** (1.0 / qf)
+            stack = contrib if stack is None else stack + contrib
+    if stack is None:
+        return 0.0
+    pointwise = stack if q.is_infinite else stack ** (1.0 / qf)
     return _riemann_lp(pointwise, f.spec.cell_volume, p)
 
 

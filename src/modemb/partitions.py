@@ -65,9 +65,10 @@ def _uniform_axis_profile(m: int) -> np.ndarray:
     return b / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformPartition:
-    """Unit-cube partition of unity {sigma_k}, |k|_inf <= kmax."""
+    """Unit-cube partition of unity {sigma_k}, |k|_inf <= kmax. Compared and
+    hashed by identity."""
 
     spec: GridSpec
     kmax: int
@@ -110,6 +111,29 @@ class UniformPartition:
             return sl, spectrum[sl] * self.axis_profile
         sl = (self._axis_slice(k[0]), self._axis_slice(k[1]))
         return sl, spectrum[sl] * np.outer(self.axis_profile, self.axis_profile)
+
+    def _axis_hits(self, nonzero: np.ndarray) -> np.ndarray:
+        """For k = -kmax..kmax, whether the axis window [c_k - w, c_k + w]
+        holds one of the sorted sample indices ``nonzero``."""
+        centers = self.spec.n // 2 + self.spec.oversampling * np.arange(
+            -self.kmax, self.kmax + 1)
+        return (np.searchsorted(nonzero, centers + self.half_width, side="right")
+                > np.searchsorted(nonzero, centers - self.half_width, side="left"))
+
+    def reached(self, spectrum: np.ndarray) -> list[int]:
+        """Positions in ``lattice()`` of the points whose window holds a
+        nonzero sample of ``spectrum``; ``patch(spectrum, k)`` is identically
+        zero at every other point. In d = 2 the boxes are scanned one row of
+        the lattice at a time."""
+        if self.spec.d == 1:
+            return np.flatnonzero(self._axis_hits(np.flatnonzero(spectrum))).tolist()
+        side = 2 * self.kmax + 1
+        found = []
+        for row in np.flatnonzero(self._axis_hits(np.flatnonzero(spectrum.any(axis=1)))):
+            band = spectrum[self._axis_slice(int(row) - self.kmax)]
+            cols = np.flatnonzero(self._axis_hits(np.flatnonzero(band.any(axis=0))))
+            found.extend((int(row) * side + cols).tolist())
+        return found
 
     @cached_property
     def _synthesis_table(self) -> np.ndarray:
@@ -176,9 +200,10 @@ def build_uniform(spec: GridSpec, kmax: int | None = None) -> UniformPartition:
     return UniformPartition(spec, kmax, _uniform_axis_profile(m))
 
 
-@dataclass
+@dataclass(eq=False)
 class DyadicPartition:
-    """Dyadic partition of unity {phi_j}, j = 0..levels."""
+    """Dyadic partition of unity {phi_j}, j = 0..levels. Compared and hashed
+    by identity."""
 
     spec: GridSpec
     levels: int
@@ -199,6 +224,31 @@ class DyadicPartition:
                 self._cache[j] = (DYADIC_PROFILE(self._radius / 2 ** j)
                                   - DYADIC_PROFILE(self._radius / 2 ** (j - 1)))
         return self._cache[j]
+
+    def support(self, j: int) -> tuple[float, float]:
+        """Radii (lo, hi) such that window(j) is exactly 0 unless
+        lo <= |xi| < hi: (0, 3/2) for j = 0, (5/8, 3/2) * 2^j for j >= 1.
+        DYADIC_PROFILE is exactly 1 at t <= 5/4 and exactly 0 at t >= 3/2, and
+        dividing the radius by 2^j is exact, so below 5/8 * 2^j both terms of
+        phi_j are 1 and cancel, and from 3/2 * 2^j on both are 0."""
+        if not 0 <= j <= self.levels:
+            raise IndexError(f"dyadic level {j} outside 0..{self.levels}")
+        return (0.625 * 2 ** j if j else 0.0, 1.5 * 2 ** j)
+
+    def reached(self, spectrum: np.ndarray) -> list[int]:
+        """Levels whose support meets the radius span of the nonzero samples of
+        ``spectrum``; ``window(j) * spectrum`` is identically zero at every
+        other level."""
+        radii = self._radius[spectrum != 0]
+        if radii.size == 0:
+            return []
+        near, far = radii.min(), radii.max()
+        levels = []
+        for j in range(self.levels + 1):
+            lo, hi = self.support(j)
+            if lo <= far and near < hi:
+                levels.append(j)
+        return levels
 
     def partition_sum(self) -> np.ndarray:
         out = np.zeros(self.spec.shape())

@@ -100,6 +100,14 @@ def test_run_boundedness_box():
     assert report.passed and report.spread <= 1.0 + 1e-9
 
 
+def test_run_boundedness_box_2d():
+    source = SpaceSpec.besov(2, 2, 0, d=2)
+    target = SpaceSpec.modulation(2, 2, d=2)
+    report = run_boundedness(source, target, "single_box", range(2, 6))
+    assert report.grid.d == 2
+    assert report.passed and report.spread <= 1.0 + 1e-9
+
+
 def test_run_boundedness_requires_holding_verdict():
     with pytest.raises(ValueError, match="holding"):
         run_boundedness(B(1, 1, 0), M(1, 1), "annulus", range(4, 7))

@@ -12,6 +12,7 @@ from modemb.families import (
     random_band_limited,
     smallest_box_point,
 )
+from modemb import grid
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lp_norm, transform
 from modemb.norms import (
@@ -25,7 +26,13 @@ from modemb.norms import (
     triebel_norm,
 )
 from modemb.oracle import SpaceSpec
-from modemb.partitions import box_apply, build_dyadic, build_uniform
+from modemb.partitions import (
+    DyadicPartition,
+    UniformPartition,
+    box_apply,
+    build_dyadic,
+    build_uniform,
+)
 
 F = Fraction
 
@@ -353,3 +360,107 @@ def test_piece_magnitudes_are_the_dense_samples():
         dense = np.sort(np.abs(box_apply(f, k, uniform).values), axis=None)
         assert pruned.size == spec.n ** spec.d
         np.testing.assert_allclose(pruned, dense, rtol=0, atol=1e-13 * dense.max())
+
+
+def _skip_cases():
+    """(name, function) in d = 1 and 2: a single-box member, an annulus
+    member, and a random function band-limited to a ball away from the
+    origin. Each reaches only some boxes and some dyadic levels."""
+    cases = []
+    for d in (1, 2):
+        rnd_spec = GridSpec(d=d, n=2 ** 10 if d == 1 else 256, oversampling=8)
+        center = (20.0,) if d == 1 else (4.0, 3.0)
+        cases += [
+            (f"single_box-{d}d", family_single_box(grid_for("single_box", d=d, level=3), 3)),
+            (f"annulus-{d}d", family_annulus(grid_for("annulus", d=d, level=2), 2)),
+            (f"random-{d}d", random_band_limited(rnd_spec, band_radius=2.5,
+                                                 center=center, seed=11)),
+        ]
+    return cases
+
+
+SKIP_CASES = dict(_skip_cases())
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
+    """Every lattice point box_piece_norms does not visit has an all-zero
+    windowed spectrum, and its norm is 0."""
+    f = SKIP_CASES[case]
+    uniform = build_uniform(f.spec)
+    visited = set()
+    patch = UniformPartition.patch
+
+    def spy(self, spectrum, k):
+        visited.add(tuple(k))
+        return patch(self, spectrum, k)
+
+    monkeypatch.setattr(UniformPartition, "patch", spy)
+    points, norms = box_piece_norms(f, 1, uniform)
+    monkeypatch.undo()
+    spectrum = _spectrum_of(f)
+    skipped = [i for i, k in enumerate(points) if k not in visited]
+    assert visited and skipped
+    for i in skipped:
+        assert not uniform.patch(spectrum, points[i])[1].any()
+        assert norms[i] == 0.0
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_dyadic_norms_skip_only_zero_levels(case, monkeypatch):
+    """Every level besov_norm and triebel_norm do not transform has an
+    all-zero windowed spectrum."""
+    f = SKIP_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    spectrum = _spectrum_of(f)
+    window = DyadicPartition.window
+    for norm in (besov_norm, triebel_norm):
+        visited = set()
+
+        def spy(self, j):
+            visited.add(j)
+            return window(self, j)
+
+        monkeypatch.setattr(DyadicPartition, "window", spy)
+        norm(f, 1, 2, 0, dyadic)
+        monkeypatch.undo()
+        skipped = set(range(dyadic.levels + 1)) - visited
+        assert visited and skipped
+        for j in skipped:
+            assert not (dyadic.window(j) * spectrum).any()
+
+
+@pytest.mark.parametrize("q", [1, 2, "inf"])
+def test_dyadic_norms_of_zero(box_partitions, q):
+    _, dyadic = box_partitions
+    zero = _zero(BOX_SPEC)
+    assert besov_norm(zero, 2, q, 1, dyadic) == 0.0
+    assert triebel_norm(zero, 2, q, 1, dyadic) == 0.0
+    for norm in (besov_norm, triebel_norm):
+        with pytest.raises(ValueError):
+            norm(zero, 0, q, 1, dyadic)  # reaches no level, still checks p
+
+
+@pytest.mark.parametrize("norm,forward,inverse", [
+    pytest.param(lambda f, uniform, dyadic: besov_norm(f, 2, 2, 0, dyadic), 1, 1,
+                 id="besov"),
+    pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 2, 0, dyadic), 1, 1,
+                 id="triebel"),
+    pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform), 1, 0,
+                 id="modulation"),
+])
+def test_full_grid_transform_count(box_partitions, monkeypatch, norm, forward, inverse):
+    """On a single-box member the band check and the norm share one forward
+    transform, and only the one reached dyadic level is inverse-transformed:
+    full-grid work on empty pieces would show here as extra transforms."""
+    uniform, dyadic = box_partitions
+    f = family_single_box(BOX_SPEC, 5)
+    calls = {"_fft": 0, "_ifft": 0}
+    for name in calls:
+        def counted(values, name=name, original=getattr(grid, name)):
+            calls[name] += 1
+            return original(values)
+
+        monkeypatch.setattr(grid, name, counted)
+    norm(f, uniform, dyadic)
+    assert (calls["_fft"], calls["_ifft"]) == (forward, inverse)

@@ -283,3 +283,57 @@ def test_selftest_report_passes():
 def test_dyadic_profile_convention():
     assert DYADIC_PROFILE(1.0) == 1.0 and DYADIC_PROFILE(1.25) == 1.0
     assert DYADIC_PROFILE(1.5) == 0.0
+
+
+def test_partitions_compare_by_identity():
+    """Equal-looking partitions are distinct objects: == does not raise, and
+    a partition can key a dict. The lazy synthesis table and the window cache
+    keep working."""
+    spec = GridSpec(1, 256, 8)
+    for build in (build_uniform, build_dyadic):
+        a, b = build(spec), build(spec)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+    uniform = build_uniform(spec)
+    _, patch = uniform.patch(np.ones(spec.n, dtype=complex), (0,))
+    assert uniform.piece_magnitudes(patch).size == spec.n
+    assert "_synthesis_table" in vars(uniform)
+    dyadic = build_dyadic(spec)
+    assert dyadic.window(1) is dyadic.window(1)
+
+
+@pytest.mark.parametrize("spec", [SPEC, GridSpec(d=2, n=256, oversampling=8)])
+def test_dyadic_support_holds_every_nonzero_window_sample(spec):
+    dyadic = build_dyadic(spec)
+    radius = spec.freq_radius()
+    for j in range(dyadic.levels + 1):
+        lo, hi = dyadic.support(j)
+        nonzero = radius[dyadic.window(j) != 0.0]
+        assert nonzero.size and lo <= nonzero.min() and nonzero.max() < hi
+    with pytest.raises(IndexError):
+        dyadic.support(dyadic.levels + 1)
+
+
+@pytest.mark.parametrize("spec,center", [(SPEC, (20.0,)),
+                                         (GridSpec(d=2, n=256, oversampling=8), (4.0, 3.0))])
+def test_reached_pieces_hold_the_nonzero_bins(spec, center):
+    """A box is reached exactly when its window holds a nonzero bin; a level
+    is reached whenever its support meets the radius span of those bins, and
+    every unreached window multiplies the spectrum to exactly zero."""
+    uniform, dyadic = build_uniform(spec), build_dyadic(spec)
+    f = random_band_limited(spec, band_radius=2.5, center=center, seed=3)
+    spectrum = f.in_frequency().values.copy()
+    spectrum[np.abs(spectrum) <= 1e-13 * np.abs(spectrum).max()] = 0.0
+    reached = set(uniform.reached(spectrum))
+    assert 0 < len(reached) < len(uniform.lattice())
+    for i, k in enumerate(uniform.lattice()):
+        slices, patch = uniform.patch(spectrum, k)
+        assert spectrum[slices].any() == (i in reached)
+        if i not in reached:
+            assert not patch.any()
+    levels = dyadic.reached(spectrum)
+    assert 0 < len(levels) < dyadic.levels + 1
+    for j in set(range(dyadic.levels + 1)) - set(levels):
+        assert not (dyadic.window(j) * spectrum).any()
+    assert uniform.reached(np.zeros(spec.shape(), dtype=complex)) == []
+    assert dyadic.reached(np.zeros(spec.shape(), dtype=complex)) == []
