@@ -30,6 +30,7 @@ from .families import (
 from .grid import GridSpec
 from .norms import space_norm
 from .oracle import (
+    SPACE_KEYS,
     DomainError,
     Family,
     SpaceSpec,
@@ -37,6 +38,7 @@ from .oracle import (
     Verdict,
     classify_region,
     decide,
+    render_space,
 )
 from . import experiments
 from .partitions import build_dyadic, build_uniform, selftest_report
@@ -45,13 +47,6 @@ EX_USAGE = 64
 
 _FAMILY_TOKENS = {"B": Family.BESOV, "M": Family.MODULATION, "F": Family.TRIEBEL,
                   "W": Family.SOBOLEV_W, "FL": Family.FOURIER_L}
-_KEYS = {
-    Family.BESOV: ("p", "q", "s"),
-    Family.MODULATION: ("p", "q", "s"),
-    Family.TRIEBEL: ("p", "q", "s"),
-    Family.SOBOLEV_W: ("r", "s"),
-    Family.FOURIER_L: ("r",),
-}
 
 
 class SpecParseError(ValueError):
@@ -92,7 +87,7 @@ def parse_space(text: str, d: int = 1) -> SpaceSpec:
     if family is None:
         raise SpecParseError(text, 0, f"unknown family {token!r} (use B, M, F, W, FL)")
     body = stripped[open_idx + 1:-1]
-    allowed = _KEYS[family]
+    allowed = SPACE_KEYS[family]
     seen: dict[str, object] = {}
     offset = open_idx + 1
     if body.strip():
@@ -127,22 +122,6 @@ def parse_space(text: str, d: int = 1) -> SpaceSpec:
     if family is not Family.FOURIER_L:
         kwargs["s"] = seen.get("s", Fraction(0))
     return SpaceSpec(**kwargs)
-
-
-def _render_value(value) -> str:
-    if isinstance(value, Exponent):
-        return str(value)
-    return str(value)
-
-
-def render_space(spec: SpaceSpec) -> str:
-    """Canonical textual form; inverse of parse_space."""
-    token = spec.family.value
-    parts = []
-    for key in _KEYS[spec.family]:
-        value = getattr(spec, key)
-        parts.append(f"{key}={_render_value(value)}")
-    return f"{token}[{','.join(parts)}]"
 
 
 def _verdict_json(source, target, verdict: Verdict) -> dict:

@@ -26,8 +26,8 @@ from .families import (
 )
 from .grid import GridSpec, lp_norm
 from .norms import space_norm
-from .oracle import Family, SpaceSpec, decide
-from .partitions import build_dyadic, build_uniform, index_set
+from .oracle import Family, SpaceSpec, decide, render_space
+from .partitions import build_dyadic, build_uniform, index_set, lattice_weights
 
 
 class CatalogueError(ValueError):
@@ -56,8 +56,6 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        from .cli import render_space  # local import to avoid a cycle
-
         return {
             "schema": "modemb/experiment/v1",
             "source": render_space(self.source),
@@ -276,9 +274,7 @@ def run_weighted_tail(q, t_list, d: int = 1, growth_factor: float = 2.0) -> Tail
     qf = float(q.value)
     values = []
     for t in ts:
-        members = index_set("K", t, d).members
-        mags = np.array([(1.0 + np.sqrt(sum(c * c for c in k))) ** (-d / qf)
-                         for k in members])
+        mags = lattice_weights(index_set("K", t, d).members, -d / qf)
         values.append(float(np.sum(mags ** qf) ** (1.0 / qf)))
     xs = np.log(1.0 / np.array([float(t) for t in ts]))
     slope, intercept = np.polyfit(xs, values, 1)

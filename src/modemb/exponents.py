@@ -62,9 +62,7 @@ class Exponent:
         """Dual exponent: 1/p + 1/p' = 1 for p >= 1; p' = infinity for 0 < p < 1."""
         if self.value is None:
             return Exponent(Fraction(1))
-        if self.value < 1:
-            return INF
-        if self.value == 1:
+        if self.value <= 1:
             return INF
         return Exponent(self.value / (self.value - 1))
 
@@ -133,38 +131,44 @@ def _pieces(p, q) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(0), iq - ip, iq + ip - 1
 
 
+# Tie-break priority at region boundaries: the first attaining piece wins.
+_PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
+
+
+def _extremum(pick, p, q, d: int) -> tuple[Fraction, TauPiece]:
+    """d * pick(pieces) and the first piece, in tie-break order, attaining it."""
+    Smoothness(0, d)
+    values = _pieces(p, q)
+    best = pick(values)
+    return d * best, _PIECE_ORDER[values.index(best)]
+
+
+def tau_with_region(p0, q, d: int = 1) -> tuple[Fraction, TauPiece]:
+    """(tau(p0, q, d), tau_region(p0, q)) from one evaluation of the pieces."""
+    return _extremum(max, p0, q, d)
+
+
+def sigma_with_region(p1, q, d: int = 1) -> tuple[Fraction, TauPiece]:
+    """(sigma(p1, q, d), sigma_region(p1, q)) from one evaluation of the pieces."""
+    return _extremum(min, p1, q, d)
+
+
 def tau(p, q, d: int = 1) -> Fraction:
     """d * max(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    Smoothness(0, d)
-    return d * max(_pieces(p, q))
+    return _extremum(max, p, q, d)[0]
 
 
 def sigma(p, q, d: int = 1) -> Fraction:
     """d * min(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    Smoothness(0, d)
-    return d * min(_pieces(p, q))
-
-
-# Tie-break priority at region boundaries: the first attaining piece wins.
-_PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
+    return _extremum(min, p, q, d)[0]
 
 
 def tau_region(p0, q) -> TauPiece:
     """The affine piece attaining the max in tau(p0, q); ties broken by the
     fixed priority ZERO > Q_MINUS_P > P_PLUS_Q_MINUS_1."""
-    vals = dict(zip(_PIECE_ORDER, _pieces(p0, q)))
-    best = max(vals.values())
-    for piece in _PIECE_ORDER:
-        if vals[piece] == best:
-            return piece
-    raise AssertionError("unreachable")
+    return _extremum(max, p0, q, 1)[1]
 
 
 def sigma_region(p1, q) -> TauPiece:
     """The affine piece attaining the min in sigma(p1, q); same tie priority."""
-    vals = dict(zip(_PIECE_ORDER, _pieces(p1, q)))
-    best = min(vals.values())
-    for piece in _PIECE_ORDER:
-        if vals[piece] == best:
-            return piece
-    raise AssertionError("unreachable")
+    return _extremum(min, p1, q, 1)[1]

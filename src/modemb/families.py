@@ -7,8 +7,6 @@ bit-identical samples.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .exponents import as_fraction

@@ -30,6 +30,7 @@ from .partitions import (
     UniformPartition,
     build_dyadic,
     build_uniform,
+    lattice_weights,
 )
 
 # Boxes whose windowed spectrum falls below this relative level contribute 0.
@@ -115,9 +116,7 @@ def modulation_norm(f: GridFunction, p, q, s,
     edge = uniform.kmax - 1
     g = _in_band(f, f.spec.freq_outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
     points, norms = box_piece_norms(g, p, uniform)
-    sf = float(s)
-    weights = np.array([(1.0 + np.sqrt(sum(c * c for c in k))) ** sf for k in points])
-    return lq_seq_norm(norms, q, weights)
+    return lq_seq_norm(norms, q, lattice_weights(points, s))
 
 
 def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):

@@ -4,6 +4,17 @@ Each ``embed_*`` function returns a :class:`Verdict` stating whether the
 embedding holds, which condition of the governing characterization fired,
 the critical smoothness threshold (an exact rational), and whether the
 s-comparison in that condition is strict. All comparisons are exact.
+
+Every characterization has one shape. An index hypothesis comes first;
+when it fails, the verdict is "none" (``_refuse``). Otherwise the embedding
+holds iff s >= tau into M or s <= sigma out of M (``_verdict``), with tau and
+sigma taken at the other space's Lebesgue index and the modulation q; FL
+uses the bound 0 or d(1/r - 1/q) instead. A comparison of the indices
+decides whether that bound is strict. B<->M, F<->M (shared q) and
+F_{p,2}<->M have two clauses, (1) non-strict and (2) strict
+(``_two_clause``); W<->M and FL<->M split into more cases but build their
+verdicts the same way. ``decide`` and ``classify_region`` route each family
+pair through one table.
 """
 from __future__ import annotations
 
@@ -16,11 +27,8 @@ from .exponents import (
     INF,
     TauPiece,
     as_fraction,
-    dual,
-    sigma,
-    sigma_region,
-    tau,
-    tau_region,
+    sigma_with_region,
+    tau_with_region,
 )
 
 
@@ -100,6 +108,17 @@ class SpaceSpec:
         return cls(Family.FOURIER_L, r=Exponent.of(r), d=d)
 
 
+# Index keys of each family's textual form FAMILY[key=value,...], s last.
+SPACE_KEYS = {family: fields + (() if family is Family.FOURIER_L else ("s",))
+              for family, fields in _FAMILY_FIELDS.items()}
+
+
+def render_space(spec: SpaceSpec) -> str:
+    """Canonical textual form, e.g. B[p=1,q=2,s=1/2]; inverse of cli.parse_space."""
+    parts = [f"{key}={getattr(spec, key)}" for key in SPACE_KEYS[spec.family]]
+    return f"{spec.family.value}[{','.join(parts)}]"
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of an embedding query."""
@@ -122,27 +141,33 @@ class Verdict:
         }
 
 
-def _s_ok(s: Fraction, threshold: Fraction, strict: bool, lower: bool) -> bool:
-    """lower=True tests s against a lower bound (source->M direction)."""
+def _verdict(lower, label, s, crit, strict, piece, detail) -> Verdict:
+    """The verdict of the condition s >= crit (``lower``, source -> M) or
+    s <= crit (M -> target), with > or < when ``strict``."""
     if lower:
-        return s > threshold if strict else s >= threshold
-    return s < threshold if strict else s <= threshold
+        ok, rel = (s > crit, ">") if strict else (s >= crit, ">=")
+    else:
+        ok, rel = (s < crit, "<") if strict else (s <= crit, "<=")
+    return Verdict(ok, label, crit, strict, f"{detail}; requires s {rel} {crit}, s = {s}", piece)
 
 
-def _verdict_lower(label, s, crit, strict, piece, detail) -> Verdict:
-    """Assemble a verdict for a source->M style condition s >=/(>) crit."""
-    ok = _s_ok(s, crit, strict, lower=True)
-    rel = ">" if strict else ">="
-    expl = f"{detail}; requires s {rel} {crit}, s = {s}"
-    return Verdict(ok, label, crit, strict, expl, piece)
+def _refuse(hypothesis, detail, crit, piece, strict=False) -> Verdict:
+    """The "none" verdict of a violated index hypothesis."""
+    return Verdict(False, "none", crit, strict,
+                   f"index hypothesis {hypothesis} violated: {detail}", piece)
 
 
-def _verdict_upper(label, s, crit, strict, piece, detail) -> Verdict:
-    """Assemble a verdict for an M->target style condition s <=/(<) crit."""
-    ok = _s_ok(s, crit, strict, lower=False)
-    rel = "<" if strict else "<="
-    expl = f"{detail}; requires s {rel} {crit}, s = {s}"
-    return Verdict(ok, label, crit, strict, expl, piece)
+_NEGATED = {"<=": ">", ">=": "<"}
+
+
+def _two_clause(rule, lower, s, crit, piece, first, left, op, right) -> Verdict:
+    """Clause (1), non-strict, when the deciding comparison ``left op right``
+    holds (``first``); otherwise clause (2), strict, which states its
+    negation."""
+    if first:
+        return _verdict(lower, f"{rule} (1)", s, crit, False, piece, f"{left} {op} {right}")
+    return _verdict(lower, f"{rule} (2)", s, crit, True, piece,
+                    f"{left} {_NEGATED[op]} {right}")
 
 
 def embed_besov_to_mod(p0, q0, p, q, s, d: int = 1) -> Verdict:
@@ -150,16 +175,11 @@ def embed_besov_to_mod(p0, q0, p, q, s, d: int = 1) -> Verdict:
     or (q0 > q, s > tau(p0,q))."""
     p0, q0, p, q = map(Exponent.of, (p0, q0, p, q))
     s = as_fraction(s)
-    crit = tau(p0, q, d)
-    piece = tau_region(p0, q)
+    crit, piece = tau_with_region(p0, q, d)
     if not p0 <= p:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis p0 <= p violated: p0 = {p0} > p = {p}", piece)
-    if q0 <= q:
-        return _verdict_lower("B->M (1)", s, crit, False, piece,
-                              f"p0 = {p0} <= p = {p}, q0 = {q0} <= q = {q}")
-    return _verdict_lower("B->M (2)", s, crit, True, piece,
-                          f"p0 = {p0} <= p = {p}, q0 = {q0} > q = {q}")
+        return _refuse("p0 <= p", f"p0 = {p0} > p = {p}", crit, piece)
+    return _two_clause("B->M", True, s, crit, piece, q0 <= q,
+                       f"p0 = {p0} <= p = {p}, q0 = {q0}", "<=", f"q = {q}")
 
 
 def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
@@ -167,16 +187,11 @@ def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
     or (q1 < q, s < sigma(p1,q))."""
     p, q, p1, q1 = map(Exponent.of, (p, q, p1, q1))
     s = as_fraction(s)
-    crit = sigma(p1, q, d)
-    piece = sigma_region(p1, q)
+    crit, piece = sigma_with_region(p1, q, d)
     if not p1 >= p:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis p1 >= p violated: p1 = {p1} < p = {p}", piece)
-    if q1 >= q:
-        return _verdict_upper("M->B (1)", s, crit, False, piece,
-                              f"p1 = {p1} >= p = {p}, q1 = {q1} >= q = {q}")
-    return _verdict_upper("M->B (2)", s, crit, True, piece,
-                          f"p1 = {p1} >= p = {p}, q1 = {q1} < q = {q}")
+        return _refuse("p1 >= p", f"p1 = {p1} < p = {p}", crit, piece)
+    return _two_clause("M->B", False, s, crit, piece, q1 >= q,
+                       f"p1 = {p1} >= p = {p}, q1 = {q1}", ">=", f"q = {q}")
 
 
 def embed_hs_to_mod(p, q, s, d: int = 1) -> Verdict:
@@ -203,23 +218,18 @@ def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     r, p, q = map(Exponent.of, (r, p, q))
     s = as_fraction(s)
     _check_wr_hypotheses({"r": r, "p": p})
-    crit = tau(r, q, d)
-    piece = tau_region(r, q)
+    crit, piece = tau_with_region(r, q, d)
     if not r <= p:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis r <= p violated: r = {r} > p = {p}", piece)
-    base = f"r = {r} <= p = {p}"
+        return _refuse("r <= p", f"r = {r} > p = {p}", crit, piece)
     if r == 1:
-        if q.is_infinite:
-            return _verdict_lower("W->M (3)", s, crit, False, piece,
-                                  base + ", r = 1, q = inf")
-        return _verdict_lower("W->M (4)", s, crit, True, piece,
-                              base + f", r = 1, q = {q} finite")
-    if r > q:
-        return _verdict_lower("W->M (1)", s, crit, True, piece,
-                              base + f", r = {r} > q = {q}")
-    return _verdict_lower("W->M (2)", s, crit, False, piece,
-                          base + f", 1 < r = {r} <= q = {q}")
+        clause, strict, case = (("(3)", False, "r = 1, q = inf") if q.is_infinite
+                                else ("(4)", True, f"r = 1, q = {q} finite"))
+    elif r > q:
+        clause, strict, case = "(1)", True, f"r = {r} > q = {q}"
+    else:
+        clause, strict, case = "(2)", False, f"1 < r = {r} <= q = {q}"
+    return _verdict(True, f"W->M {clause}", s, crit, strict, piece,
+                    f"r = {r} <= p = {p}, {case}")
 
 
 def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
@@ -231,53 +241,37 @@ def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
     p, q, r = map(Exponent.of, (p, q, r))
     s = as_fraction(s)
     _check_wr_hypotheses({"r": r, "p": p})
-    crit = sigma(r, q, d)
-    piece = sigma_region(r, q)
+    crit, piece = sigma_with_region(r, q, d)
     if not p <= r:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis p <= r violated: p = {p} > r = {r}", piece)
-    base = f"p = {p} <= r = {r}"
+        return _refuse("p <= r", f"p = {p} > r = {r}", crit, piece)
     if q < 1:
-        label = "M->W (3) small-q extension" if r.is_infinite else "M->W (2) small-q extension"
-        return _verdict_upper(label, s, crit, False, piece,
-                              base + f", 0 < q = {q} < 1 (sigma(r,q) = 0)")
-    if r.is_infinite:
-        if q == 1:
-            return _verdict_upper("M->W (3)", s, crit, False, piece,
-                                  base + ", r = inf, q = 1")
-        return _verdict_upper("M->W (4)", s, crit, True, piece,
-                              base + f", r = inf, q = {q} > 1")
-    if r < q:
-        return _verdict_upper("M->W (1)", s, crit, True, piece,
-                              base + f", r = {r} < q = {q}")
-    return _verdict_upper("M->W (2)", s, crit, False, piece,
-                          base + f", q = {q} <= r = {r} < inf")
+        clause = "(3) small-q extension" if r.is_infinite else "(2) small-q extension"
+        strict, case = False, f"0 < q = {q} < 1 (sigma(r,q) = 0)"
+    elif r.is_infinite:
+        clause, strict, case = (("(3)", False, "r = inf, q = 1") if q == 1
+                                else ("(4)", True, f"r = inf, q = {q} > 1"))
+    elif r < q:
+        clause, strict, case = "(1)", True, f"r = {r} < q = {q}"
+    else:
+        clause, strict, case = "(2)", False, f"q = {q} <= r = {r} < inf"
+    return _verdict(False, f"M->W {clause}", s, crit, strict, piece,
+                    f"p = {p} <= r = {r}, {case}")
 
 
 def embed_triebel2_to_mod(p, q, s, d: int = 1) -> Verdict:
     """F^s_{p,2} -> M_{p,q}: holds iff (q >= p, s >= tau(p,q)) or (q < p, s > tau(p,q))."""
     p, q = Exponent.of(p), Exponent.of(q)
     s = as_fraction(s)
-    crit = tau(p, q, d)
-    piece = tau_region(p, q)
-    if q >= p:
-        return _verdict_lower("F2->M (1)", s, crit, False, piece,
-                              f"q = {q} >= p = {p}")
-    return _verdict_lower("F2->M (2)", s, crit, True, piece,
-                          f"q = {q} < p = {p}")
+    crit, piece = tau_with_region(p, q, d)
+    return _two_clause("F2->M", True, s, crit, piece, q >= p, f"q = {q}", ">=", f"p = {p}")
 
 
 def embed_mod_to_triebel2(p, q, s, d: int = 1) -> Verdict:
     """M_{p,q} -> F^s_{p,2}: holds iff (q <= p, s <= sigma(p,q)) or (q > p, s < sigma(p,q))."""
     p, q = Exponent.of(p), Exponent.of(q)
     s = as_fraction(s)
-    crit = sigma(p, q, d)
-    piece = sigma_region(p, q)
-    if q <= p:
-        return _verdict_upper("M->F2 (1)", s, crit, False, piece,
-                              f"q = {q} <= p = {p}")
-    return _verdict_upper("M->F2 (2)", s, crit, True, piece,
-                          f"q = {q} > p = {p}")
+    crit, piece = sigma_with_region(p, q, d)
+    return _two_clause("M->F2", False, s, crit, piece, q <= p, f"q = {q}", "<=", f"p = {p}")
 
 
 def embed_triebel_to_mod(p0, p, q, s, d: int = 1) -> Verdict:
@@ -285,16 +279,11 @@ def embed_triebel_to_mod(p0, p, q, s, d: int = 1) -> Verdict:
     (p0 <= q, s >= tau(p0,q)) or (p0 > q, s > tau(p0,q))."""
     p0, p, q = map(Exponent.of, (p0, p, q))
     s = as_fraction(s)
-    crit = tau(p0, q, d)
-    piece = tau_region(p0, q)
+    crit, piece = tau_with_region(p0, q, d)
     if not p0 <= p:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis p0 <= p violated: p0 = {p0} > p = {p}", piece)
-    if p0 <= q:
-        return _verdict_lower("F->M (1)", s, crit, False, piece,
-                              f"p0 = {p0} <= p = {p}, p0 <= q = {q}")
-    return _verdict_lower("F->M (2)", s, crit, True, piece,
-                          f"p0 = {p0} <= p = {p}, p0 > q = {q}")
+        return _refuse("p0 <= p", f"p0 = {p0} > p = {p}", crit, piece)
+    return _two_clause("F->M", True, s, crit, piece, p0 <= q,
+                       f"p0 = {p0} <= p = {p}, p0", "<=", f"q = {q}")
 
 
 def embed_mod_to_triebel(p, p1, q, s, d: int = 1) -> Verdict:
@@ -302,16 +291,11 @@ def embed_mod_to_triebel(p, p1, q, s, d: int = 1) -> Verdict:
     (p1 >= q, s <= sigma(p1,q)) or (p1 < q, s < sigma(p1,q))."""
     p, p1, q = map(Exponent.of, (p, p1, q))
     s = as_fraction(s)
-    crit = sigma(p1, q, d)
-    piece = sigma_region(p1, q)
+    crit, piece = sigma_with_region(p1, q, d)
     if not p1 >= p:
-        return Verdict(False, "none", crit, False,
-                       f"index hypothesis p1 >= p violated: p1 = {p1} < p = {p}", piece)
-    if p1 >= q:
-        return _verdict_upper("M->F (1)", s, crit, False, piece,
-                              f"p1 = {p1} >= p = {p}, p1 >= q = {q}")
-    return _verdict_upper("M->F (2)", s, crit, True, piece,
-                          f"p1 = {p1} >= p = {p}, p1 < q = {q}")
+        return _refuse("p1 >= p", f"p1 = {p1} < p = {p}", crit, piece)
+    return _two_clause("M->F", False, s, crit, piece, p1 >= q,
+                       f"p1 = {p1} >= p = {p}, p1", ">=", f"q = {q}")
 
 
 def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
@@ -320,21 +304,16 @@ def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
     p, q, r = map(Exponent.of, (p, q, r))
     s = as_fraction(s)
     if q <= r:
-        crit, strict, label = Fraction(0), False, "M->FL (1)"
-        detail = f"q = {q} <= r = {r}"
+        crit, strict, label, case = Fraction(0), False, "M->FL (1)", f"q = {q} <= r = {r}"
     else:
         crit = d * (r.reciprocal() - q.reciprocal())
-        strict, label = True, "M->FL (2)"
-        detail = f"r = {r} < q = {q}"
+        strict, label, case = True, "M->FL (2)", f"r = {r} < q = {q}"
     pd = p.dual()
     if not p <= 2:
-        return Verdict(False, "none", crit, strict,
-                       f"index hypothesis p <= 2 violated: p = {p}", None)
+        return _refuse("p <= 2", f"p = {p}", crit, None, strict)
     if not r <= pd:
-        return Verdict(False, "none", crit, strict,
-                       f"index hypothesis r <= p' violated: r = {r} > p' = {pd}", None)
-    return _verdict_lower(label, s, crit, strict, None,
-                          f"p = {p} <= 2, r = {r} <= p' = {pd}, " + detail)
+        return _refuse("r <= p'", f"r = {r} > p' = {pd}", crit, None, strict)
+    return _verdict(True, label, s, crit, strict, None, f"p = {p} <= 2, r = {r} <= p' = {pd}, {case}")
 
 
 def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
@@ -343,21 +322,16 @@ def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     r, p, q = map(Exponent.of, (r, p, q))
     s = as_fraction(s)
     if r <= q:
-        crit, strict, label = Fraction(0), False, "FL->M (1)"
-        detail = f"r = {r} <= q = {q}"
+        crit, strict, label, case = Fraction(0), False, "FL->M (1)", f"r = {r} <= q = {q}"
     else:
         crit = d * (r.reciprocal() - q.reciprocal())
-        strict, label = True, "FL->M (2)"
-        detail = f"r = {r} > q = {q}"
+        strict, label, case = True, "FL->M (2)", f"r = {r} > q = {q}"
     pd = p.dual()
     if not p >= 2:
-        return Verdict(False, "none", crit, strict,
-                       f"index hypothesis p >= 2 violated: p = {p}", None)
+        return _refuse("p >= 2", f"p = {p}", crit, None, strict)
     if not pd <= r:
-        return Verdict(False, "none", crit, strict,
-                       f"index hypothesis p' <= r violated: p' = {pd} > r = {r}", None)
-    return _verdict_upper(label, s, crit, strict, None,
-                          f"p = {p} >= 2, p' = {pd} <= r = {r}, " + detail)
+        return _refuse("p' <= r", f"p' = {pd} > r = {r}", crit, None, strict)
+    return _verdict(False, label, s, crit, strict, None, f"p = {p} >= 2, p' = {pd} <= r = {r}, {case}")
 
 
 def _require_zero_mod_smoothness(spec: SpaceSpec, other: SpaceSpec) -> None:
@@ -366,6 +340,54 @@ def _require_zero_mod_smoothness(spec: SpaceSpec, other: SpaceSpec) -> None:
             f"modulation smoothness s = {spec.s} is only characterized against FL "
             f"spaces, not {other.family.value}"
         )
+
+
+def _triebel_to_mod(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
+    if source.q == target.q:
+        return embed_triebel_to_mod(source.p, target.p, target.q, source.s, d)
+    if source.q == 2:
+        if source.p == target.p:
+            return embed_triebel2_to_mod(target.p, target.q, source.s, d)
+        if Exponent.of(1) < source.p < INF:
+            return embed_sobolev_to_mod(source.p, target.p, target.q, source.s, d)
+    raise UncharacterizedPairError(
+        "F_{p0,q0} -> M_{p,q} with q0 != q is characterized only for q0 = 2 "
+        "with matching Lebesgue structure; the general case is an open problem"
+    )
+
+
+def _mod_to_triebel(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
+    if source.q == target.q:
+        return embed_mod_to_triebel(source.p, target.p, target.q, target.s, d)
+    if target.q == 2:
+        if source.p == target.p:
+            return embed_mod_to_triebel2(source.p, source.q, target.s, d)
+        if Exponent.of(1) < target.p < INF:
+            return embed_mod_to_sobolev(source.p, source.q, target.p, target.s, d)
+    raise UncharacterizedPairError(
+        "M_{p,q} -> F_{p1,q1} with q1 != q is characterized only for q1 = 2 "
+        "with matching Lebesgue structure; the general case is an open problem"
+    )
+
+
+# How decide routes each characterized (source, target) family pair; the
+# entries look the embed_* functions up when called.
+_DECIDE_ROUTES = {
+    (Family.BESOV, Family.MODULATION):
+        lambda a, b, d: embed_besov_to_mod(a.p, a.q, b.p, b.q, a.s, d),
+    (Family.MODULATION, Family.BESOV):
+        lambda a, b, d: embed_mod_to_besov(a.p, a.q, b.p, b.q, b.s, d),
+    (Family.SOBOLEV_W, Family.MODULATION):
+        lambda a, b, d: embed_sobolev_to_mod(a.r, b.p, b.q, a.s, d),
+    (Family.MODULATION, Family.SOBOLEV_W):
+        lambda a, b, d: embed_mod_to_sobolev(a.p, a.q, b.r, b.s, d),
+    (Family.TRIEBEL, Family.MODULATION): _triebel_to_mod,
+    (Family.MODULATION, Family.TRIEBEL): _mod_to_triebel,
+    (Family.MODULATION, Family.FOURIER_L):
+        lambda a, b, d: embed_mod_to_fourierlp(a.p, a.q, b.r, a.s, d),
+    (Family.FOURIER_L, Family.MODULATION):
+        lambda a, b, d: embed_fourierlp_to_mod(a.r, b.p, b.q, b.s, d),
+}
 
 
 def decide(source: SpaceSpec, target: SpaceSpec) -> Verdict:
@@ -377,55 +399,17 @@ def decide(source: SpaceSpec, target: SpaceSpec) -> Verdict:
     """
     if source.d != target.d:
         raise ValueError(f"dimension mismatch: {source.d} != {target.d}")
-    d = source.d
-    pair = (source.family, target.family)
-
-    if pair == (Family.BESOV, Family.MODULATION):
-        _require_zero_mod_smoothness(target, source)
-        return embed_besov_to_mod(source.p, source.q, target.p, target.q, source.s, d)
-    if pair == (Family.MODULATION, Family.BESOV):
-        _require_zero_mod_smoothness(source, target)
-        return embed_mod_to_besov(source.p, source.q, target.p, target.q, target.s, d)
-    if pair == (Family.SOBOLEV_W, Family.MODULATION):
-        _require_zero_mod_smoothness(target, source)
-        return embed_sobolev_to_mod(source.r, target.p, target.q, source.s, d)
-    if pair == (Family.MODULATION, Family.SOBOLEV_W):
-        _require_zero_mod_smoothness(source, target)
-        return embed_mod_to_sobolev(source.p, source.q, target.r, target.s, d)
-    if pair == (Family.TRIEBEL, Family.MODULATION):
-        _require_zero_mod_smoothness(target, source)
-        if source.q == target.q:
-            return embed_triebel_to_mod(source.p, target.p, target.q, source.s, d)
-        if source.q == 2:
-            if source.p == target.p:
-                return embed_triebel2_to_mod(target.p, target.q, source.s, d)
-            if Exponent.of(1) < source.p < INF:
-                return embed_sobolev_to_mod(source.p, target.p, target.q, source.s, d)
+    route = _DECIDE_ROUTES.get((source.family, target.family))
+    if route is None:
         raise UncharacterizedPairError(
-            "F_{p0,q0} -> M_{p,q} with q0 != q is characterized only for q0 = 2 "
-            "with matching Lebesgue structure; the general case is an open problem"
+            f"no characterization available for {source.family.value} -> {target.family.value}"
         )
-    if pair == (Family.MODULATION, Family.TRIEBEL):
-        _require_zero_mod_smoothness(source, target)
-        if source.q == target.q:
-            return embed_mod_to_triebel(source.p, target.p, target.q, target.s, d)
-        if target.q == 2:
-            if source.p == target.p:
-                return embed_mod_to_triebel2(source.p, source.q, target.s, d)
-            if Exponent.of(1) < target.p < INF:
-                return embed_mod_to_sobolev(source.p, source.q, target.p, target.s, d)
-        raise UncharacterizedPairError(
-            "M_{p,q} -> F_{p1,q1} with q1 != q is characterized only for q1 = 2 "
-            "with matching Lebesgue structure; the general case is an open problem"
-        )
-    if pair == (Family.MODULATION, Family.FOURIER_L):
-        return embed_mod_to_fourierlp(source.p, source.q, target.r, source.s, d)
-    if pair == (Family.FOURIER_L, Family.MODULATION):
-        return embed_fourierlp_to_mod(source.r, target.p, target.q, target.s, d)
-
-    raise UncharacterizedPairError(
-        f"no characterization available for {source.family.value} -> {target.family.value}"
-    )
+    if Family.FOURIER_L not in (source.family, target.family):
+        if source.family is Family.MODULATION:
+            _require_zero_mod_smoothness(source, target)
+        else:
+            _require_zero_mod_smoothness(target, source)
+    return route(source, target, source.d)
 
 
 @dataclass(frozen=True)
@@ -442,13 +426,19 @@ class RegionCell:
 # Sweep conventions per pair: the x coordinate is the reciprocal of the
 # non-modulation Lebesgue index, y is 1/q; the free modulation index p is set
 # on the diagonal so the p-comparison hypothesis always holds.
-_REGION_PAIRS = {
-    (Family.BESOV, Family.MODULATION),
-    (Family.MODULATION, Family.BESOV),
-    (Family.SOBOLEV_W, Family.MODULATION),
-    (Family.MODULATION, Family.SOBOLEV_W),
-    (Family.TRIEBEL, Family.MODULATION),
-    (Family.MODULATION, Family.TRIEBEL),
+_REGION_RULES = {
+    (Family.BESOV, Family.MODULATION):
+        lambda x, q, s, d: embed_besov_to_mod(x, q, x, q, s, d),
+    (Family.MODULATION, Family.BESOV):
+        lambda x, q, s, d: embed_mod_to_besov(x, q, x, q, s, d),
+    (Family.SOBOLEV_W, Family.MODULATION):
+        lambda x, q, s, d: embed_sobolev_to_mod(x, x, q, s, d),
+    (Family.MODULATION, Family.SOBOLEV_W):
+        lambda x, q, s, d: embed_mod_to_sobolev(x, q, x, s, d),
+    (Family.TRIEBEL, Family.MODULATION):
+        lambda x, q, s, d: embed_triebel_to_mod(x, x, q, s, d),
+    (Family.MODULATION, Family.TRIEBEL):
+        lambda x, q, s, d: embed_mod_to_triebel(x, x, q, s, d),
 }
 
 
@@ -466,31 +456,15 @@ def classify_region(source_family: Family, target_family: Family, points, s,
     Returns one RegionCell per point with the verdict, clause label, and the
     tau/sigma piece, suitable for rendering region diagrams.
     """
-    pair = (source_family, target_family)
-    if pair not in _REGION_PAIRS:
+    rule = _REGION_RULES.get((source_family, target_family))
+    if rule is None:
         raise UncharacterizedPairError(
             f"region sweep not supported for {source_family.value} -> {target_family.value}"
         )
     s = as_fraction(s)
-    to_mod = target_family is Family.MODULATION
     cells = []
     for u, v in points:
         u, v = as_fraction(u), as_fraction(v)
-        x = _exponent_from_reciprocal(u)
-        qe = _exponent_from_reciprocal(v)
-        if to_mod:
-            if source_family is Family.BESOV:
-                verdict = embed_besov_to_mod(x, qe, x, qe, s, d)
-            elif source_family is Family.SOBOLEV_W:
-                verdict = embed_sobolev_to_mod(x, x, qe, s, d)
-            else:
-                verdict = embed_triebel_to_mod(x, x, qe, s, d)
-        else:
-            if target_family is Family.BESOV:
-                verdict = embed_mod_to_besov(x, qe, x, qe, s, d)
-            elif target_family is Family.SOBOLEV_W:
-                verdict = embed_mod_to_sobolev(x, qe, x, s, d)
-            else:
-                verdict = embed_mod_to_triebel(x, x, qe, s, d)
+        verdict = rule(_exponent_from_reciprocal(u), _exponent_from_reciprocal(v), s, d)
         cells.append(RegionCell(u, v, verdict.holds, verdict.clause, verdict.piece))
     return cells

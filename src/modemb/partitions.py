@@ -346,6 +346,14 @@ def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...
     return members
 
 
+def lattice_weights(points, s) -> np.ndarray:
+    """<k>^s = (1 + |k|)^s, |k| Euclidean, for each lattice point k of a
+    non-empty sequence. Exactly 1 at s = 0; elsewhere the array power may
+    round differently from the scalar one, within a few ulp."""
+    k = np.asarray(points, dtype=float)
+    return (1.0 + np.sqrt(np.sum(k * k, axis=1))) ** float(s)
+
+
 def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
     """A_l (windows inside D_l), B_l (windows touching D_l), or K_t (windows
     inside the cube (1/t)[-1,1]^d). Members in lexicographic order."""

@@ -59,20 +59,24 @@ def test_predicted_slope_uncatalogued():
 
 
 def test_catalogue_coherence_with_oracle():
-    """Positive predicted growth must come with a failing verdict."""
+    """Positive predicted growth must come with a failing verdict, for
+    B -> M and for M -> B."""
     grid = [F(1, 2), 1, 2, 4, Exponent.of("inf")]
     smooth = [F(-1, 2), 0, F(1, 4), 1]
+    positive = 0
     for p0 in grid:
         for q in grid:
             for s in smooth:
-                source, target = B(p0, q, s), M(p0, q)
-                for family in ("single_box", "annulus", "lattice_comb"):
-                    try:
-                        slope = predicted_slope(source, target, family)
-                    except CatalogueError:
-                        continue
-                    if slope > 0:
-                        assert not decide(source, target).holds, (p0, q, s, family)
+                for source, target in ((B(p0, q, s), M(p0, q)), (M(p0, q), B(p0, q, s))):
+                    for family in ("single_box", "annulus", "lattice_comb"):
+                        try:
+                            slope = predicted_slope(source, target, family)
+                        except CatalogueError:
+                            continue
+                        if slope > 0:
+                            positive += 1
+                            assert not decide(source, target).holds, (source, target, family)
+    assert positive == 110 + 138  # B -> M cases + M -> B cases
 
 
 def test_run_sharpness_annulus_failing_query():

@@ -14,6 +14,7 @@ from modemb.partitions import (
     box_apply,
     delta_apply,
     index_set,
+    lattice_weights,
     max_dyadic_level,
     max_uniform_kmax,
     selftest_report,
@@ -337,3 +338,18 @@ def test_reached_pieces_hold_the_nonzero_bins(spec, center):
         assert not (dyadic.window(j) * spectrum).any()
     assert uniform.reached(np.zeros(spec.shape(), dtype=complex)) == []
     assert dyadic.reached(np.zeros(spec.shape(), dtype=complex)) == []
+
+
+@pytest.mark.parametrize("spec", [GridSpec(d=1, n=2 ** 12, oversampling=8),
+                                  GridSpec(d=2, n=2 ** 7, oversampling=8)])
+@pytest.mark.parametrize("s", [0, Fraction(1, 2), Fraction(-3, 4), Fraction(1, 3), 2])
+def test_lattice_weights_match_pointwise_powers(spec, s):
+    """The array form of <k>^s against the per-point scalar form it replaced:
+    identical at s = 0, within 1e-15 relative elsewhere."""
+    points = build_uniform(spec).lattice()
+    reference = np.array([(1.0 + np.sqrt(sum(c * c for c in k))) ** float(s) for k in points])
+    weights = lattice_weights(points, s)
+    if s == 0:
+        assert np.array_equal(weights, reference) and np.all(weights == 1.0)
+    else:
+        assert np.max(np.abs(weights - reference) / reference) <= 1e-15
