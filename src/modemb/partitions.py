@@ -348,8 +348,8 @@ def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...
 
 def lattice_weights(points, s) -> np.ndarray:
     """<k>^s = (1 + |k|)^s, |k| Euclidean, for each lattice point k of a
-    non-empty sequence. Exactly 1 at s = 0; elsewhere the array power may
-    round differently from the scalar one, within a few ulp."""
+    non-empty sequence. Exactly 1 at s = 0; elsewhere NumPy's array power
+    may differ from a scalar pow by an ulp."""
     k = np.asarray(points, dtype=float)
     return (1.0 + np.sqrt(np.sum(k * k, axis=1))) ** float(s)
 
