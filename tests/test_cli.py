@@ -85,6 +85,31 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["decide", "--from", "B[p=x,q=1]", "--to", "M[p=1,q=1]"], EX_USAGE,
+     "parse error: expected a rational a/b or 'inf' (no decimals), got 'x' "
+     "at position 2: 'B[p=x,q=1]'"),
+    (["norm", "--family", "annulus", "--level", "2", "--space", "M[p=1]"], EX_USAGE,
+     "parse error: family M requires indices ['q'] at position 6: 'M[p=1]'"),
+    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1,s=zz]",
+      "--family", "annulus"], EX_USAGE,
+     "parse error: expected a rational a/b or 'inf' (no decimals), got 'zz' "
+     "at position 10: 'M[p=1,q=1,s=zz]'"),
+    (["decide", "--from", "W[r=1/2,s=0]", "--to", "M[p=2,q=2]"], 2,
+     "undecidable: hypothesis 1 <= r <= inf violated: r = 1/2; the Sobolev "
+     "characterizations assume Banach-range Lebesgue indices"),
+    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+      "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
+     "undecidable: no catalogued family 'dilation' for B->M"),
+])
+def test_error_messages_and_exit_codes(capsys, argv, code, message):
+    """Each refused command prints one line on stderr, nothing on stdout."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 @requires_jsonschema
 def test_decide_json_schema(capsys):
     main(["decide", "--from", "B[p=1,q=1,s=1/2]", "--to", "M[p=2,q=2]", "--json"])

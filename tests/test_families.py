@@ -6,7 +6,10 @@ import pytest
 
 from modemb.families import (
     PeriodError,
+    _add_box,
+    annulus_spectrum,
     comb_spectrum,
+    dilation_spectrum,
     family_annulus,
     family_dilated_kernel,
     family_dilation,
@@ -15,11 +18,13 @@ from modemb.families import (
     family_single_box,
     family_weighted_sum,
     grid_for,
+    kernel_spectrum,
     random_band_limited,
+    single_box_spectrum,
     smallest_box_point,
 )
-from modemb.grid import BandLimitError, GridFunction, GridSpec, SPACE, lp_norm, \
-    lq_seq_norm
+from modemb.grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, SPACE, \
+    lp_norm, lq_seq_norm, transform
 from modemb.norms import box_piece_norms, modulation_norm
 from modemb.partitions import ResolutionError, box_apply, build_uniform, index_set
 
@@ -273,3 +278,56 @@ def test_grid_for_comb_matches_design_scale():
     spec = grid_for("lattice_comb", level=8)
     assert spec.n == 2 ** 19 and spec.oversampling == 512
     assert float(spec.period) >= 8 * 2 ** 8
+
+
+def _train_spectrum(spec, coefficients):
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    for k, c in sorted(coefficients.items()):
+        _add_box(out, spec, (k,), complex(c), width=1.0, modulated=True)
+    return out
+
+
+def _sum_spectrum(spec, synth, coefficients):
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    for level, c in sorted(coefficients):
+        out += complex(c) * synth(spec, level)
+    return out
+
+
+def _member_cases():
+    """name -> (member, the spectrum it is synthesized from) for every
+    family_* generator, in d = 1 and, where the family has one, d = 2."""
+    box, box2 = grid_for("single_box", level=5), grid_for("single_box", d=2, level=2)
+    ann, ann2 = grid_for("annulus", level=3), grid_for("annulus", d=2, level=2)
+    comb = grid_for("lattice_comb", level=4)
+    dil, ker = grid_for("dilation", lam=F(1, 2)), grid_for("dilated_kernel", t=F(1, 4))
+    train = grid_for("modulated_train", max_abs_k=6)
+    coeffs = {-6: 1.0, 0: 0.5j, 5: -2.0}
+    weights = [(5, 1.0), (4, -0.5j)]
+    return {
+        "dilation": (family_dilation(dil, F(1, 2)), dilation_spectrum(dil, F(1, 2))),
+        "single_box": (family_single_box(box, 5), single_box_spectrum(box, 5)),
+        "single_box-2d": (family_single_box(box2, 2), single_box_spectrum(box2, 2)),
+        "annulus": (family_annulus(ann, 3), annulus_spectrum(ann, 3)),
+        "annulus-2d": (family_annulus(ann2, 2), annulus_spectrum(ann2, 2)),
+        "lattice_comb": (family_lattice_comb(comb, 4, F(1, 2)),
+                         comb_spectrum(comb, 4, F(1, 2))),
+        "weighted_sum": (family_weighted_sum(box, "single_box", weights),
+                         _sum_spectrum(box, single_box_spectrum, weights)),
+        "modulated_train": (family_modulated_train(train, coeffs),
+                            _train_spectrum(train, coeffs)),
+        "dilated_kernel": (family_dilated_kernel(ker, F(1, 4)),
+                           kernel_spectrum(ker, F(1, 4))),
+    }
+
+
+MEMBER_CASES = _member_cases()
+
+
+@pytest.mark.parametrize("case", MEMBER_CASES)
+def test_member_space_samples_are_the_spectrum_transform(case):
+    """A member's space samples are bit for bit the inverse transform of the
+    spectrum it is synthesized from."""
+    member, spectrum = MEMBER_CASES[case]
+    expected = transform(GridFunction(member.spec, spectrum, FREQUENCY), SPACE)
+    assert member.in_space().values.tobytes() == expected.values.tobytes()

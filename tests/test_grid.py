@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from modemb import grid
 from modemb.grid import (
     FREQUENCY,
     SPACE,
@@ -67,6 +68,29 @@ def test_round_trip(spec):
     back = transform(transform(f, FREQUENCY), SPACE)
     rel = np.abs(back.values - f.values).max() / np.abs(f.values).max()
     assert rel < 1e-12
+
+
+@pytest.mark.parametrize("spec", [GridSpec(d=1, n=512, oversampling=16),
+                                  GridSpec(d=2, n=64, oversampling=8)])
+def test_transforms_match_shift_reference_bitwise(spec):
+    """_fft, _ifft and transform, both directions, are bit for bit
+    scale * fftshift(fft(ifftshift(x))), and leave their input untouched."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(spec.shape()) + 1j * rng.standard_normal(spec.shape())
+    before = x.copy()
+    fwd, inv = (np.fft.fft, np.fft.ifft) if spec.d == 1 else (np.fft.fftn, np.fft.ifftn)
+
+    def reference(fn, scale=None):
+        out = np.fft.fftshift(fn(np.fft.ifftshift(x)))
+        return out if scale is None else scale * out
+
+    assert grid._fft(x).tobytes() == reference(fwd).tobytes()
+    assert grid._ifft(x).tobytes() == reference(inv).tobytes()
+    to_freq = transform(GridFunction(spec, x, SPACE), FREQUENCY).values
+    to_space = transform(GridFunction(spec, x, FREQUENCY), SPACE).values
+    assert to_freq.tobytes() == reference(fwd, (spec.period / spec.n) ** spec.d).tobytes()
+    assert to_space.tobytes() == reference(inv, (spec.n / spec.period) ** spec.d).tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_gaussian_matches_continuous_transform():
