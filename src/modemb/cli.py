@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .exponents import Exponent, as_fraction
@@ -178,44 +179,30 @@ def _build_family(kind, args, config, d):
     if kind == "dilation":
         if args.lam is None:
             raise ValueError("--lam is required for the dilation family")
-        lam = as_fraction(args.lam)
-        spec = grid_for("dilation", d=d, lam=lam)
-        if n_override or m_override:
-            spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
-        return spec, family_dilation(spec, lam)
-    if kind == "dilated_kernel":
+        param = as_fraction(args.lam)
+        spec, build = grid_for(kind, d=d, lam=param), family_dilation
+    elif kind == "dilated_kernel":
         if args.t is None:
             raise ValueError("--t is required for the dilated-kernel family")
-        t = as_fraction(args.t)
-        spec = grid_for("dilated_kernel", d=d, t=t)
-        if n_override or m_override:
-            spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
-        return spec, family_dilated_kernel(spec, t)
-    if args.level is None:
-        raise ValueError(f"--level is required for the {kind} family")
-    spec = grid_for(kind, d=d, level=args.level, width=width)
+        param = as_fraction(args.t)
+        spec, build = grid_for(kind, d=d, t=param), family_dilated_kernel
+    else:
+        if args.level is None:
+            raise ValueError(f"--level is required for the {kind} family")
+        param = args.level
+        spec = grid_for(kind, d=d, level=param, width=width)
+        build = {"single_box": family_single_box, "annulus": family_annulus,
+                 "lattice_comb": partial(family_lattice_comb, width=width)}[kind]
     if n_override or m_override:
         spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
-    if kind == "single_box":
-        return spec, family_single_box(spec, args.level)
-    if kind == "annulus":
-        return spec, family_annulus(spec, args.level)
-    return spec, family_lattice_comb(spec, args.level, width)
+    return spec, build(spec, param)
 
 
 def cmd_decide(args, config) -> int:
     d = _cfg(args, config, "d", int, 1)
-    try:
-        source = parse_space(args.source, d)
-        target = parse_space(args.target, d)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        verdict = decide(source, target)
-    except (UncharacterizedPairError, DomainError) as exc:
-        print(f"undecidable: {exc}", file=sys.stderr)
-        return 2
+    source = parse_space(args.source, d)
+    target = parse_space(args.target, d)
+    verdict = decide(source, target)
     if args.json:
         print(json.dumps(_verdict_json(source, target, verdict), indent=2))
     else:
@@ -260,11 +247,7 @@ def cmd_table(args, config) -> int:
 
 def cmd_norm(args, config) -> int:
     d = _cfg(args, config, "d", int, 1)
-    try:
-        space = parse_space(args.space, d)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    space = parse_space(args.space, d)
     spec, f = _build_family(args.family, args, config, d)
     uniform = build_uniform(spec) if space.family is Family.MODULATION else None
     dyadic = (build_dyadic(spec)
@@ -293,18 +276,9 @@ def _parse_levels(args, config):
 
 def _experiment_common(args, config, runner) -> int:
     d = _cfg(args, config, "d", int, 1)
-    try:
-        source = parse_space(args.source, d)
-        target = parse_space(args.target, d)
-    except SpecParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    levels = _parse_levels(args, config)
-    try:
-        report = runner(source, target, levels)
-    except (UncharacterizedPairError, DomainError, experiments.CatalogueError) as exc:
-        print(f"undecidable: {exc}", file=sys.stderr)
-        return 2
+    source = parse_space(args.source, d)
+    target = parse_space(args.target, d)
+    report = runner(source, target, _parse_levels(args, config))
     if args.csv:
         report.write_csv(args.csv)
     if args.json is not None:
@@ -443,7 +417,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (UncharacterizedPairError, DomainError) as exc:
+    except (UncharacterizedPairError, DomainError, experiments.CatalogueError) as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -2,23 +2,16 @@
 
 Every family is synthesized exactly on the frequency side (compact spectral
 support, so the grid function is the exact periodization of the continuum
-object) and transformed to space once. Identical parameters yield
-bit-identical samples.
+object), and a member is that spectrum: a frequency-side GridFunction. The
+norms read it without a forward transform; ``in_space()`` gives the space
+samples. Identical parameters yield bit-identical samples.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .exponents import as_fraction
-from .grid import (
-    FREQUENCY,
-    SPACE,
-    BandLimitError,
-    GridFunction,
-    GridSpec,
-    band_leak,
-    transform,
-)
+from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak
 from .partitions import (
     ResolutionError,
     build_dyadic,
@@ -57,8 +50,9 @@ def _empty_spectrum(spec: GridSpec) -> np.ndarray:
 
 
 def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
+    """The member whose spectrum is ``values``, after the band-margin check."""
     _assert_margin(spec, values)
-    return transform(GridFunction(spec, values, FREQUENCY), SPACE)
+    return GridFunction(spec, values, FREQUENCY)
 
 
 def _assert_margin(spec: GridSpec, freq_values: np.ndarray) -> None:

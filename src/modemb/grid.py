@@ -136,20 +136,19 @@ class GridFunction:
     def in_frequency(self) -> "GridFunction":
         return transform(self, FREQUENCY)
 
-    def spectrum(self) -> np.ndarray:
-        return self.in_frequency().values
 
-
+# The DFT runs in place (``out=``, numpy >= 2.0) on the one copy ifftshift
+# makes; the result is bit for bit fftshift(fft(ifftshift(values))).
 def _fft(values: np.ndarray) -> np.ndarray:
     shifted = np.fft.ifftshift(values)
-    out = np.fft.fftn(shifted) if values.ndim > 1 else np.fft.fft(shifted)
-    return np.fft.fftshift(out)
+    (np.fft.fftn if values.ndim > 1 else np.fft.fft)(shifted, out=shifted)
+    return np.fft.fftshift(shifted)
 
 
 def _ifft(values: np.ndarray) -> np.ndarray:
     shifted = np.fft.ifftshift(values)
-    out = np.fft.ifftn(shifted) if values.ndim > 1 else np.fft.ifft(shifted)
-    return np.fft.fftshift(out)
+    (np.fft.ifftn if values.ndim > 1 else np.fft.ifft)(shifted, out=shifted)
+    return np.fft.fftshift(shifted)
 
 
 def transform(f: GridFunction, side: str) -> GridFunction:
@@ -160,10 +159,11 @@ def transform(f: GridFunction, side: str) -> GridFunction:
         return f
     spec = f.spec
     if side == FREQUENCY:
-        scale = (spec.period / spec.n) ** spec.d
-        return GridFunction(spec, scale * _fft(f.values), FREQUENCY)
-    scale = (spec.n / spec.period) ** spec.d
-    return GridFunction(spec, scale * _ifft(f.values), SPACE)
+        out, scale = _fft(f.values), (spec.period / spec.n) ** spec.d
+    else:
+        out, scale = _ifft(f.values), (spec.n / spec.period) ** spec.d
+    out *= scale
+    return GridFunction(spec, out, side)
 
 
 def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
@@ -190,10 +190,9 @@ def _riemann_lp(values: np.ndarray, cell_volume: float, p) -> float:
 
 
 def lp_norm(f: GridFunction, p) -> float:
-    """Riemann-sum L^p quasi-norm of a space-side function; max for p = inf."""
-    if f.side != SPACE:
-        raise ValueError("lp_norm expects a space-side function")
-    return _riemann_lp(f.values, f.spec.cell_volume, p)
+    """Riemann-sum L^p quasi-norm of f's space samples; max for p = inf. A
+    frequency-side f is transformed to space first."""
+    return _riemann_lp(f.in_space().values, f.spec.cell_volume, p)
 
 
 def lq_seq_norm(values, q, weights=None) -> float:

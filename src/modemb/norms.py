@@ -56,9 +56,10 @@ def _spectrum_of(f: GridFunction) -> np.ndarray:
 def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
              partition: str) -> GridFunction:
     """f on the frequency side, after the band check: BandLimitError if the
-    spectrum exceeds 1e-12 of its peak on the mask ``outside``. The norms take
-    their spectrum from the result, so the check and the norm share one
-    forward transform."""
+    spectrum exceeds 1e-12 of its peak on the mask ``outside``. A
+    frequency-side f, such as a family member, is returned as it is; a
+    space-side f takes one forward transform, which the norm then shares
+    with the check."""
     g = f.in_frequency()
     if band_leak(g.values, outside) > 1e-12:
         raise BandLimitError(f"spectral content beyond {edge}; "
@@ -67,8 +68,8 @@ def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
 
 
 def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
-    """(lattice points, L^p norms of the uniform pieces) over the whole
-    lattice.
+    """(lattice points as tuples, L^p norms of the uniform pieces) over the
+    whole lattice.
 
     Only the boxes ``uniform.reached`` lists are visited: those whose window
     (per axis, the samples c_k - w .. c_k + w) holds a nonzero bin of the
@@ -105,7 +106,7 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
             continue
         mags = uniform.piece_magnitudes(patch)
         norms[i] = _riemann_lp(mags, spec.cell_volume, p)
-    return points, norms
+    return list(map(tuple, points.tolist())), norms
 
 
 def modulation_norm(f: GridFunction, p, q, s,
@@ -115,8 +116,8 @@ def modulation_norm(f: GridFunction, p, q, s,
         uniform = build_uniform(f.spec)
     edge = uniform.kmax - 1
     g = _in_band(f, f.spec.freq_outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
-    points, norms = box_piece_norms(g, p, uniform)
-    return lq_seq_norm(norms, q, lattice_weights(points, s))
+    _, norms = box_piece_norms(g, p, uniform)
+    return lq_seq_norm(norms, q, lattice_weights(uniform.lattice(), s))
 
 
 def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
@@ -136,11 +137,11 @@ def besov_norm(f: GridFunction, p, q, s,
                dyadic: DyadicPartition | None = None) -> float:
     """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
 
-    One forward transform, then one inverse transform per level the floored
-    spectrum reaches: a level is skipped when no nonzero bin lies in the
-    support of phi_j (``DyadicPartition.support``). A skipped level's piece is
-    identically zero and enters the sequence as 0.0, exactly the value its
-    transform would give."""
+    One forward transform (none for a frequency-side f), then one inverse
+    transform per level the floored spectrum reaches: a level is skipped when
+    no nonzero bin lies in the support of phi_j (``DyadicPartition.support``).
+    A skipped level's piece is identically zero and enters the sequence as
+    0.0, exactly the value its transform would give."""
     p = Exponent.of(p)
     if dyadic is None:
         dyadic = build_dyadic(f.spec)

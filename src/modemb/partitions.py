@@ -9,6 +9,7 @@ D_j = {3/4 * 2^j <= |xi| <= 5/4 * 2^j}.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,12 +84,18 @@ class UniformPartition:
         center = self.spec.n // 2 + k * self.spec.oversampling
         return slice(center - self.half_width, center + self.half_width + 1)
 
-    def lattice(self):
-        """All lattice points of the cube |k|_inf <= kmax, lexicographic."""
-        rng = range(-self.kmax, self.kmax + 1)
-        if self.spec.d == 1:
-            return [(k,) for k in rng]
-        return [(k1, k2) for k1 in rng for k2 in rng]
+    def lattice(self) -> np.ndarray:
+        """All lattice points of the cube |k|_inf <= kmax, lexicographic, as a
+        read-only integer array of shape ((2 kmax + 1)^d, d). Built on first
+        use, then kept."""
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> np.ndarray:
+        axis = range(-self.kmax, self.kmax + 1)
+        points = np.array(list(itertools.product(axis, repeat=self.spec.d)))
+        points.flags.writeable = False
+        return points
 
     def window(self, k) -> np.ndarray:
         """Dense multiplier array for sigma_k."""

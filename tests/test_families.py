@@ -83,7 +83,7 @@ def test_single_box_dyadic_locality():
     dyadic = build_dyadic(BOX_SPEC)
     level = 5
     f = family_single_box(BOX_SPEC, level)
-    peak = np.abs(f.values).max()
+    peak = np.abs(f.in_space().values).max()
     for j in range(dyadic.levels + 1):
         piece = delta_apply(f, j, dyadic)
         if abs(j - level) > 3:
@@ -120,9 +120,9 @@ def test_comb_box_pieces_are_translates():
     assert active_boxes(f, uniform) == set(members)
     k = members[len(members) // 2]
     piece = box_apply(f, k, uniform)
-    single_f = family_modulated_train(COMB_SPEC, {k: 1.0})
-    num = np.abs(piece.values - single_f.values).max()
-    assert num < 1e-10 * np.abs(single_f.values).max()
+    single = family_modulated_train(COMB_SPEC, {k: 1.0}).in_space()
+    num = np.abs(piece.values - single.values).max()
+    assert num < 1e-10 * np.abs(single.values).max()
 
 
 def test_comb_signs_and_width():
@@ -265,7 +265,7 @@ def test_deterministic_generation():
 def test_band_margin_asserted():
     for f in (family_single_box(BOX_SPEC, 6), family_annulus(grid_for("annulus", level=5), 5),
               family_lattice_comb(COMB_SPEC, 5)):
-        assert isinstance(f, GridFunction) and f.side == SPACE
+        assert isinstance(f, GridFunction) and f.side == FREQUENCY
 
 
 def test_random_band_limited_margin_guard():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from modemb import grid
+from modemb.families import family_single_box, grid_for
 from modemb.grid import (
     FREQUENCY,
     SPACE,
@@ -170,10 +171,15 @@ def test_lp_norm_homogeneity(spec, p):
     assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
-def test_lp_norm_requires_space_side(spec):
-    f = space_fn(spec, np.ones(spec.n)).in_frequency()
-    with pytest.raises(ValueError):
-        lp_norm(f, 2)
+def test_lp_norm_accepts_either_side(spec):
+    """lp_norm measures a frequency-side function by its space samples:
+    exactly those of in_space(), and to rounding those it was built from."""
+    member = family_single_box(grid_for("single_box", level=4), 4)
+    rng = np.random.default_rng(21)
+    f = space_fn(spec, rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
+    for p in ("1/2", 1, 2, "inf"):
+        assert lp_norm(member, p) == lp_norm(member.in_space(), p)
+        assert lp_norm(f.in_frequency(), p) == pytest.approx(lp_norm(f, p), rel=1e-12)
 
 
 def test_lq_seq_norm_examples():

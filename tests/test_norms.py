@@ -204,7 +204,7 @@ def test_norm_homogeneity(box_partitions):
     uniform, dyadic = box_partitions
     f = family_single_box(BOX_SPEC, 5)
     alpha = -3.7 + 0.9j
-    g = GridFunction(BOX_SPEC, alpha * f.values, SPACE)
+    g = GridFunction(BOX_SPEC, alpha * f.values, f.side)
     checks = [
         (lambda h: modulation_norm(h, "3/2", "1/2", F(1, 2), uniform)),
         (lambda h: besov_norm(h, 2, 1, -1, dyadic)),
@@ -441,26 +441,31 @@ def test_dyadic_norms_of_zero(box_partitions, q):
             norm(zero, 0, q, 1, dyadic)  # reaches no level, still checks p
 
 
-@pytest.mark.parametrize("norm,forward,inverse", [
-    pytest.param(lambda f, uniform, dyadic: besov_norm(f, 2, 2, 0, dyadic), 1, 1,
-                 id="besov"),
-    pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 2, 0, dyadic), 1, 1,
-                 id="triebel"),
-    pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform), 1, 0,
-                 id="modulation"),
+@pytest.mark.parametrize("norm,member_calls,space_calls", [
+    pytest.param(lambda f, uniform, dyadic: besov_norm(f, 2, 2, 0, dyadic),
+                 (0, 1), (1, 1), id="besov"),
+    pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 2, 0, dyadic),
+                 (0, 1), (1, 1), id="triebel"),
+    pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
+                 (0, 0), (1, 0), id="modulation"),
 ])
-def test_full_grid_transform_count(box_partitions, monkeypatch, norm, forward, inverse):
-    """On a single-box member the band check and the norm share one forward
-    transform, and only the one reached dyadic level is inverse-transformed:
-    full-grid work on empty pieces would show here as extra transforms."""
+def test_full_grid_transform_count(box_partitions, monkeypatch, norm, member_calls,
+                                   space_calls):
+    """(forward, inverse) full-grid transforms per norm. A single-box member
+    is its spectrum, so no norm forward-transforms it; its space samples take
+    one forward transform, shared by the band check and the norm. Only the
+    one reached dyadic level is inverse-transformed: full-grid work on empty
+    pieces would show here as extra transforms."""
     uniform, dyadic = box_partitions
-    f = family_single_box(BOX_SPEC, 5)
-    calls = {"_fft": 0, "_ifft": 0}
-    for name in calls:
-        def counted(values, name=name, original=getattr(grid, name)):
-            calls[name] += 1
-            return original(values)
+    member = family_single_box(BOX_SPEC, 5)
+    for f, expected in ((member, member_calls), (member.in_space(), space_calls)):
+        calls = {"_fft": 0, "_ifft": 0}
+        for name in calls:
+            def counted(values, name=name, original=getattr(grid, name)):
+                calls[name] += 1
+                return original(values)
 
-        monkeypatch.setattr(grid, name, counted)
-    norm(f, uniform, dyadic)
-    assert (calls["_fft"], calls["_ifft"]) == (forward, inverse)
+            monkeypatch.setattr(grid, name, counted)
+        norm(f, uniform, dyadic)
+        monkeypatch.undo()
+        assert (calls["_fft"], calls["_ifft"]) == expected, f.side
