@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,9 +173,13 @@ def _run_norms(source, target, family, levels, width, grid):
 
     def one(level):
         f = builder(grid, level, width)
-        sn = space_norm(f, source, uniform, dyadic)
-        tn = space_norm(f, target, uniform, dyadic)
-        return sn, tn
+        norms = [space_norm(f, space, uniform, dyadic) for space in (source, target)]
+        for space, value in zip((source, target), norms):
+            if value == 0.0 or not math.isfinite(value):
+                raise ValueError(
+                    f"the {render_space(space)} norm at level {level} is {value}; "
+                    f"a growth ratio needs finite nonzero norms")
+        return norms
 
     pairs = [one(level) for level in levels]
     source_norms = [sn for sn, _ in pairs]

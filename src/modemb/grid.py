@@ -11,10 +11,8 @@ trip is the identity to machine precision.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -219,36 +217,3 @@ def band_leak(spectrum: np.ndarray, outside: np.ndarray) -> float:
     if peak == 0.0 or not outside.any():
         return 0.0
     return float(np.abs(spectrum[outside]).max() / peak)
-
-
-def band_limit_violation(f: GridFunction, max_abs_freq: float) -> float:
-    """Largest relative spectral magnitude outside |xi|_inf <= max_abs_freq."""
-    return band_leak(f.in_frequency().values, f.spec.freq_outside_cube(max_abs_freq))
-
-
-def save_grid_function(f: GridFunction, data_path, header_path=None) -> None:
-    """Write samples as little-endian complex128 (float64 re/im pairs,
-    row-major) plus a JSON sidecar header."""
-    data_path = Path(data_path)
-    header_path = Path(header_path) if header_path else data_path.with_suffix(
-        data_path.suffix + ".json")
-    data_path.write_bytes(np.ascontiguousarray(f.values.astype("<c16")).tobytes())
-    header = {
-        "d": f.spec.d,
-        "n": f.spec.n,
-        "oversampling": f.spec.oversampling,
-        "period": f.spec.period,
-        "side": f.side,
-    }
-    header_path.write_text(json.dumps(header, indent=2) + "\n")
-
-
-def load_grid_function(data_path, header_path=None) -> GridFunction:
-    data_path = Path(data_path)
-    header_path = Path(header_path) if header_path else data_path.with_suffix(
-        data_path.suffix + ".json")
-    header = json.loads(header_path.read_text())
-    spec = GridSpec(d=header["d"], n=header["n"], oversampling=header["oversampling"])
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<c16")
-    values = raw.reshape(spec.shape()).astype(np.complex128)
-    return GridFunction(spec, values, header["side"])

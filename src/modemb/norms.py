@@ -90,6 +90,11 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     regroup the same finite sums as the full N^d transform, so they are
     exact; only the rounding differs. At p = 2 Parseval gives the norm from
     the patch alone.
+
+    Otherwise each piece is synthesized once per symmetry orbit of its patch
+    (``UniformPartition.orbit_key``), whose images permute its samples, and
+    the norm is reused for the rest of the orbit. The memo lives for this
+    call only and holds no arrays: one float norm per orbit key.
     """
     spec = f.spec
     spectrum = _spectrum_of(f)
@@ -97,6 +102,7 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     points = uniform.lattice()
     norms = np.zeros(len(points))
     parseval = Exponent.of(p) == 2  # ||piece||_2^2 = P^-d sum |patch|^2, exactly
+    memo = {}
     for i in uniform.reached(spectrum):
         _, patch = uniform.patch(spectrum, points[i])
         if np.abs(patch).max() <= _NEGLIGIBLE * peak:
@@ -104,8 +110,10 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
         if parseval:
             norms[i] = np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** spec.d)
             continue
-        mags = uniform.piece_magnitudes(patch)
-        norms[i] = _riemann_lp(mags, spec.cell_volume, p)
+        key = uniform.orbit_key(patch)
+        if key not in memo:
+            memo[key] = _riemann_lp(uniform.piece_magnitudes(patch), spec.cell_volume, p)
+        norms[i] = memo[key]
     return list(map(tuple, points.tolist())), norms
 
 

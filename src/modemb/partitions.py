@@ -166,6 +166,25 @@ class UniformPartition:
                                       axis=-1, norm="forward"))
         return np.abs((table @ patch) @ table.T)
 
+    @staticmethod
+    def orbit_key(patch: np.ndarray) -> bytes:
+        """The smallest byte string, signed zeros made +0.0, among the images
+        of ``patch``: x and conj(x[::-1]) in d = 1, and in d = 2 the 8 images
+        generated by transposition and conj-reversal along either axis. With
+        w = exp(2 pi i / N), sum_j conj(x_{S-1-j}) w^(jn) equals
+        w^((S-1)n) conj(sum_j x_j w^(jn)), and E P^T E^T = (E P E^T)^T, so
+        every image only permutes the piece's sample magnitudes (in d = 2,
+        conjugating the inner sum sends the outer index m to -m). The L^p
+        norm is the same on the orbit in exact arithmetic; only rounding
+        differs."""
+        if patch.ndim == 1:
+            images = (patch, np.conj(patch[::-1]))
+        else:
+            flips = (patch, np.conj(patch[::-1]), np.conj(patch[:, ::-1]),
+                     patch[::-1, ::-1])
+            images = flips + tuple(x.T for x in flips)
+        return min((x + 0.0).tobytes() for x in images)
+
     def _check_index(self, k) -> None:
         if max(abs(c) for c in k) > self.kmax:
             raise IndexError(f"|k|_inf = {max(abs(c) for c in k)} exceeds kmax = {self.kmax}")

@@ -110,6 +110,20 @@ def test_error_messages_and_exit_codes(capsys, argv, code, message):
     assert captured.err == message + "\n"
 
 
+def test_sharpness_degenerate_norm_exits_cleanly(capsys, monkeypatch):
+    """A zero norm ends a sharpness run with one error line and exit 2, not
+    a ZeroDivisionError traceback."""
+    from modemb import experiments
+    monkeypatch.setattr(experiments, "space_norm", lambda f, space, *partitions: 0.0)
+    code = main(["sharpness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                 "--family", "single_box", "--lmin", "4", "--lmax", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the B[p=2,q=2,s=0] norm at level 4 is 0.0; "
+                            "a growth ratio needs finite nonzero norms\n")
+
+
 @requires_jsonschema
 def test_decide_json_schema(capsys):
     main(["decide", "--from", "B[p=1,q=1,s=1/2]", "--to", "M[p=2,q=2]", "--json"])

@@ -1,11 +1,13 @@
 """Experiment harness: predicted slopes, sharpness/boundedness runs, and the
 lattice-sum criteria."""
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from modemb import experiments
 from modemb.exponents import Exponent, INF, tau
 from modemb.experiments import (
     CatalogueError,
@@ -20,7 +22,7 @@ from modemb.experiments import (
     tau_piece_suite,
 )
 from modemb.families import grid_for
-from modemb.oracle import SpaceSpec, decide
+from modemb.oracle import SpaceSpec, decide, render_space
 
 F = Fraction
 
@@ -85,6 +87,36 @@ def test_run_sharpness_annulus_failing_query():
     assert report.predicted_slope == 1
     assert abs(report.fitted_slope - 1.0) <= 0.2
     assert report.passed
+
+
+def test_run_sharpness_annulus_failing_query_2d():
+    """The same failing query in d = 2 (tau = 2): the annulus ratio grows at
+    rate 2 over levels 2-4."""
+    source = SpaceSpec.besov(1, 1, 0, d=2)
+    target = SpaceSpec.modulation(1, 1, d=2)
+    report = run_sharpness(source, target, "annulus", range(2, 5))
+    assert report.grid.d == 2
+    assert report.predicted_slope == 2
+    assert report.passed
+
+
+@pytest.mark.parametrize("side,value", [
+    ("source", 0.0), ("target", 0.0), ("target", float("inf")), ("source", float("nan")),
+])
+def test_run_norms_rejects_degenerate_norms(monkeypatch, side, value):
+    """A zero or non-finite norm at the second level is refused with that
+    level and the space, before it reaches a ratio or a fit."""
+    source, target = B(2, 2, 0), M(2, 2)
+    bad = source if side == "source" else target
+    calls = []
+
+    def fake(f, space, *partitions):
+        calls.append(space)
+        return value if space is bad and calls.count(bad) == 2 else 1.0
+
+    monkeypatch.setattr(experiments, "space_norm", fake)
+    with pytest.raises(ValueError, match=re.escape(f"{render_space(bad)} norm at level 5 is")):
+        run_sharpness(source, target, "single_box", range(4, 7))
 
 
 def test_run_sharpness_holding_query_decays():

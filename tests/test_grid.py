@@ -1,4 +1,4 @@
-"""Transform convention, Riemann quasi-norms, multipliers, and binary IO."""
+"""Transform convention, Riemann quasi-norms and multipliers."""
 import numpy as np
 import pytest
 
@@ -11,11 +11,8 @@ from modemb.grid import (
     MAX_SAMPLES,
     GridSpec,
     apply_multiplier,
-    band_limit_violation,
-    load_grid_function,
     lp_norm,
     lq_seq_norm,
-    save_grid_function,
     transform,
 )
 
@@ -205,24 +202,6 @@ def test_nan_rejected(spec):
         lp_norm(space_fn(spec, bad), 2)
     with pytest.raises(ValueError):
         lq_seq_norm([1.0, np.inf], 2)
-
-
-def test_band_limit_violation(spec):
-    values = np.zeros(spec.n, dtype=complex)
-    values[spec.n // 2 + 5] = 1.0
-    f = GridFunction(spec, values, FREQUENCY)
-    assert band_limit_violation(f, 10.0) == 0.0
-    assert band_limit_violation(f, 0.1) == 1.0
-
-
-def test_io_round_trip(tmp_path, spec):
-    rng = np.random.default_rng(19)
-    f = space_fn(spec, rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
-    path = tmp_path / "f.bin"
-    save_grid_function(f, path)
-    g = load_grid_function(path)
-    assert g.spec == f.spec and g.side == f.side
-    assert np.array_equal(g.values, f.values)
 
 
 def test_values_immutable(spec):

@@ -16,6 +16,7 @@ from modemb import grid
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lp_norm, transform
 from modemb.norms import (
+    _NEGLIGIBLE,
     _spectrum_of,
     besov_norm,
     box_piece_norms,
@@ -331,13 +332,21 @@ def test_box_piece_norms_match_dense(case, p, rel):
 
 
 @pytest.mark.parametrize("d,n", [(1, 2 ** 10), (2, 64)])
-def test_box_piece_norms_parseval_path(d, n):
-    """At p = 2 the norms come from the patches alone, exactly as before,
-    and no synthesis table is built."""
+def test_box_piece_norms_parseval_path(d, n, monkeypatch):
+    """At p = 2 the norms come from the patches alone, exactly as before:
+    no piece is synthesized, no orbit key computed and no synthesis table
+    built."""
     spec = GridSpec(d=d, n=n, oversampling=8)
     uniform = build_uniform(spec)
     f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=9)
+
+    def forbidden(*args):
+        raise AssertionError("the Parseval path synthesizes no piece and keys no orbit")
+
+    monkeypatch.setattr(UniformPartition, "orbit_key", forbidden)
+    monkeypatch.setattr(UniformPartition, "piece_magnitudes", forbidden)
     points, norms = box_piece_norms(f, 2, uniform)
+    monkeypatch.undo()
     assert "_synthesis_table" not in vars(uniform)
     spectrum = _spectrum_of(f)
     for k, value in zip(points, norms):
@@ -360,6 +369,90 @@ def test_piece_magnitudes_are_the_dense_samples():
         dense = np.sort(np.abs(box_apply(f, k, uniform).values), axis=None)
         assert pruned.size == spec.n ** spec.d
         np.testing.assert_allclose(pruned, dense, rtol=0, atol=1e-13 * dense.max())
+
+
+def _images(patch):
+    """The symmetry images of a patch, listed independently of
+    UniformPartition.orbit_key: x and conj(x[::-1]) in d = 1; in d = 2 every
+    composition of transposition with conj-reversal along either axis."""
+    if patch.ndim == 1:
+        return [patch, np.conj(patch[::-1])]
+    images = []
+    for x in (patch, patch.T):
+        for flip0 in (False, True):
+            for flip1 in (False, True):
+                y = x[::-1] if flip0 else x
+                y = y[:, ::-1] if flip1 else y
+                images.append(np.conj(y) if flip0 != flip1 else y)
+    return images
+
+
+def _orbit(patch):
+    return frozenset((x + 0.0).tobytes() for x in _images(patch))
+
+
+@pytest.mark.parametrize("spec", [GridSpec(d=1, n=2 ** 9, oversampling=16),
+                                  GridSpec(d=2, n=32, oversampling=8)],
+                         ids=["1d", "2d"])
+def test_orbit_images_permute_piece_magnitudes(spec):
+    """Every image of a patch has the patch's orbit key, and its piece has
+    the same sample magnitudes as a multiset; signed zeros do not split a
+    key."""
+    uniform = build_uniform(spec)
+    rng = np.random.default_rng(23)
+    shape = (2 * uniform.half_width + 1,) * spec.d
+    for _ in range(4):
+        patch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        patch[rng.random(shape) < 0.2] = 0.0
+        key = uniform.orbit_key(patch)
+        mags = np.sort(uniform.piece_magnitudes(patch), axis=None)
+        images = _images(patch)
+        assert len(_orbit(patch)) == len(images) == 2 ** (2 * spec.d - 1)
+        for image in images:
+            assert uniform.orbit_key(image) == key
+            np.testing.assert_allclose(
+                np.sort(uniform.piece_magnitudes(image), axis=None), mags,
+                rtol=0, atol=1e-13 * mags.max())
+        assert uniform.orbit_key(np.where(patch == 0, complex(-0.0, -0.0), patch)) == key
+
+
+ORBIT_CASES = {
+    # (grid, levels, active boxes, syntheses) summed over the levels
+    "annulus-2d-level3": (grid_for("annulus", d=2, level=3), [3], 460, 48),
+    "annulus-1d-levels4-8": (grid_for("annulus", d=1, level=8), range(4, 9), 870, 194),
+}
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES)
+def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
+    """At p = 1 each annulus member's pieces are synthesized once per
+    symmetry orbit of the active patches, and no orbit twice."""
+    spec, levels, active_boxes, syntheses = ORBIT_CASES[case]
+    uniform = build_uniform(spec)
+    synthesized = []
+    magnitudes = UniformPartition.piece_magnitudes
+
+    def spy(self, patch):
+        synthesized.append(_orbit(patch))
+        return magnitudes(self, patch)
+
+    monkeypatch.setattr(UniformPartition, "piece_magnitudes", spy)
+    active = 0
+    for level in levels:
+        f = family_annulus(spec, level)
+        before = len(synthesized)
+        box_piece_norms(f, 1, uniform)
+        spectrum = _spectrum_of(f)
+        peak = np.abs(spectrum).max()
+        orbits = set()
+        for k in uniform.lattice():
+            patch = uniform.patch(spectrum, k)[1]
+            if np.abs(patch).max() > _NEGLIGIBLE * peak:
+                orbits.add(_orbit(patch))
+                active += 1
+        assert set(synthesized[before:]) == orbits
+        assert len(synthesized) - before == len(orbits)
+    assert (active, len(synthesized)) == (active_boxes, syntheses)
 
 
 def _skip_cases():
