@@ -134,9 +134,14 @@ def _verdict_json(source, target, verdict: Verdict) -> dict:
     return payload
 
 
+_CONFIG_KEYS = ("d", "oversampling", "n", "lmin", "lmax", "tolerance", "bound",
+                "resolution", "width")
+
+
 def _load_config(path: str | None) -> dict:
-    """key = value lines; '#' starts a comment. Known keys: d, oversampling,
-    n, lmin, lmax, tolerance, bound, resolution, width."""
+    """key = value lines; '#' starts a comment. The keys are those of
+    ``_CONFIG_KEYS``; any other key is refused with a ValueError, so a
+    misspelt setting cannot be ignored silently."""
     if not path:
         return {}
     config = {}
@@ -147,7 +152,11 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
+                             f"(known: {', '.join(_CONFIG_KEYS)})")
+        config[key] = value.strip()
     return config
 
 

@@ -14,13 +14,17 @@ from functools import total_ordering
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an exact rational-like value (int, Fraction, str) to Fraction."""
+    """Coerce an exact rational-like value (int, Fraction, str) to Fraction.
+    A zero denominator ('1/0') raises ValueError, as other malformed text does."""
     if isinstance(value, float):
         raise TypeError(
             f"floating-point value {value!r} not allowed in exact index arithmetic; "
             "pass an int, Fraction or 'a/b' string"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @total_ordering

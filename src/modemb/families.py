@@ -8,6 +8,8 @@ samples. Identical parameters yield bit-identical samples.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .exponents import as_fraction
@@ -109,10 +111,16 @@ def _check_period(spec: GridSpec, points) -> None:
         )
 
 
+def _unit_parameter(value, name: str, symbol: str) -> Fraction:
+    """``value`` as an exact rational in (0, 1], or a ValueError naming it."""
+    x = as_fraction(value)
+    if not 0 < x <= 1:
+        raise ValueError(f"{name} must satisfy 0 < {symbol} <= 1, got {x}")
+    return x
+
+
 def dilation_spectrum(spec: GridSpec, lam) -> np.ndarray:
-    lam = as_fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError(f"dilation parameter must satisfy 0 < lambda <= 1, got {lam}")
+    lam = _unit_parameter(lam, "dilation parameter", "lambda")
     if lam * spec.oversampling < 48:
         raise ResolutionError(
             f"lambda = {lam} leaves fewer than 6 samples across the bump; "
@@ -168,90 +176,26 @@ def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     return _finish(spec, annulus_spectrum(spec, level))
 
 
-def comb_spectrum(spec: GridSpec, level: int, width=1, signs=None) -> np.ndarray:
-    a = as_fraction(width)
-    if not 0 < a <= 1:
-        raise ValueError(f"comb width must satisfy 0 < a <= 1, got {a}")
+def comb_spectrum(spec: GridSpec, level: int, width=1) -> np.ndarray:
+    a = _unit_parameter(width, "comb width", "a")
     points = index_set("A", level, spec.d).members
     if not points:
         raise ValueError(f"A_{level} is empty in dimension {spec.d}")
     _check_period(spec, points)
-    if signs is None:
-        signs = [1.0] * len(points)
-    if len(signs) != len(points):
-        raise ValueError(f"expected {len(points)} coefficients, got {len(signs)}")
     out = _empty_spectrum(spec)
-    for k, c in zip(points, signs):
-        _add_box(out, spec, k, c, width=float(a), modulated=True)
+    for k in points:
+        _add_box(out, spec, k, 1.0, width=float(a), modulated=True)
     return out
 
 
-def family_lattice_comb(spec: GridSpec, level: int, width=1,
-                        signs=None) -> GridFunction:
+def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
     """f(x) = sum_{k in A_level} e^{ikx} eta((x-k)/a): modulated translates
     whose spectra tile the boxes k + [-1/(8a), 1/(8a)]^d."""
-    return _finish(spec, comb_spectrum(spec, level, width, signs))
-
-
-_SUM_KINDS = {
-    "single_box": single_box_spectrum,
-    "annulus": annulus_spectrum,
-    "lattice_comb": comb_spectrum,
-}
-
-
-def family_weighted_sum(spec: GridSpec, kind: str, coefficients) -> GridFunction:
-    """sum_l a_l f_l over distinct levels of a base family.
-
-    ``coefficients`` is a sequence of (level, coefficient). Annulus members
-    need a level gap >= 2 (adjacent dyadic windows overlap); the box and comb
-    spectra are disjoint across distinct levels already.
-    """
-    if kind not in _SUM_KINDS:
-        raise ValueError(f"unknown weighted-sum kind {kind!r}")
-    pairs = sorted((int(level), coeff) for level, coeff in coefficients)
-    levels = [level for level, _ in pairs]
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"levels must be distinct, got {levels}")
-    if kind == "annulus":
-        gaps = [b - a for a, b in zip(levels, levels[1:])]
-        if any(g < 2 for g in gaps):
-            raise ValueError(
-                f"annulus members at levels {levels} overlap beyond adjacency; "
-                "need a gap of at least 2"
-            )
-    synth = _SUM_KINDS[kind]
-    out = _empty_spectrum(spec)
-    for level, coeff in pairs:
-        out += complex(coeff) * synth(spec, level)
-    return _finish(spec, out)
-
-
-def family_modulated_train(spec: GridSpec, coefficients) -> GridFunction:
-    """f(x) = sum_k a_k e^{ikx} eta(x - k) over a finite lattice support:
-    box_k f = a_k e^{ikx} eta(x - k) exactly."""
-    items = []
-    for k, c in dict(coefficients).items():
-        if isinstance(k, (int, np.integer)):
-            k = (int(k),)
-        items.append((tuple(int(c_) for c_ in k), complex(c)))
-    items.sort(key=lambda kv: kv[0])
-    for k, _ in items:
-        if len(k) != spec.d:
-            raise ValueError(f"lattice point {k} does not match dimension {spec.d}")
-    _check_period(spec, [k for k, _ in items])
-    out = _empty_spectrum(spec)
-    for k, c in items:
-        if c != 0:
-            _add_box(out, spec, k, c, width=1.0, modulated=True)
-    return _finish(spec, out)
+    return _finish(spec, comb_spectrum(spec, level, width))
 
 
 def kernel_spectrum(spec: GridSpec, t) -> np.ndarray:
-    t = as_fraction(t)
-    if not 0 < t <= 1:
-        raise ValueError(f"kernel parameter must satisfy 0 < t <= 1, got {t}")
-    tf = float(t)
+    tf = float(_unit_parameter(t, "kernel parameter", "t"))
     ax = spec.freq_axis()
     axis_vals = WIDE_BUMP(np.abs(tf * ax))
     out = _empty_spectrum(spec)
@@ -300,13 +244,13 @@ def _next_pow2(x: float) -> int:
 
 
 def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
-             max_abs_k: int | None = None, width=1, quadrature: float = 1.0) -> GridSpec:
+             width=1) -> GridSpec:
     """A default grid sized for one family at its largest level.
 
     The resolved band Omega must clear the family's top frequency with
-    margin; comb/train families additionally need spatial room for the
-    translates at |k| ~ 2^level (P >= 8 * 2^level for the comb). ``quadrature``
-    scales Omega for families whose tests need denser spatial sampling.
+    margin; the comb additionally needs spatial room for its translates at
+    |k| ~ 2^level (P >= 8 * 2^level). The family's parameter in (0, 1] (the
+    comb width, lambda or t) is checked before it sizes the grid.
     """
     if kind == "single_box":
         m = 64 if d == 1 else 8
@@ -317,23 +261,18 @@ def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
         m = 64 if d == 1 else 8
         omega = _next_pow2(3 * 2 ** level + 4)
     elif kind == "lattice_comb":
-        a = float(as_fraction(width))
+        a = float(_unit_parameter(width, "comb width", "a"))
         base = _next_pow2(8 * 2 ** level / (2 * np.pi))
         m = max(64 if d == 1 else 8, base)
         omega = _next_pow2(1.25 * 2 ** level + 1.0 / (8 * a) + 4)
     elif kind == "dilation":
-        lam = as_fraction(lam)
+        lam = _unit_parameter(lam, "dilation parameter", "lambda")
         m = max(64, _next_pow2(float(48 / lam)))
         omega = 8
-    elif kind == "modulated_train":
-        base = _next_pow2(4 * max_abs_k / (2 * np.pi))
-        m = max(64 if d == 1 else 8, base)
-        omega = _next_pow2(max_abs_k + 4)
     elif kind == "dilated_kernel":
+        tf = float(_unit_parameter(t, "kernel parameter", "t"))
         m = 8
-        omega = _next_pow2(9.0 / (8.0 * float(as_fraction(t))))
+        omega = _next_pow2(9.0 / (8.0 * tf))
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    if quadrature > 1.0:
-        omega *= _next_pow2(quadrature)
     return GridSpec(d=d, n=2 * m * omega, oversampling=m)

@@ -194,16 +194,6 @@ def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
                        f"p1 = {p1} >= p = {p}, q1 = {q1}", ">=", f"q = {q}")
 
 
-def embed_hs_to_mod(p, q, s, d: int = 1) -> Verdict:
-    """H^s -> M_{p,q} where H^s = B^s_{2,2}: delegates to the Besov oracle."""
-    return embed_besov_to_mod(2, 2, p, q, s, d)
-
-
-def embed_mod_to_hs(p, q, s, d: int = 1) -> Verdict:
-    """M_{p,q} -> H^s: delegates to the Besov oracle with p1 = q1 = 2."""
-    return embed_mod_to_besov(p, q, 2, 2, s, d)
-
-
 def _check_wr_hypotheses(values: dict) -> None:
     for name, e in values.items():
         if e < 1:

@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .exponents import as_fraction
 from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, transform
 
 
@@ -330,7 +328,7 @@ def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunc
 
 @dataclass(frozen=True)
 class LatticeIndexSet:
-    """Lattice points whose unit windows sit inside / touch an annulus or cube."""
+    """Lattice points whose unit windows sit inside / touch a dyadic annulus."""
 
     kind: str
     parameter: object
@@ -381,27 +379,18 @@ def lattice_weights(points, s) -> np.ndarray:
 
 
 def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
-    """A_l (windows inside D_l), B_l (windows touching D_l), or K_t (windows
-    inside the cube (1/t)[-1,1]^d). Members in lexicographic order."""
+    """A_l (windows inside D_l) or B_l (windows touching D_l), where
+    ``parameter`` is the level l. Members in lexicographic order."""
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
-    if kind in ("A", "B"):
-        level = int(parameter)
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        members = _annulus_membership(level, d, inside=(kind == "A"))
-        if kind == "A" and not members:
-            warnings.warn(f"A_{level} is empty in dimension {d}", stacklevel=2)
-    elif kind == "K":
-        t = as_fraction(parameter)
-        if not 0 < t <= 1:
-            raise ValueError(f"K_t requires 0 < t <= 1, got {t}")
-        bound = 1 / t - Fraction(3, 4)
-        kmax = int(bound)  # floor for positive bound
-        rng = range(-kmax, kmax + 1)
-        members = [(k,) for k in rng] if d == 1 else [(a, b) for a in rng for b in rng]
-    else:
+    if kind not in ("A", "B"):
         raise ValueError(f"unknown index-set kind {kind!r}")
+    level = int(parameter)
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    members = _annulus_membership(level, d, inside=(kind == "A"))
+    if kind == "A" and not members:
+        warnings.warn(f"A_{level} is empty in dimension {d}", stacklevel=2)
     return LatticeIndexSet(kind, parameter, d, tuple(sorted(members)))
 
 

@@ -101,6 +101,26 @@ def test_decide_exit_codes(capsys):
     (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
       "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
      "undecidable: no catalogued family 'dilation' for B->M"),
+    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+      "--family", "annulus", "--t-list", "1/4,1/8"], 2,
+     "error: the annulus family takes integer levels, got 1/4, 1/8"),
+    (["norm", "--family", "lattice_comb", "--level", "4", "--width", "0",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: comb width must satisfy 0 < a <= 1, got 0"),
+    (["sharpness", "--from", "B[p=inf,q=1,s=0]", "--to", "M[p=inf,q=1]",
+      "--family", "lattice_comb", "--lmin", "4", "--lmax", "5", "--width", "0"], 2,
+     "error: comb width must satisfy 0 < a <= 1, got 0"),
+    (["norm", "--family", "dilation", "--lam", "0", "--space", "M[p=2,q=2]"], 2,
+     "error: dilation parameter must satisfy 0 < lambda <= 1, got 0"),
+    (["norm", "--family", "dilated_kernel", "--t", "0", "--space", "M[p=2,q=2]"], 2,
+     "error: kernel parameter must satisfy 0 < t <= 1, got 0"),
+    (["norm", "--family", "lattice_comb", "--level", "4", "--width", "1/0",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: zero denominator in '1/0'"),
+    (["norm", "--family", "dilated_kernel", "--t", "1/0", "--space", "M[p=2,q=2]"], 2,
+     "error: zero denominator in '1/0'"),
+    (["table", "--pair", "B-M", "--s", "1/0"], 2,
+     "error: zero denominator in '1/0'"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -261,3 +281,13 @@ def test_config_parse_error(tmp_path, capsys):
     assert main(["--config", str(config), "decide", "--from", "B[p=1,q=1,s=1]",
                  "--to", "M[p=1,q=1]"]) == 2
     capsys.readouterr()
+    # a misspelt key is refused, not ignored in favour of the default
+    config.write_text("tolerence = 0.01\n")
+    assert main(["--config", str(config), "sharpness", "--from", "B[p=2,q=2,s=-1/4]",
+                 "--to", "M[p=2,q=2]", "--family", "single_box",
+                 "--lmin", "4", "--lmax", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {config}:1: unknown key 'tolerence' (known: "
+                            "d, oversampling, n, lmin, lmax, tolerance, bound, "
+                            "resolution, width)\n")

@@ -1,5 +1,4 @@
-"""Experiment harness: predicted slopes, sharpness/boundedness runs, and the
-lattice-sum criteria."""
+"""Experiment harness: predicted slopes and sharpness/boundedness runs."""
 import json
 import re
 from fractions import Fraction
@@ -8,18 +7,12 @@ import numpy as np
 import pytest
 
 from modemb import experiments
-from modemb.exponents import Exponent, INF, tau
+from modemb.exponents import Exponent, INF, TauPiece, tau, tau_region
 from modemb.experiments import (
     CatalogueError,
-    necessity_exponent,
-    necessity_sum_trend,
     predicted_slope,
     run_boundedness,
-    run_comb_width_sweep,
-    run_discrete_necessity,
     run_sharpness,
-    run_weighted_tail,
-    tau_piece_suite,
 )
 from modemb.families import grid_for
 from modemb.oracle import SpaceSpec, decide, render_space
@@ -177,66 +170,22 @@ def test_slope_reproducibility():
     assert a.fitted_slope == b.fitted_slope
 
 
-def test_weighted_tail_examples():
-    report = run_weighted_tail(1, [F(1, 8), F(1, 64), F(1, 512)])
-    assert report.diverging and report.growth >= 2.0
-    assert report.max_rel_residual < 0.05
-    # t = 1 keeps only k = 0, so the value is exactly 1
-    single = run_weighted_tail(1, [1, F(1, 8)])
-    assert single.values[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        run_weighted_tail("inf", [F(1, 8), F(1, 64)])
-
-
-def test_necessity_exponent_directions():
-    exponent, critical = necessity_exponent(2, 4, F(3, 8))
-    assert exponent == F(3, 2) and critical == F(1, 4)
-    exponent, critical = necessity_exponent(4, 2, F(3, 8))  # Sobolev direction
-    assert critical == F(1, 4) and exponent == F(3, 2)
-    with pytest.raises(ValueError):
-        necessity_exponent(2, 2, 0)
-
-
-def test_necessity_trend_critical_crossing():
-    at = necessity_sum_trend(2, 4, F(1, 4))
-    assert at.diverging and not at.converged
-    above = necessity_sum_trend(2, 4, F(3, 8), auto_extend=True)
-    assert above.converged and above.tail_estimate < 1e-3
-    zero = necessity_sum_trend(2, 4, 0)
-    assert zero.diverging
-
-
-def test_run_discrete_necessity_report():
-    report = run_discrete_necessity(2, 4)
-    assert report["critical_s"] == "1/4"
-    assert report["crossing_confirmed"]
-
-
-def test_discrete_necessity_sobolev_direction():
-    """The (q, p0) sequence criterion behind the shared-q Triebel endpoint."""
-    report = run_discrete_necessity(4, 2)
-    assert report["crossing_confirmed"]
-
-
-def test_comb_width_sweep_reports_exponents():
-    rows = run_comb_width_sweep(2, range(4, 7), widths=(1, F(1, 4)))
-    assert len(rows) == 2
-    for row in rows:
-        assert row["reference_slope"] == 0.5
-        assert 0.0 < row["fitted_slope"] < 1.0
-
-
-def test_tau_piece_suite_layout():
-    cases = tau_piece_suite()
-    assert len(cases) == 3
-    for case in cases:
-        fail_source, target = case["fail"]
-        hold_source, _ = case["hold"]
-        assert fail_source.s == case["critical"] - F(1, 4)
-        assert hold_source.s == case["critical"]
-        assert not decide(fail_source, target).holds
-        assert decide(hold_source, target).holds
-        assert predicted_slope(fail_source, target, case["family"]) == F(1, 4)
+@pytest.mark.parametrize("piece,family,p0,q", [
+    (TauPiece.ZERO, "single_box", 2, 2),
+    (TauPiece.P_PLUS_Q_MINUS_1, "annulus", 1, 1),
+    (TauPiece.Q_MINUS_P, "lattice_comb", "inf", 1),
+])
+def test_tau_piece_queries(piece, family, p0, q):
+    """One catalogued (query, family) pair per tau piece: the query at
+    s = tau - 1/4 fails with growth slope +1/4, and at s = tau it holds."""
+    critical = tau(p0, q)
+    assert tau_region(p0, q) is piece
+    fail_source = SpaceSpec.besov(p0, q, critical - F(1, 4))
+    hold_source = SpaceSpec.besov(p0, q, critical)
+    target = M(p0, q)
+    assert not decide(fail_source, target).holds
+    assert decide(hold_source, target).holds
+    assert predicted_slope(fail_source, target, family) == F(1, 4)
 
 
 def test_grid_refinement_stability_small():

@@ -7,6 +7,7 @@ import pytest
 from modemb.families import (
     PeriodError,
     _add_box,
+    _finish,
     annulus_spectrum,
     comb_spectrum,
     dilation_spectrum,
@@ -14,9 +15,7 @@ from modemb.families import (
     family_dilated_kernel,
     family_dilation,
     family_lattice_comb,
-    family_modulated_train,
     family_single_box,
-    family_weighted_sum,
     grid_for,
     kernel_spectrum,
     random_band_limited,
@@ -35,6 +34,22 @@ def active_boxes(f, uniform, p=2, rel=1e-10):
     points, norms = box_piece_norms(f, p, uniform)
     peak = norms.max()
     return {k for k, v in zip(points, norms) if v > rel * peak}
+
+
+def _train(spec, coefficients):
+    """sum_k a_k e^{ikx} eta(x - k) over integers k (d = 1), whose box_k
+    piece is exactly a_k e^{ikx} eta(x - k)."""
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    for k, c in sorted(coefficients.items()):
+        _add_box(out, spec, (k,), complex(c))
+    return _finish(spec, out)
+
+
+def _sum_spectrum(spec, synth, coefficients):
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    for level, c in sorted(coefficients):
+        out += complex(c) * synth(spec, level)
+    return out
 
 
 def test_dilation_identity_and_scaling():
@@ -120,30 +135,15 @@ def test_comb_box_pieces_are_translates():
     assert active_boxes(f, uniform) == set(members)
     k = members[len(members) // 2]
     piece = box_apply(f, k, uniform)
-    single = family_modulated_train(COMB_SPEC, {k: 1.0}).in_space()
+    single = _train(COMB_SPEC, {k[0]: 1.0}).in_space()
     num = np.abs(piece.values - single.values).max()
     assert num < 1e-10 * np.abs(single.values).max()
-
-
-def test_comb_signs_and_width():
-    members = index_set("A", 4, 1).members
-    signs = [(-1) ** i for i in range(len(members))]
-    f = family_lattice_comb(COMB_SPEC, 4, width=F(1, 2), signs=signs)
-    assert lp_norm(f, 2) > 0
-    with pytest.raises(ValueError):
-        family_lattice_comb(COMB_SPEC, 4, signs=[1.0])
 
 
 def test_comb_period_guard():
     small = GridSpec(d=1, n=2 ** 12, oversampling=8)
     with pytest.raises(PeriodError):
         family_lattice_comb(small, 5)
-
-
-def test_weighted_sum_single_coefficient_reduces():
-    f = family_weighted_sum(BOX_SPEC, "single_box", [(5, 1.0)])
-    g = family_single_box(BOX_SPEC, 5)
-    assert np.array_equal(f.values, g.values)
 
 
 def test_weighted_sum_box_lq_profile():
@@ -155,7 +155,8 @@ def test_weighted_sum_box_lq_profile():
         ratios = []
         for _ in range(4):
             coeffs = rng.uniform(0.5, 2.0, size=3)
-            f = family_weighted_sum(BOX_SPEC, "single_box", list(zip(levels, coeffs)))
+            f = _finish(BOX_SPEC, _sum_spectrum(BOX_SPEC, single_box_spectrum,
+                                                zip(levels, coeffs)))
             value = modulation_norm(f, 2, q, 0, uniform)
             ratios.append(value / lq_seq_norm(coeffs, q))
         assert max(ratios) / min(ratios) < 1.01
@@ -171,7 +172,7 @@ def test_weighted_sum_annulus_lower_bound():
     ratios = []
     for _ in range(4):
         coeffs = rng.uniform(0.5, 2.0, size=3)
-        f = family_weighted_sum(spec, "annulus", list(zip(levels, coeffs)))
+        f = _finish(spec, _sum_spectrum(spec, annulus_spectrum, zip(levels, coeffs)))
         value = modulation_norm(f, 2, q, 0, uniform)
         seq = lq_seq_norm(coeffs, q, weights=[2.0 ** j for j in levels])
         ratios.append(value / seq)
@@ -179,23 +180,13 @@ def test_weighted_sum_annulus_lower_bound():
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_weighted_sum_guards():
-    with pytest.raises(ValueError, match="distinct"):
-        family_weighted_sum(BOX_SPEC, "single_box", [(5, 1.0), (5, 2.0)])
-    with pytest.raises(ValueError, match="adjacency"):
-        family_weighted_sum(grid_for("annulus", level=6), "annulus",
-                            [(5, 1.0), (6, 1.0)])
-    with pytest.raises(ValueError, match="kind"):
-        family_weighted_sum(BOX_SPEC, "nope", [(5, 1.0)])
-
-
-TRAIN_SPEC = grid_for("modulated_train", max_abs_k=24)
+TRAIN_SPEC = GridSpec(d=1, n=4096, oversampling=64)  # room for |k| <= 24
 
 
 def test_train_box_bookkeeping():
     uniform = build_uniform(TRAIN_SPEC)
     coeffs = {-24: 1.0, -3: 0.5j, 0: 2.0, 7: -1.0}
-    f = family_modulated_train(TRAIN_SPEC, coeffs)
+    f = _train(TRAIN_SPEC, coeffs)
     points, norms = box_piece_norms(f, 2, uniform)
     by_point = dict(zip(points, norms))
     eta_norm = by_point[(0,)] / 2.0
@@ -210,18 +201,11 @@ def test_train_l2_and_sup():
     l2_ratios = []
     for _ in range(5):
         coeffs = {k: rng.standard_normal() for k in range(-10, 11)}
-        f = family_modulated_train(TRAIN_SPEC, coeffs)
+        f = _train(TRAIN_SPEC, coeffs)
         a = np.array(list(coeffs.values()))
         l2_ratios.append(lp_norm(f, 2) / np.linalg.norm(a))
         assert lp_norm(f, "inf") <= 5.0 * np.abs(a).max()
     assert max(l2_ratios) == pytest.approx(min(l2_ratios), rel=1e-9)
-
-
-def test_train_zero_and_period_guard():
-    f = family_modulated_train(TRAIN_SPEC, {3: 0.0, -2: 0.0})
-    assert np.abs(f.values).max() == 0.0
-    with pytest.raises(PeriodError):
-        family_modulated_train(GridSpec(d=1, n=2 ** 12, oversampling=8), {40: 1.0})
 
 
 def test_kernel_plateau_and_limit():
@@ -280,20 +264,6 @@ def test_grid_for_comb_matches_design_scale():
     assert float(spec.period) >= 8 * 2 ** 8
 
 
-def _train_spectrum(spec, coefficients):
-    out = np.zeros(spec.shape(), dtype=np.complex128)
-    for k, c in sorted(coefficients.items()):
-        _add_box(out, spec, (k,), complex(c), width=1.0, modulated=True)
-    return out
-
-
-def _sum_spectrum(spec, synth, coefficients):
-    out = np.zeros(spec.shape(), dtype=np.complex128)
-    for level, c in sorted(coefficients):
-        out += complex(c) * synth(spec, level)
-    return out
-
-
 def _member_cases():
     """name -> (member, the spectrum it is synthesized from) for every
     family_* generator, in d = 1 and, where the family has one, d = 2."""
@@ -301,9 +271,6 @@ def _member_cases():
     ann, ann2 = grid_for("annulus", level=3), grid_for("annulus", d=2, level=2)
     comb = grid_for("lattice_comb", level=4)
     dil, ker = grid_for("dilation", lam=F(1, 2)), grid_for("dilated_kernel", t=F(1, 4))
-    train = grid_for("modulated_train", max_abs_k=6)
-    coeffs = {-6: 1.0, 0: 0.5j, 5: -2.0}
-    weights = [(5, 1.0), (4, -0.5j)]
     return {
         "dilation": (family_dilation(dil, F(1, 2)), dilation_spectrum(dil, F(1, 2))),
         "single_box": (family_single_box(box, 5), single_box_spectrum(box, 5)),
@@ -312,10 +279,6 @@ def _member_cases():
         "annulus-2d": (family_annulus(ann2, 2), annulus_spectrum(ann2, 2)),
         "lattice_comb": (family_lattice_comb(comb, 4, F(1, 2)),
                          comb_spectrum(comb, 4, F(1, 2))),
-        "weighted_sum": (family_weighted_sum(box, "single_box", weights),
-                         _sum_spectrum(box, single_box_spectrum, weights)),
-        "modulated_train": (family_modulated_train(train, coeffs),
-                            _train_spectrum(train, coeffs)),
         "dilated_kernel": (family_dilated_kernel(ker, F(1, 4)),
                            kernel_spectrum(ker, F(1, 4))),
     }

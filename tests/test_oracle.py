@@ -14,10 +14,8 @@ from modemb.oracle import (
     decide,
     embed_besov_to_mod,
     embed_fourierlp_to_mod,
-    embed_hs_to_mod,
     embed_mod_to_besov,
     embed_mod_to_fourierlp,
-    embed_mod_to_hs,
     embed_mod_to_sobolev,
     embed_mod_to_triebel,
     embed_mod_to_triebel2,
@@ -49,10 +47,11 @@ def test_mod_to_besov_examples():
 
 
 def test_hs_examples():
-    assert embed_hs_to_mod(2, 2, 0).holds
-    assert not embed_hs_to_mod(4, 1, F(1, 2)).holds  # equality at strict clause
-    assert embed_hs_to_mod(4, 1, F(5, 8)).holds
-    assert not embed_hs_to_mod(1, 4, 0).holds  # 2 <= p violated
+    """H^s = B^s_{2,2}."""
+    assert embed_besov_to_mod(2, 2, 2, 2, 0).holds
+    assert not embed_besov_to_mod(2, 2, 4, 1, F(1, 2)).holds  # equality at strict clause
+    assert embed_besov_to_mod(2, 2, 4, 1, F(5, 8)).holds
+    assert not embed_besov_to_mod(2, 2, 1, 4, 0).holds  # 2 <= p violated
 
 
 def test_sobolev_to_mod_examples():
@@ -137,16 +136,16 @@ def test_besov_duality_consistency(p0, q0, p, q, s, d):
 
 @given(p=finite_banach, q=finite_banach, s=smoothness)
 def test_hs_corollary_consistency(p, q, s):
-    """The H^s delegation agrees with the corollary's explicit index cases."""
-    verdict = embed_hs_to_mod(p, q, s)
-    assert verdict.holds == embed_besov_to_mod(2, 2, p, q, s).holds
+    """The Besov rules at H^s = B^s_{2,2} agree with the corollary's
+    explicit index cases."""
+    verdict = embed_besov_to_mod(2, 2, p, q, s)
     if p >= 2 and q >= 2:
         assert verdict.holds == (s >= 0)
     elif p >= 2:
         assert verdict.holds == (s > q.reciprocal() - F(1, 2))
     else:
         assert not verdict.holds
-    mirror = embed_mod_to_hs(p, q, s)
+    mirror = embed_mod_to_besov(p, q, 2, 2, s)
     if p <= 2 and q <= 2:
         assert mirror.holds == (s <= 0)
     elif p <= 2:

@@ -27,7 +27,6 @@ SMOOTHNESS = (-1, F(-1, 2), 0, F(1, 2), 1)
 DIMENSIONS = (1, 2)
 EMBEDDINGS = (
     "embed_besov_to_mod", "embed_mod_to_besov",
-    "embed_hs_to_mod", "embed_mod_to_hs",
     "embed_sobolev_to_mod", "embed_mod_to_sobolev",
     "embed_triebel2_to_mod", "embed_mod_to_triebel2",
     "embed_triebel_to_mod", "embed_mod_to_triebel",
@@ -42,8 +41,6 @@ REGION_PAIRS = (
 GOLDEN = {
     "embed_besov_to_mod": "5c7144d7be26795d70387a95b3221484e2b1d093eec0b94ef6f9864baf6c32b9",
     "embed_mod_to_besov": "9ff68735a1ddec8b48ac7e56d54e28d1fc1b6f26fa2d7759ad12c2dd3e308187",
-    "embed_hs_to_mod": "950a7df68c58ae4ba4ef31166ba2f211bb7de4893d20a9c3f37a0568eaee9553",
-    "embed_mod_to_hs": "c72bd6a6b275b0d1b590b6d42af7c29d37c879414ee08416986648569b0ebcfc",
     "embed_sobolev_to_mod": "a254e9e4354d7018f15516888cab2a0cd152faff82554684f5fd1e2fe50e48f4",
     "embed_mod_to_sobolev": "4549f70ce2e6b99048147f44021fbf69d0500dbc6d2f083f35576b304c9d8e93",
     "embed_triebel2_to_mod": "c2fc1b9e2387c520493d0ac6daadc626457d165b8af2e9f5aabc3f7235a67232",

@@ -173,9 +173,6 @@ def test_index_set_examples():
     a4 = index_set("A", 4, 1)
     assert len(a4) == 14
     assert set(a4.members) == {(k,) for k in range(13, 20)} | {(-k,) for k in range(13, 20)}
-    kt = index_set("K", Fraction(1, 10), 1)
-    assert len(kt) == 19
-    assert index_set("K", 1, 1).members == ((0,),)
 
 
 def test_index_set_inclusion_and_growth():
