@@ -1,8 +1,8 @@
 """Embedding oracle and discrete quasi-norm toolkit for modulation, Besov,
 Triebel, Sobolev and Fourier-Lp spaces."""
 
-from .exponents import Exponent, INF, Smoothness, TauPiece, dual, reciprocal, sigma, \
-    sigma_region, tau, tau_region
+from .exponents import Exponent, INF, TauPiece, dual, reciprocal, sigma, sigma_region, \
+    tau, tau_region
 from .grid import GridFunction, GridSpec, apply_multiplier, lp_norm, lq_seq_norm, \
     transform
 from .norms import besov_norm, fourier_lp_norm, modulation_norm, sobolev_norm, \
@@ -12,7 +12,7 @@ from .partitions import build_dyadic, build_uniform, box_apply, delta_apply, \
     index_set, smooth_profile
 
 __all__ = [
-    "Exponent", "INF", "Smoothness", "TauPiece", "dual", "reciprocal", "sigma",
+    "Exponent", "INF", "TauPiece", "dual", "reciprocal", "sigma",
     "sigma_region", "tau", "tau_region",
     "GridFunction", "GridSpec", "apply_multiplier", "lp_norm", "lq_seq_norm",
     "transform",

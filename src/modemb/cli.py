@@ -15,11 +15,12 @@ import csv
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .exponents import Exponent, as_fraction
+from .exponents import INF, Exponent, as_fraction
 from .families import (
     family_annulus,
     family_dilated_kernel,
@@ -58,23 +59,23 @@ class SpecParseError(ValueError):
         super().__init__(f"{message} at position {pos}: {text!r}")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _parse_rational(text: str, token: str, pos: int, allow_negative: bool):
     token = token.strip()
     if token.lower() == "inf":
-        return Exponent.of("inf")
-    if not _RATIONAL_RE.match(token):
+        return INF
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None:
         raise SpecParseError(
             text, pos, f"expected a rational a/b or 'inf' (no decimals), got {token!r}")
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
+    numerator, denominator = int(match[1]), int(match[2] or 1)
+    if denominator == 0:
         raise SpecParseError(text, pos, f"expected a rational or 'inf', got {token!r}")
-    if not allow_negative and value <= 0:
+    if not allow_negative and numerator <= 0:
         raise SpecParseError(text, pos, f"index must be positive, got {token!r}")
-    return value
+    return Fraction(numerator, denominator)
 
 
 def parse_space(text: str, d: int = 1) -> SpaceSpec:
@@ -89,7 +90,7 @@ def parse_space(text: str, d: int = 1) -> SpaceSpec:
         raise SpecParseError(text, 0, f"unknown family {token!r} (use B, M, F, W, FL)")
     body = stripped[open_idx + 1:-1]
     allowed = SPACE_KEYS[family]
-    seen: dict[str, object] = {}
+    seen: dict[str, Fraction | Exponent] = {}
     offset = open_idx + 1
     if body.strip():
         for part in body.split(","):
@@ -115,14 +116,7 @@ def parse_space(text: str, d: int = 1) -> SpaceSpec:
     if missing:
         raise SpecParseError(text, len(stripped),
                              f"family {token} requires indices {missing}")
-    kwargs = {"family": family, "d": d}
-    for key in ("p", "q", "r"):
-        if key in seen:
-            value = seen[key]
-            kwargs[key] = value if isinstance(value, Exponent) else Exponent.of(value)
-    if family is not Family.FOURIER_L:
-        kwargs["s"] = seen.get("s", Fraction(0))
-    return SpaceSpec(**kwargs)
+    return SpaceSpec(family, d=d, **seen)
 
 
 def _verdict_json(source, target, verdict: Verdict) -> dict:
@@ -180,6 +174,18 @@ _TABLE_PAIRS = {
 
 _FAMILY_KINDS = ("single_box", "annulus", "lattice_comb", "dilation", "dilated_kernel")
 
+# The families that read each family-specific command-line option.
+_FAMILY_OPTIONS = {"width": ("lattice_comb",), "lam": ("dilation",), "t": ("dilated_kernel",),
+                   "level": ("single_box", "annulus", "lattice_comb")}
+
+
+def _refuse_foreign_options(args) -> None:
+    """Refuse, rather than ignore, a family option given on the command line
+    that the chosen family does not read; config-file keys stay shared defaults."""
+    for name, kinds in _FAMILY_OPTIONS.items():
+        if getattr(args, name, None) is not None and args.family not in kinds:
+            raise ValueError(f"--{name} does not apply to the {args.family} family")
+
 
 def _build_family(kind, args, config, d):
     width = as_fraction(_cfg(args, config, "width", str, "1"))
@@ -204,7 +210,7 @@ def _build_family(kind, args, config, d):
                  "lattice_comb": partial(family_lattice_comb, width=width)}[kind]
     if n_override or m_override:
         spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
-    return spec, build(spec, param)
+    return spec, build(spec, param), param
 
 
 def cmd_decide(args, config) -> int:
@@ -241,23 +247,18 @@ def cmd_table(args, config) -> int:
     rows = [{"inv_p": str(c.inv_p), "inv_q": str(c.inv_q),
              "holds": int(c.holds), "clause": c.clause,
              "piece": c.piece.value if c.piece else ""} for c in cells]
-    out = args.out
-    handle = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(handle,
-                                fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
+        writer = csv.DictWriter(handle, fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out:
-            handle.close()
     return 0
 
 
 def cmd_norm(args, config) -> int:
+    _refuse_foreign_options(args)
     d = _cfg(args, config, "d", int, 1)
     space = parse_space(args.space, d)
-    spec, f = _build_family(args.family, args, config, d)
+    spec, f, param = _build_family(args.family, args, config, d)
     uniform = build_uniform(spec) if space.family is Family.MODULATION else None
     dyadic = (build_dyadic(spec)
               if space.family in (Family.BESOV, Family.TRIEBEL) else None)
@@ -267,6 +268,7 @@ def cmd_norm(args, config) -> int:
                           "space": render_space(space),
                           "family": args.family,
                           "level": args.level,
+                          "parameter": str(param),
                           "value": value}, indent=2))
     else:
         print(value)
@@ -274,7 +276,9 @@ def cmd_norm(args, config) -> int:
 
 
 def _parse_levels(args, config):
-    if getattr(args, "t_list", None):
+    if args.t_list:
+        if args.lmin is not None or args.lmax is not None:
+            raise ValueError("--t-list cannot be combined with --lmin or --lmax")
         return [as_fraction(tok) for tok in args.t_list.split(",")]
     lmin = _cfg(args, config, "lmin", int, 4)
     lmax = _cfg(args, config, "lmax", int, 8)
@@ -283,11 +287,14 @@ def _parse_levels(args, config):
     return list(range(lmin, lmax + 1))
 
 
-def _experiment_common(args, config, runner) -> int:
+def _experiment_common(args, config, run, **options) -> int:
+    _refuse_foreign_options(args)
     d = _cfg(args, config, "d", int, 1)
+    width = as_fraction(_cfg(args, config, "width", str, "1"))
     source = parse_space(args.source, d)
     target = parse_space(args.target, d)
-    report = runner(source, target, _parse_levels(args, config))
+    report = run(source, target, args.family, _parse_levels(args, config),
+                 width=width, **options)
     if args.csv:
         report.write_csv(args.csv)
     if args.json is not None:
@@ -300,25 +307,13 @@ def _experiment_common(args, config, runner) -> int:
 
 
 def cmd_sharpness(args, config) -> int:
-    tolerance = _cfg(args, config, "tolerance", float, 0.2)
-    width = as_fraction(_cfg(args, config, "width", str, "1"))
-
-    def runner(source, target, levels):
-        return experiments.run_sharpness(source, target, args.family, levels,
-                                         tolerance=tolerance, width=width)
-
-    return _experiment_common(args, config, runner)
+    return _experiment_common(args, config, experiments.run_sharpness,
+                              tolerance=_cfg(args, config, "tolerance", float, 0.2))
 
 
 def cmd_boundedness(args, config) -> int:
-    bound = _cfg(args, config, "bound", float, 8.0)
-    width = as_fraction(_cfg(args, config, "width", str, "1"))
-
-    def runner(source, target, levels):
-        return experiments.run_boundedness(source, target, args.family, levels,
-                                           bound=bound, width=width)
-
-    return _experiment_common(args, config, runner)
+    return _experiment_common(args, config, experiments.run_boundedness,
+                              bound=_cfg(args, config, "bound", float, 8.0))
 
 
 def cmd_selftest(args, config) -> int:

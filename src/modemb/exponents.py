@@ -3,19 +3,26 @@
 Everything in this module is exact: exponents are rationals or infinity,
 and the index functions tau/sigma are evaluated with Fraction arithmetic so
 that boundary comparisons (s >= tau versus s > tau) are unambiguous. Floats
-are rejected on input.
+are rejected on input. Each Exponent computes its reciprocal 1/p once, when
+it is made; ordering and tau/sigma read it from there.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 
 
+_ZERO = Fraction(0)
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce an exact rational-like value (int, Fraction, str) to Fraction.
-    A zero denominator ('1/0') raises ValueError, as other malformed text does."""
+    """Coerce an exact rational-like value (int, Fraction, str) to Fraction;
+    a Fraction is returned as it is. A zero denominator ('1/0') raises
+    ValueError, as other malformed text does."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"floating-point value {value!r} not allowed in exact index arithmetic; "
@@ -36,12 +43,16 @@ class Exponent:
     """
 
     value: Fraction | None
+    _inverse: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        inverse = _ZERO
         if self.value is not None:
             object.__setattr__(self, "value", as_fraction(self.value))
             if self.value <= 0:
                 raise ValueError(f"exponent must be positive, got {self.value}")
+            inverse = Fraction(self.value.denominator, self.value.numerator)
+        object.__setattr__(self, "_inverse", inverse)
 
     @classmethod
     def of(cls, value) -> "Exponent":
@@ -52,7 +63,7 @@ class Exponent:
             return INF
         if value is None:
             return INF
-        return cls(as_fraction(value))
+        return cls(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -60,7 +71,7 @@ class Exponent:
 
     def reciprocal(self) -> Fraction:
         """1/p as an exact rational; 0 when p is infinite."""
-        return Fraction(0) if self.value is None else 1 / self.value
+        return self._inverse
 
     def dual(self) -> "Exponent":
         """Dual exponent: 1/p + 1/p' = 1 for p >= 1; p' = infinity for 0 < p < 1."""
@@ -71,19 +82,18 @@ class Exponent:
         return Exponent(self.value / (self.value - 1))
 
     def __eq__(self, other) -> bool:
-        try:
-            other = Exponent.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if not isinstance(other, Exponent):
+            try:
+                other = Exponent.of(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return self.value == other.value
 
     def __lt__(self, other) -> bool:
-        other = Exponent.of(other)
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
+        if not isinstance(other, Exponent):
+            other = Exponent.of(other)
+        # p < p' iff 1/p > 1/p' on (0, inf], where 1/inf = 0
+        return self._inverse > other._inverse
 
     def __hash__(self):
         return hash(self.value)
@@ -99,19 +109,6 @@ class Exponent:
 
 
 INF = Exponent(None)
-
-
-@dataclass(frozen=True)
-class Smoothness:
-    """A smoothness index s together with the ambient dimension d >= 1."""
-
-    s: Fraction
-    d: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_fraction(self.s))
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
 
 
 class TauPiece(enum.Enum):
@@ -131,8 +128,8 @@ def dual(p) -> Exponent:
 
 
 def _pieces(p, q) -> tuple[Fraction, Fraction, Fraction]:
-    ip, iq = reciprocal(p), reciprocal(q)
-    return Fraction(0), iq - ip, iq + ip - 1
+    ip, iq = Exponent.of(p).reciprocal(), Exponent.of(q).reciprocal()
+    return _ZERO, iq - ip, iq + ip - 1
 
 
 # Tie-break priority at region boundaries: the first attaining piece wins.
@@ -141,7 +138,8 @@ _PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
 
 def _extremum(pick, p, q, d: int) -> tuple[Fraction, TauPiece]:
     """d * pick(pieces) and the first piece, in tie-break order, attaining it."""
-    Smoothness(0, d)
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d}")
     values = _pieces(p, q)
     best = pick(values)
     return d * best, _PIECE_ORDER[values.index(best)]

@@ -32,6 +32,9 @@ from .exponents import (
 )
 
 
+_ONE = Exponent(1)
+
+
 class DomainError(ValueError):
     """A query lies outside the hypothesis range of the governing theorem."""
 
@@ -196,7 +199,7 @@ def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
 
 def _check_wr_hypotheses(values: dict) -> None:
     for name, e in values.items():
-        if e < 1:
+        if e < _ONE:
             raise DomainError(
                 f"hypothesis 1 <= {name} <= inf violated: {name} = {e}; "
                 "the Sobolev characterizations assume Banach-range Lebesgue indices"
@@ -211,7 +214,7 @@ def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     crit, piece = tau_with_region(r, q, d)
     if not r <= p:
         return _refuse("r <= p", f"r = {r} > p = {p}", crit, piece)
-    if r == 1:
+    if r == _ONE:
         clause, strict, case = (("(3)", False, "r = 1, q = inf") if q.is_infinite
                                 else ("(4)", True, f"r = 1, q = {q} finite"))
     elif r > q:
@@ -234,11 +237,11 @@ def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
     crit, piece = sigma_with_region(r, q, d)
     if not p <= r:
         return _refuse("p <= r", f"p = {p} > r = {r}", crit, piece)
-    if q < 1:
+    if q < _ONE:
         clause = "(3) small-q extension" if r.is_infinite else "(2) small-q extension"
         strict, case = False, f"0 < q = {q} < 1 (sigma(r,q) = 0)"
     elif r.is_infinite:
-        clause, strict, case = (("(3)", False, "r = inf, q = 1") if q == 1
+        clause, strict, case = (("(3)", False, "r = inf, q = 1") if q == _ONE
                                 else ("(4)", True, f"r = inf, q = {q} > 1"))
     elif r < q:
         clause, strict, case = "(1)", True, f"r = {r} < q = {q}"
@@ -338,7 +341,7 @@ def _triebel_to_mod(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
     if source.q == 2:
         if source.p == target.p:
             return embed_triebel2_to_mod(target.p, target.q, source.s, d)
-        if Exponent.of(1) < source.p < INF:
+        if _ONE < source.p < INF:
             return embed_sobolev_to_mod(source.p, target.p, target.q, source.s, d)
     raise UncharacterizedPairError(
         "F_{p0,q0} -> M_{p,q} with q0 != q is characterized only for q0 = 2 "
@@ -352,7 +355,7 @@ def _mod_to_triebel(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
     if target.q == 2:
         if source.p == target.p:
             return embed_mod_to_triebel2(source.p, source.q, target.s, d)
-        if Exponent.of(1) < target.p < INF:
+        if _ONE < target.p < INF:
             return embed_mod_to_sobolev(source.p, source.q, target.p, target.s, d)
     raise UncharacterizedPairError(
         "M_{p,q} -> F_{p1,q1} with q1 != q is characterized only for q1 = 2 "
@@ -432,13 +435,6 @@ _REGION_RULES = {
 }
 
 
-def _exponent_from_reciprocal(u: Fraction) -> Exponent:
-    u = as_fraction(u)
-    if u < 0:
-        raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
-    return INF if u == 0 else Exponent(1 / u)
-
-
 def classify_region(source_family: Family, target_family: Family, points, s,
                     d: int = 1) -> list[RegionCell]:
     """Classify grid points (1/p-like, 1/q) for a characterized pair.
@@ -452,9 +448,20 @@ def classify_region(source_family: Family, target_family: Family, points, s,
             f"region sweep not supported for {source_family.value} -> {target_family.value}"
         )
     s = as_fraction(s)
+    exponents: dict[Fraction, Exponent] = {}
+
+    def exponent(u: Fraction) -> Exponent:
+        """The exponent with reciprocal u, made once per distinct u."""
+        e = exponents.get(u)
+        if e is None:
+            if u < 0:
+                raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
+            e = exponents[u] = INF if u == 0 else Exponent(1 / u)
+        return e
+
     cells = []
     for u, v in points:
         u, v = as_fraction(u), as_fraction(v)
-        verdict = rule(_exponent_from_reciprocal(u), _exponent_from_reciprocal(v), s, d)
+        verdict = rule(exponent(u), exponent(v), s, d)
         cells.append(RegionCell(u, v, verdict.holds, verdict.clause, verdict.piece))
     return cells

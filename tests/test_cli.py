@@ -121,6 +121,33 @@ def test_decide_exit_codes(capsys):
      "error: zero denominator in '1/0'"),
     (["table", "--pair", "B-M", "--s", "1/0"], 2,
      "error: zero denominator in '1/0'"),
+    (["table", "--pair", "B-M", "--s", "0", "-d", "0"], 2,
+     "error: dimension must be a positive integer, got 0"),
+    # family options the chosen family does not read are refused, not ignored
+    (["norm", "--family", "annulus", "--level", "3", "--width", "0",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: --width does not apply to the annulus family"),
+    (["norm", "--family", "single_box", "--level", "4", "--lam", "0",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: --lam does not apply to the single_box family"),
+    (["norm", "--family", "dilation", "--lam", "1/2", "--t", "1/2",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: --t does not apply to the dilation family"),
+    (["norm", "--family", "dilation", "--lam", "1/2", "--level", "3",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: --level does not apply to the dilation family"),
+    (["norm", "--family", "dilated_kernel", "--t", "1/2", "--level", "3",
+      "--space", "M[p=2,q=2]"], 2,
+     "error: --level does not apply to the dilated_kernel family"),
+    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+      "--family", "annulus", "--lmin", "2", "--lmax", "3", "--width", "1/2"], 2,
+     "error: --width does not apply to the annulus family"),
+    (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+      "--family", "dilated_kernel", "--t-list", "1/2,1/4", "--lmin", "4", "--lmax", "5"], 2,
+     "error: --t-list cannot be combined with --lmin or --lmax"),
+    (["boundedness", "--from", "W[r=1,s=0]", "--to", "M[p=1,q=inf]",
+      "--family", "dilated_kernel", "--t-list", "1/4,1/16", "--lmax", "5"], 2,
+     "error: --t-list cannot be combined with --lmin or --lmax"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -213,6 +240,30 @@ def test_norm_oversized_grid_exits_cleanly(capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and "budget" in lines[0]
+
+
+@pytest.mark.parametrize("option,parameter,level", [
+    (["--family", "annulus", "--level", "3"], "3", 3),
+    (["--family", "dilation", "--lam", "1/2"], "1/2", None),
+    (["--family", "dilated_kernel", "--t", "2/8"], "1/4", None),
+])
+def test_norm_json_records_parameter(capsys, option, parameter, level):
+    """The norm payload names the member: its exact level, lambda or t."""
+    assert main(["norm", *option, "--space", "M[p=2,q=2]", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["parameter"] == parameter and payload["level"] == level
+    assert payload["value"] > 0
+
+
+def test_config_width_stays_a_shared_default(tmp_path, capsys):
+    """A config-file width is a default for every family, not a refused option."""
+    config = tmp_path / "modemb.cfg"
+    config.write_text("width = 1/2\n")
+    argv = ["norm", "--family", "annulus", "--level", "3", "--space", "M[p=2,q=2]"]
+    assert main(["--config", str(config), *argv]) == 0
+    assert main(argv) == 0
+    with_config, without = capsys.readouterr().out.split()
+    assert with_config == without
 
 
 def test_norm_matches_library_call(capsys):

@@ -7,14 +7,16 @@ from hypothesis import given, strategies as st
 from modemb.exponents import (
     Exponent,
     INF,
-    Smoothness,
     TauPiece,
+    as_fraction,
     dual,
     reciprocal,
     sigma,
     sigma_region,
+    sigma_with_region,
     tau,
     tau_region,
+    tau_with_region,
 )
 
 F = Fraction
@@ -99,12 +101,12 @@ def test_invalid_exponents():
         Exponent.of(-1)
 
 
-def test_smoothness_validation():
-    Smoothness(F(1, 2), 2)
-    with pytest.raises(ValueError):
-        Smoothness(0, 0)
-    with pytest.raises(TypeError):
-        Smoothness(0.5, 1)
+@pytest.mark.parametrize("index", [tau, sigma, tau_with_region, sigma_with_region])
+def test_dimension_validation(index):
+    index(2, 2, 2)
+    for d in (0, -1, 2.0):
+        with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d}"):
+            index(2, 2, d)
 
 
 @given(p=exponents, q=exponents, d=st.integers(1, 3))
@@ -136,3 +138,32 @@ def test_region_attains_extremum(p, q):
               TauPiece.P_PLUS_Q_MINUS_1: iq + ip - 1}
     assert values[tau_region(p, q)] == tau(p, q, 1)
     assert values[sigma_region(p, q)] == sigma(p, q, 1)
+
+
+@given(p=exponents)
+def test_reciprocal_is_exact(p):
+    inverse = p.reciprocal()
+    assert type(inverse) is Fraction
+    assert inverse == (0 if p.is_infinite else 1 / p.value)
+    assert reciprocal(p) == inverse
+
+
+exact_values = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 6),
+    st.fractions(max_denominator=10 ** 6).map(str),
+)
+
+
+@given(x=exact_values)
+def test_as_fraction_matches_fraction(x):
+    value = as_fraction(x)
+    assert type(value) is Fraction and value == Fraction(x)
+    if isinstance(x, Fraction):
+        assert value is x
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True))
+def test_as_fraction_rejects_floats(x):
+    with pytest.raises(TypeError, match="floating-point value"):
+        as_fraction(x)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modemb import oracle
 from modemb.exponents import Exponent, INF, TauPiece, sigma, tau
 from modemb.oracle import (
     DomainError,
@@ -262,3 +263,41 @@ def test_classify_region_examples():
 
     with pytest.raises(UncharacterizedPairError):
         classify_region(Family.FOURIER_L, Family.MODULATION, [(F(1), F(1))], 0)
+
+
+# Repeated, unordered coordinates, each value given as int, str and Fraction.
+MIXED_POINTS = [
+    (1, "1/2"), (F(1, 3), 0), ("1/2", 1), (1, "1/2"), (0, 0), ("1", F(1, 2)),
+    (F(2, 3), "2/3"), (F(1, 2), F(1, 2)), ("0", F(1)), (F(1), "0"), (F(1, 3), 0),
+]
+
+
+def _cell_fields(cell):
+    return (type(cell.inv_p), cell.inv_p, type(cell.inv_q), cell.inv_q,
+            cell.holds, cell.clause, cell.piece)
+
+
+@pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [-1, 0, F(1, 2)])
+def test_classify_region_matches_rule_per_point(pair, d, s):
+    """One Exponent per distinct coordinate gives the cells that a fresh
+    Exponent per point gives."""
+    rule = oracle._REGION_RULES[pair]
+    expected = []
+    for u, v in MIXED_POINTS:
+        u, v = F(u), F(v)
+        x, y = (INF if c == 0 else Exponent(1 / c) for c in (u, v))
+        verdict = rule(x, y, F(s), d)
+        expected.append((Fraction, u, Fraction, v, verdict.holds, verdict.clause,
+                         verdict.piece))
+    cells = classify_region(*pair, MIXED_POINTS, s, d)
+    assert [_cell_fields(cell) for cell in cells] == expected
+
+
+@pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
+def test_classify_region_rejects_negative_coordinates(pair):
+    for points in ([(F(1, 2), F(1, 2)), (F(-1, 3), 0)],
+                   [(F(1, 2), F(1, 2)), (F(1, 2), "-1/3")]):
+        with pytest.raises(ValueError, match="reciprocal coordinate must be >= 0, got -1/3"):
+            classify_region(*pair, points, 0)
