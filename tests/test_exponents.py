@@ -18,6 +18,7 @@ from modemb.exponents import (
     tau_region,
     tau_with_region,
 )
+from modemb.oracle import SpaceSpec
 
 F = Fraction
 
@@ -99,6 +100,16 @@ def test_invalid_exponents():
         Exponent.of(0)
     with pytest.raises(ValueError):
         Exponent.of(-1)
+
+
+def test_smoothness_validation():
+    # a smoothness index with its dimension is carried by a space spec
+    spec = SpaceSpec.besov(2, 2, F(1, 2), 2)
+    assert spec.s == F(1, 2) and spec.d == 2
+    with pytest.raises(ValueError):
+        SpaceSpec.besov(2, 2, 0, 0)
+    with pytest.raises(TypeError):
+        SpaceSpec.besov(2, 2, 0.5, 1)
 
 
 @pytest.mark.parametrize("index", [tau, sigma, tau_with_region, sigma_with_region])
