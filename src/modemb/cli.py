@@ -244,13 +244,11 @@ def cmd_table(args, config) -> int:
         coords = [Fraction(i, resolution - 1) for i in range(resolution)]
     points = [(u, v) for u in coords for v in coords]
     cells = classify_region(pair[0], pair[1], points, s, d)
-    rows = [{"inv_p": str(c.inv_p), "inv_q": str(c.inv_q),
-             "holds": int(c.holds), "clause": c.clause,
-             "piece": c.piece.value if c.piece else ""} for c in cells]
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
-        writer = csv.DictWriter(handle, fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(handle)
+        writer.writerow(["inv_p", "inv_q", "holds", "clause", "piece"])
+        writer.writerows([str(c.inv_p), str(c.inv_q), int(c.holds), c.clause,
+                          c.piece.value if c.piece else ""] for c in cells)
     return 0
 
 

@@ -1,17 +1,18 @@
 """Exact arithmetic on extended exponents and the piecewise-linear index functions.
 
 Everything in this module is exact: exponents are rationals or infinity,
-and the index functions tau/sigma are evaluated with Fraction arithmetic so
-that boundary comparisons (s >= tau versus s > tau) are unambiguous. Floats
-are rejected on input. Each Exponent computes its reciprocal 1/p once, when
-it is made; ordering and tau/sigma read it from there.
+and the index functions tau/sigma are exact rationals, so that boundary
+comparisons (s >= tau versus s > tau) are unambiguous. Floats are rejected
+on input. Each Exponent computes its reciprocal 1/p once, when it is made.
+Ordering and tau/sigma read it from there and compare on integer
+cross-products of its numerator and denominator, without Fraction operators;
+only the chosen tau/sigma value is built as a Fraction.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 
 
 _ZERO = Fraction(0)
@@ -34,7 +35,6 @@ def as_fraction(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Exponent:
     """An extended exponent p in (0, infinity]; exact rational when finite.
@@ -48,10 +48,11 @@ class Exponent:
     def __post_init__(self):
         inverse = _ZERO
         if self.value is not None:
-            object.__setattr__(self, "value", as_fraction(self.value))
-            if self.value <= 0:
-                raise ValueError(f"exponent must be positive, got {self.value}")
-            inverse = Fraction(self.value.denominator, self.value.numerator)
+            value = as_fraction(self.value)
+            if value.numerator <= 0:
+                raise ValueError(f"exponent must be positive, got {value}")
+            object.__setattr__(self, "value", value)
+            inverse = Fraction(value.denominator, value.numerator)
         object.__setattr__(self, "_inverse", inverse)
 
     @classmethod
@@ -81,19 +82,31 @@ class Exponent:
             return INF
         return Exponent(self.value / (self.value - 1))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Exponent):
-            try:
-                other = Exponent.of(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        return self.value == other.value
-
-    def __lt__(self, other) -> bool:
+    def _cmp(self, other) -> int:
+        """Negative, zero or positive as p <, = or > other, from an integer
+        cross-product of the reciprocals: p < p' iff 1/p > 1/p' (1/inf = 0)."""
         if not isinstance(other, Exponent):
             other = Exponent.of(other)
-        # p < p' iff 1/p > 1/p' on (0, inf], where 1/inf = 0
-        return self._inverse > other._inverse
+        a, b = self._inverse, other._inverse
+        return b.numerator * a.denominator - a.numerator * b.denominator
+
+    def __eq__(self, other) -> bool:
+        try:
+            return self._cmp(other) == 0
+        except (TypeError, ValueError):
+            return NotImplemented
+
+    def __lt__(self, other) -> bool:
+        return self._cmp(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._cmp(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         return hash(self.value)
@@ -127,22 +140,21 @@ def dual(p) -> Exponent:
     return Exponent.of(p).dual()
 
 
-def _pieces(p, q) -> tuple[Fraction, Fraction, Fraction]:
-    ip, iq = Exponent.of(p).reciprocal(), Exponent.of(q).reciprocal()
-    return _ZERO, iq - ip, iq + ip - 1
-
-
 # Tie-break priority at region boundaries: the first attaining piece wins.
 _PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
 
 
 def _extremum(pick, p, q, d: int) -> tuple[Fraction, TauPiece]:
-    """d * pick(pieces) and the first piece, in tie-break order, attaining it."""
+    """d * pick(pieces) and the first piece, in tie-break order, attaining it;
+    the pieces are integer numerators over den(1/p) * den(1/q)."""
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    values = _pieces(p, q)
+    ip, iq = Exponent.of(p).reciprocal(), Exponent.of(q).reciprocal()
+    a, b, c, e = ip.numerator, ip.denominator, iq.numerator, iq.denominator
+    den = b * e
+    values = (0, c * b - a * e, c * b + a * e - den)
     best = pick(values)
-    return d * best, _PIECE_ORDER[values.index(best)]
+    return Fraction(d * best, den), _PIECE_ORDER[values.index(best)]
 
 
 def tau_with_region(p0, q, d: int = 1) -> tuple[Fraction, TauPiece]:

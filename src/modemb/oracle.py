@@ -3,7 +3,11 @@
 Each ``embed_*`` function returns a :class:`Verdict` stating whether the
 embedding holds, which condition of the governing characterization fired,
 the critical smoothness threshold (an exact rational), and whether the
-s-comparison in that condition is strict. All comparisons are exact.
+s-comparison in that condition is strict. All comparisons are exact: index
+comparisons and s against the threshold run on integer cross-products of
+numerators and denominators. A verdict's explanation is formatted from the
+values its rule held the first time it is read, so ``classify_region``,
+which reads none, formats none.
 
 Every characterization has one shape. An index hypothesis comes first;
 when it fails, the verdict is "none" (``_refuse``). Otherwise the embedding
@@ -21,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .exponents import (
     Exponent,
@@ -124,14 +130,18 @@ def render_space(spec: SpaceSpec) -> str:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an embedding query."""
+    """Outcome of an embedding query; ``explanation`` is formatted on first read."""
 
     holds: bool
     clause: str
     critical_s: Fraction
     strict: bool
-    explanation: str
-    piece: TauPiece | None = field(default=None)
+    piece: TauPiece | None
+    _explain: Callable[[], str] = field(repr=False, compare=False)
+
+    @cached_property
+    def explanation(self) -> str:
+        return self._explain()
 
     def as_dict(self) -> dict:
         return {
@@ -146,31 +156,34 @@ class Verdict:
 
 def _verdict(lower, label, s, crit, strict, piece, detail) -> Verdict:
     """The verdict of the condition s >= crit (``lower``, source -> M) or
-    s <= crit (M -> target), with > or < when ``strict``."""
+    s <= crit (M -> target), with > or < when ``strict``. ``detail()``
+    states the case that fired, once the explanation is read."""
+    x, y = s.numerator * crit.denominator, crit.numerator * s.denominator
     if lower:
-        ok, rel = (s > crit, ">") if strict else (s >= crit, ">=")
+        ok, rel = (x > y, ">") if strict else (x >= y, ">=")
     else:
-        ok, rel = (s < crit, "<") if strict else (s <= crit, "<=")
-    return Verdict(ok, label, crit, strict, f"{detail}; requires s {rel} {crit}, s = {s}", piece)
+        ok, rel = (x < y, "<") if strict else (x <= y, "<=")
+    return Verdict(ok, label, crit, strict, piece,
+                   lambda: f"{detail()}; requires s {rel} {crit}, s = {s}")
 
 
 def _refuse(hypothesis, detail, crit, piece, strict=False) -> Verdict:
     """The "none" verdict of a violated index hypothesis."""
-    return Verdict(False, "none", crit, strict,
-                   f"index hypothesis {hypothesis} violated: {detail}", piece)
+    return Verdict(False, "none", crit, strict, piece,
+                   lambda: f"index hypothesis {hypothesis} violated: {detail()}")
 
 
 _NEGATED = {"<=": ">", ">=": "<"}
 
 
-def _two_clause(rule, lower, s, crit, piece, first, left, op, right) -> Verdict:
-    """Clause (1), non-strict, when the deciding comparison ``left op right``
-    holds (``first``); otherwise clause (2), strict, which states its
-    negation."""
+def _two_clause(rule, lower, s, crit, piece, first, op, detail) -> Verdict:
+    """Clause (1), non-strict, when the deciding comparison ``op`` holds
+    (``first``); otherwise clause (2), strict, which states its negation.
+    ``detail(rel)`` states the comparison with the relation ``rel``."""
     if first:
-        return _verdict(lower, f"{rule} (1)", s, crit, False, piece, f"{left} {op} {right}")
+        return _verdict(lower, f"{rule} (1)", s, crit, False, piece, lambda: detail(op))
     return _verdict(lower, f"{rule} (2)", s, crit, True, piece,
-                    f"{left} {_NEGATED[op]} {right}")
+                    lambda: detail(_NEGATED[op]))
 
 
 def embed_besov_to_mod(p0, q0, p, q, s, d: int = 1) -> Verdict:
@@ -180,9 +193,9 @@ def embed_besov_to_mod(p0, q0, p, q, s, d: int = 1) -> Verdict:
     s = as_fraction(s)
     crit, piece = tau_with_region(p0, q, d)
     if not p0 <= p:
-        return _refuse("p0 <= p", f"p0 = {p0} > p = {p}", crit, piece)
-    return _two_clause("B->M", True, s, crit, piece, q0 <= q,
-                       f"p0 = {p0} <= p = {p}, q0 = {q0}", "<=", f"q = {q}")
+        return _refuse("p0 <= p", lambda: f"p0 = {p0} > p = {p}", crit, piece)
+    return _two_clause("B->M", True, s, crit, piece, q0 <= q, "<=",
+                       lambda rel: f"p0 = {p0} <= p = {p}, q0 = {q0} {rel} q = {q}")
 
 
 def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
@@ -192,9 +205,9 @@ def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
     s = as_fraction(s)
     crit, piece = sigma_with_region(p1, q, d)
     if not p1 >= p:
-        return _refuse("p1 >= p", f"p1 = {p1} < p = {p}", crit, piece)
-    return _two_clause("M->B", False, s, crit, piece, q1 >= q,
-                       f"p1 = {p1} >= p = {p}, q1 = {q1}", ">=", f"q = {q}")
+        return _refuse("p1 >= p", lambda: f"p1 = {p1} < p = {p}", crit, piece)
+    return _two_clause("M->B", False, s, crit, piece, q1 >= q, ">=",
+                       lambda rel: f"p1 = {p1} >= p = {p}, q1 = {q1} {rel} q = {q}")
 
 
 def _check_wr_hypotheses(values: dict) -> None:
@@ -213,16 +226,16 @@ def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     _check_wr_hypotheses({"r": r, "p": p})
     crit, piece = tau_with_region(r, q, d)
     if not r <= p:
-        return _refuse("r <= p", f"r = {r} > p = {p}", crit, piece)
+        return _refuse("r <= p", lambda: f"r = {r} > p = {p}", crit, piece)
     if r == _ONE:
         clause, strict, case = (("(3)", False, "r = 1, q = inf") if q.is_infinite
-                                else ("(4)", True, f"r = 1, q = {q} finite"))
+                                else ("(4)", True, "r = 1, q = {q} finite"))
     elif r > q:
-        clause, strict, case = "(1)", True, f"r = {r} > q = {q}"
+        clause, strict, case = "(1)", True, "r = {r} > q = {q}"
     else:
-        clause, strict, case = "(2)", False, f"1 < r = {r} <= q = {q}"
+        clause, strict, case = "(2)", False, "1 < r = {r} <= q = {q}"
     return _verdict(True, f"W->M {clause}", s, crit, strict, piece,
-                    f"r = {r} <= p = {p}, {case}")
+                    lambda: f"r = {r} <= p = {p}, {case.format(r=r, q=q)}")
 
 
 def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
@@ -236,19 +249,19 @@ def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
     _check_wr_hypotheses({"r": r, "p": p})
     crit, piece = sigma_with_region(r, q, d)
     if not p <= r:
-        return _refuse("p <= r", f"p = {p} > r = {r}", crit, piece)
+        return _refuse("p <= r", lambda: f"p = {p} > r = {r}", crit, piece)
     if q < _ONE:
         clause = "(3) small-q extension" if r.is_infinite else "(2) small-q extension"
-        strict, case = False, f"0 < q = {q} < 1 (sigma(r,q) = 0)"
+        strict, case = False, "0 < q = {q} < 1 (sigma(r,q) = 0)"
     elif r.is_infinite:
         clause, strict, case = (("(3)", False, "r = inf, q = 1") if q == _ONE
-                                else ("(4)", True, f"r = inf, q = {q} > 1"))
+                                else ("(4)", True, "r = inf, q = {q} > 1"))
     elif r < q:
-        clause, strict, case = "(1)", True, f"r = {r} < q = {q}"
+        clause, strict, case = "(1)", True, "r = {r} < q = {q}"
     else:
-        clause, strict, case = "(2)", False, f"q = {q} <= r = {r} < inf"
+        clause, strict, case = "(2)", False, "q = {q} <= r = {r} < inf"
     return _verdict(False, f"M->W {clause}", s, crit, strict, piece,
-                    f"p = {p} <= r = {r}, {case}")
+                    lambda: f"p = {p} <= r = {r}, {case.format(r=r, q=q)}")
 
 
 def embed_triebel2_to_mod(p, q, s, d: int = 1) -> Verdict:
@@ -256,7 +269,8 @@ def embed_triebel2_to_mod(p, q, s, d: int = 1) -> Verdict:
     p, q = Exponent.of(p), Exponent.of(q)
     s = as_fraction(s)
     crit, piece = tau_with_region(p, q, d)
-    return _two_clause("F2->M", True, s, crit, piece, q >= p, f"q = {q}", ">=", f"p = {p}")
+    return _two_clause("F2->M", True, s, crit, piece, q >= p, ">=",
+                       lambda rel: f"q = {q} {rel} p = {p}")
 
 
 def embed_mod_to_triebel2(p, q, s, d: int = 1) -> Verdict:
@@ -264,7 +278,8 @@ def embed_mod_to_triebel2(p, q, s, d: int = 1) -> Verdict:
     p, q = Exponent.of(p), Exponent.of(q)
     s = as_fraction(s)
     crit, piece = sigma_with_region(p, q, d)
-    return _two_clause("M->F2", False, s, crit, piece, q <= p, f"q = {q}", "<=", f"p = {p}")
+    return _two_clause("M->F2", False, s, crit, piece, q <= p, "<=",
+                       lambda rel: f"q = {q} {rel} p = {p}")
 
 
 def embed_triebel_to_mod(p0, p, q, s, d: int = 1) -> Verdict:
@@ -274,9 +289,9 @@ def embed_triebel_to_mod(p0, p, q, s, d: int = 1) -> Verdict:
     s = as_fraction(s)
     crit, piece = tau_with_region(p0, q, d)
     if not p0 <= p:
-        return _refuse("p0 <= p", f"p0 = {p0} > p = {p}", crit, piece)
-    return _two_clause("F->M", True, s, crit, piece, p0 <= q,
-                       f"p0 = {p0} <= p = {p}, p0", "<=", f"q = {q}")
+        return _refuse("p0 <= p", lambda: f"p0 = {p0} > p = {p}", crit, piece)
+    return _two_clause("F->M", True, s, crit, piece, p0 <= q, "<=",
+                       lambda rel: f"p0 = {p0} <= p = {p}, p0 {rel} q = {q}")
 
 
 def embed_mod_to_triebel(p, p1, q, s, d: int = 1) -> Verdict:
@@ -286,9 +301,9 @@ def embed_mod_to_triebel(p, p1, q, s, d: int = 1) -> Verdict:
     s = as_fraction(s)
     crit, piece = sigma_with_region(p1, q, d)
     if not p1 >= p:
-        return _refuse("p1 >= p", f"p1 = {p1} < p = {p}", crit, piece)
-    return _two_clause("M->F", False, s, crit, piece, p1 >= q,
-                       f"p1 = {p1} >= p = {p}, p1", ">=", f"q = {q}")
+        return _refuse("p1 >= p", lambda: f"p1 = {p1} < p = {p}", crit, piece)
+    return _two_clause("M->F", False, s, crit, piece, p1 >= q, ">=",
+                       lambda rel: f"p1 = {p1} >= p = {p}, p1 {rel} q = {q}")
 
 
 def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
@@ -297,16 +312,17 @@ def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
     p, q, r = map(Exponent.of, (p, q, r))
     s = as_fraction(s)
     if q <= r:
-        crit, strict, label, case = Fraction(0), False, "M->FL (1)", f"q = {q} <= r = {r}"
+        crit, strict, label, case = Fraction(0), False, "M->FL (1)", "q = {q} <= r = {r}"
     else:
         crit = d * (r.reciprocal() - q.reciprocal())
-        strict, label, case = True, "M->FL (2)", f"r = {r} < q = {q}"
+        strict, label, case = True, "M->FL (2)", "r = {r} < q = {q}"
     pd = p.dual()
     if not p <= 2:
-        return _refuse("p <= 2", f"p = {p}", crit, None, strict)
+        return _refuse("p <= 2", lambda: f"p = {p}", crit, None, strict)
     if not r <= pd:
-        return _refuse("r <= p'", f"r = {r} > p' = {pd}", crit, None, strict)
-    return _verdict(True, label, s, crit, strict, None, f"p = {p} <= 2, r = {r} <= p' = {pd}, {case}")
+        return _refuse("r <= p'", lambda: f"r = {r} > p' = {pd}", crit, None, strict)
+    return _verdict(True, label, s, crit, strict, None,
+                    lambda: f"p = {p} <= 2, r = {r} <= p' = {pd}, {case.format(q=q, r=r)}")
 
 
 def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
@@ -315,16 +331,17 @@ def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     r, p, q = map(Exponent.of, (r, p, q))
     s = as_fraction(s)
     if r <= q:
-        crit, strict, label, case = Fraction(0), False, "FL->M (1)", f"r = {r} <= q = {q}"
+        crit, strict, label, case = Fraction(0), False, "FL->M (1)", "r = {r} <= q = {q}"
     else:
         crit = d * (r.reciprocal() - q.reciprocal())
-        strict, label, case = True, "FL->M (2)", f"r = {r} > q = {q}"
+        strict, label, case = True, "FL->M (2)", "r = {r} > q = {q}"
     pd = p.dual()
     if not p >= 2:
-        return _refuse("p >= 2", f"p = {p}", crit, None, strict)
+        return _refuse("p >= 2", lambda: f"p = {p}", crit, None, strict)
     if not pd <= r:
-        return _refuse("p' <= r", f"p' = {pd} > r = {r}", crit, None, strict)
-    return _verdict(False, label, s, crit, strict, None, f"p = {p} >= 2, p' = {pd} <= r = {r}, {case}")
+        return _refuse("p' <= r", lambda: f"p' = {pd} > r = {r}", crit, None, strict)
+    return _verdict(False, label, s, crit, strict, None,
+                    lambda: f"p = {p} >= 2, p' = {pd} <= r = {r}, {case.format(q=q, r=r)}")
 
 
 def _require_zero_mod_smoothness(spec: SpaceSpec, other: SpaceSpec) -> None:
@@ -448,15 +465,16 @@ def classify_region(source_family: Family, target_family: Family, points, s,
             f"region sweep not supported for {source_family.value} -> {target_family.value}"
         )
     s = as_fraction(s)
-    exponents: dict[Fraction, Exponent] = {}
+    exponents: dict[tuple[int, int], Exponent] = {}
 
     def exponent(u: Fraction) -> Exponent:
         """The exponent with reciprocal u, made once per distinct u."""
-        e = exponents.get(u)
+        key = u.numerator, u.denominator
+        e = exponents.get(key)
         if e is None:
             if u < 0:
                 raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
-            e = exponents[u] = INF if u == 0 else Exponent(1 / u)
+            e = exponents[key] = INF if u == 0 else Exponent(1 / u)
         return e
 
     cells = []
