@@ -167,9 +167,10 @@ def _verdict(lower, label, s, crit, strict, piece, detail) -> Verdict:
                    lambda: f"{detail()}; requires s {rel} {crit}, s = {s}")
 
 
-def _refuse(hypothesis, detail, crit, piece, strict=False) -> Verdict:
-    """The "none" verdict of a violated index hypothesis."""
-    return Verdict(False, "none", crit, strict, piece,
+def _refuse(hypothesis, detail, crit, piece) -> Verdict:
+    """The "none" verdict of a violated index hypothesis. It reads
+    ``strict`` False: no s-comparison applies."""
+    return Verdict(False, "none", crit, False, piece,
                    lambda: f"index hypothesis {hypothesis} violated: {detail()}")
 
 
@@ -318,9 +319,9 @@ def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
         strict, label, case = True, "M->FL (2)", "r = {r} < q = {q}"
     pd = p.dual()
     if not p <= 2:
-        return _refuse("p <= 2", lambda: f"p = {p}", crit, None, strict)
+        return _refuse("p <= 2", lambda: f"p = {p}", crit, None)
     if not r <= pd:
-        return _refuse("r <= p'", lambda: f"r = {r} > p' = {pd}", crit, None, strict)
+        return _refuse("r <= p'", lambda: f"r = {r} > p' = {pd}", crit, None)
     return _verdict(True, label, s, crit, strict, None,
                     lambda: f"p = {p} <= 2, r = {r} <= p' = {pd}, {case.format(q=q, r=r)}")
 
@@ -337,9 +338,9 @@ def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
         strict, label, case = True, "FL->M (2)", "r = {r} > q = {q}"
     pd = p.dual()
     if not p >= 2:
-        return _refuse("p >= 2", lambda: f"p = {p}", crit, None, strict)
+        return _refuse("p >= 2", lambda: f"p = {p}", crit, None)
     if not pd <= r:
-        return _refuse("p' <= r", lambda: f"p' = {pd} > r = {r}", crit, None, strict)
+        return _refuse("p' <= r", lambda: f"p' = {pd} > r = {r}", crit, None)
     return _verdict(False, label, s, crit, strict, None,
                     lambda: f"p = {p} >= 2, p' = {pd} <= r = {r}, {case.format(q=q, r=r)}")
 

@@ -1,4 +1,5 @@
 """Embedding oracle truth tables, consistency identities, and routing."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,21 @@ def test_fourier_lp_examples():
     assert not embed_fourierlp_to_mod(1, 2, 2, 0).holds  # r < p'
     assert not embed_fourierlp_to_mod(4, 2, 2, F(-1, 4)).holds  # equality, strict
     assert embed_fourierlp_to_mod(4, 2, 2, F(-3, 8)).holds
+
+
+def test_refusals_read_not_strict():
+    # every "none" verdict reads strict False, on FL pairs too, whatever
+    # clause would have applied had the index hypothesis held
+    verdict = embed_mod_to_fourierlp(4, INF, 1, 0)
+    assert verdict.clause == "none" and not verdict.strict
+    assert verdict.critical_s == F(1)  # the bound of clause (2), r < q
+    verdict = embed_fourierlp_to_mod(INF, 1, 1, 0)
+    assert verdict.clause == "none" and not verdict.strict
+    exps = (F(1, 2), 1, 2, 3, INF)
+    for rule in (embed_mod_to_fourierlp, embed_fourierlp_to_mod):
+        for a, b, c in itertools.product(exps, repeat=3):
+            verdict = rule(a, b, c, 0)
+            assert verdict.clause != "none" or not verdict.strict
 
 
 @given(p=finite_banach, q=finite_banach, s=smoothness, d=st.integers(1, 2))

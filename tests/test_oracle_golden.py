@@ -47,9 +47,9 @@ GOLDEN = {
     "embed_mod_to_triebel2": "f908abc15524af9d1715079ae014df67c74c03e24ef731a50a198e3c4692f8e7",
     "embed_triebel_to_mod": "fcb2b533d44fc967fa915fe0338c8766704e2502396bdf8fe83babb1fb951ef7",
     "embed_mod_to_triebel": "f61e55c9f87b11a16c2797b62dca182a91791023185a341f5d1db03ed02f7d80",
-    "embed_mod_to_fourierlp": "2bfc408e43906a081b7623347d1f2fdb3a2765c7d11528647015ce8a50fedb43",
-    "embed_fourierlp_to_mod": "571ed279fcd49833ae547e17c8c53036482d52fa0eb9666b71834e3f390abc8f",
-    "decide": "2583ed1d2d67101075abce34e3c5e0fe18e5601262de424bb9f0285f47bb4b88",
+    "embed_mod_to_fourierlp": "2361f2eeae10cb94634cfadecc0f45d2e926dccf604ae11cae67c7c670812059",
+    "embed_fourierlp_to_mod": "9a80d1f44777a5fef5a558652096d0b103fe52ce4a39e4c1bf57d4061245ca69",
+    "decide": "f81c61f3375734ff8ebbcbf5f69435561125d56bd7bcd921c5b500eb4578b7bc",
     "classify_region": "6bf13c59817473829d6be864883f0adc6a03c61aeb70b388f116ae29c21ef6f0",
 }
 
