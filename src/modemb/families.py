@@ -272,7 +272,8 @@ def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
     elif kind == "dilated_kernel":
         tf = float(_unit_parameter(t, "kernel parameter", "t"))
         m = 8
-        omega = _next_pow2(9.0 / (8.0 * tf))
+        # the uniform band edge kmax - 1 = omega - 2 must clear the support 9/(8t)
+        omega = _next_pow2(9.0 / (8.0 * tf) + 2)
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     return GridSpec(d=d, n=2 * m * omega, oversampling=m)

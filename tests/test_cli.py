@@ -255,6 +255,16 @@ def test_norm_json_records_parameter(capsys, option, parameter, level):
     assert payload["value"] > 0
 
 
+@pytest.mark.parametrize("t", ["1", "1/2", "1/3"])
+@pytest.mark.parametrize("space", ["M[p=2,q=2]", "M[p=1,q=1]"])
+def test_norm_dilated_kernel_covers_documented_range(capsys, t, space):
+    """Every 0 < t <= 1 gets a grid whose uniform partition covers the
+    kernel; t > 1/4 used to exit 2 with a band error."""
+    assert main(["norm", "--family", "dilated_kernel", "--t", t, "--space", space]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and float(captured.out) > 0
+
+
 def test_config_width_stays_a_shared_default(tmp_path, capsys):
     """A config-file width is a default for every family, not a refused option."""
     config = tmp_path / "modemb.cfg"

@@ -231,6 +231,14 @@ def test_kernel_l1_dilation_invariance():
     assert abs(values[0] - values[1]) / min(values) < 1e-8
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_grid_at_dyadic_t_unchanged(d):
+    # t = 2^-k, k >= 2, keep the grid they had before small-t sizing was
+    # widened for t > 1/4, so their outputs do not move
+    assert grid_for("dilated_kernel", d, t=F(1, 4)) == GridSpec(d=d, n=128, oversampling=8)
+    assert grid_for("dilated_kernel", d, t=F(1, 8)) == GridSpec(d=d, n=256, oversampling=8)
+
+
 def test_kernel_band_guard():
     spec = grid_for("dilated_kernel", t=F(1, 4))
     with pytest.raises(BandLimitError):
