@@ -1,5 +1,6 @@
 """CLI grammar, exit codes, CSV/JSON contracts, and schema validation."""
 import csv
+import io
 import json
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from modemb.cli import (
+    _TABLE_PAIRS,
     EX_USAGE,
     SpecParseError,
     main,
@@ -18,7 +20,7 @@ from modemb.cli import (
     render_space,
 )
 from modemb.exponents import INF, Exponent
-from modemb.oracle import Family, SpaceSpec
+from modemb.oracle import Family, SpaceSpec, classify_region
 
 F = Fraction
 
@@ -208,6 +210,28 @@ def test_table_besov_pieces(tmp_path):
         expected = max(F(0), v - u, v + u - 1)
         if expected == 0:
             assert row["piece"] == "0"
+
+
+def _dictwriter_table(pair, s, resolution):
+    """The table CSV as a csv.DictWriter renders it, from classify_region."""
+    coords = [F(i, resolution - 1) for i in range(resolution)]
+    cells = classify_region(*pair, [(u, v) for u in coords for v in coords], s)
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
+    writer.writeheader()
+    writer.writerows({"inv_p": str(c.inv_p), "inv_q": str(c.inv_q), "holds": int(c.holds),
+                      "clause": c.clause, "piece": c.piece.value if c.piece else ""}
+                     for c in cells)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", list(_TABLE_PAIRS))
+@pytest.mark.parametrize("s", ["0", "1/2"])
+def test_table_bytes_match_dictwriter(tmp_path, name, s):
+    out = tmp_path / "table.csv"
+    assert main(["table", "--pair", name, f"--s={s}", "--resolution", "9",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == _dictwriter_table(_TABLE_PAIRS[name], F(s), 9)
 
 
 def test_table_resolution_one(capsys):

@@ -151,6 +151,49 @@ def test_region_attains_extremum(p, q):
     assert values[sigma_region(p, q)] == sigma(p, q, 1)
 
 
+# Exponents with large numerators and denominators, and infinity; a pair
+# drawn from few values often holds equal exponents.
+wide_exponents = st.one_of(
+    st.fractions(min_value=F(1, 10 ** 30), max_value=10 ** 30,
+                 max_denominator=10 ** 30).filter(lambda x: x > 0).map(Exponent),
+    st.just(INF))
+few_exponents = st.sampled_from([Exponent(F(1, 3)), Exponent(1), Exponent(2), INF])
+exponent_pairs = st.one_of(st.tuples(wide_exponents, wide_exponents),
+                           st.tuples(few_exponents, few_exponents),
+                           wide_exponents.map(lambda e: (e, Exponent.of(e.value))))
+
+
+@given(pair=exponent_pairs)
+def test_ordering_matches_fraction_reciprocals(pair):
+    # p < p' iff 1/p > 1/p', with 1/inf = 0, as Fractions compare them
+    p, r = pair
+    a, b = p.reciprocal(), r.reciprocal()
+    assert (p < r) == (a > b) and (p <= r) == (a >= b)
+    assert (p > r) == (a < b) and (p >= r) == (a <= b)
+    assert (p == r) == (a == b) == (p.value == r.value)
+    assert (p != r) == (a != b)
+
+
+_PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
+
+
+def _reference_extremum(pick, p, q, d):
+    """d * pick of the three Fraction pieces, and the first attaining piece."""
+    ip, iq = p.reciprocal(), q.reciprocal()
+    pieces = (F(0), iq - ip, iq + ip - 1)
+    best = pick(pieces)
+    return d * best, _PIECE_ORDER[pieces.index(best)]
+
+
+@given(pair=exponent_pairs, d=st.integers(1, 3))
+def test_tau_sigma_match_fraction_reference(pair, d):
+    p, q = pair
+    for index, pick in ((tau_with_region, max), (sigma_with_region, min)):
+        value, piece = index(p, q, d)
+        assert type(value) is Fraction
+        assert (value, piece) == _reference_extremum(pick, p, q, d)
+
+
 @given(p=exponents)
 def test_reciprocal_is_exact(p):
     inverse = p.reciprocal()

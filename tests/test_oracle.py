@@ -317,3 +317,48 @@ def test_classify_region_rejects_negative_coordinates(pair):
                    [(F(1, 2), F(1, 2)), (F(1, 2), "-1/3")]):
         with pytest.raises(ValueError, match="reciprocal coordinate must be >= 0, got -1/3"):
             classify_region(*pair, points, 0)
+
+
+def _spy_on_explanations(monkeypatch) -> list:
+    """Make every rule build verdicts whose explanation, when formatted,
+    appends its text to the returned list."""
+    formatted = []
+
+    class SpyVerdict(oracle.Verdict):
+        def __init__(self, *fields):
+            *head, explain = fields
+
+            def counted():
+                formatted.append(explain())
+                return formatted[-1]
+            super().__init__(*head, counted)
+
+    monkeypatch.setattr(oracle, "Verdict", SpyVerdict)
+    return formatted
+
+
+def test_classify_region_formats_no_explanation(monkeypatch):
+    formatted = _spy_on_explanations(monkeypatch)
+    rendered = []
+    exponent_str = Exponent.__str__
+    monkeypatch.setattr(Exponent, "__str__",
+                        lambda e: rendered.append(e) or exponent_str(e))
+    points = [(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)]
+    for pair in oracle._REGION_RULES:
+        for d in (1, 2):
+            for s in (-1, 0, F(1, 2)):
+                assert len(classify_region(*pair, points, s, d)) == len(points)
+    assert formatted == [] and rendered == []
+    # the spies do see a read
+    text = embed_besov_to_mod(2, 4, 2, 1, F(1, 2)).explanation
+    assert formatted == [text] and len(rendered) == 4
+
+
+def test_explanation_formatted_once(monkeypatch):
+    formatted = _spy_on_explanations(monkeypatch)
+    verdict = embed_besov_to_mod(2, 4, 2, 1, F(1, 2))
+    assert formatted == []
+    first = verdict.explanation
+    assert first == "p0 = 2 <= p = 2, q0 = 4 > q = 1; requires s > 1/2, s = 1/2"
+    assert verdict.explanation is first and formatted == [first]
+    assert verdict.as_dict()["explanation"] is first and formatted == [first]
