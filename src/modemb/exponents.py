@@ -3,10 +3,9 @@
 Everything in this module is exact: exponents are rationals or infinity,
 and the index functions tau/sigma are exact rationals, so that boundary
 comparisons (s >= tau versus s > tau) are unambiguous. Floats are rejected
-on input. Each Exponent computes its reciprocal 1/p once, when it is made.
-Ordering and tau/sigma read it from there and compare on integer
-cross-products of its numerator and denominator, without Fraction operators;
-only the chosen tau/sigma value is built as a Fraction.
+on input. Each Exponent computes its reciprocal 1/p once, when it is made;
+ordering and tau/sigma compare on integer cross-products of it, without
+Fraction operators.
 """
 from __future__ import annotations
 

@@ -3,11 +3,9 @@
 Each ``embed_*`` function returns a :class:`Verdict` stating whether the
 embedding holds, which condition of the governing characterization fired,
 the critical smoothness threshold (an exact rational), and whether the
-s-comparison in that condition is strict. All comparisons are exact: index
-comparisons and s against the threshold run on integer cross-products of
-numerators and denominators. A verdict's explanation is formatted from the
-values its rule held the first time it is read, so ``classify_region``,
-which reads none, formats none.
+s-comparison in that condition is strict. All comparisons are exact, on
+integer cross-products of numerators and denominators. A verdict's
+explanation is formatted when first read, so ``classify_region`` formats none.
 
 Every characterization has one shape. An index hypothesis comes first;
 when it fails, the verdict is "none" (``_refuse``). Otherwise the embedding
