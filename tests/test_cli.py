@@ -339,13 +339,15 @@ def test_boundedness_cli_kernel(capsys):
 
 @requires_jsonschema
 def test_selftest_cli(tmp_path, capsys):
-    report_path = tmp_path / "selftest.json"
-    code = main(["selftest", "--n", "4096", "--json", str(report_path)])
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads(report_path.read_text())
-    jsonschema.validate(payload, _schema("selftest-v1.json"))
-    assert payload["passed"] is True
+    for d, grid in ((1, ["--n", "4096"]), (2, [])):
+        report_path = tmp_path / f"selftest-d{d}.json"
+        code = main(["selftest", "-d", str(d), *grid, "--json", str(report_path)])
+        capsys.readouterr()
+        assert code == 0, d
+        payload = json.loads(report_path.read_text())
+        jsonschema.validate(payload, _schema("selftest-v1.json"))
+        assert payload["grid"]["d"] == d
+        assert payload["passed"] is True, d
 
 
 def test_config_defaults_and_override(tmp_path, capsys):

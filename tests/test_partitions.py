@@ -1,4 +1,5 @@
 """Partition-of-unity invariants, decomposition operators, and index sets."""
+import functools
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from modemb.partitions import (
 )
 
 SPEC = GridSpec(d=1, n=2 ** 12, oversampling=16)
+UNIFORM_SPECS = (SPEC, GridSpec(d=2, n=256, oversampling=8))
 
 
 @pytest.fixture(scope="module")
@@ -44,29 +46,40 @@ def test_smooth_profile_basics():
     assert np.all(np.diff(vals) <= 1e-15)  # monotone decreasing
 
 
-def test_uniform_window_plateau_and_support(uniform):
-    w0 = uniform.window(0)
-    ax = SPEC.freq_axis()
-    assert np.all(w0[np.abs(ax) <= 0.25] == 1.0)
-    assert np.all(w0[np.abs(ax) >= 0.75] == 0.0)
-    assert w0[np.argmin(np.abs(ax))] == 1.0
-    # sigma_0 at 0.8 is outside the support
-    idx = np.argmin(np.abs(ax - 0.8))
-    assert w0[idx] == 0.0
+def _sup_radius(spec):
+    """|xi|_inf at every frequency sample."""
+    return functools.reduce(np.maximum.outer, (np.abs(spec.freq_axis()),) * spec.d)
 
 
-def test_uniform_translation_covariance(uniform):
-    w0, w5 = uniform.window(0), uniform.window(5)
-    m = SPEC.oversampling
-    assert np.array_equal(w5[5 * m:], w0[:-5 * m])
+def test_uniform_window_plateau_and_support():
+    for spec in UNIFORM_SPECS:
+        w0 = build_uniform(spec).window((0,) * spec.d)
+        radius = _sup_radius(spec)
+        assert np.all(w0[radius <= 0.25] == 1.0), spec
+        assert np.all(w0[radius >= 0.75] == 0.0), spec
+        assert w0[np.unravel_index(np.argmin(radius), radius.shape)] == 1.0, spec
+        # sigma_0 at 0.8 is outside the support
+        idx = np.argmin(np.abs(spec.freq_axis() - 0.8))
+        assert w0[(idx,) * spec.d] == 0.0, spec
 
 
-def test_uniform_partition_sum(uniform):
-    total = uniform.partition_sum()
-    ax = SPEC.freq_axis()
+def test_uniform_translation_covariance():
+    """sigma_k is sigma_0 moved by k M samples along each axis; np.roll
+    wraps only zeros here."""
+    for spec, k in zip(UNIFORM_SPECS, [(5,), (5, -3)]):
+        uniform = build_uniform(spec)
+        w0, wk = uniform.window((0,) * spec.d), uniform.window(k)
+        shift = tuple(spec.oversampling * c for c in k)
+        assert np.array_equal(wk, np.roll(w0, shift, axis=tuple(range(spec.d)))), spec
+
+
+def test_uniform_partition_sum():
     rng = np.random.default_rng(23)
-    picks = rng.choice(np.flatnonzero(np.abs(ax) <= uniform.kmax - 1), size=1000)
-    assert np.abs(total[picks] - 1.0).max() < 1e-12
+    for spec in UNIFORM_SPECS:
+        uniform = build_uniform(spec)
+        total = uniform.partition_sum().ravel()
+        picks = rng.choice(np.flatnonzero(_sup_radius(spec) <= uniform.kmax - 1), size=1000)
+        assert np.abs(total[picks] - 1.0).max() < 1e-12, spec
 
 
 def test_uniform_kmax_guard():
@@ -272,10 +285,12 @@ def test_quasi_young_uniformity():
 
 
 def test_selftest_report_passes():
-    report = selftest_report(GridSpec(d=1, n=2 ** 12, oversampling=8), n_random=5)
-    assert report["passed"]
-    assert report["uniform_partition_residual"] < 1e-12
-    assert report["dyadic_partition_residual"] < 1e-12
+    for spec in (GridSpec(d=1, n=2 ** 12, oversampling=8), GridSpec(d=2, n=256, oversampling=8)):
+        report = selftest_report(spec, n_random=5)
+        assert report["passed"], report
+        assert report["grid"]["d"] == spec.d
+        assert report["uniform_partition_residual"] < 1e-12, report
+        assert report["dyadic_partition_residual"] < 1e-12, report
 
 
 def test_dyadic_profile_convention():
