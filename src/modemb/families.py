@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import as_fraction
-from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak
+from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak, separable
 from .partitions import (
     ResolutionError,
     build_dyadic,
@@ -94,13 +94,8 @@ def _box_term_axis(spec: GridSpec, k: int, width: float, modulated: bool):
 
 def _add_box(spectrum: np.ndarray, spec: GridSpec, k: tuple[int, ...],
              coeff: complex, width: float = 1.0, modulated: bool = True) -> None:
-    axes = [_box_term_axis(spec, c, width, modulated) for c in k]
-    if spec.d == 1:
-        idx, vals = axes[0]
-        spectrum[idx] += coeff * vals
-    else:
-        (ix, vx), (iy, vy) = axes
-        spectrum[np.ix_(ix, iy)] += coeff * np.outer(vx, vy)
+    idx, vals = zip(*(_box_term_axis(spec, c, width, modulated) for c in k))
+    spectrum[np.ix_(*idx)] += coeff * separable(np.multiply, vals)
 
 
 def _check_period(spec: GridSpec, points) -> None:
@@ -130,12 +125,7 @@ def dilation_spectrum(spec: GridSpec, lam) -> np.ndarray:
     ax = spec.freq_axis()
     axis_vals = NARROW_BUMP(np.abs(ax) / lf)
     scale = lf ** (-spec.d)
-    out = _empty_spectrum(spec)
-    if spec.d == 1:
-        out[:] = scale * axis_vals
-    else:
-        out[:] = scale * np.outer(axis_vals, axis_vals)
-    return out
+    return (scale * separable(np.multiply, (axis_vals,) * spec.d)).astype(np.complex128)
 
 
 def family_dilation(spec: GridSpec, lam) -> GridFunction:
@@ -198,12 +188,7 @@ def kernel_spectrum(spec: GridSpec, t) -> np.ndarray:
     tf = float(_unit_parameter(t, "kernel parameter", "t"))
     ax = spec.freq_axis()
     axis_vals = WIDE_BUMP(np.abs(tf * ax))
-    out = _empty_spectrum(spec)
-    if spec.d == 1:
-        out[:] = axis_vals
-    else:
-        out[:] = np.outer(axis_vals, axis_vals)
-    return out
+    return separable(np.multiply, (axis_vals,) * spec.d).astype(np.complex128)
 
 
 def family_dilated_kernel(spec: GridSpec, t) -> GridFunction:
@@ -219,16 +204,13 @@ def random_band_limited(spec: GridSpec, band_radius: float, center=None,
     if rng is None:
         rng = np.random.default_rng(seed)
     ax = spec.freq_axis()
-    if spec.d == 1:
-        cx = 0.0 if center is None else float(np.atleast_1d(center)[0])
-        dist = np.abs(ax - cx)
-    else:
-        c = (0.0, 0.0) if center is None else tuple(float(v) for v in center)
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        dist = np.sqrt((gx - c[0]) ** 2 + (gy - c[1]) ** 2)
+    c = np.zeros(spec.d) if center is None else np.atleast_1d(center).astype(float)
+    if c.shape != (spec.d,):
+        raise ValueError(f"center {center} does not match dimension {spec.d}")
+    dist = np.sqrt(separable(np.add, [(ax - cx) ** 2 for cx in c]))
     mask = dist <= band_radius
     margin = float(spec.omega) * (1.0 - 2.0 / spec.n)
-    center_inf = 0.0 if center is None else float(np.abs(np.atleast_1d(center)).max())
+    center_inf = float(np.abs(c).max())
     if band_radius + center_inf > margin:
         raise BandLimitError(
             f"band radius {band_radius} at center offset {center_inf} exceeds "

@@ -11,6 +11,7 @@ trip is the identity to machine precision.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,12 @@ class BandLimitError(ValueError):
 # Largest grid, in samples N^d, that GridSpec admits: one complex128 array of
 # this size takes 256 MiB, and a norm evaluation holds several.
 MAX_SAMPLES = 2 ** 24
+
+
+def separable(ufunc: np.ufunc, axes) -> np.ndarray:
+    """The d-fold outer combination ufunc(a_1[i_1], ..., a_d[i_d]) of one
+    array per axis, indexed (i_1, ..., i_d); in d = 1, a_1 itself."""
+    return functools.reduce(ufunc.outer, axes)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -90,22 +97,13 @@ class GridSpec:
     def freq_axis(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.delta
 
-    def freq_grids(self) -> tuple[np.ndarray, ...]:
-        ax = self.freq_axis()
-        if self.d == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
-
     def freq_radius(self) -> np.ndarray:
-        grids = self.freq_grids()
-        if self.d == 1:
-            return np.abs(grids[0])
-        return np.sqrt(grids[0] ** 2 + grids[1] ** 2)
+        """|xi| at every frequency sample; sqrt(xi^2) is exactly |xi| in d = 1."""
+        return np.sqrt(separable(np.add, (self.freq_axis() ** 2,) * self.d))
 
     def freq_outside_cube(self, radius: float) -> np.ndarray:
         """Mask of the frequency samples with |xi|_inf > radius."""
-        outside = np.abs(self.freq_axis()) > radius
-        return outside if self.d == 1 else outside[:, None] | outside[None, :]
+        return separable(np.logical_or, (np.abs(self.freq_axis()) > radius,) * self.d)
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
@@ -136,16 +134,17 @@ class GridFunction:
 
 
 # The DFT runs in place (``out=``, numpy >= 2.0) on the one copy ifftshift
-# makes; the result is bit for bit fftshift(fft(ifftshift(values))).
+# makes; the result is bit for bit fftshift(fftn(ifftshift(values))). On a
+# 1-D array fftn and ifftn give the bytes of fft and ifft.
 def _fft(values: np.ndarray) -> np.ndarray:
     shifted = np.fft.ifftshift(values)
-    (np.fft.fftn if values.ndim > 1 else np.fft.fft)(shifted, out=shifted)
+    np.fft.fftn(shifted, out=shifted)
     return np.fft.fftshift(shifted)
 
 
 def _ifft(values: np.ndarray) -> np.ndarray:
     shifted = np.fft.ifftshift(values)
-    (np.fft.ifftn if values.ndim > 1 else np.fft.ifft)(shifted, out=shifted)
+    np.fft.ifftn(shifted, out=shifted)
     return np.fft.fftshift(shifted)
 
 

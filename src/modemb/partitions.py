@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, transform
+from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, separable, transform
 
 
 class ResolutionError(ValueError):
@@ -82,6 +82,16 @@ class UniformPartition:
         center = self.spec.n // 2 + k * self.spec.oversampling
         return slice(center - self.half_width, center + self.half_width + 1)
 
+    def _slices(self, k: tuple[int, ...]) -> tuple[slice, ...]:
+        """The support of sigma_k: one axis slice per coordinate of k."""
+        return tuple(self._axis_slice(c) for c in k)
+
+    @cached_property
+    def _tile(self) -> np.ndarray:
+        """sigma_0 on its support, the d-fold outer product of the axis
+        profile. Built on first use, then kept."""
+        return separable(np.multiply, (self.axis_profile,) * self.spec.d)
+
     def lattice(self) -> np.ndarray:
         """All lattice points of the cube |k|_inf <= kmax, lexicographic, as a
         read-only integer array of shape ((2 kmax + 1)^d, d). Built on first
@@ -100,22 +110,15 @@ class UniformPartition:
         k = _as_lattice_point(k, self.spec.d)
         self._check_index(k)
         out = np.zeros(self.spec.shape())
-        if self.spec.d == 1:
-            out[self._axis_slice(k[0])] = self.axis_profile
-        else:
-            patch = np.outer(self.axis_profile, self.axis_profile)
-            out[self._axis_slice(k[0]), self._axis_slice(k[1])] = patch
+        out[self._slices(k)] = self._tile
         return out
 
     def patch(self, spectrum: np.ndarray, k) -> tuple[tuple[slice, ...], np.ndarray]:
         """(slices, sigma_k * spectrum restricted to the window support)."""
         k = _as_lattice_point(k, self.spec.d)
         self._check_index(k)
-        if self.spec.d == 1:
-            sl = (self._axis_slice(k[0]),)
-            return sl, spectrum[sl] * self.axis_profile
-        sl = (self._axis_slice(k[0]), self._axis_slice(k[1]))
-        return sl, spectrum[sl] * np.outer(self.axis_profile, self.axis_profile)
+        sl = self._slices(k)
+        return sl, spectrum[sl] * self._tile
 
     def _axis_hits(self, nonzero: np.ndarray) -> np.ndarray:
         """For k = -kmax..kmax, whether the axis window [c_k - w, c_k + w]
@@ -167,20 +170,22 @@ class UniformPartition:
     @staticmethod
     def orbit_key(patch: np.ndarray) -> bytes:
         """The smallest byte string, signed zeros made +0.0, among the images
-        of ``patch``: x and conj(x[::-1]) in d = 1, and in d = 2 the 8 images
-        generated by transposition and conj-reversal along either axis. With
-        w = exp(2 pi i / N), sum_j conj(x_{S-1-j}) w^(jn) equals
+        of ``patch``: its reversal along each subset of the axes, conjugated
+        when the subset has odd size, composed with each permutation of the
+        axes. That is x and conj(x[::-1]) in d = 1, and 8 images in d = 2.
+        With w = exp(2 pi i / N), sum_j conj(x_{S-1-j}) w^(jn) equals
         w^((S-1)n) conj(sum_j x_j w^(jn)), and E P^T E^T = (E P E^T)^T, so
         every image only permutes the piece's sample magnitudes (in d = 2,
         conjugating the inner sum sends the outer index m to -m). The L^p
         norm is the same on the orbit in exact arithmetic; only rounding
         differs."""
-        if patch.ndim == 1:
-            images = (patch, np.conj(patch[::-1]))
-        else:
-            flips = (patch, np.conj(patch[::-1]), np.conj(patch[:, ::-1]),
-                     patch[::-1, ::-1])
-            images = flips + tuple(x.T for x in flips)
+        d = patch.ndim
+        images = []
+        for flips in itertools.product((False, True), repeat=d):
+            x = patch[tuple(slice(None, None, -1 if f else 1) for f in flips)]
+            if sum(flips) % 2:
+                x = np.conj(x)
+            images.extend(x.transpose(axes) for axes in itertools.permutations(range(d)))
         return min((x + 0.0).tobytes() for x in images)
 
     def _check_index(self, k) -> None:
@@ -191,11 +196,7 @@ class UniformPartition:
         """Dense sum of all windows, for residual checks."""
         out = np.zeros(self.spec.shape())
         for k in self.lattice():
-            if self.spec.d == 1:
-                out[self._axis_slice(k[0])] += self.axis_profile
-            else:
-                out[self._axis_slice(k[0]), self._axis_slice(k[1])] += np.outer(
-                    self.axis_profile, self.axis_profile)
+            out[self._slices(k)] += self._tile
         return out
 
 
@@ -356,9 +357,7 @@ def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...
     r_out_sq = (5 * 2 ** level) ** 2
     bound = (5 * 2 ** level + 3) // 4
     members = []
-    rng = range(-bound, bound + 1)
-    points = ((k,) for k in rng) if d == 1 else ((a, b) for a in rng for b in rng)
-    for k in points:
+    for k in itertools.product(range(-bound, bound + 1), repeat=d):
         far_sq = sum((4 * abs(c) + 3) ** 2 for c in k)
         near_sq = sum(max(4 * abs(c) - 3, 0) ** 2 for c in k)
         if inside:
@@ -408,8 +407,7 @@ def selftest_report(spec: GridSpec | None = None, n_random: int = 20,
     usum = uniform.partition_sum()
     ax = spec.freq_axis()
     in_band = np.abs(ax) <= uniform.kmax - 1
-    mask = in_band if spec.d == 1 else np.ix_(in_band, in_band)
-    uniform_residual = float(np.abs(usum[mask] - 1.0).max())
+    uniform_residual = float(np.abs(usum[np.ix_(*(in_band,) * spec.d)] - 1.0).max())
 
     dsum = dyadic.partition_sum()
     radius = spec.freq_radius()

@@ -266,6 +266,13 @@ def test_random_band_limited_margin_guard():
         random_band_limited(spec, band_radius=100.0)
 
 
+def test_random_band_limited_center_matches_dimension():
+    for d, center in ((1, (1.0, 2.0)), (2, (1.0,)), (2, 1.0)):
+        spec = GridSpec(d=d, n=256, oversampling=8)
+        with pytest.raises(ValueError, match="does not match dimension"):
+            random_band_limited(spec, band_radius=1.0, center=center)
+
+
 def test_grid_for_comb_matches_design_scale():
     spec = grid_for("lattice_comb", level=8)
     assert spec.n == 2 ** 19 and spec.oversampling == 512
