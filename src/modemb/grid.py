@@ -175,9 +175,10 @@ def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
     return transform(GridFunction(f.spec, multiplier * spectrum, FREQUENCY), SPACE)
 
 
-def _riemann_lp(values: np.ndarray, cell_volume: float, p) -> float:
+def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
+    """Riemann-sum L^p quasi-norm of the sample magnitudes ``mags``, which
+    the caller takes with np.abs; max for p = inf."""
     p = Exponent.of(p)
-    mags = np.abs(np.asarray(values))
     if not np.all(np.isfinite(mags)):
         raise ValueError("samples contain NaN or Inf")
     if p.is_infinite:
@@ -189,7 +190,7 @@ def _riemann_lp(values: np.ndarray, cell_volume: float, p) -> float:
 def lp_norm(f: GridFunction, p) -> float:
     """Riemann-sum L^p quasi-norm of f's space samples; max for p = inf. A
     frequency-side f is transformed to space first."""
-    return _riemann_lp(f.in_space().values, f.spec.cell_volume, p)
+    return _riemann_lp(np.abs(f.in_space().values), f.spec.cell_volume, p)
 
 
 def lq_seq_norm(values, q, weights=None) -> float:

@@ -199,7 +199,7 @@ def sobolev_norm(f: GridFunction, s, r) -> float:
 
 def fourier_lp_norm(f: GridFunction, r) -> float:
     """Riemann L^r norm of the frequency-side samples (delta^d per cell)."""
-    return _riemann_lp(_spectrum_of(f), f.spec.freq_cell_volume, r)
+    return _riemann_lp(np.abs(_spectrum_of(f)), f.spec.freq_cell_volume, r)
 
 
 def space_norm(f: GridFunction, space: SpaceSpec,
