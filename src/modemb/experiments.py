@@ -109,32 +109,35 @@ def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fracti
     """Exact log2 slope of target_norm / source_norm along the family.
 
     Catalogued from the families' two-sided norm estimates; a positive slope
-    certifies that the embedding fails.
+    certifies that the embedding fails. The family lives at frequencies
+    |xi| ~ 2^level, where the modulation weight <k>^s_M grows like
+    2^(level s_M), so s_M adds to the slope of a modulation target and
+    subtracts from that of a modulation source.
     """
     d = source.d
     pair = (source.family, target.family)
     if pair == (Family.BESOV, Family.MODULATION):
-        s = source.s
+        s, s_mod = source.s, target.s
         p0, q = source.p, target.q
         if family == "single_box":
-            return -s
+            return s_mod - s
         if family == "annulus":
-            return d * (p0.reciprocal() + q.reciprocal() - 1) - s
+            return d * (p0.reciprocal() + q.reciprocal() - 1) - s + s_mod
         if family == "lattice_comb":
             if not p0 >= 2:
                 raise CatalogueError(
                     f"comb growth is catalogued for p0 >= 2 only, got p0 = {p0}")
-            return d * (q.reciprocal() - p0.reciprocal()) - s
+            return d * (q.reciprocal() - p0.reciprocal()) - s + s_mod
         raise CatalogueError(f"no catalogued family {family!r} for B->M")
     if pair == (Family.MODULATION, Family.BESOV):
-        s = target.s
+        s, s_mod = target.s, source.s
         p1, q = target.p, source.q
         if family == "single_box":
-            return s
+            return s - s_mod
         if family == "annulus":
-            return s - d * (p1.reciprocal() + q.reciprocal() - 1)
+            return s - d * (p1.reciprocal() + q.reciprocal() - 1) - s_mod
         if family == "lattice_comb":
-            return s - d * (q.reciprocal() - p1.reciprocal())
+            return s - d * (q.reciprocal() - p1.reciprocal()) - s_mod
         raise CatalogueError(f"no catalogued family {family!r} for M->B")
     raise CatalogueError(
         f"no catalogued growth predictions for {source.family.value} -> "

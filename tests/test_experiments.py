@@ -112,6 +112,26 @@ def test_run_norms_rejects_degenerate_norms(monkeypatch, side, value):
         run_sharpness(source, target, "single_box", range(4, 7))
 
 
+@pytest.mark.parametrize("s_mod", [F(1, 2), F(-1, 2)])
+def test_run_sharpness_single_box_with_modulation_smoothness(s_mod):
+    """The single box sits at |k| ~ 2^level, where the weight <k>^s_M grows
+    like 2^(level s_M): the slope gains s_M toward a modulation target and
+    loses it from a modulation source, and the fit agrees."""
+    for source, target, slope in ((B(2, 2, 0), M(2, 2, s_mod), s_mod),
+                                  (M(2, 2, s_mod), B(2, 2, 0), -s_mod)):
+        report = run_sharpness(source, target, "single_box", range(3, 7))
+        assert report.predicted_slope == slope
+        assert abs(report.fitted_slope - float(slope)) <= 0.01, report.fitted_slope
+        assert report.passed
+
+
+def test_predicted_slope_modulation_smoothness_other_families():
+    assert predicted_slope(B(1, 1, 0), M(1, 1, F(1, 2)), "annulus") == F(3, 2)
+    assert predicted_slope(B(INF, 1, 0), M(INF, 1, -1), "lattice_comb") == 0
+    assert predicted_slope(M(1, 1, F(1, 2)), B(1, 1, 1), "annulus") == F(-1, 2)
+    assert predicted_slope(M(1, 4, -1), B(1, 2, 0), "lattice_comb") == F(7, 4)
+
+
 def test_run_sharpness_holding_query_decays():
     """At s = tau + 1 the annulus ratio decays at rate about -1."""
     report = run_sharpness(B(1, 1, 2), M(1, 1), "annulus", range(4, 9))
