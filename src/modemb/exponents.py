@@ -131,14 +131,6 @@ class TauPiece(enum.Enum):
     P_PLUS_Q_MINUS_1 = "1/q + 1/p - 1"
 
 
-def reciprocal(p) -> Fraction:
-    return Exponent.of(p).reciprocal()
-
-
-def dual(p) -> Exponent:
-    return Exponent.of(p).dual()
-
-
 # Tie-break priority at region boundaries: the first attaining piece wins.
 _PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
 

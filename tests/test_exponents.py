@@ -9,8 +9,6 @@ from modemb.exponents import (
     INF,
     TauPiece,
     as_fraction,
-    dual,
-    reciprocal,
     sigma,
     sigma_region,
     sigma_with_region,
@@ -31,16 +29,16 @@ banach_exponents = st.one_of(
 
 
 def test_reciprocal_examples():
-    assert reciprocal(2) == F(1, 2)
-    assert reciprocal(INF) == 0
-    assert reciprocal(F(1, 2)) == 2
+    assert Exponent.of(2).reciprocal() == F(1, 2)
+    assert INF.reciprocal() == 0
+    assert Exponent.of(F(1, 2)).reciprocal() == 2
 
 
 def test_dual_examples():
-    assert dual(2) == Exponent.of(2)
-    assert dual(1) == INF
-    assert dual(F(1, 2)) == INF
-    assert dual(4) == Exponent.of(F(4, 3))
+    assert Exponent.of(2).dual() == Exponent.of(2)
+    assert Exponent.of(1).dual() == INF
+    assert Exponent.of(F(1, 2)).dual() == INF
+    assert Exponent.of(4).dual() == Exponent.of(F(4, 3))
 
 
 def test_tau_examples():
@@ -199,7 +197,6 @@ def test_reciprocal_is_exact(p):
     inverse = p.reciprocal()
     assert type(inverse) is Fraction
     assert inverse == (0 if p.is_infinite else 1 / p.value)
-    assert reciprocal(p) == inverse
 
 
 exact_values = st.one_of(

@@ -12,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "modemb"
 MODULES = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+MODULE_NAMES = {path.stem for path in MODULES}
 CONSUMERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 # Public names that only tests reach, on purpose.
@@ -26,11 +27,14 @@ EXEMPT = {
 
 
 def _identifiers(node):
-    """Every identifier read under ``node``: names and attribute names."""
+    """Every identifier read under ``node``: names, and the attribute names
+    read off a modemb module (``oracle.decide``). A method of the same name,
+    such as ``p.dual()``, is not a read of a module-level ``dual``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in MODULE_NAMES):
             yield sub.attr
 
 
