@@ -8,6 +8,12 @@ F f(xi) = integral f(x) exp(-i x xi) dx, so the frequency-side samples of a
 band-limited periodic function match the continuous transform convention;
 the inverse carries the (2*pi)^-d factor. For band-limited inputs the round
 trip is the identity to machine precision.
+
+Dimension. Every separable object is the d-fold outer product of one
+per-axis array (``separable``), and the transforms are n-dimensional, so no
+function here has a body per dimension. Only ``GridSpec`` names d: it admits
+d in {1, 2}, the dimensions whose box syntheses ``partitions`` implements and
+every numerical path is tested in.
 """
 from __future__ import annotations
 

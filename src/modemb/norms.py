@@ -6,6 +6,12 @@ pieces, with <k> = 1 + |k| (Euclidean). Besov: l^q over dyadic levels j of
 norms interchanged (spatial norm outside). Sobolev: L^p of the Bessel
 multiplier (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the
 spectrum itself.
+
+Precision. At p >= 1 a norm holds about 1e-12 relative. At p < 1 it holds
+only about 1e-7 relative: the sum of |x|^p is dominated by space samples at
+roundoff level in each piece's tails, which p < 1 amplifies, so a change to
+the rounding of a transform moves the value in the eighth digit. Never gate
+a p < 1 value at 1e-12; compare it against an extended-precision reference.
 """
 from __future__ import annotations
 

@@ -6,6 +6,18 @@ outside [-3/4, 3/4]^d, and the translates sum to 1 exactly. The dyadic
 partition {phi_j} uses a radial profile psi with plateau |xi| <= 5/4 and
 support |xi| < 3/2, so each phi_j equals 1 on the annulus
 D_j = {3/4 * 2^j <= |xi| <= 5/4 * 2^j}.
+
+Windows, patches, sums, orbit keys and index sets are written once for every
+d: a uniform window is sigma_0's tile (the d-fold outer product of the axis
+profile) placed at one slice per axis. Two operations keep a body per
+dimension, each for a stated reason. ``UniformPartition.reached`` lists
+exactly the boxes whose window holds a nonzero bin. A per-axis test would
+also list a box whose row and column each hold one elsewhere, so in d = 2
+it scans one row band of the lattice at a time. ``piece_magnitudes`` (with
+``_synthesis_table``) runs two algorithms, each benchmarked by its own
+annulus workload: a pruned length-L FFT in d = 1 and E P E^T in d = 2. In
+d = 1 the N x S matrix E would hold 131072 x 97 complex values on the
+annulus-1d grid, where the pruned FFT's table holds (N/L) x S = 1024 x 97.
 """
 from __future__ import annotations
 
