@@ -11,9 +11,9 @@ trip is the identity to machine precision.
 
 Dimension. Every separable object is the d-fold outer product of one
 per-axis array (``separable``), and the transforms are n-dimensional, so no
-function here has a body per dimension. Only ``GridSpec`` names d: it admits
-d in {1, 2}, the dimensions whose box syntheses ``partitions`` implements and
-every numerical path is tested in.
+function here has a body per dimension. Only ``GridSpec``'s check branches
+on d: it admits d in {1, 2}, the dimensions whose box syntheses
+``partitions`` implements and in which every numerical path is tested.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ MAX_SAMPLES = 2 ** 24
 
 def separable(ufunc: np.ufunc, axes) -> np.ndarray:
     """The d-fold outer combination ufunc(a_1[i_1], ..., a_d[i_d]) of one
-    array per axis, indexed (i_1, ..., i_d); in d = 1, a_1 itself."""
+    array per axis, indexed (i_1, ..., i_d); in d = 1, a_1 itself (the same
+    object, not a copy)."""
     return functools.reduce(ufunc.outer, axes)
 
 
