@@ -63,6 +63,7 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _parse_rational(text: str, token: str, pos: int, allow_negative: bool):
+    """A Fraction for s (``allow_negative``), else the index as an Exponent."""
     token = token.strip()
     if token.lower() == "inf":
         return INF
@@ -75,7 +76,8 @@ def _parse_rational(text: str, token: str, pos: int, allow_negative: bool):
         raise SpecParseError(text, pos, f"expected a rational or 'inf', got {token!r}")
     if not allow_negative and numerator <= 0:
         raise SpecParseError(text, pos, f"index must be positive, got {token!r}")
-    return Fraction(numerator, denominator)
+    value = Fraction(numerator, denominator)
+    return value if allow_negative else Exponent(value)
 
 
 def parse_space(text: str, d: int = 1) -> SpaceSpec:
@@ -244,11 +246,12 @@ def cmd_table(args, config) -> int:
         coords = [Fraction(i, resolution - 1) for i in range(resolution)]
     points = [(u, v) for u in coords for v in coords]
     cells = classify_region(pair[0], pair[1], points, s, d)
+    texts = [str(c) for c in coords]  # each formatted once; cell i is points[i]
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(["inv_p", "inv_q", "holds", "clause", "piece"])
-        writer.writerows([str(c.inv_p), str(c.inv_q), int(c.holds), c.clause,
-                          c.piece.value if c.piece else ""] for c in cells)
+        writer.writerows([u, v, int(c.holds), c.clause, c.piece.value if c.piece else ""]
+                         for (u, v), c in zip([(u, v) for u in texts for v in texts], cells))
     return 0
 
 

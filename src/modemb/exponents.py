@@ -3,18 +3,18 @@
 Everything in this module is exact: exponents are rationals or infinity,
 and the index functions tau/sigma are exact rationals, so that boundary
 comparisons (s >= tau versus s > tau) are unambiguous. Floats are rejected
-on input. Each Exponent computes its reciprocal 1/p once, when it is made;
-ordering and tau/sigma compare on integer cross-products of it, without
-Fraction operators.
+on input. An Exponent keeps 1/p as a reduced integer pair read off its value
+(1/inf is 0/1); ordering and tau/sigma compare on integer cross-products of
+it. A value is coerced once (``Exponent.of``); later operations check only
+``type(x) is Exponent``. ``_extremum`` takes Exponents and gives tau/sigma as
+a reduced integer pair, so the oracle builds a Fraction only when one is read.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-
-_ZERO = Fraction(0)
+from math import gcd
 
 
 def as_fraction(value) -> Fraction:
@@ -42,22 +42,23 @@ class Exponent:
     """
 
     value: Fraction | None
-    _inverse: Fraction = field(init=False, repr=False, compare=False)
+    _inverse: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inverse = _ZERO
+        inverse = 0, 1
         if self.value is not None:
             value = as_fraction(self.value)
-            if value.numerator <= 0:
+            numerator, denominator = value.as_integer_ratio()
+            if numerator <= 0:
                 raise ValueError(f"exponent must be positive, got {value}")
             object.__setattr__(self, "value", value)
-            inverse = Fraction(value.denominator, value.numerator)
+            inverse = denominator, numerator
         object.__setattr__(self, "_inverse", inverse)
 
     @classmethod
     def of(cls, value) -> "Exponent":
         """Coerce an Exponent, positive rational, or the string 'inf'."""
-        if isinstance(value, Exponent):
+        if type(value) is Exponent:
             return value
         if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
             return INF
@@ -71,7 +72,7 @@ class Exponent:
 
     def reciprocal(self) -> Fraction:
         """1/p as an exact rational; 0 when p is infinite."""
-        return self._inverse
+        return Fraction(*self._inverse)
 
     def dual(self) -> "Exponent":
         """Dual exponent: 1/p + 1/p' = 1 for p >= 1; p' = infinity for 0 < p < 1."""
@@ -84,10 +85,10 @@ class Exponent:
     def _cmp(self, other) -> int:
         """Negative, zero or positive as p <, = or > other, from an integer
         cross-product of the reciprocals: p < p' iff 1/p > 1/p' (1/inf = 0)."""
-        if not isinstance(other, Exponent):
+        if type(other) is not Exponent:
             other = Exponent.of(other)
-        a, b = self._inverse, other._inverse
-        return b.numerator * a.denominator - a.numerator * b.denominator
+        (a, b), (c, e) = self._inverse, other._inverse
+        return c * b - a * e
 
     def __eq__(self, other) -> bool:
         try:
@@ -135,45 +136,48 @@ class TauPiece(enum.Enum):
 _PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
 
 
-def _extremum(pick, p, q, d: int) -> tuple[Fraction, TauPiece]:
-    """d * pick(pieces) and the first piece, in tie-break order, attaining it;
-    the pieces are integer numerators over den(1/p) * den(1/q)."""
+def _extremum(pick, p: Exponent, q: Exponent, d: int) -> tuple[tuple[int, int], TauPiece]:
+    """d * pick(pieces) as a reduced integer pair (numerator, positive
+    denominator), and the first piece, in tie-break order, attaining it; the
+    pieces are integer numerators over den(1/p) * den(1/q)."""
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    ip, iq = Exponent.of(p).reciprocal(), Exponent.of(q).reciprocal()
-    a, b, c, e = ip.numerator, ip.denominator, iq.numerator, iq.denominator
+    (a, b), (c, e) = p._inverse, q._inverse
     den = b * e
     values = (0, c * b - a * e, c * b + a * e - den)
     best = pick(values)
-    return Fraction(d * best, den), _PIECE_ORDER[values.index(best)]
+    g = gcd(d * best, den)
+    return (d * best // g, den // g), _PIECE_ORDER[values.index(best)]
 
 
 def tau_with_region(p0, q, d: int = 1) -> tuple[Fraction, TauPiece]:
     """(tau(p0, q, d), tau_region(p0, q)) from one evaluation of the pieces."""
-    return _extremum(max, p0, q, d)
+    crit, piece = _extremum(max, Exponent.of(p0), Exponent.of(q), d)
+    return Fraction(*crit), piece
 
 
 def sigma_with_region(p1, q, d: int = 1) -> tuple[Fraction, TauPiece]:
     """(sigma(p1, q, d), sigma_region(p1, q)) from one evaluation of the pieces."""
-    return _extremum(min, p1, q, d)
+    crit, piece = _extremum(min, Exponent.of(p1), Exponent.of(q), d)
+    return Fraction(*crit), piece
 
 
 def tau(p, q, d: int = 1) -> Fraction:
     """d * max(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    return _extremum(max, p, q, d)[0]
+    return tau_with_region(p, q, d)[0]
 
 
 def sigma(p, q, d: int = 1) -> Fraction:
     """d * min(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    return _extremum(min, p, q, d)[0]
+    return sigma_with_region(p, q, d)[0]
 
 
 def tau_region(p0, q) -> TauPiece:
     """The affine piece attaining the max in tau(p0, q); ties broken by the
     fixed priority ZERO > Q_MINUS_P > P_PLUS_Q_MINUS_1."""
-    return _extremum(max, p0, q, 1)[1]
+    return _extremum(max, Exponent.of(p0), Exponent.of(q), 1)[1]
 
 
 def sigma_region(p1, q) -> TauPiece:
     """The affine piece attaining the min in sigma(p1, q); same tie priority."""
-    return _extremum(min, p1, q, 1)[1]
+    return _extremum(min, Exponent.of(p1), Exponent.of(q), 1)[1]

@@ -211,7 +211,9 @@ def fourier_lp_norm(f: GridFunction, r) -> float:
 def space_norm(f: GridFunction, space: SpaceSpec,
                uniform: UniformPartition | None = None,
                dyadic: DyadicPartition | None = None) -> float:
-    """Evaluate the quasi-norm described by a SpaceSpec."""
+    """Evaluate the quasi-norm described by a SpaceSpec; its d must be f's."""
+    if space.d != f.spec.d:
+        raise ValueError(f"dimension mismatch: space has d = {space.d}, function d = {f.spec.d}")
     if space.family is Family.MODULATION:
         return modulation_norm(f, space.p, space.q, space.s, uniform)
     if space.family is Family.BESOV:

@@ -4,8 +4,12 @@ Each ``embed_*`` function returns a :class:`Verdict` stating whether the
 embedding holds, which condition of the governing characterization fired,
 the critical smoothness threshold (an exact rational), and whether the
 s-comparison in that condition is strict. All comparisons are exact, on
-integer cross-products of numerators and denominators. A verdict's
-explanation is formatted when first read, so ``classify_region`` formats none.
+integer cross-products of numerators and denominators. Values are coerced
+once, at the public boundary (``_exact``): ``decide`` and ``classify_region``
+call each rule (``embed_*.exact``) on the exact values of ``SpaceSpec`` and of
+one Exponent per distinct sweep coordinate. A verdict keeps the critical s as
+an integer pair and builds the ``critical_s`` Fraction and the explanation
+when first read, so ``classify_region`` builds neither.
 
 Every characterization has one shape. An index hypothesis comes first;
 when it fails, the verdict is "none" (``_refuse``). Otherwise the embedding
@@ -21,22 +25,16 @@ pair through one table.
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
-from .exponents import (
-    Exponent,
-    INF,
-    TauPiece,
-    as_fraction,
-    sigma_with_region,
-    tau_with_region,
-)
+from .exponents import Exponent, INF, TauPiece, _extremum, as_fraction
 
 
-_ONE = Exponent(1)
+_ONE, _TWO = Exponent(1), Exponent(2)
 
 
 class DomainError(ValueError):
@@ -83,13 +81,14 @@ class SpaceSpec:
             if name in required:
                 if value is None:
                     raise ValueError(f"{self.family.value} space requires index {name}")
-                object.__setattr__(self, name, Exponent.of(value))
+                if type(value) is not Exponent:
+                    object.__setattr__(self, name, Exponent.of(value))
             elif value is not None:
                 raise ValueError(f"{self.family.value} space does not take index {name}")
         if self.family is Family.FOURIER_L:
             if self.s is not None:
                 raise ValueError("FL space does not carry a smoothness index")
-        else:
+        elif type(self.s) is not Fraction:
             object.__setattr__(self, "s", as_fraction(self.s if self.s is not None else 0))
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
@@ -128,14 +127,19 @@ def render_space(spec: SpaceSpec) -> str:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an embedding query; ``explanation`` is formatted on first read."""
+    """Outcome of an embedding query. ``critical_s`` is built from the reduced
+    integer pair ``_critical``, and ``explanation`` formatted, on first read."""
 
     holds: bool
     clause: str
-    critical_s: Fraction
+    _critical: tuple[int, int]
     strict: bool
     piece: TauPiece | None
     _explain: Callable[[], str] = field(repr=False, compare=False)
+
+    @cached_property
+    def critical_s(self) -> Fraction:
+        return Fraction(*self._critical)
 
     @cached_property
     def explanation(self) -> str:
@@ -154,15 +158,16 @@ class Verdict:
 
 def _verdict(lower, label, s, crit, strict, piece, detail) -> Verdict:
     """The verdict of the condition s >= crit (``lower``, source -> M) or
-    s <= crit (M -> target), with > or < when ``strict``. ``detail()``
-    states the case that fired, once the explanation is read."""
-    x, y = s.numerator * crit.denominator, crit.numerator * s.denominator
+    s <= crit (M -> target), with > or < when ``strict``; ``crit`` is a reduced
+    integer pair (numerator, positive denominator). ``detail()`` states the
+    case that fired, once the explanation is read."""
+    x, y = s.numerator * crit[1], crit[0] * s.denominator
     if lower:
         ok, rel = (x > y, ">") if strict else (x >= y, ">=")
     else:
         ok, rel = (x < y, "<") if strict else (x <= y, "<=")
     return Verdict(ok, label, crit, strict, piece,
-                   lambda: f"{detail()}; requires s {rel} {crit}, s = {s}")
+                   lambda: f"{detail()}; requires s {rel} {Fraction(*crit)}, s = {s}")
 
 
 def _refuse(hypothesis, detail, crit, piece) -> Verdict:
@@ -175,6 +180,22 @@ def _refuse(hypothesis, detail, crit, piece) -> Verdict:
 _NEGATED = {"<=": ">", ">=": "<"}
 
 
+def _exact(rule):
+    """The public form of a rule: it coerces each index with ``Exponent.of``
+    and s with ``as_fraction``, in signature order, then runs the rule, which
+    stays reachable as ``.exact`` for values that are exact already."""
+    signature = inspect.signature(rule)
+
+    @wraps(rule)
+    def coerced(*args, **kwargs):
+        values = signature.bind(*args, **kwargs).arguments
+        return rule(**{k: v if k == "d" else as_fraction(v) if k == "s" else Exponent.of(v)
+                       for k, v in values.items()})
+
+    coerced.exact = rule
+    return coerced
+
+
 def _two_clause(rule, lower, s, crit, piece, first, op, detail) -> Verdict:
     """Clause (1), non-strict, when the deciding comparison ``op`` holds
     (``first``); otherwise clause (2), strict, which states its negation.
@@ -185,24 +206,22 @@ def _two_clause(rule, lower, s, crit, piece, first, op, detail) -> Verdict:
                     lambda: detail(_NEGATED[op]))
 
 
+@_exact
 def embed_besov_to_mod(p0, q0, p, q, s, d: int = 1) -> Verdict:
     """B^s_{p0,q0} -> M_{p,q}: holds iff p0 <= p and (q0 <= q, s >= tau(p0,q))
     or (q0 > q, s > tau(p0,q))."""
-    p0, q0, p, q = map(Exponent.of, (p0, q0, p, q))
-    s = as_fraction(s)
-    crit, piece = tau_with_region(p0, q, d)
+    crit, piece = _extremum(max, p0, q, d)
     if not p0 <= p:
         return _refuse("p0 <= p", lambda: f"p0 = {p0} > p = {p}", crit, piece)
     return _two_clause("B->M", True, s, crit, piece, q0 <= q, "<=",
                        lambda rel: f"p0 = {p0} <= p = {p}, q0 = {q0} {rel} q = {q}")
 
 
+@_exact
 def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
     """M_{p,q} -> B^s_{p1,q1}: holds iff p1 >= p and (q1 >= q, s <= sigma(p1,q))
     or (q1 < q, s < sigma(p1,q))."""
-    p, q, p1, q1 = map(Exponent.of, (p, q, p1, q1))
-    s = as_fraction(s)
-    crit, piece = sigma_with_region(p1, q, d)
+    crit, piece = _extremum(min, p1, q, d)
     if not p1 >= p:
         return _refuse("p1 >= p", lambda: f"p1 = {p1} < p = {p}", crit, piece)
     return _two_clause("M->B", False, s, crit, piece, q1 >= q, ">=",
@@ -218,12 +237,11 @@ def _check_wr_hypotheses(values: dict) -> None:
             )
 
 
+@_exact
 def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     """W^{s,r} -> M_{p,q} for 1 <= r, p <= inf and 0 < q <= inf."""
-    r, p, q = map(Exponent.of, (r, p, q))
-    s = as_fraction(s)
     _check_wr_hypotheses({"r": r, "p": p})
-    crit, piece = tau_with_region(r, q, d)
+    crit, piece = _extremum(max, r, q, d)
     if not r <= p:
         return _refuse("r <= p", lambda: f"r = {r} > p = {p}", crit, piece)
     if r == _ONE:
@@ -237,16 +255,15 @@ def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
                     lambda: f"r = {r} <= p = {p}, {case.format(r=r, q=q)}")
 
 
+@_exact
 def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
     """M_{p,q} -> W^{s,r} for 1 <= p, r <= inf and 0 < q <= inf.
 
     For 0 < q < 1 the characterization reduces to the non-strict condition
     s <= sigma(r,q) = 0 (the small-q extension of conditions (2)/(3)).
     """
-    p, q, r = map(Exponent.of, (p, q, r))
-    s = as_fraction(s)
     _check_wr_hypotheses({"r": r, "p": p})
-    crit, piece = sigma_with_region(r, q, d)
+    crit, piece = _extremum(min, r, q, d)
     if not p <= r:
         return _refuse("p <= r", lambda: f"p = {p} > r = {r}", crit, piece)
     if q < _ONE:
@@ -263,60 +280,55 @@ def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
                     lambda: f"p = {p} <= r = {r}, {case.format(r=r, q=q)}")
 
 
+@_exact
 def embed_triebel2_to_mod(p, q, s, d: int = 1) -> Verdict:
     """F^s_{p,2} -> M_{p,q}: holds iff (q >= p, s >= tau(p,q)) or (q < p, s > tau(p,q))."""
-    p, q = Exponent.of(p), Exponent.of(q)
-    s = as_fraction(s)
-    crit, piece = tau_with_region(p, q, d)
+    crit, piece = _extremum(max, p, q, d)
     return _two_clause("F2->M", True, s, crit, piece, q >= p, ">=",
                        lambda rel: f"q = {q} {rel} p = {p}")
 
 
+@_exact
 def embed_mod_to_triebel2(p, q, s, d: int = 1) -> Verdict:
     """M_{p,q} -> F^s_{p,2}: holds iff (q <= p, s <= sigma(p,q)) or (q > p, s < sigma(p,q))."""
-    p, q = Exponent.of(p), Exponent.of(q)
-    s = as_fraction(s)
-    crit, piece = sigma_with_region(p, q, d)
+    crit, piece = _extremum(min, p, q, d)
     return _two_clause("M->F2", False, s, crit, piece, q <= p, "<=",
                        lambda rel: f"q = {q} {rel} p = {p}")
 
 
+@_exact
 def embed_triebel_to_mod(p0, p, q, s, d: int = 1) -> Verdict:
     """F^s_{p0,q} -> M_{p,q} (shared q): holds iff p0 <= p and
     (p0 <= q, s >= tau(p0,q)) or (p0 > q, s > tau(p0,q))."""
-    p0, p, q = map(Exponent.of, (p0, p, q))
-    s = as_fraction(s)
-    crit, piece = tau_with_region(p0, q, d)
+    crit, piece = _extremum(max, p0, q, d)
     if not p0 <= p:
         return _refuse("p0 <= p", lambda: f"p0 = {p0} > p = {p}", crit, piece)
     return _two_clause("F->M", True, s, crit, piece, p0 <= q, "<=",
                        lambda rel: f"p0 = {p0} <= p = {p}, p0 {rel} q = {q}")
 
 
+@_exact
 def embed_mod_to_triebel(p, p1, q, s, d: int = 1) -> Verdict:
     """M_{p,q} -> F^s_{p1,q} (shared q): holds iff p1 >= p and
     (p1 >= q, s <= sigma(p1,q)) or (p1 < q, s < sigma(p1,q))."""
-    p, p1, q = map(Exponent.of, (p, p1, q))
-    s = as_fraction(s)
-    crit, piece = sigma_with_region(p1, q, d)
+    crit, piece = _extremum(min, p1, q, d)
     if not p1 >= p:
         return _refuse("p1 >= p", lambda: f"p1 = {p1} < p = {p}", crit, piece)
     return _two_clause("M->F", False, s, crit, piece, p1 >= q, ">=",
                        lambda rel: f"p1 = {p1} >= p = {p}, p1 {rel} q = {q}")
 
 
+@_exact
 def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
     """M^s_{p,q} -> FL^r: holds iff p <= 2, r <= p' and
     (q <= r, s >= 0) or (r < q, s > d(1/r - 1/q))."""
-    p, q, r = map(Exponent.of, (p, q, r))
-    s = as_fraction(s)
     if q <= r:
-        crit, strict, label, case = Fraction(0), False, "M->FL (1)", "q = {q} <= r = {r}"
+        crit, strict, label, case = (0, 1), False, "M->FL (1)", "q = {q} <= r = {r}"
     else:
-        crit = d * (r.reciprocal() - q.reciprocal())
+        crit = (d * (r.reciprocal() - q.reciprocal())).as_integer_ratio()
         strict, label, case = True, "M->FL (2)", "r = {r} < q = {q}"
     pd = p.dual()
-    if not p <= 2:
+    if not p <= _TWO:
         return _refuse("p <= 2", lambda: f"p = {p}", crit, None)
     if not r <= pd:
         return _refuse("r <= p'", lambda: f"r = {r} > p' = {pd}", crit, None)
@@ -324,18 +336,17 @@ def embed_mod_to_fourierlp(p, q, r, s, d: int = 1) -> Verdict:
                     lambda: f"p = {p} <= 2, r = {r} <= p' = {pd}, {case.format(q=q, r=r)}")
 
 
+@_exact
 def embed_fourierlp_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     """FL^r -> M^s_{p,q}: holds iff p >= 2, p' <= r and
     (r <= q, s <= 0) or (r > q, s < d(1/r - 1/q))."""
-    r, p, q = map(Exponent.of, (r, p, q))
-    s = as_fraction(s)
     if r <= q:
-        crit, strict, label, case = Fraction(0), False, "FL->M (1)", "r = {r} <= q = {q}"
+        crit, strict, label, case = (0, 1), False, "FL->M (1)", "r = {r} <= q = {q}"
     else:
-        crit = d * (r.reciprocal() - q.reciprocal())
+        crit = (d * (r.reciprocal() - q.reciprocal())).as_integer_ratio()
         strict, label, case = True, "FL->M (2)", "r = {r} > q = {q}"
     pd = p.dual()
-    if not p >= 2:
+    if not p >= _TWO:
         return _refuse("p >= 2", lambda: f"p = {p}", crit, None)
     if not pd <= r:
         return _refuse("p' <= r", lambda: f"p' = {pd} > r = {r}", crit, None)
@@ -353,12 +364,12 @@ def _require_zero_mod_smoothness(spec: SpaceSpec, other: SpaceSpec) -> None:
 
 def _triebel_to_mod(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
     if source.q == target.q:
-        return embed_triebel_to_mod(source.p, target.p, target.q, source.s, d)
-    if source.q == 2:
+        return embed_triebel_to_mod.exact(source.p, target.p, target.q, source.s, d)
+    if source.q == _TWO:
         if source.p == target.p:
-            return embed_triebel2_to_mod(target.p, target.q, source.s, d)
+            return embed_triebel2_to_mod.exact(target.p, target.q, source.s, d)
         if _ONE < source.p < INF:
-            return embed_sobolev_to_mod(source.p, target.p, target.q, source.s, d)
+            return embed_sobolev_to_mod.exact(source.p, target.p, target.q, source.s, d)
     raise UncharacterizedPairError(
         "F_{p0,q0} -> M_{p,q} with q0 != q is characterized only for q0 = 2 "
         "with matching Lebesgue structure; the general case is an open problem"
@@ -367,35 +378,35 @@ def _triebel_to_mod(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
 
 def _mod_to_triebel(source: SpaceSpec, target: SpaceSpec, d: int) -> Verdict:
     if source.q == target.q:
-        return embed_mod_to_triebel(source.p, target.p, target.q, target.s, d)
-    if target.q == 2:
+        return embed_mod_to_triebel.exact(source.p, target.p, target.q, target.s, d)
+    if target.q == _TWO:
         if source.p == target.p:
-            return embed_mod_to_triebel2(source.p, source.q, target.s, d)
+            return embed_mod_to_triebel2.exact(source.p, source.q, target.s, d)
         if _ONE < target.p < INF:
-            return embed_mod_to_sobolev(source.p, source.q, target.p, target.s, d)
+            return embed_mod_to_sobolev.exact(source.p, source.q, target.p, target.s, d)
     raise UncharacterizedPairError(
         "M_{p,q} -> F_{p1,q1} with q1 != q is characterized only for q1 = 2 "
         "with matching Lebesgue structure; the general case is an open problem"
     )
 
 
-# How decide routes each characterized (source, target) family pair; the
-# entries look the embed_* functions up when called.
+# How decide routes each characterized (source, target) family pair: to the
+# rule, whose arguments the specs have already made exact.
 _DECIDE_ROUTES = {
     (Family.BESOV, Family.MODULATION):
-        lambda a, b, d: embed_besov_to_mod(a.p, a.q, b.p, b.q, a.s, d),
+        lambda a, b, d: embed_besov_to_mod.exact(a.p, a.q, b.p, b.q, a.s, d),
     (Family.MODULATION, Family.BESOV):
-        lambda a, b, d: embed_mod_to_besov(a.p, a.q, b.p, b.q, b.s, d),
+        lambda a, b, d: embed_mod_to_besov.exact(a.p, a.q, b.p, b.q, b.s, d),
     (Family.SOBOLEV_W, Family.MODULATION):
-        lambda a, b, d: embed_sobolev_to_mod(a.r, b.p, b.q, a.s, d),
+        lambda a, b, d: embed_sobolev_to_mod.exact(a.r, b.p, b.q, a.s, d),
     (Family.MODULATION, Family.SOBOLEV_W):
-        lambda a, b, d: embed_mod_to_sobolev(a.p, a.q, b.r, b.s, d),
+        lambda a, b, d: embed_mod_to_sobolev.exact(a.p, a.q, b.r, b.s, d),
     (Family.TRIEBEL, Family.MODULATION): _triebel_to_mod,
     (Family.MODULATION, Family.TRIEBEL): _mod_to_triebel,
     (Family.MODULATION, Family.FOURIER_L):
-        lambda a, b, d: embed_mod_to_fourierlp(a.p, a.q, b.r, a.s, d),
+        lambda a, b, d: embed_mod_to_fourierlp.exact(a.p, a.q, b.r, a.s, d),
     (Family.FOURIER_L, Family.MODULATION):
-        lambda a, b, d: embed_fourierlp_to_mod(a.r, b.p, b.q, b.s, d),
+        lambda a, b, d: embed_fourierlp_to_mod.exact(a.r, b.p, b.q, b.s, d),
 }
 
 
@@ -437,17 +448,17 @@ class RegionCell:
 # on the diagonal so the p-comparison hypothesis always holds.
 _REGION_RULES = {
     (Family.BESOV, Family.MODULATION):
-        lambda x, q, s, d: embed_besov_to_mod(x, q, x, q, s, d),
+        lambda x, q, s, d: embed_besov_to_mod.exact(x, q, x, q, s, d),
     (Family.MODULATION, Family.BESOV):
-        lambda x, q, s, d: embed_mod_to_besov(x, q, x, q, s, d),
+        lambda x, q, s, d: embed_mod_to_besov.exact(x, q, x, q, s, d),
     (Family.SOBOLEV_W, Family.MODULATION):
-        lambda x, q, s, d: embed_sobolev_to_mod(x, x, q, s, d),
+        lambda x, q, s, d: embed_sobolev_to_mod.exact(x, x, q, s, d),
     (Family.MODULATION, Family.SOBOLEV_W):
-        lambda x, q, s, d: embed_mod_to_sobolev(x, q, x, s, d),
+        lambda x, q, s, d: embed_mod_to_sobolev.exact(x, q, x, s, d),
     (Family.TRIEBEL, Family.MODULATION):
-        lambda x, q, s, d: embed_triebel_to_mod(x, x, q, s, d),
+        lambda x, q, s, d: embed_triebel_to_mod.exact(x, x, q, s, d),
     (Family.MODULATION, Family.TRIEBEL):
-        lambda x, q, s, d: embed_mod_to_triebel(x, x, q, s, d),
+        lambda x, q, s, d: embed_mod_to_triebel.exact(x, x, q, s, d),
 }
 
 
@@ -468,12 +479,12 @@ def classify_region(source_family: Family, target_family: Family, points, s,
 
     def exponent(u: Fraction) -> Exponent:
         """The exponent with reciprocal u, made once per distinct u."""
-        key = u.numerator, u.denominator
+        key = u.as_integer_ratio()
         e = exponents.get(key)
         if e is None:
-            if u < 0:
+            if key[0] < 0:
                 raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
-            e = exponents[key] = INF if u == 0 else Exponent(1 / u)
+            e = exponents[key] = INF if key[0] == 0 else Exponent(Fraction(key[1], key[0]))
         return e
 
     cells = []

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 try:
     import jsonschema
@@ -61,17 +62,40 @@ def test_parse_error_carries_position():
     assert err.value.pos == 2
 
 
-def test_render_parse_round_trip():
-    cases = [
-        SpaceSpec.besov(1, 2, F(1, 2)),
-        SpaceSpec.modulation(F(3, 2), INF, -1),
-        SpaceSpec.triebel(2, 2, 0),
-        SpaceSpec.sobolev(INF, F(-3, 4)),
-        SpaceSpec.fourier_l(F(7, 5)),
-    ]
-    for spec in cases:
-        assert parse_space(render_space(spec)) == spec
-    # canonical form: parse then render is idempotent
+# Exponents with large numerators and denominators, and infinity; s of
+# either sign, as large.
+_wide = st.fractions(min_value=F(1, 10 ** 30), max_value=10 ** 30,
+                     max_denominator=10 ** 30).filter(lambda x: x > 0)
+_indices = st.one_of(_wide, st.sampled_from([1, 2, INF]))
+_smoothness = st.fractions(min_value=-10 ** 30, max_value=10 ** 30, max_denominator=10 ** 30)
+_dimensions = st.sampled_from([1, 2])
+space_specs = st.one_of(
+    st.builds(SpaceSpec.besov, _indices, _indices, _smoothness, _dimensions),
+    st.builds(SpaceSpec.modulation, _indices, _indices, _smoothness, _dimensions),
+    st.builds(SpaceSpec.triebel, _indices, _indices, _smoothness, _dimensions),
+    st.builds(SpaceSpec.sobolev, _indices, _smoothness, _dimensions),
+    st.builds(SpaceSpec.fourier_l, _indices, _dimensions),
+)
+_landmarks = [Exponent(F(1, 3)), Exponent(1), Exponent(2), INF]
+
+
+@given(spec=space_specs)
+def test_render_parse_round_trip(spec):
+    parsed = parse_space(render_space(spec), spec.d)
+    assert parsed == spec
+    exponents = [e for e in (parsed.p, parsed.q, parsed.r) if e is not None]
+    for e in exponents:
+        # the parser's Exponent agrees with the generic coercion of its value
+        reference = Exponent.of(e.value)
+        assert e == reference and hash(e) == hash(reference)
+        for other in exponents + _landmarks:
+            assert (e < other, e <= other, e == other, e > other, e >= other) == \
+                (reference < other, reference <= other, reference == other,
+                 reference > other, reference >= other)
+
+
+def test_render_is_canonical():
+    # parse then render is idempotent
     text = "B[p=1,q=2]"
     canonical = render_space(parse_space(text))
     assert canonical == "B[p=1,q=2,s=0]"

@@ -303,6 +303,43 @@ def test_space_norm_dispatch(box_partitions):
         assert space_norm(f, space, uniform, dyadic) == expected
 
 
+@pytest.mark.parametrize("member_d,space_d", [(2, 1), (1, 2)])
+def test_space_norm_refuses_dimension_mismatch(member_d, space_d):
+    """A spec of the other dimension is refused, not evaluated on f's grid."""
+    f = family_annulus(grid_for("annulus", d=member_d, level=1), 1)
+    for space in (SpaceSpec.besov(1, 1, 0, d=space_d), SpaceSpec.modulation(1, 1, d=space_d)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: space has d = {space_d}, "
+                                             f"function d = {member_d}"):
+            space_norm(f, space)
+
+
+@pytest.mark.parametrize("p,rel", [
+    # the p < 1 precision contract of the norms module; never 1e-12 here
+    ("1/2", 1e-7),
+    (1, 1e-12),
+])
+def test_box_piece_norms_match_extended_precision(p, rel):
+    """Every active box's norm against its piece transformed and summed in
+    extended precision (np.fft on clongdouble) from the same spectrum."""
+    spec = GridSpec(d=1, n=1024, oversampling=8)
+    uniform = build_uniform(spec)
+    spectrum = _spectrum_of(family_annulus(spec, 4))
+    points, norms = box_piece_norms(GridFunction(spec, spectrum, FREQUENCY), p, uniform)
+    pf = np.longdouble(float(Fraction(p)))
+    scale = np.longdouble(spec.n) / np.longdouble(spec.period)
+    active = [(k, value) for k, value in zip(points, norms) if value > 0.0]
+    assert len(active) > 4
+    for k, value in active:
+        slices, patch = uniform.patch(spectrum, k)
+        piece = np.zeros(spec.shape(), dtype=np.clongdouble)
+        piece[slices] = patch
+        # the grid's centering shifts only permute and rephase the samples
+        samples = np.abs(np.fft.ifft(piece)) * scale
+        assert samples.dtype == np.longdouble
+        reference = (np.longdouble(spec.cell_volume) * np.sum(samples ** pf)) ** (1 / pf)
+        assert value == pytest.approx(float(reference), rel=rel)
+
+
 def _pruned_cases():
     """(spec, clean function) pairs in d = 1 and 2: a random band-limited
     function and an annulus member, both rebuilt on the frequency side from

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modemb import oracle
+from modemb.cli import parse_space
 from modemb.exponents import Exponent, INF, TauPiece, sigma, tau
 from modemb.oracle import (
     DomainError,
@@ -362,3 +363,61 @@ def test_explanation_formatted_once(monkeypatch):
     assert first == "p0 = 2 <= p = 2, q0 = 4 > q = 1; requires s > 1/2, s = 1/2"
     assert verdict.explanation is first and formatted == [first]
     assert verdict.as_dict()["explanation"] is first and formatted == [first]
+
+
+# Each region pair as decide sees the grid point (x, y): the parsed specs,
+# with x the non-modulation Lebesgue index on the diagonal and y the
+# modulation q, and the index function giving the point's critical s.
+_GRID_QUERIES = {
+    (Family.BESOV, Family.MODULATION): ("B[p={x},q={y},s=0]", "M[p={x},q={y}]", tau),
+    (Family.MODULATION, Family.BESOV): ("M[p={x},q={y}]", "B[p={x},q={y},s=0]", sigma),
+    (Family.SOBOLEV_W, Family.MODULATION): ("W[r={x},s=0]", "M[p={x},q={y}]", tau),
+    (Family.MODULATION, Family.SOBOLEV_W): ("M[p={x},q={y}]", "W[r={x},s=0]", sigma),
+    (Family.TRIEBEL, Family.MODULATION): ("F[p={x},q={y},s=0]", "M[p={x},q={y}]", tau),
+    (Family.MODULATION, Family.TRIEBEL): ("M[p={x},q={y}]", "F[p={x},q={y},s=0]", sigma),
+}
+
+
+def test_oracle_coerces_once_at_the_boundary(monkeypatch):
+    """classify_region makes at most one Exponent per distinct coordinate and
+    coerces no cell; decide on parsed specs coerces nothing; a verdict
+    builds its critical_s only when it is read."""
+    made, coerced = [], []
+    post_init, of = Exponent.__post_init__, Exponent.of.__func__
+    monkeypatch.setattr(Exponent, "__post_init__", lambda e: made.append(e) or post_init(e))
+    monkeypatch.setattr(Exponent, "of",
+                        classmethod(lambda cls, value: coerced.append(value) or of(cls, value)))
+    coords = [F(i, 8) for i in range(9)]
+    points = [(u, v) for u in coords for v in coords]
+    texts = ["inf" if u == 0 else str(1 / u) for u in coords]
+    assert set(oracle._REGION_RULES) == set(_GRID_QUERIES)
+    for pair, (source, target, index) in _GRID_QUERIES.items():
+        for d in (1, 2):
+            del made[:], coerced[:]
+            assert len(classify_region(*pair, points, 0, d)) == len(points)
+            assert len(made) <= len(coords) and coerced == []
+            specs = [(parse_space(source.format(x=x, y=y), d),
+                      parse_space(target.format(x=x, y=y), d)) for x in texts for y in texts]
+            del coerced[:]
+            verdicts = [decide(a, b) for a, b in specs]
+            assert coerced == []
+            for (a, b), verdict in zip(specs, verdicts):
+                assert "critical_s" not in verdict.__dict__
+                mod, other = (b, a) if b.family is Family.MODULATION else (a, b)
+                x = other.p if other.r is None else other.r
+                assert verdict.critical_s == index(x, mod.q, d)
+                assert "critical_s" in verdict.__dict__
+
+
+def test_verdict_equality_compares_critical_values():
+    # equal critical values over different denominators and dimensions:
+    # 0 = tau(2, 2) = tau(3, 3), and 1/2 = tau(inf, 2, 1) = tau(inf, 4, 2)
+    assert embed_besov_to_mod(2, 2, 2, 2, 0) == embed_besov_to_mod(3, 3, 3, 3, 0)
+    half = embed_besov_to_mod(INF, 2, INF, 2, 1)
+    assert half == embed_besov_to_mod(INF, 4, INF, 4, 1, 2)
+    assert hash(half) == hash(embed_besov_to_mod(INF, 4, INF, 4, 1, 2))
+    # verdicts that differ only in the critical value
+    one = embed_besov_to_mod(INF, 1, INF, 1, 1)
+    assert (one.holds, one.clause, one.strict, one.piece) == \
+        (half.holds, half.clause, half.strict, half.piece)
+    assert one != half and (one.critical_s, half.critical_s) == (1, F(1, 2))

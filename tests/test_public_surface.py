@@ -22,7 +22,7 @@ EXEMPT = {
     **dict.fromkeys(
         ("tau", "sigma", "tau_region", "sigma_region"),
         "exact index function exported in modemb.__all__; the oracle computes "
-        "it through tau_with_region / sigma_with_region"),
+        "it through exponents._extremum"),
 }
 
 
