@@ -30,7 +30,6 @@ from .families import (
     grid_for,
 )
 from .grid import GridSpec
-from .norms import space_norm
 from .oracle import (
     SPACE_KEYS,
     DomainError,
@@ -263,7 +262,7 @@ def cmd_norm(args, config) -> int:
     uniform = build_uniform(spec) if space.family is Family.MODULATION else None
     dyadic = (build_dyadic(spec)
               if space.family in (Family.BESOV, Family.TRIEBEL) else None)
-    value = space_norm(f, space, uniform, dyadic)
+    value = experiments.finite_norm(f, space, uniform, dyadic, "it must be finite and nonzero")
     if args.json:
         print(json.dumps({"schema": "modemb/norm/v1",
                           "space": render_space(space),

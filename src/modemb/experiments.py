@@ -24,7 +24,7 @@ from .families import (
     family_single_box,
     grid_for,
 )
-from .grid import GridSpec
+from .grid import GridSpec, NonFiniteError
 from .norms import space_norm
 from .oracle import Family, SpaceSpec, decide, render_space
 from .partitions import build_dyadic, build_uniform
@@ -162,6 +162,18 @@ def _needs(source: SpaceSpec, target: SpaceSpec, family_enum: Family) -> bool:
     return source.family is family_enum or target.family is family_enum
 
 
+def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:
+    """space_norm, refused naming the space unless finite and nonzero; NumPy warns nothing."""
+    with np.errstate(all="ignore"):
+        try:
+            value = space_norm(f, space, uniform, dyadic)
+        except NonFiniteError:
+            value = math.nan
+    if value == 0.0 or not math.isfinite(value):
+        raise ValueError(f"the {render_space(space)} norm{where} is {value}; {purpose}")
+    return value
+
+
 def _run_norms(source, target, family, levels, width, grid):
     if family not in _FAMILY_BUILDERS:
         raise CatalogueError(f"unknown family kind {family!r}")
@@ -178,18 +190,12 @@ def _run_norms(source, target, family, levels, width, grid):
 
     def one(level):
         f = builder(grid, level, width)
-        norms = [space_norm(f, space, uniform, dyadic) for space in (source, target)]
-        for space, value in zip((source, target), norms):
-            if value == 0.0 or not math.isfinite(value):
-                raise ValueError(
-                    f"the {render_space(space)} norm at level {level} is {value}; "
-                    f"a growth ratio needs finite nonzero norms")
-        return norms
+        return [finite_norm(f, space, uniform, dyadic,
+                            "a growth ratio needs finite nonzero norms", f" at level {level}")
+                for space in (source, target)]
 
-    pairs = [one(level) for level in levels]
-    source_norms = [sn for sn, _ in pairs]
-    target_norms = [tn for _, tn in pairs]
-    ratios = [tn / sn for sn, tn in pairs]
+    source_norms, target_norms = map(list, zip(*[one(level) for level in levels]))
+    ratios = [tn / sn for sn, tn in zip(source_norms, target_norms)]
     return grid, source_norms, target_norms, ratios
 
 

@@ -16,6 +16,7 @@ from .exponents import as_fraction
 from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak, separable
 from .partitions import (
     ResolutionError,
+    _annulus_membership,
     build_dyadic,
     index_set,
     smooth_profile,
@@ -135,10 +136,10 @@ def family_dilation(spec: GridSpec, lam) -> GridFunction:
 
 
 def smallest_box_point(level: int, d: int) -> tuple[int, ...]:
-    members = index_set("A", level, d).members
-    if not members:
+    k = next(_annulus_membership(level, d, inside=True), None)
+    if k is None:
         raise ValueError(f"A_{level} is empty in dimension {d}")
-    return members[0]
+    return k
 
 
 def single_box_spectrum(spec: GridSpec, level: int) -> np.ndarray:

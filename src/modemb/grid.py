@@ -33,6 +33,10 @@ class BandLimitError(ValueError):
     """Spectral content violates a band or resolution requirement."""
 
 
+class NonFiniteError(ValueError):
+    """Samples or a sequence to be reduced contain NaN or Inf."""
+
+
 # Largest grid, in samples N^d, that GridSpec admits: one complex128 array of
 # this size takes 256 MiB, and a norm evaluation holds several.
 MAX_SAMPLES = 2 ** 24
@@ -187,7 +191,7 @@ def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
     the caller takes with np.abs; max for p = inf."""
     p = Exponent.of(p)
     if not np.all(np.isfinite(mags)):
-        raise ValueError("samples contain NaN or Inf")
+        raise NonFiniteError("samples contain NaN or Inf")
     if p.is_infinite:
         return float(mags.max()) if mags.size else 0.0
     pf = float(p.value)
@@ -206,7 +210,7 @@ def lq_seq_norm(values, q, weights=None) -> float:
     if weights is not None:
         a = a * np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise ValueError("sequence contains NaN or Inf")
+        raise NonFiniteError("sequence contains NaN or Inf")
     q = Exponent.of(q)
     if a.size == 0:
         return 0.0

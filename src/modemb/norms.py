@@ -3,11 +3,12 @@
 Modulation: l^q over lattice k of <k>^s-weighted L^p norms of the uniform
 pieces, with <k> = 1 + |k| (Euclidean). Besov: l^q over dyadic levels j of
 2^(js)-weighted L^p norms. Triebel: the same data with the L^p and l^q
-norms interchanged (spatial norm outside). Sobolev: L^p of the Bessel
-multiplier (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the
-spectrum itself.
+norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
+both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
+(1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
-Precision. At p >= 1 a norm holds about 1e-12 relative. At p < 1 it holds
+Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
+from the spectrum round unlike synthesis, by about 1e-16. At p < 1 it holds
 only about 1e-7 relative: the sum of |x|^p is dominated by space samples at
 roundoff level in each piece's tails, which p < 1 amplifies, so a change to
 the rounding of a transform moves the value in the eighth digit. Never gate
@@ -20,14 +21,12 @@ import numpy as np
 from .exponents import Exponent
 from .grid import (
     FREQUENCY,
-    SPACE,
     BandLimitError,
     GridFunction,
     apply_multiplier,
     band_leak,
     lp_norm,
     lq_seq_norm,
-    transform,
     _riemann_lp,
 )
 from .oracle import Family, SpaceSpec
@@ -57,6 +56,11 @@ def _spectrum_of(f: GridFunction) -> np.ndarray:
     if peak == 0.0:
         return values
     return np.where(mags > _SPECTRUM_FLOOR * peak, values, 0.0)
+
+
+def _l2_norm(bins: np.ndarray, spec) -> float:
+    """By Parseval, exactly the Riemann L^2 norm of the samples whose spectrum is ``bins``."""
+    return float(np.sqrt(np.sum(np.abs(bins) ** 2) / spec.period ** spec.d))
 
 
 def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
@@ -95,7 +99,7 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     into E P E^T with the N x S matrix E[n, j] = exp(2 pi i j n / N). Both
     regroup the same finite sums as the full N^d transform, so they are
     exact; only the rounding differs. At p = 2 Parseval gives the norm from
-    the patch alone.
+    the patch alone (``_l2_norm``).
 
     Otherwise each piece is synthesized once per symmetry orbit of its patch
     (``UniformPartition.orbit_key``), whose images permute its samples, and
@@ -107,14 +111,14 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     peak = np.abs(spectrum).max()
     points = uniform.lattice()
     norms = np.zeros(len(points))
-    parseval = Exponent.of(p) == 2  # ||piece||_2^2 = P^-d sum |patch|^2, exactly
+    parseval = Exponent.of(p) == 2
     memo = {}
     for i in uniform.reached(spectrum):
         _, patch = uniform.patch(spectrum, points[i])
         if np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
         if parseval:
-            norms[i] = np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** spec.d)
+            norms[i] = _l2_norm(patch, spec)
             continue
         key = uniform.orbit_key(patch)
         if key not in memo:
@@ -135,33 +139,33 @@ def modulation_norm(f: GridFunction, p, q, s,
 
 
 def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
-    """(j, delta_j f on the space side) for the levels ``dyadic.reached``
-    lists, after the dyadic band check. Every other level's window is
-    exactly 0 on each nonzero bin of the floored spectrum (see
-    ``DyadicPartition.support``), so its piece is identically zero."""
+    """(j, phi_j * spectrum, that is delta_j f on the frequency side) for the
+    levels ``dyadic.reached`` lists, after the dyadic band check. Every other
+    level's window is exactly 0 on each nonzero bin of the floored spectrum
+    (see ``DyadicPartition.support``), so its piece is identically zero."""
     edge = 1.25 * 2 ** dyadic.levels
     spectrum = _spectrum_of(
-        _in_band(f, f.spec.freq_radius() > edge, f"|xi| = {edge:g}", "dyadic"))
+        _in_band(f, dyadic._radius > edge, f"|xi| = {edge:g}", "dyadic"))
     for j in dyadic.reached(spectrum):
-        yield j, transform(
-            GridFunction(f.spec, dyadic.window(j) * spectrum, FREQUENCY), SPACE)
+        yield j, dyadic.window(j) * spectrum
 
 
 def besov_norm(f: GridFunction, p, q, s,
                dyadic: DyadicPartition | None = None) -> float:
     """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
 
-    One forward transform (none for a frequency-side f), then one inverse
-    transform per level the floored spectrum reaches: a level is skipped when
-    no nonzero bin lies in the support of phi_j (``DyadicPartition.support``).
-    A skipped level's piece is identically zero and enters the sequence as
-    0.0, exactly the value its transform would give."""
+    One forward transform (none for a frequency-side f). At p = 2 a piece's
+    norm is ``_l2_norm`` of its spectrum; otherwise the piece is synthesized,
+    one inverse transform per level the floored spectrum reaches. A level
+    with no nonzero bin in the support of phi_j (``DyadicPartition.support``)
+    is skipped: its piece is identically zero and enters as 0.0."""
     p = Exponent.of(p)
     if dyadic is None:
         dyadic = build_dyadic(f.spec)
     norms = np.zeros(dyadic.levels + 1)
-    for j, piece in _dyadic_pieces(f, dyadic):
-        norms[j] = lp_norm(piece, p)
+    for j, bins in _dyadic_pieces(f, dyadic):
+        norms[j] = (_l2_norm(bins, f.spec) if p == 2
+                    else lp_norm(GridFunction(f.spec, bins, FREQUENCY), p))
     weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
     return lq_seq_norm(norms, q, weights)
 
@@ -171,20 +175,23 @@ def triebel_norm(f: GridFunction, p, q, s,
     """|| || 2^(js) delta_j f ||_{l^q_j} ||_p : pointwise l^q across levels,
     then the spatial L^p norm. p = inf is not defined here and is rejected.
 
-    Levels are skipped exactly as in ``besov_norm``: a skipped level's piece
-    is identically zero, so it would add only zeros to the pointwise sum or
-    maximum. The zero function reaches no level and has norm 0."""
+    At p = q = 2 this is ``besov_norm``: the Riemann sum over x and j of
+    |2^(js) delta_j f(x)|^2 is sum_j 2^(2js) ||delta_j f||_2^2 term by term,
+    so F_{2,2} = B_{2,2} up to rounding. Other (p, q) synthesize each level
+    ``besov_norm`` does not skip (a skipped piece adds only zeros)."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
+    q = Exponent.of(q)
+    if p == 2 and q == 2:
+        return besov_norm(f, p, q, s, dyadic)
     if dyadic is None:
         dyadic = build_dyadic(f.spec)
-    q = Exponent.of(q)
-    sf = float(s)
+    sf = np.float64(s)  # 2^(js) beyond double range reads inf, not OverflowError
     qf = None if q.is_infinite else float(q.value)
     stack = None
-    for j, piece in _dyadic_pieces(f, dyadic):
-        mags = (2.0 ** (sf * j)) * np.abs(piece.values)
+    for j, bins in _dyadic_pieces(f, dyadic):
+        mags = (2.0 ** (sf * j)) * np.abs(GridFunction(f.spec, bins, FREQUENCY).in_space().values)
         if q.is_infinite:
             stack = mags if stack is None else np.maximum(stack, mags)
         else:

@@ -358,8 +358,8 @@ class LatticeIndexSet:
         return _as_lattice_point(k, self.d) in set(self.members)
 
 
-def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...]]:
-    """Exact box-versus-Euclidean-annulus tests, integer arithmetic (scale 4).
+def _annulus_membership(level: int, d: int, inside: bool):
+    """Yields each k whose box passes the exact integer test below, in lexicographic order.
 
     Box k + [-3/4, 3/4]^d against D_level = {3/4 * 2^l <= |xi| <= 5/4 * 2^l}:
     the nearest / farthest points of the box from the origin are componentwise
@@ -368,7 +368,6 @@ def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...
     r_in_sq = (3 * 2 ** level) ** 2
     r_out_sq = (5 * 2 ** level) ** 2
     bound = (5 * 2 ** level + 3) // 4
-    members = []
     for k in itertools.product(range(-bound, bound + 1), repeat=d):
         far_sq = sum((4 * abs(c) + 3) ** 2 for c in k)
         near_sq = sum(max(4 * abs(c) - 3, 0) ** 2 for c in k)
@@ -377,8 +376,7 @@ def _annulus_membership(level: int, d: int, inside: bool) -> list[tuple[int, ...
         else:
             ok = near_sq <= r_out_sq and far_sq >= r_in_sq
         if ok:
-            members.append(k)
-    return members
+            yield k
 
 
 def lattice_weights(points, s) -> np.ndarray:
@@ -399,10 +397,10 @@ def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
     level = int(parameter)
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    members = _annulus_membership(level, d, inside=(kind == "A"))
+    members = list(_annulus_membership(level, d, inside=(kind == "A")))
     if kind == "A" and not members:
         warnings.warn(f"A_{level} is empty in dimension {d}", stacklevel=2)
-    return LatticeIndexSet(kind, parameter, d, tuple(sorted(members)))
+    return LatticeIndexSet(kind, parameter, d, tuple(members))
 
 
 def selftest_report(spec: GridSpec | None = None, n_random: int = 20,

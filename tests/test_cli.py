@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,27 @@ def test_sharpness_degenerate_norm_exits_cleanly(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("error: the B[p=2,q=2,s=0] norm at level 4 is 0.0; "
                             "a growth ratio needs finite nonzero norms\n")
+
+
+@pytest.mark.parametrize("space,value", [
+    ("B[p=2,q=2,s=150]", "inf"),
+    ("B[p=2,q=2,s=-300]", "0.0"),
+    ("F[p=2,q=2,s=-300]", "0.0"),
+    ("F[p=2,q=2,s=150]", "inf"),
+    ("F[p=2,q=1,s=400]", "nan"),
+    ("M[p=2,q=2,s=400]", "nan"),
+])
+def test_norm_refuses_nonfinite_and_zero(capsys, space, value):
+    """A norm whose weights leave double range is refused with one error line
+    naming the space, exit 2, and no NumPy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--family", "annulus", "--level", "3", "--space", space])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: the {space} norm is {value}; "
+                            "it must be finite and nonzero\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @requires_jsonschema

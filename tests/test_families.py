@@ -88,6 +88,20 @@ def test_single_box_bookkeeping():
         assert active_boxes(f, uniform) == {smallest_box_point(level, 1)}
 
 
+@pytest.mark.parametrize("d,levels", [(1, range(2, 13)), (2, range(2, 9))])
+def test_smallest_box_point_is_first_member(d, levels):
+    """The first lattice point the membership test accepts is the
+    lexicographically smallest member of A_l."""
+    for level in levels:
+        assert smallest_box_point(level, d) == index_set("A", level, d).members[0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_smallest_box_point_of_empty_set(d):
+    with pytest.raises(ValueError, match=f"A_1 is empty in dimension {d}"):
+        smallest_box_point(1, d)
+
+
 def test_single_box_norm_constant_across_levels():
     vals = [lp_norm(family_single_box(BOX_SPEC, level), 2) for level in range(4, 9)]
     assert max(vals) == pytest.approx(min(vals), rel=1e-12)

@@ -15,7 +15,7 @@ from modemb.families import (
 )
 from modemb import grid
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
-    lp_norm, transform
+    lp_norm, lq_seq_norm, transform
 from modemb.norms import (
     _NEGLIGIBLE,
     _spectrum_of,
@@ -34,6 +34,7 @@ from modemb.partitions import (
     box_apply,
     build_dyadic,
     build_uniform,
+    delta_apply,
 )
 
 F = Fraction
@@ -582,9 +583,13 @@ def test_dyadic_norms_of_zero(box_partitions, q):
 
 @pytest.mark.parametrize("norm,member_calls,space_calls", [
     pytest.param(lambda f, uniform, dyadic: besov_norm(f, 2, 2, 0, dyadic),
-                 (0, 1), (1, 1), id="besov"),
+                 (0, 0), (1, 0), id="besov"),
     pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 2, 0, dyadic),
-                 (0, 1), (1, 1), id="triebel"),
+                 (0, 0), (1, 0), id="triebel"),
+    pytest.param(lambda f, uniform, dyadic: besov_norm(f, 1, 2, 0, dyadic),
+                 (0, 1), (1, 1), id="besov-p1"),
+    pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 1, 0, dyadic),
+                 (0, 1), (1, 1), id="triebel-q1"),
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
                  (0, 0), (1, 0), id="modulation"),
 ])
@@ -592,9 +597,11 @@ def test_full_grid_transform_count(box_partitions, monkeypatch, norm, member_cal
                                    space_calls):
     """(forward, inverse) full-grid transforms per norm. A single-box member
     is its spectrum, so no norm forward-transforms it; its space samples take
-    one forward transform, shared by the band check and the norm. Only the
-    one reached dyadic level is inverse-transformed: full-grid work on empty
-    pieces would show here as extra transforms."""
+    one forward transform, shared by the band check and the norm. L^2 piece
+    norms come from the spectrum, so Besov at p = 2 and Triebel at p = q = 2
+    make no inverse transform. Elsewhere only the one reached dyadic level is
+    inverse-transformed: full-grid work on empty pieces would show here as
+    extra transforms."""
     uniform, dyadic = box_partitions
     member = family_single_box(BOX_SPEC, 5)
     for f, expected in ((member, member_calls), (member.in_space(), space_calls)):
@@ -608,3 +615,70 @@ def test_full_grid_transform_count(box_partitions, monkeypatch, norm, member_cal
         norm(f, uniform, dyadic)
         monkeypatch.undo()
         assert (calls["_fft"], calls["_ifft"]) == expected, f.side
+
+
+def _parseval_cases():
+    """(name, frequency-side function) in d = 1 and 2: an annulus member and
+    a random function band-limited to a ball that reaches several levels."""
+    cases = []
+    for d in (1, 2):
+        spec = GridSpec(d=d, n=2 ** 10 if d == 1 else 256, oversampling=8)
+        band = 0.9 * 1.25 * 2 ** build_dyadic(spec).levels
+        cases += [
+            (f"annulus-{d}d", family_annulus(grid_for("annulus", d=d, level=2), 2)),
+            (f"random-{d}d", random_band_limited(spec, band_radius=band, seed=17)),
+        ]
+    return cases
+
+
+PARSEVAL_CASES = dict(_parseval_cases())
+
+
+def _synthesized_pieces(f, dyadic):
+    """Every level's delta_j f, synthesized on the dense path."""
+    return [delta_apply(f, j, dyadic) for j in range(dyadic.levels + 1)]
+
+
+@pytest.mark.parametrize("case", PARSEVAL_CASES)
+@pytest.mark.parametrize("s", [F(-1, 2), 0, 1])
+@pytest.mark.parametrize("q", [1, 2, "inf"])
+def test_besov_p2_matches_synthesized_pieces(case, q, s):
+    """At p = 2 the piece norms come from the spectrum by Parseval; they equal
+    the L^2 norms of the synthesized pieces to rounding."""
+    f = PARSEVAL_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    norms = [lp_norm(piece, 2) for piece in _synthesized_pieces(f, dyadic)]
+    weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
+    expected = lq_seq_norm(norms, q, weights)
+    assert besov_norm(f, 2, q, s, dyadic) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", PARSEVAL_CASES)
+@pytest.mark.parametrize("s", [F(-1, 2), 0, 1])
+def test_triebel_22_matches_pointwise_synthesis(case, s):
+    """F_{2,2} takes the Besov route; it equals the pointwise l^2 sum over
+    the synthesized pieces, then the spatial L^2 norm, to rounding."""
+    f = PARSEVAL_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    stack = sum((2.0 ** (float(s) * j) * np.abs(piece.values)) ** 2
+                for j, piece in enumerate(_synthesized_pieces(f, dyadic)))
+    expected = np.sqrt(f.spec.cell_volume * np.sum(stack))
+    assert triebel_norm(f, 2, 2, s, dyadic) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("case", PARSEVAL_CASES)
+def test_l2_dyadic_norms_make_no_inverse_transform(case, monkeypatch):
+    """No inverse transform for Besov at p = 2 or Triebel at p = q = 2; one
+    per reached level for Triebel at p = 2, q = 1, which stays pointwise."""
+    f = PARSEVAL_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    reached = len(dyadic.reached(_spectrum_of(f)))
+    assert reached >= 2
+    calls = []
+    original = grid._ifft
+    monkeypatch.setattr(grid, "_ifft", lambda values: calls.append(1) or original(values))
+    for norm, q, expected in ((besov_norm, 1, 0), (besov_norm, "inf", 0),
+                              (triebel_norm, 2, 0), (triebel_norm, 1, reached)):
+        calls.clear()
+        norm(f, 2, q, 0, dyadic)
+        assert len(calls) == expected, (norm.__name__, q)
