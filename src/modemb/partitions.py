@@ -365,6 +365,10 @@ def _annulus_membership(level: int, d: int, inside: bool):
     the nearest / farthest points of the box from the origin are componentwise
     max(|k_i| - 3/4, 0) and |k_i| + 3/4.
     """
+    if d not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     r_in_sq = (3 * 2 ** level) ** 2
     r_out_sq = (5 * 2 ** level) ** 2
     bound = (5 * 2 ** level + 3) // 4
@@ -390,13 +394,9 @@ def lattice_weights(points, s) -> np.ndarray:
 def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
     """A_l (windows inside D_l) or B_l (windows touching D_l), where
     ``parameter`` is the level l. Members in lexicographic order."""
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
     if kind not in ("A", "B"):
         raise ValueError(f"unknown index-set kind {kind!r}")
     level = int(parameter)
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
     members = list(_annulus_membership(level, d, inside=(kind == "A")))
     if kind == "A" and not members:
         warnings.warn(f"A_{level} is empty in dimension {d}", stacklevel=2)

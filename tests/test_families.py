@@ -102,6 +102,15 @@ def test_smallest_box_point_of_empty_set(d):
         smallest_box_point(1, d)
 
 
+@pytest.mark.parametrize("level,d,message", [(3, 3, "dimension must be 1 or 2, got 3"),
+                                             (-1, 1, "level must be >= 0, got -1")])
+def test_smallest_box_point_checks_its_arguments(level, d, message):
+    """The first member is read under the same checks as index_set."""
+    for find in (smallest_box_point, lambda level, d: index_set("A", level, d)):
+        with pytest.raises(ValueError, match=message):
+            find(level, d)
+
+
 def test_single_box_norm_constant_across_levels():
     vals = [lp_norm(family_single_box(BOX_SPEC, level), 2) for level in range(4, 9)]
     assert max(vals) == pytest.approx(min(vals), rel=1e-12)
