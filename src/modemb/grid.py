@@ -188,14 +188,16 @@ def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
 
 def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
     """Riemann-sum L^p quasi-norm of the sample magnitudes ``mags``, which
-    the caller takes with np.abs; max for p = inf."""
+    the caller takes with np.abs; max for p = inf. At p = 1 the magnitudes
+    are summed as they are (x ** 1.0 is x)."""
     p = Exponent.of(p)
     if not np.all(np.isfinite(mags)):
         raise NonFiniteError("samples contain NaN or Inf")
     if p.is_infinite:
         return float(mags.max()) if mags.size else 0.0
     pf = float(p.value)
-    return float((cell_volume * np.sum(mags ** pf)) ** (1.0 / pf))
+    total = np.sum(mags) if pf == 1.0 else np.sum(mags ** pf)
+    return float((cell_volume * total) ** (1.0 / pf))
 
 
 def lp_norm(f: GridFunction, p) -> float:

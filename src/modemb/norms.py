@@ -8,11 +8,14 @@ both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
-from the spectrum round unlike synthesis, by about 1e-16. At p < 1 it holds
-only about 1e-7 relative: the sum of |x|^p is dominated by space samples at
-roundoff level in each piece's tails, which p < 1 amplifies, so a change to
-the rounding of a transform moves the value in the eighth digit. Never gate
-a p < 1 value at 1e-12; compare it against an extended-precision reference.
+from the spectrum round unlike synthesis, by about 1e-16. Synthesized
+pieces skip the grid's centering shifts, so their magnitudes come in
+transform order and round unlike ``transform``'s, again by about 1e-16. At
+p < 1 it holds only about 1e-7 relative: the sum of |x|^p is dominated by
+space samples at roundoff level in each piece's tails, which p < 1
+amplifies, so a change to the rounding of a transform moves the value in
+the eighth digit. Never gate a p < 1 value at 1e-12; compare it against an
+extended-precision reference.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import numpy as np
 
 from .exponents import Exponent
 from .grid import (
-    FREQUENCY,
     BandLimitError,
     GridFunction,
     apply_multiplier,
@@ -47,20 +49,33 @@ _NEGLIGIBLE = 1e-15
 _SPECTRUM_FLOOR = 1e-13
 
 
-def _spectrum_of(f: GridFunction) -> np.ndarray:
+def _spectrum_of(f: GridFunction) -> tuple[np.ndarray, float]:
+    """(floored spectrum of f, its peak magnitude). The floor keeps the peak
+    sample, so the peak is also that of the floored spectrum."""
     values = f.in_frequency().values
     mags = np.abs(values)
     if not np.all(np.isfinite(mags)):
         raise ValueError("samples contain NaN or Inf")
     peak = mags.max()
     if peak == 0.0:
-        return values
-    return np.where(mags > _SPECTRUM_FLOOR * peak, values, 0.0)
+        return values, peak
+    return np.where(mags > _SPECTRUM_FLOOR * peak, values, 0.0), peak
 
 
 def _l2_norm(bins: np.ndarray, spec) -> float:
     """By Parseval, exactly the Riemann L^2 norm of the samples whose spectrum is ``bins``."""
     return float(np.sqrt(np.sum(np.abs(bins) ** 2) / spec.period ** spec.d))
+
+
+def _synthesized_magnitudes(bins: np.ndarray) -> np.ndarray:
+    """|ifftn(bins)|: the magnitudes of the space samples whose spectrum is
+    ``bins``, divided by (N/P)^d and in transform order. The transform runs
+    in place, so ``bins`` (a fresh complex array) is overwritten.
+    ``transform`` also shifts the input and output to centre both grids; the
+    input shift multiplies each output by a unimodular phase and the output
+    shift only permutes the outputs, so neither changes a Riemann sum of
+    magnitudes."""
+    return np.abs(np.fft.ifftn(bins, out=bins))
 
 
 def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
@@ -95,11 +110,12 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     samples come from the S bins alone (``UniformPartition.piece_magnitudes``).
     In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
     is the length-L inverse DFT in m of the twiddled bins
-    x_j exp(2 pi i j r / N), one per residue r. In d = 2 it separates by axis
-    into E P E^T with the N x S matrix E[n, j] = exp(2 pi i j n / N). Both
-    regroup the same finite sums as the full N^d transform, so they are
-    exact; only the rounding differs. At p = 2 Parseval gives the norm from
-    the patch alone (``_l2_norm``).
+    x_j exp(2 pi i j r / N), one per residue r: the patch is zero-padded to
+    L bins, twiddled by an (N/L) x L table and transformed in place. In
+    d = 2 it separates by axis into E P E^T with the N x S matrix
+    E[n, j] = exp(2 pi i j n / N). Both regroup the same finite sums as the
+    full N^d transform, so they are exact; only the rounding differs. At
+    p = 2 Parseval gives the norm from the patch alone (``_l2_norm``).
 
     Otherwise each piece is synthesized once per symmetry orbit of its patch
     (``UniformPartition.orbit_key``), whose images permute its samples, and
@@ -107,8 +123,7 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     call only and holds no arrays: one float norm per orbit key.
     """
     spec = f.spec
-    spectrum = _spectrum_of(f)
-    peak = np.abs(spectrum).max()
+    spectrum, peak = _spectrum_of(f)
     points = uniform.lattice()
     norms = np.zeros(len(points))
     parseval = Exponent.of(p) == 2
@@ -133,7 +148,7 @@ def modulation_norm(f: GridFunction, p, q, s,
     if uniform is None:
         uniform = build_uniform(f.spec)
     edge = uniform.kmax - 1
-    g = _in_band(f, f.spec.freq_outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
+    g = _in_band(f, uniform._outside_band, f"|xi|_inf = {edge}", "uniform")
     _, norms = box_piece_norms(g, p, uniform)
     return lq_seq_norm(norms, q, lattice_weights(uniform.lattice(), s))
 
@@ -144,7 +159,7 @@ def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
     level's window is exactly 0 on each nonzero bin of the floored spectrum
     (see ``DyadicPartition.support``), so its piece is identically zero."""
     edge = 1.25 * 2 ** dyadic.levels
-    spectrum = _spectrum_of(
+    spectrum, _ = _spectrum_of(
         _in_band(f, dyadic._radius > edge, f"|xi| = {edge:g}", "dyadic"))
     for j in dyadic.reached(spectrum):
         yield j, dyadic.window(j) * spectrum
@@ -155,17 +170,20 @@ def besov_norm(f: GridFunction, p, q, s,
     """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
 
     One forward transform (none for a frequency-side f). At p = 2 a piece's
-    norm is ``_l2_norm`` of its spectrum; otherwise the piece is synthesized,
-    one inverse transform per level the floored spectrum reaches. A level
+    norm is ``_l2_norm`` of its spectrum; otherwise the piece is synthesized
+    (``_synthesized_magnitudes``), one inverse FFT per level the floored
+    spectrum reaches, and the (N/P)^d scale multiplies its norm. A level
     with no nonzero bin in the support of phi_j (``DyadicPartition.support``)
     is skipped: its piece is identically zero and enters as 0.0."""
     p = Exponent.of(p)
+    spec = f.spec
     if dyadic is None:
-        dyadic = build_dyadic(f.spec)
+        dyadic = build_dyadic(spec)
+    scale = (spec.n / spec.period) ** spec.d
     norms = np.zeros(dyadic.levels + 1)
     for j, bins in _dyadic_pieces(f, dyadic):
-        norms[j] = (_l2_norm(bins, f.spec) if p == 2
-                    else lp_norm(GridFunction(f.spec, bins, FREQUENCY), p))
+        norms[j] = (_l2_norm(bins, spec) if p == 2 else
+                    scale * _riemann_lp(_synthesized_magnitudes(bins), spec.cell_volume, p))
     weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
     return lq_seq_norm(norms, q, weights)
 
@@ -178,20 +196,25 @@ def triebel_norm(f: GridFunction, p, q, s,
     At p = q = 2 this is ``besov_norm``: the Riemann sum over x and j of
     |2^(js) delta_j f(x)|^2 is sum_j 2^(2js) ||delta_j f||_2^2 term by term,
     so F_{2,2} = B_{2,2} up to rounding. Other (p, q) synthesize each level
-    ``besov_norm`` does not skip (a skipped piece adds only zeros)."""
+    ``besov_norm`` does not skip (a skipped piece adds only zeros), with the
+    (N/P)^d scale folded into the weight 2^(js). Every level's magnitudes
+    come in the same transform order, so the pointwise l^q pairs the same
+    points as on the grid."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
     q = Exponent.of(q)
     if p == 2 and q == 2:
         return besov_norm(f, p, q, s, dyadic)
+    spec = f.spec
     if dyadic is None:
-        dyadic = build_dyadic(f.spec)
+        dyadic = build_dyadic(spec)
     sf = np.float64(s)  # 2^(js) beyond double range reads inf, not OverflowError
+    scale = (spec.n / spec.period) ** spec.d
     qf = None if q.is_infinite else float(q.value)
     stack = None
     for j, bins in _dyadic_pieces(f, dyadic):
-        mags = (2.0 ** (sf * j)) * np.abs(GridFunction(f.spec, bins, FREQUENCY).in_space().values)
+        mags = (2.0 ** (sf * j) * scale) * _synthesized_magnitudes(bins)
         if q.is_infinite:
             stack = mags if stack is None else np.maximum(stack, mags)
         else:
@@ -200,7 +223,7 @@ def triebel_norm(f: GridFunction, p, q, s,
     if stack is None:
         return 0.0
     pointwise = stack if q.is_infinite else stack ** (1.0 / qf)
-    return _riemann_lp(pointwise, f.spec.cell_volume, p)
+    return _riemann_lp(pointwise, spec.cell_volume, p)
 
 
 def sobolev_norm(f: GridFunction, s, r) -> float:
@@ -212,7 +235,7 @@ def sobolev_norm(f: GridFunction, s, r) -> float:
 
 def fourier_lp_norm(f: GridFunction, r) -> float:
     """Riemann L^r norm of the frequency-side samples (delta^d per cell)."""
-    return _riemann_lp(np.abs(_spectrum_of(f)), f.spec.freq_cell_volume, r)
+    return _riemann_lp(np.abs(_spectrum_of(f)[0]), f.spec.freq_cell_volume, r)
 
 
 def space_norm(f: GridFunction, space: SpaceSpec,

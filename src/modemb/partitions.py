@@ -17,7 +17,9 @@ it scans one row band of the lattice at a time. ``piece_magnitudes`` (with
 ``_synthesis_table``) runs two algorithms, each benchmarked by its own
 annulus workload: a pruned length-L FFT in d = 1 and E P E^T in d = 2. In
 d = 1 the N x S matrix E would hold 131072 x 97 complex values on the
-annulus-1d grid, where the pruned FFT's table holds (N/L) x S = 1024 x 97.
+annulus-1d grid, where the pruned FFT's table holds (N/L) x L = 1024 x 128;
+the patch is zero-padded to L bins and the FFTs run in place on the
+twiddled copy.
 """
 from __future__ import annotations
 
@@ -156,13 +158,26 @@ class UniformPartition:
         return found
 
     @cached_property
+    def _outside_band(self) -> np.ndarray:
+        """Read-only mask of the frequency samples beyond the band the lattice
+        covers, |xi|_inf > kmax - 1. Built on first use, then kept."""
+        mask = self.spec.freq_outside_cube(self.kmax - 1)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def _synthesis_table(self) -> np.ndarray:
-        """exp(2 pi i (j n mod N) / N) / P for patch offsets j < S and, per axis,
-        the rows n the pruned synthesis needs: the N/L residues r in d = 1,
-        all N outputs in d = 2. Built on first use, then kept."""
+        """exp(2 pi i (j n mod N) / N) / P per axis, for the rows n the pruned
+        synthesis needs and the patch offsets j it reads: in d = 1 the N/L
+        residues r and j < L (the patch is zero-padded from S to L bins), in
+        d = 2 all N outputs and j < S. Built on first use, then kept."""
         spec = self.spec
         width = 2 * self.half_width + 1
-        rows = spec.n // _pruned_length(width) if spec.d == 1 else spec.n
+        if spec.d == 1:
+            width = _pruned_length(width)
+            rows = spec.n // width
+        else:
+            rows = spec.n
         phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
         return np.exp(2j * np.pi * phase / spec.n) / spec.period
 
@@ -170,13 +185,16 @@ class UniformPartition:
         """The N^d magnitudes of the space-side piece whose windowed spectrum
         is ``patch``: the |box_apply| samples, in the transform's order rather
         than grid order. Only the patch's S = 2 * half_width + 1 bins per axis
-        are touched: one length-L FFT over an (N/L, L) array of twiddled bins
-        in d = 1, E P E^T in d = 2 (``norms.box_piece_norms`` states the
-        factorization)."""
+        are touched: in d = 1 the patch is zero-padded to L bins and twiddled
+        into one (N/L, L) array, whose length-L FFTs run in place; in d = 2,
+        E P E^T (``norms.box_piece_norms`` states the factorization)."""
         table = self._synthesis_table
         if self.spec.d == 1:
-            return np.abs(np.fft.ifft(table * patch, n=_pruned_length(patch.size),
-                                      axis=-1, norm="forward"))
+            padded = np.zeros(table.shape[1], dtype=np.complex128)
+            padded[:patch.size] = patch
+            y = table * padded
+            np.fft.ifft(y, axis=-1, norm="forward", out=y)
+            return np.abs(y)
         return np.abs((table @ patch) @ table.T)
 
     @staticmethod

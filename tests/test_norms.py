@@ -1,4 +1,5 @@
 """The five quasi-norm evaluators: exact bookkeeping cases and stability."""
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from modemb.families import (
     random_band_limited,
     smallest_box_point,
 )
-from modemb import grid
+from modemb import grid, norms
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lp_norm, lq_seq_norm, transform
 from modemb.norms import (
@@ -52,6 +53,27 @@ def small_spec():
     return GridSpec(d=1, n=2 ** 12, oversampling=8)
 
 
+@pytest.fixture
+def full_grid_transforms(monkeypatch):
+    """Counts the full-grid transforms made while the test runs: "forward"
+    for grid._fft; "inverse" for grid._ifft and for the dyadic piece
+    synthesis in norms, which inverse-transforms the whole grid without
+    grid._ifft. Clear it to start a new count."""
+    calls = Counter()
+
+    def counted(original, kind):
+        def spy(*args):
+            calls[kind] += 1
+            return original(*args)
+        return spy
+
+    monkeypatch.setattr(grid, "_fft", counted(grid._fft, "forward"))
+    monkeypatch.setattr(grid, "_ifft", counted(grid._ifft, "inverse"))
+    monkeypatch.setattr(norms, "_synthesized_magnitudes",
+                        counted(norms._synthesized_magnitudes, "inverse"))
+    return calls
+
+
 def _zero(spec):
     return GridFunction(spec, np.zeros(spec.shape()), SPACE)
 
@@ -84,6 +106,26 @@ def test_modulation_single_box_weighted(box_partitions):
 def test_modulation_zero(box_partitions):
     uniform, _ = box_partitions
     assert modulation_norm(_zero(BOX_SPEC), 2, 2, 0, uniform) == 0.0
+
+
+@pytest.mark.parametrize("spec", [GridSpec(d=1, n=2 ** 10, oversampling=8),
+                                  GridSpec(d=2, n=64, oversampling=8)], ids=["1d", "2d"])
+def test_uniform_band_mask_built_once(spec, monkeypatch):
+    """The modulation band check reads one read-only mask per partition,
+    |xi|_inf > kmax - 1, built on the first norm and kept for the rest."""
+    uniform = build_uniform(spec)
+    f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=3)
+    built = []
+    outside_cube = GridSpec.freq_outside_cube
+    monkeypatch.setattr(GridSpec, "freq_outside_cube",
+                        lambda self, radius: built.append(radius) or outside_cube(self, radius))
+    for p in (1, 2, 1):
+        modulation_norm(f, p, 1, 0, uniform)
+    monkeypatch.undo()
+    assert built == [uniform.kmax - 1]
+    mask = uniform._outside_band
+    assert mask is uniform._outside_band and not mask.flags.writeable
+    np.testing.assert_array_equal(mask, spec.freq_outside_cube(uniform.kmax - 1))
 
 
 ANNULUS_SPEC = grid_for("annulus", level=6)
@@ -324,7 +366,7 @@ def test_box_piece_norms_match_extended_precision(p, rel):
     extended precision (np.fft on clongdouble) from the same spectrum."""
     spec = GridSpec(d=1, n=1024, oversampling=8)
     uniform = build_uniform(spec)
-    spectrum = _spectrum_of(family_annulus(spec, 4))
+    spectrum, _ = _spectrum_of(family_annulus(spec, 4))
     points, norms = box_piece_norms(GridFunction(spec, spectrum, FREQUENCY), p, uniform)
     pf = np.longdouble(float(Fraction(p)))
     scale = np.longdouble(spec.n) / np.longdouble(spec.period)
@@ -352,7 +394,7 @@ def _pruned_cases():
         uniform = build_uniform(spec)
         for f in (random_band_limited(spec, band_radius=uniform.kmax - 1, seed=5),
                   family_annulus(spec, level)):
-            cases.append((uniform, GridFunction(spec, _spectrum_of(f), FREQUENCY)))
+            cases.append((uniform, GridFunction(spec, _spectrum_of(f)[0], FREQUENCY)))
     return cases
 
 
@@ -395,7 +437,7 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
     points, norms = box_piece_norms(f, 2, uniform)
     monkeypatch.undo()
     assert "_synthesis_table" not in vars(uniform)
-    spectrum = _spectrum_of(f)
+    spectrum, _ = _spectrum_of(f)
     for k, value in zip(points, norms):
         _, patch = uniform.patch(spectrum, k)
         assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
@@ -489,7 +531,7 @@ def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
         f = family_annulus(spec, level)
         before = len(synthesized)
         box_piece_norms(f, 1, uniform)
-        spectrum = _spectrum_of(f)
+        spectrum, _ = _spectrum_of(f)
         peak = np.abs(spectrum).max()
         orbits = set()
         for k in uniform.lattice():
@@ -538,7 +580,7 @@ def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
     monkeypatch.setattr(UniformPartition, "patch", spy)
     points, norms = box_piece_norms(f, 1, uniform)
     monkeypatch.undo()
-    spectrum = _spectrum_of(f)
+    spectrum, _ = _spectrum_of(f)
     skipped = [i for i, k in enumerate(points) if k not in visited]
     assert visited and skipped
     for i in skipped:
@@ -552,7 +594,7 @@ def test_dyadic_norms_skip_only_zero_levels(case, monkeypatch):
     all-zero windowed spectrum."""
     f = SKIP_CASES[case]
     dyadic = build_dyadic(f.spec)
-    spectrum = _spectrum_of(f)
+    spectrum, _ = _spectrum_of(f)
     window = DyadicPartition.window
     for norm in (besov_norm, triebel_norm):
         visited = set()
@@ -593,8 +635,8 @@ def test_dyadic_norms_of_zero(box_partitions, q):
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
                  (0, 0), (1, 0), id="modulation"),
 ])
-def test_full_grid_transform_count(box_partitions, monkeypatch, norm, member_calls,
-                                   space_calls):
+def test_full_grid_transform_count(box_partitions, full_grid_transforms, norm,
+                                   member_calls, space_calls):
     """(forward, inverse) full-grid transforms per norm. A single-box member
     is its spectrum, so no norm forward-transforms it; its space samples take
     one forward transform, shared by the band check and the norm. L^2 piece
@@ -605,16 +647,10 @@ def test_full_grid_transform_count(box_partitions, monkeypatch, norm, member_cal
     uniform, dyadic = box_partitions
     member = family_single_box(BOX_SPEC, 5)
     for f, expected in ((member, member_calls), (member.in_space(), space_calls)):
-        calls = {"_fft": 0, "_ifft": 0}
-        for name in calls:
-            def counted(values, name=name, original=getattr(grid, name)):
-                calls[name] += 1
-                return original(values)
-
-            monkeypatch.setattr(grid, name, counted)
+        full_grid_transforms.clear()
         norm(f, uniform, dyadic)
-        monkeypatch.undo()
-        assert (calls["_fft"], calls["_ifft"]) == expected, f.side
+        calls = full_grid_transforms
+        assert (calls["forward"], calls["inverse"]) == expected, f.side
 
 
 def _parseval_cases():
@@ -647,10 +683,50 @@ def test_besov_p2_matches_synthesized_pieces(case, q, s):
     the L^2 norms of the synthesized pieces to rounding."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
-    norms = [lp_norm(piece, 2) for piece in _synthesized_pieces(f, dyadic)]
-    weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
-    expected = lq_seq_norm(norms, q, weights)
+    expected = _besov_by_synthesis(_synthesized_pieces(f, dyadic), 2, q, s)
     assert besov_norm(f, 2, q, s, dyadic) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _besov_by_synthesis(pieces, p, q, s):
+    """The Besov norm from the dense pieces through lp_norm."""
+    weights = 2.0 ** (float(s) * np.arange(len(pieces)))
+    return lq_seq_norm([lp_norm(piece, p) for piece in pieces], q, weights)
+
+
+@pytest.mark.parametrize("case", PARSEVAL_CASES)
+@pytest.mark.parametrize("p", [1, F(3, 2), "inf"])
+def test_besov_matches_synthesized_pieces(case, p):
+    """Off the Parseval route (p = 2 has its own test above), the pieces
+    synthesized without centering shifts give the norm of the dense pieces
+    through lp_norm, for every q and s, to rounding."""
+    f = PARSEVAL_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    pieces = _synthesized_pieces(f, dyadic)
+    for q in (1, 2, "inf"):
+        for s in (F(-1, 2), 0, 1):
+            expected = _besov_by_synthesis(pieces, p, q, s)
+            assert besov_norm(f, p, q, s, dyadic) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=0), (q, s)
+
+
+@pytest.mark.parametrize("case", PARSEVAL_CASES)
+@pytest.mark.parametrize("p", [1, F(3, 2)])
+@pytest.mark.parametrize("q", [1, "inf"])
+def test_triebel_matches_pointwise_synthesis(case, p, q):
+    """Off the Parseval route, the pointwise l^q over the pieces synthesized
+    without centering shifts, then the spatial L^p norm, equals the same
+    reduction of the dense pieces through lp_norm, to rounding."""
+    f = PARSEVAL_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    pieces = _synthesized_pieces(f, dyadic)
+    for s in (F(-1, 2), 0, 1):
+        mags = np.array([2.0 ** (float(s) * j) * np.abs(piece.values)
+                         for j, piece in enumerate(pieces)])
+        pointwise = (mags.max(axis=0) if q == "inf"
+                     else np.sum(mags ** float(q), axis=0) ** (1.0 / float(q)))
+        expected = lp_norm(GridFunction(f.spec, pointwise, SPACE), p)
+        assert triebel_norm(f, p, q, s, dyadic) == pytest.approx(expected, rel=1e-12,
+                                                                 abs=0), s
 
 
 @pytest.mark.parametrize("case", PARSEVAL_CASES)
@@ -667,18 +743,15 @@ def test_triebel_22_matches_pointwise_synthesis(case, s):
 
 
 @pytest.mark.parametrize("case", PARSEVAL_CASES)
-def test_l2_dyadic_norms_make_no_inverse_transform(case, monkeypatch):
+def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
     """No inverse transform for Besov at p = 2 or Triebel at p = q = 2; one
     per reached level for Triebel at p = 2, q = 1, which stays pointwise."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
-    reached = len(dyadic.reached(_spectrum_of(f)))
+    reached = len(dyadic.reached(_spectrum_of(f)[0]))
     assert reached >= 2
-    calls = []
-    original = grid._ifft
-    monkeypatch.setattr(grid, "_ifft", lambda values: calls.append(1) or original(values))
     for norm, q, expected in ((besov_norm, 1, 0), (besov_norm, "inf", 0),
                               (triebel_norm, 2, 0), (triebel_norm, 1, reached)):
-        calls.clear()
+        full_grid_transforms.clear()
         norm(f, 2, q, 0, dyadic)
-        assert len(calls) == expected, (norm.__name__, q)
+        assert full_grid_transforms["inverse"] == expected, (norm.__name__, q)
