@@ -175,6 +175,17 @@ def test_decide_exit_codes(capsys):
     (["boundedness", "--from", "W[r=1,s=0]", "--to", "M[p=1,q=inf]",
       "--family", "dilated_kernel", "--t-list", "1/4,1/16", "--lmax", "5"], 2,
      "error: --t-list cannot be combined with --lmin or --lmax"),
+    # each family's member parameter is required
+    (["norm", "--family", "annulus", "--space", "M[p=2,q=2]"], 2,
+     "error: --level is required for the annulus family"),
+    (["norm", "--family", "dilation", "--space", "M[p=2,q=2]"], 2,
+     "error: --lam is required for the dilation family"),
+    (["norm", "--family", "dilated_kernel", "--space", "M[p=2,q=2]"], 2,
+     "error: --t is required for the dilated-kernel family"),
+    # dilation has norm asymptotics but no experiment driver
+    (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+      "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
+     "undecidable: unknown family kind 'dilation'"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -316,6 +327,8 @@ def test_norm_oversized_grid_exits_cleanly(capsys):
     (["--family", "annulus", "--level", "3"], "3", 3),
     (["--family", "dilation", "--lam", "1/2"], "1/2", None),
     (["--family", "dilated_kernel", "--t", "2/8"], "1/4", None),
+    (["--family", "single_box", "--level", "3"], "3", 3),
+    (["--family", "lattice_comb", "--level", "4", "--width", "1/2"], "4", 4),
 ])
 def test_norm_json_records_parameter(capsys, option, parameter, level):
     """The norm payload names the member: its exact level, lambda or t."""
