@@ -17,18 +17,10 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from .exponents import INF, Exponent, as_fraction
-from .families import (
-    family_annulus,
-    family_dilated_kernel,
-    family_dilation,
-    family_lattice_comb,
-    family_single_box,
-    grid_for,
-)
+from .families import KINDS, grid_for, kind_row, member
 from .grid import GridSpec
 from .oracle import (
     SPACE_KEYS,
@@ -42,7 +34,7 @@ from .oracle import (
     render_space,
 )
 from . import experiments
-from .partitions import build_dyadic, build_uniform, selftest_report
+from .partitions import selftest_report
 
 EX_USAGE = 64
 
@@ -173,18 +165,12 @@ _TABLE_PAIRS = {
     "M-F": (Family.MODULATION, Family.TRIEBEL),
 }
 
-_FAMILY_KINDS = ("single_box", "annulus", "lattice_comb", "dilation", "dilated_kernel")
-
-# The families that read each family-specific command-line option.
-_FAMILY_OPTIONS = {"width": ("lattice_comb",), "lam": ("dilation",), "t": ("dilated_kernel",),
-                   "level": ("single_box", "annulus", "lattice_comb")}
-
-
 def _refuse_foreign_options(args) -> None:
     """Refuse, rather than ignore, a family option given on the command line
     that the chosen family does not read; config-file keys stay shared defaults."""
-    for name, kinds in _FAMILY_OPTIONS.items():
-        if getattr(args, name, None) is not None and args.family not in kinds:
+    reads, _, _ = kind_row(args.family)
+    for name in ("width", "lam", "t", "level"):
+        if getattr(args, name, None) is not None and name not in reads:
             raise ValueError(f"--{name} does not apply to the {args.family} family")
 
 
@@ -192,26 +178,15 @@ def _build_family(kind, args, config, d):
     width = as_fraction(_cfg(args, config, "width", str, "1"))
     n_override = _cfg(args, config, "n", int, None)
     m_override = _cfg(args, config, "oversampling", int, None)
-    if kind == "dilation":
-        if args.lam is None:
-            raise ValueError("--lam is required for the dilation family")
-        param = as_fraction(args.lam)
-        spec, build = grid_for(kind, d=d, lam=param), family_dilation
-    elif kind == "dilated_kernel":
-        if args.t is None:
-            raise ValueError("--t is required for the dilated-kernel family")
-        param = as_fraction(args.t)
-        spec, build = grid_for(kind, d=d, t=param), family_dilated_kernel
-    else:
-        if args.level is None:
-            raise ValueError(f"--level is required for the {kind} family")
-        param = args.level
-        spec = grid_for(kind, d=d, level=param, width=width)
-        build = {"single_box": family_single_box, "annulus": family_annulus,
-                 "lattice_comb": partial(family_lattice_comb, width=width)}[kind]
+    option = kind_row(kind)[0][0]  # the option that carries the member parameter
+    param = getattr(args, option)
+    if param is None:
+        raise ValueError(f"--{option} is required for the {kind} family")
+    param = as_fraction(param) if isinstance(param, str) else param  # --level is an int
+    spec = grid_for(kind, d=d, width=width, **{option: param})
     if n_override or m_override:
         spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
-    return spec, build(spec, param), param
+    return member(kind, spec, param, width), param
 
 
 def cmd_decide(args, config) -> int:
@@ -258,11 +233,8 @@ def cmd_norm(args, config) -> int:
     _refuse_foreign_options(args)
     d = _cfg(args, config, "d", int, 1)
     space = parse_space(args.space, d)
-    spec, f, param = _build_family(args.family, args, config, d)
-    uniform = build_uniform(spec) if space.family is Family.MODULATION else None
-    dyadic = (build_dyadic(spec)
-              if space.family in (Family.BESOV, Family.TRIEBEL) else None)
-    value = experiments.finite_norm(f, space, uniform, dyadic, "it must be finite and nonzero")
+    f, param = _build_family(args.family, args, config, d)
+    value = experiments.finite_norm(f, space, None, None, "it must be finite and nonzero")
     if args.json:
         print(json.dumps({"schema": "modemb/norm/v1",
                           "space": render_space(space),
@@ -352,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("norm", help="evaluate a quasi-norm of a family member")
-    p.add_argument("--family", choices=_FAMILY_KINDS, required=True)
+    p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--t", default=None, help="dilated-kernel parameter")
-    p.add_argument("--lam", default=None, help="dilation parameter")
-    p.add_argument("--width", default=None, help="comb width a")
+    p.add_argument("--t", default=None, help="member parameter t, 0 < t <= 1")
+    p.add_argument("--lam", default=None, help="member parameter lambda, 0 < lambda <= 1")
+    p.add_argument("--width", default=None, help="comb width a, 0 < a <= 1")
     p.add_argument("--space", required=True, metavar="SPEC")
     p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -368,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--from", dest="source", required=True, metavar="SPEC")
         p.add_argument("--to", dest="target", required=True, metavar="SPEC")
-        p.add_argument("--family", choices=_FAMILY_KINDS, required=True)
+        p.add_argument("--family", choices=KINDS, required=True)
         p.add_argument("--lmin", type=int, default=None)
         p.add_argument("--lmax", type=int, default=None)
         p.add_argument("--t-list", default=None,

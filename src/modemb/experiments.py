@@ -16,14 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exponents import as_fraction
-from .families import (
-    family_annulus,
-    family_dilated_kernel,
-    family_lattice_comb,
-    family_single_box,
-    grid_for,
-)
+from .families import KINDS, grid_for, kind_row, member
 from .grid import GridSpec, NonFiniteError
 from .norms import space_norm
 from .oracle import Family, SpaceSpec, decide, render_space
@@ -144,24 +137,6 @@ def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fracti
         f"{target.family.value}")
 
 
-_FAMILY_BUILDERS = {
-    "single_box": lambda spec, level, width: family_single_box(spec, level),
-    "annulus": lambda spec, level, width: family_annulus(spec, level),
-    "lattice_comb": family_lattice_comb,
-    "dilated_kernel": lambda spec, level, width: family_dilated_kernel(spec, level),
-}
-
-
-def _default_grid(family: str, levels, d: int, width) -> GridSpec:
-    if family == "dilated_kernel":
-        return grid_for("dilated_kernel", d=d, t=min(as_fraction(t) for t in levels))
-    return grid_for(family, d=d, level=max(levels), width=width)
-
-
-def _needs(source: SpaceSpec, target: SpaceSpec, family_enum: Family) -> bool:
-    return source.family is family_enum or target.family is family_enum
-
-
 def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:
     """space_norm, refused naming the space unless finite and nonzero; NumPy warns nothing."""
     with np.errstate(all="ignore"):
@@ -175,21 +150,22 @@ def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:
 
 
 def _run_norms(source, target, family, levels, width, grid):
-    if family not in _FAMILY_BUILDERS:
+    # dilation has norm estimates but no experiment along it yet
+    if family not in KINDS or family == "dilation":
         raise CatalogueError(f"unknown family kind {family!r}")
-    if family != "dilated_kernel" and not all(isinstance(l, int) for l in levels):
+    options, coordinate, _ = kind_row(family)
+    if options[0] == "level" and not all(isinstance(l, int) for l in levels):
         raise ValueError(f"the {family} family takes integer levels, got "
                          f"{', '.join(str(l) for l in levels)}")
     if grid is None:
-        grid = _default_grid(family, levels, source.d, width)
-    uniform = build_uniform(grid) if _needs(source, target, Family.MODULATION) else None
-    dyadic = (build_dyadic(grid)
-              if _needs(source, target, Family.BESOV)
-              or _needs(source, target, Family.TRIEBEL) else None)
-    builder = _FAMILY_BUILDERS[family]
+        grid = grid_for(family, d=source.d, width=width,
+                        **{options[0]: max(levels, key=coordinate)})
+    scales = {source.family, target.family}
+    uniform = build_uniform(grid) if Family.MODULATION in scales else None
+    dyadic = build_dyadic(grid) if scales & {Family.BESOV, Family.TRIEBEL} else None
 
     def one(level):
-        f = builder(grid, level, width)
+        f = member(family, grid, level, width)
         return [finite_norm(f, space, uniform, dyadic,
                             "a growth ratio needs finite nonzero norms", f" at level {level}")
                 for space in (source, target)]
@@ -197,12 +173,6 @@ def _run_norms(source, target, family, levels, width, grid):
     source_norms, target_norms = map(list, zip(*[one(level) for level in levels]))
     ratios = [tn / sn for sn, tn in zip(source_norms, target_norms)]
     return grid, source_norms, target_norms, ratios
-
-
-def _level_coordinates(family: str, levels) -> np.ndarray:
-    if family == "dilated_kernel":
-        return np.array([-np.log2(float(as_fraction(t))) for t in levels])
-    return np.array([float(level) for level in levels])
 
 
 def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
@@ -216,7 +186,8 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
     predicted = predicted_slope(source, target, family)
     grid, source_norms, target_norms, ratios = _run_norms(
         source, target, family, levels, width, grid)
-    xs = _level_coordinates(family, levels)
+    _, coordinate, _ = kind_row(family)
+    xs = np.array([coordinate(level) for level in levels])
     fitted = float(np.polyfit(xs, np.log2(ratios), 1)[0])
     passed = abs(fitted - float(predicted)) <= tolerance
     return ExperimentReport(

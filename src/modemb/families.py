@@ -5,6 +5,10 @@ support, so the grid function is the exact periodization of the continuum
 object), and a member is that spectrum: a frequency-side GridFunction. The
 norms read it without a forward transform; ``in_space()`` gives the space
 samples. Identical parameters yield bit-identical samples.
+
+The family table, ``_table``, is the one place a family kind is defined;
+other modules read kinds only through ``KINDS``, ``kind_row``, ``member`` and
+``grid_for``.
 """
 from __future__ import annotations
 
@@ -46,10 +50,6 @@ def _skewed_bump(edge0: float, edge1: float, power: float):
 NARROW_BUMP = _skewed_bump(7.0 / 64.0, 1.0 / 8.0, 6.0)
 # Wide kernel profile: 1 on |t| <= 1, 0 outside |t| < 9/8.
 WIDE_BUMP = smooth_profile(1.0, 9.0 / 8.0)
-
-
-def _empty_spectrum(spec: GridSpec) -> np.ndarray:
-    return np.zeros(spec.shape(), dtype=np.complex128)
 
 
 def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
@@ -115,7 +115,9 @@ def _unit_parameter(value, name: str, symbol: str) -> Fraction:
     return x
 
 
-def dilation_spectrum(spec: GridSpec, lam) -> np.ndarray:
+def family_dilation(spec: GridSpec, lam) -> GridFunction:
+    """f_lambda(x) = f(lambda x) with spectrum lambda^-d eta(xi/lambda),
+    supported in lambda [-1/8, 1/8]^d."""
     lam = _unit_parameter(lam, "dilation parameter", "lambda")
     if lam * spec.oversampling < 48:
         raise ResolutionError(
@@ -123,16 +125,10 @@ def dilation_spectrum(spec: GridSpec, lam) -> np.ndarray:
             f"need oversampling >= {int(np.ceil(48 / lam))}"
         )
     lf = float(lam)
-    ax = spec.freq_axis()
-    axis_vals = NARROW_BUMP(np.abs(ax) / lf)
+    axis_vals = NARROW_BUMP(np.abs(spec.freq_axis()) / lf)
     scale = lf ** (-spec.d)
-    return (scale * separable(np.multiply, (axis_vals,) * spec.d)).astype(np.complex128)
-
-
-def family_dilation(spec: GridSpec, lam) -> GridFunction:
-    """f_lambda(x) = f(lambda x) with spectrum lambda^-d eta(xi/lambda),
-    supported in lambda [-1/8, 1/8]^d."""
-    return _finish(spec, dilation_spectrum(spec, lam))
+    return _finish(spec, (scale * separable(np.multiply, (axis_vals,) * spec.d))
+                   .astype(np.complex128))
 
 
 def smallest_box_point(level: int, d: int) -> tuple[int, ...]:
@@ -142,60 +138,83 @@ def smallest_box_point(level: int, d: int) -> tuple[int, ...]:
     return k
 
 
-def single_box_spectrum(spec: GridSpec, level: int) -> np.ndarray:
-    if level < 2:
-        raise ValueError(f"single-box family needs level >= 2, got {level}")
-    k = smallest_box_point(level, spec.d)
-    out = _empty_spectrum(spec)
-    _add_box(out, spec, k, 1.0, width=1.0, modulated=False)
-    return out
-
-
 def family_single_box(spec: GridSpec, level: int) -> GridFunction:
     """Spectrum eta(xi - k_l) at the lexicographically smallest k_l in A_l:
     exactly one active uniform box, dyadic levels within |j - l| <= 3."""
-    return _finish(spec, single_box_spectrum(spec, level))
-
-
-def annulus_spectrum(spec: GridSpec, level: int) -> np.ndarray:
-    dyadic = build_dyadic(spec, levels=max(level, 1))
-    return dyadic.window(level).astype(np.complex128)
+    if level < 2:
+        raise ValueError(f"single-box family needs level >= 2, got {level}")
+    k = smallest_box_point(level, spec.d)
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    _add_box(out, spec, k, 1.0, width=1.0, modulated=False)
+    return _finish(spec, out)
 
 
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
-    """Spectrum phi_level: the dyadic window itself."""
-    return _finish(spec, annulus_spectrum(spec, level))
-
-
-def comb_spectrum(spec: GridSpec, level: int, width=1) -> np.ndarray:
-    a = _unit_parameter(width, "comb width", "a")
-    points = index_set("A", level, spec.d).members
-    if not points:
-        raise ValueError(f"A_{level} is empty in dimension {spec.d}")
-    _check_period(spec, points)
-    out = _empty_spectrum(spec)
-    for k in points:
-        _add_box(out, spec, k, 1.0, width=float(a), modulated=True)
-    return out
+    """Spectrum phi_level: the dyadic window itself. The partition dies within
+    the expression, so its arrays are freed before the member's copy is made."""
+    return _finish(spec, build_dyadic(spec, levels=max(level, 1)).window(level)
+                   .astype(np.complex128))
 
 
 def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
     """f(x) = sum_{k in A_level} e^{ikx} eta((x-k)/a): modulated translates
     whose spectra tile the boxes k + [-1/(8a), 1/(8a)]^d."""
-    return _finish(spec, comb_spectrum(spec, level, width))
-
-
-def kernel_spectrum(spec: GridSpec, t) -> np.ndarray:
-    tf = float(_unit_parameter(t, "kernel parameter", "t"))
-    ax = spec.freq_axis()
-    axis_vals = WIDE_BUMP(np.abs(tf * ax))
-    return separable(np.multiply, (axis_vals,) * spec.d).astype(np.complex128)
+    a = _unit_parameter(width, "comb width", "a")
+    points = index_set("A", level, spec.d).members
+    if not points:
+        raise ValueError(f"A_{level} is empty in dimension {spec.d}")
+    _check_period(spec, points)
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    for k in points:
+        _add_box(out, spec, k, 1.0, width=float(a), modulated=True)
+    return _finish(spec, out)
 
 
 def family_dilated_kernel(spec: GridSpec, t) -> GridFunction:
     """f(x) = t^-d eta(x/t) with eta_hat = 1 on [-1,1]^d: the spectrum
     eta_hat(t xi) equals 1 on (1/t)[-1,1]^d."""
-    return _finish(spec, kernel_spectrum(spec, t))
+    tf = float(_unit_parameter(t, "kernel parameter", "t"))
+    axis_vals = WIDE_BUMP(np.abs(tf * spec.freq_axis()))
+    return _finish(spec, separable(np.multiply, (axis_vals,) * spec.d).astype(np.complex128))
+
+
+def _octaves(parameter) -> float:
+    """log2(1/parameter) for a lambda or t; infinite at a parameter <= 0, so
+    that member sizes the grid, which refuses it."""
+    x = float(as_fraction(parameter))
+    return -np.log2(x) if x > 0 else np.inf
+
+
+def _table() -> dict:
+    """kind -> (options, growth coordinate, generator). ``options`` are the
+    grid_for keywords and command-line options the kind reads, its member
+    parameter first. The largest coordinate picks the member that sizes the
+    default grid; the coordinate is the fit abscissa. Built per call, so it
+    holds the generators this module binds when called."""
+    return {
+        "single_box": (("level",), float, family_single_box),
+        "annulus": (("level",), float, family_annulus),
+        "lattice_comb": (("level", "width"), float, family_lattice_comb),
+        "dilation": (("lam",), _octaves, family_dilation),
+        "dilated_kernel": (("t",), _octaves, family_dilated_kernel),
+    }
+
+
+KINDS = tuple(_table())
+
+
+def kind_row(kind: str) -> tuple:
+    """The family table's row for ``kind``."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return _table()[kind]
+
+
+def member(kind: str, spec: GridSpec, parameter, width=1) -> GridFunction:
+    """The member of family ``kind`` at ``parameter``: its level, lambda or t.
+    Only a kind with ``width`` among its options reads ``width``."""
+    options, _, generator = kind_row(kind)
+    return generator(spec, parameter, *([width] if "width" in options else []))
 
 
 def random_band_limited(spec: GridSpec, band_radius: float, center=None,

@@ -262,12 +262,12 @@ class DyadicPartition:
 
     spec: GridSpec
     levels: int
-    _radius: np.ndarray = field(repr=False, default=None)
-    _cache: dict = field(repr=False, default_factory=dict)
+    _cache: dict = field(repr=False, init=False, default_factory=dict)
 
-    def __post_init__(self):
-        if self._radius is None:
-            self._radius = self.spec.freq_radius()
+    @cached_property
+    def _radius(self) -> np.ndarray:
+        """|xi| at every frequency sample. Built on first use, then kept."""
+        return self.spec.freq_radius()
 
     def window(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:
@@ -411,9 +411,11 @@ def lattice_weights(points, s) -> np.ndarray:
 
 def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
     """A_l (windows inside D_l) or B_l (windows touching D_l), where
-    ``parameter`` is the level l. Members in lexicographic order."""
+    ``parameter`` is the integer level l. Members in lexicographic order."""
     if kind not in ("A", "B"):
         raise ValueError(f"unknown index-set kind {kind!r}")
+    if not isinstance(parameter, (int, np.integer)):
+        raise ValueError(f"level must be an integer, got {parameter!r}")
     level = int(parameter)
     members = list(_annulus_membership(level, d, inside=(kind == "A")))
     if kind == "A" and not members:

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import sys
 import warnings
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from modemb.cli import (
     parse_space,
     render_space,
 )
+from modemb import families
 from modemb.exponents import INF, Exponent
 from modemb.oracle import Family, SpaceSpec, classify_region
 
@@ -181,7 +183,7 @@ def test_decide_exit_codes(capsys):
     (["norm", "--family", "dilation", "--space", "M[p=2,q=2]"], 2,
      "error: --lam is required for the dilation family"),
     (["norm", "--family", "dilated_kernel", "--space", "M[p=2,q=2]"], 2,
-     "error: --t is required for the dilated-kernel family"),
+     "error: --t is required for the dilated_kernel family"),
     # dilation has norm asymptotics but no experiment driver
     (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
       "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
@@ -336,6 +338,31 @@ def test_norm_json_records_parameter(capsys, option, parameter, level):
     payload = json.loads(capsys.readouterr().out)
     assert payload["parameter"] == parameter and payload["level"] == level
     assert payload["value"] > 0
+
+
+@pytest.mark.parametrize("kind", ["annulus", "single_box", "lattice_comb"])
+def test_rebound_generator_is_called_once_per_member(capsys, monkeypatch, kind):
+    """A generator rebound in every loaded modemb module that holds it, as the
+    benchmark tracer rebinds public functions, is the one norm and
+    boundedness call, once per member."""
+    original = getattr(families, f"family_{kind}")
+    levels = []
+
+    def counting(spec, level, *args, **kwargs):
+        levels.append(level)
+        return original(spec, level, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "modemb" or name.startswith("modemb."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert main(["norm", "--family", kind, "--level", "4", "--space", "M[p=2,q=2]"]) == 0
+    assert levels == [4]
+    main(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+          "--family", kind, "--lmin", "4", "--lmax", "5"])
+    assert levels == [4, 4, 5]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("t", ["1", "1/2", "1/3"])

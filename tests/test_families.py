@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from modemb.families import (
+    KINDS,
     PeriodError,
     _add_box,
     _finish,
-    annulus_spectrum,
-    comb_spectrum,
-    dilation_spectrum,
     family_annulus,
     family_dilated_kernel,
     family_dilation,
     family_lattice_comb,
     family_single_box,
     grid_for,
-    kernel_spectrum,
+    kind_row,
+    member,
     random_band_limited,
-    single_box_spectrum,
     smallest_box_point,
 )
 from modemb.grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, SPACE, \
@@ -45,10 +43,10 @@ def _train(spec, coefficients):
     return _finish(spec, out)
 
 
-def _sum_spectrum(spec, synth, coefficients):
+def _sum_spectrum(spec, generator, coefficients):
     out = np.zeros(spec.shape(), dtype=np.complex128)
     for level, c in sorted(coefficients):
-        out += complex(c) * synth(spec, level)
+        out += complex(c) * generator(spec, level).values
     return out
 
 
@@ -163,6 +161,12 @@ def test_comb_box_pieces_are_translates():
     assert num < 1e-10 * np.abs(single.values).max()
 
 
+def test_comb_refuses_a_level_that_is_not_an_integer():
+    for level in (2.5, "3"):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            family_lattice_comb(COMB_SPEC, level)
+
+
 def test_comb_period_guard():
     small = GridSpec(d=1, n=2 ** 12, oversampling=8)
     with pytest.raises(PeriodError):
@@ -178,7 +182,7 @@ def test_weighted_sum_box_lq_profile():
         ratios = []
         for _ in range(4):
             coeffs = rng.uniform(0.5, 2.0, size=3)
-            f = _finish(BOX_SPEC, _sum_spectrum(BOX_SPEC, single_box_spectrum,
+            f = _finish(BOX_SPEC, _sum_spectrum(BOX_SPEC, family_single_box,
                                                 zip(levels, coeffs)))
             value = modulation_norm(f, 2, q, 0, uniform)
             ratios.append(value / lq_seq_norm(coeffs, q))
@@ -195,7 +199,7 @@ def test_weighted_sum_annulus_lower_bound():
     ratios = []
     for _ in range(4):
         coeffs = rng.uniform(0.5, 2.0, size=3)
-        f = _finish(spec, _sum_spectrum(spec, annulus_spectrum, zip(levels, coeffs)))
+        f = _finish(spec, _sum_spectrum(spec, family_annulus, zip(levels, coeffs)))
         value = modulation_norm(f, 2, q, 0, uniform)
         seq = lq_seq_norm(coeffs, q, weights=[2.0 ** j for j in levels])
         ratios.append(value / seq)
@@ -272,9 +276,6 @@ def test_deterministic_generation():
     f = family_lattice_comb(COMB_SPEC, 5)
     g = family_lattice_comb(COMB_SPEC, 5)
     assert np.array_equal(f.values, g.values)
-    a = comb_spectrum(COMB_SPEC, 5)
-    b = comb_spectrum(COMB_SPEC, 5)
-    assert np.array_equal(a, b)
 
 
 def test_band_margin_asserted():
@@ -303,22 +304,23 @@ def test_grid_for_comb_matches_design_scale():
 
 
 def _member_cases():
-    """name -> (member, the spectrum it is synthesized from) for every
-    family_* generator, in d = 1 and, where the family has one, d = 2."""
+    """name -> (member drawn through the family table, the spectrum its
+    family_* generator gives) for every kind, in d = 1 and, where the family
+    has one, d = 2."""
     box, box2 = grid_for("single_box", level=5), grid_for("single_box", d=2, level=2)
     ann, ann2 = grid_for("annulus", level=3), grid_for("annulus", d=2, level=2)
     comb = grid_for("lattice_comb", level=4)
     dil, ker = grid_for("dilation", lam=F(1, 2)), grid_for("dilated_kernel", t=F(1, 4))
     return {
-        "dilation": (family_dilation(dil, F(1, 2)), dilation_spectrum(dil, F(1, 2))),
-        "single_box": (family_single_box(box, 5), single_box_spectrum(box, 5)),
-        "single_box-2d": (family_single_box(box2, 2), single_box_spectrum(box2, 2)),
-        "annulus": (family_annulus(ann, 3), annulus_spectrum(ann, 3)),
-        "annulus-2d": (family_annulus(ann2, 2), annulus_spectrum(ann2, 2)),
-        "lattice_comb": (family_lattice_comb(comb, 4, F(1, 2)),
-                         comb_spectrum(comb, 4, F(1, 2))),
-        "dilated_kernel": (family_dilated_kernel(ker, F(1, 4)),
-                           kernel_spectrum(ker, F(1, 4))),
+        "dilation": (member("dilation", dil, F(1, 2)), family_dilation(dil, F(1, 2))),
+        "single_box": (member("single_box", box, 5), family_single_box(box, 5)),
+        "single_box-2d": (member("single_box", box2, 2), family_single_box(box2, 2)),
+        "annulus": (member("annulus", ann, 3), family_annulus(ann, 3)),
+        "annulus-2d": (member("annulus", ann2, 2), family_annulus(ann2, 2)),
+        "lattice_comb": (member("lattice_comb", comb, 4, F(1, 2)),
+                         family_lattice_comb(comb, 4, F(1, 2))),
+        "dilated_kernel": (member("dilated_kernel", ker, F(1, 4), F(1, 2)),
+                           family_dilated_kernel(ker, F(1, 4))),
     }
 
 
@@ -327,8 +329,23 @@ MEMBER_CASES = _member_cases()
 
 @pytest.mark.parametrize("case", MEMBER_CASES)
 def test_member_space_samples_are_the_spectrum_transform(case):
-    """A member's space samples are bit for bit the inverse transform of the
-    spectrum it is synthesized from."""
-    member, spectrum = MEMBER_CASES[case]
-    expected = transform(GridFunction(member.spec, spectrum, FREQUENCY), SPACE)
-    assert member.in_space().values.tobytes() == expected.values.tobytes()
+    """A member drawn through the family table holds its generator's spectrum
+    bit for bit, and its space samples are the inverse transform of it."""
+    drawn, direct = MEMBER_CASES[case]
+    assert drawn.side == FREQUENCY and drawn.values.tobytes() == direct.values.tobytes()
+    expected = transform(GridFunction(drawn.spec, direct.values, FREQUENCY), SPACE)
+    assert drawn.in_space().values.tobytes() == expected.values.tobytes()
+
+
+def test_family_table_rows():
+    """Each kind names its member parameter, measures growth in octaves of
+    that parameter, and is refused by name when unknown."""
+    assert {kind: kind_row(kind)[0] for kind in KINDS} == {
+        "single_box": ("level",), "annulus": ("level",),
+        "lattice_comb": ("level", "width"), "dilation": ("lam",), "dilated_kernel": ("t",)}
+    assert kind_row("annulus")[1](5) == 5.0
+    assert kind_row("dilation")[1](F(1, 8)) == 3.0
+    assert kind_row("dilated_kernel")[1]("1/4") == 2.0
+    assert kind_row("dilated_kernel")[1](0) == np.inf
+    with pytest.raises(ValueError, match="unknown family kind 'ring'"):
+        kind_row("ring")

@@ -10,6 +10,7 @@ from modemb.families import random_band_limited
 from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, lp_norm, transform
 from modemb.partitions import (
     DYADIC_PROFILE,
+    DyadicPartition,
     build_dyadic,
     build_uniform,
     box_apply,
@@ -116,6 +117,15 @@ def test_dyadic_band_guard():
         build_dyadic(SPEC, levels=max_dyadic_level(SPEC) + 1)
 
 
+@pytest.mark.parametrize("knob", ["_radius", "_cache"])
+def test_dyadic_partition_takes_no_radius_or_cache(knob):
+    """The radius is always the grid's own |xi|; the window cache starts empty."""
+    with pytest.raises(TypeError):
+        DyadicPartition(SPEC, 3, **{knob: None})
+    dyadic = DyadicPartition(SPEC, 3)
+    assert np.array_equal(dyadic._radius, SPEC.freq_radius()) and dyadic._cache == {}
+
+
 def _low_band_function():
     """Band-limited to [-1/8, 1/8], away from all window edges."""
     values = np.zeros(SPEC.n, dtype=complex)
@@ -195,6 +205,13 @@ def test_index_set_inclusion_and_growth():
         assert a <= b
     drift = [np.log2(len(index_set("A", level, 1))) - level for level in range(3, 11)]
     assert max(drift) - min(drift) < 1.0 and max(np.abs(drift)) < 1.5
+
+
+@pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
+def test_index_set_refuses_a_level_that_is_not_an_integer(level):
+    """int() would read 2.5 as A_2 labelled 2.5, and accept the string "3"."""
+    with pytest.raises(ValueError, match=f"level must be an integer, got {level!r}"):
+        index_set("A", level, 1)
 
 
 def test_index_set_empty_warning():

@@ -127,26 +127,27 @@ def _random_band_limited(d):
 def _dilation_spectrum(d):
     spec = GridSpec(d=d, n=256, oversampling=64)
     for lam in (1, F(3, 4)):
-        yield families.dilation_spectrum(spec, lam)
+        yield families.family_dilation(spec, lam).values
 
 
 def _single_box_spectrum(d):
-    yield families.single_box_spectrum(families.grid_for("single_box", d=d, level=3), 3)
+    yield families.family_single_box(families.grid_for("single_box", d=d, level=3), 3).values
 
 
 def _annulus_spectrum(d):
-    yield families.annulus_spectrum(families.grid_for("annulus", d=d, level=2), 2)
+    yield families.family_annulus(families.grid_for("annulus", d=d, level=2), 2).values
 
 
 def _comb_spectrum(d):
     for width in (1, F(1, 2)):
         spec = families.grid_for("lattice_comb", d=d, level=2, width=width)
-        yield families.comb_spectrum(spec, 2, width)
+        yield families.family_lattice_comb(spec, 2, width).values
 
 
 def _kernel_spectrum(d):
     for t in (F(1, 4), F(1, 3)):
-        yield families.kernel_spectrum(families.grid_for("dilated_kernel", d=d, t=t), t)
+        yield families.family_dilated_kernel(families.grid_for("dilated_kernel", d=d, t=t),
+                                             t).values
 
 
 PRODUCERS = {
