@@ -186,8 +186,8 @@ def _reference_extremum(pick, p, q, d):
 @given(pair=exponent_pairs, d=st.integers(1, 3))
 def test_tau_sigma_match_fraction_reference(pair, d):
     p, q = pair
-    for index, pick in ((tau_with_region, max), (sigma_with_region, min)):
-        value, piece = index(p, q, d)
+    for index, region, pick in ((tau, tau_region, max), (sigma, sigma_region, min)):
+        value, piece = index(p, q, d), region(p, q)
         assert type(value) is Fraction
         assert (value, piece) == _reference_extremum(pick, p, q, d)
 
