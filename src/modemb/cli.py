@@ -32,14 +32,14 @@ from .oracle import (
     classify_region,
     decide,
     render_space,
+    _REGION_RULES,
 )
 from . import experiments
 from .partitions import selftest_report
 
 EX_USAGE = 64
 
-_FAMILY_TOKENS = {"B": Family.BESOV, "M": Family.MODULATION, "F": Family.TRIEBEL,
-                  "W": Family.SOBOLEV_W, "FL": Family.FOURIER_L}
+_FAMILY_TOKENS = {family.value: family for family in Family}
 
 
 class SpecParseError(ValueError):
@@ -80,7 +80,8 @@ def parse_space(text: str, d: int = 1) -> SpaceSpec:
     token = stripped[:open_idx].strip()
     family = _FAMILY_TOKENS.get(token)
     if family is None:
-        raise SpecParseError(text, 0, f"unknown family {token!r} (use B, M, F, W, FL)")
+        raise SpecParseError(
+            text, 0, f"unknown family {token!r} (use {', '.join(_FAMILY_TOKENS)})")
     body = stripped[open_idx + 1:-1]
     allowed = SPACE_KEYS[family]
     seen: dict[str, Fraction | Exponent] = {}
@@ -156,14 +157,9 @@ def _cfg(args, config, name, cast, default):
     return default
 
 
-_TABLE_PAIRS = {
-    "B-M": (Family.BESOV, Family.MODULATION),
-    "M-B": (Family.MODULATION, Family.BESOV),
-    "W-M": (Family.SOBOLEV_W, Family.MODULATION),
-    "M-W": (Family.MODULATION, Family.SOBOLEV_W),
-    "F-M": (Family.TRIEBEL, Family.MODULATION),
-    "M-F": (Family.MODULATION, Family.TRIEBEL),
-}
+# The pairs classify_region sweeps, named like "B-M".
+_TABLE_PAIRS = {f"{a.value}-{b.value}": (a, b) for a, b in _REGION_RULES}
+
 
 def _refuse_foreign_options(args) -> None:
     """Refuse, rather than ignore, a family option given on the command line
@@ -210,8 +206,7 @@ def cmd_table(args, config) -> int:
     pair = _TABLE_PAIRS[args.pair]
     resolution = _cfg(args, config, "resolution", int, 33)
     if not 1 <= resolution <= 64:
-        print("resolution must be between 1 and 64", file=sys.stderr)
-        return 2
+        raise ValueError("resolution must be between 1 and 64")
     d = _cfg(args, config, "d", int, 1)
     s = as_fraction(args.s)
     if resolution == 1:

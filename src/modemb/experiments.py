@@ -98,43 +98,40 @@ class ExperimentReport:
             writer.writerows(self.csv_rows())
 
 
+# Each family's log2 growth of ||f||_M / ||f||_X at s_X = s_M = 0, in the
+# Besov space X's p and the modulation space M's q.
+_GROWTH = {
+    "single_box": lambda p, q, d: 0,
+    "annulus": lambda p, q, d: d * (p.reciprocal() + q.reciprocal() - 1),
+    "lattice_comb": lambda p, q, d: d * (q.reciprocal() - p.reciprocal()),
+}
+
+
 def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fraction:
     """Exact log2 slope of target_norm / source_norm along the family.
 
     Catalogued from the families' two-sided norm estimates; a positive slope
     certifies that the embedding fails. The family lives at frequencies
-    |xi| ~ 2^level, where the modulation weight <k>^s_M grows like
-    2^(level s_M), so s_M adds to the slope of a modulation target and
-    subtracts from that of a modulation source.
+    |xi| ~ 2^level, where the Besov weight 2^(j s_X) and the modulation
+    weight <k>^s_M are about 2^(level s_X) and 2^(level s_M). So the slope
+    into M is the family's growth (``_GROWTH``) - s_X + s_M, and the slope
+    out of M is its negation. The comb's estimate needs p >= 2 into M only.
     """
-    d = source.d
     pair = (source.family, target.family)
-    if pair == (Family.BESOV, Family.MODULATION):
-        s, s_mod = source.s, target.s
-        p0, q = source.p, target.q
-        if family == "single_box":
-            return s_mod - s
-        if family == "annulus":
-            return d * (p0.reciprocal() + q.reciprocal() - 1) - s + s_mod
-        if family == "lattice_comb":
-            if not p0 >= 2:
-                raise CatalogueError(
-                    f"comb growth is catalogued for p0 >= 2 only, got p0 = {p0}")
-            return d * (q.reciprocal() - p0.reciprocal()) - s + s_mod
-        raise CatalogueError(f"no catalogued family {family!r} for B->M")
-    if pair == (Family.MODULATION, Family.BESOV):
-        s, s_mod = target.s, source.s
-        p1, q = target.p, source.q
-        if family == "single_box":
-            return s - s_mod
-        if family == "annulus":
-            return s - d * (p1.reciprocal() + q.reciprocal() - 1) - s_mod
-        if family == "lattice_comb":
-            return s - d * (q.reciprocal() - p1.reciprocal()) - s_mod
-        raise CatalogueError(f"no catalogued family {family!r} for M->B")
-    raise CatalogueError(
-        f"no catalogued growth predictions for {source.family.value} -> "
-        f"{target.family.value}")
+    if pair not in ((Family.BESOV, Family.MODULATION), (Family.MODULATION, Family.BESOV)):
+        raise CatalogueError(
+            f"no catalogued growth predictions for {source.family.value} -> "
+            f"{target.family.value}")
+    growth = _GROWTH.get(family)
+    if growth is None:
+        raise CatalogueError(
+            f"no catalogued family {family!r} for {pair[0].value}->{pair[1].value}")
+    into = target.family is Family.MODULATION
+    x, mod = (source, target) if into else (target, source)
+    if into and family == "lattice_comb" and not x.p >= 2:
+        raise CatalogueError(f"comb growth is catalogued for p0 >= 2 only, got p0 = {x.p}")
+    slope = growth(x.p, mod.q, source.d) - x.s + mod.s
+    return slope if into else -slope
 
 
 def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:

@@ -150,26 +150,14 @@ def _extremum(pick, p: Exponent, q: Exponent, d: int) -> tuple[tuple[int, int], 
     return (d * best // g, den // g), _PIECE_ORDER[values.index(best)]
 
 
-def tau_with_region(p0, q, d: int = 1) -> tuple[Fraction, TauPiece]:
-    """(tau(p0, q, d), tau_region(p0, q)) from one evaluation of the pieces."""
-    crit, piece = _extremum(max, Exponent.of(p0), Exponent.of(q), d)
-    return Fraction(*crit), piece
-
-
-def sigma_with_region(p1, q, d: int = 1) -> tuple[Fraction, TauPiece]:
-    """(sigma(p1, q, d), sigma_region(p1, q)) from one evaluation of the pieces."""
-    crit, piece = _extremum(min, Exponent.of(p1), Exponent.of(q), d)
-    return Fraction(*crit), piece
-
-
 def tau(p, q, d: int = 1) -> Fraction:
     """d * max(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    return tau_with_region(p, q, d)[0]
+    return Fraction(*_extremum(max, Exponent.of(p), Exponent.of(q), d)[0])
 
 
 def sigma(p, q, d: int = 1) -> Fraction:
     """d * min(0, 1/q - 1/p, 1/q + 1/p - 1), exact."""
-    return sigma_with_region(p, q, d)[0]
+    return Fraction(*_extremum(min, Exponent.of(p), Exponent.of(q), d)[0])
 
 
 def tau_region(p0, q) -> TauPiece:

@@ -17,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import as_fraction
-from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak, separable
+from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak, separable, \
+    _next_pow2
 from .partitions import (
     ResolutionError,
     _annulus_membership,
+    _integer_level,
     build_dyadic,
     index_set,
     smooth_profile,
@@ -132,7 +134,7 @@ def family_dilation(spec: GridSpec, lam) -> GridFunction:
 
 
 def smallest_box_point(level: int, d: int) -> tuple[int, ...]:
-    k = next(_annulus_membership(level, d, inside=True), None)
+    k = next(_annulus_membership(_integer_level(level), d, inside=True), None)
     if k is None:
         raise ValueError(f"A_{level} is empty in dimension {d}")
     return k
@@ -141,7 +143,7 @@ def smallest_box_point(level: int, d: int) -> tuple[int, ...]:
 def family_single_box(spec: GridSpec, level: int) -> GridFunction:
     """Spectrum eta(xi - k_l) at the lexicographically smallest k_l in A_l:
     exactly one active uniform box, dyadic levels within |j - l| <= 3."""
-    if level < 2:
+    if _integer_level(level) < 2:
         raise ValueError(f"single-box family needs level >= 2, got {level}")
     k = smallest_box_point(level, spec.d)
     out = np.zeros(spec.shape(), dtype=np.complex128)
@@ -152,7 +154,7 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     """Spectrum phi_level: the dyadic window itself. The partition dies within
     the expression, so its arrays are freed before the member's copy is made."""
-    return _finish(spec, build_dyadic(spec, levels=max(level, 1)).window(level)
+    return _finish(spec, build_dyadic(spec, levels=max(_integer_level(level), 1)).window(level)
                    .astype(np.complex128))
 
 
@@ -241,10 +243,6 @@ def random_band_limited(spec: GridSpec, band_radius: float, center=None,
     return _finish(spec, out)
 
 
-def _next_pow2(x: float) -> int:
-    return 1 << int(np.ceil(np.log2(max(x, 1.0))))
-
-
 def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
              width=1) -> GridSpec:
     """A default grid sized for one family at its largest level.
@@ -269,7 +267,7 @@ def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
         omega = _next_pow2(1.25 * 2 ** level + 1.0 / (8 * a) + 4)
     elif kind == "dilation":
         lam = _unit_parameter(lam, "dilation parameter", "lambda")
-        m = max(64, _next_pow2(float(48 / lam)))
+        m = max(64, _next_pow2(48 / lam))
         omega = 8
     elif kind == "dilated_kernel":
         tf = float(_unit_parameter(t, "kernel parameter", "t"))

@@ -18,6 +18,7 @@ on d: it admits d in {1, 2}, the dimensions whose box syntheses
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +52,12 @@ def separable(ufunc: np.ufunc, axes) -> np.ndarray:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _next_pow2(x) -> int:
+    """The least power of two >= x, and 1 for x <= 1; exact on any real x
+    that ``math.ceil`` takes."""
+    return 1 << (max(math.ceil(x), 1) - 1).bit_length()
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .exponents import Exponent
 from .grid import (
     BandLimitError,
     GridFunction,
+    NonFiniteError,
     apply_multiplier,
     band_leak,
     lp_norm,
@@ -55,7 +56,7 @@ def _spectrum_of(f: GridFunction) -> tuple[np.ndarray, float]:
     values = f.in_frequency().values
     mags = np.abs(values)
     if not np.all(np.isfinite(mags)):
-        raise ValueError("samples contain NaN or Inf")
+        raise NonFiniteError("samples contain NaN or Inf")
     peak = mags.max()
     if peak == 0.0:
         return values, peak

@@ -30,11 +30,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, separable, transform
+from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, separable, transform, \
+    _next_pow2
 
 
 class ResolutionError(ValueError):
-    """Grid too coarse to sample a window profile."""
+    """Grid too coarse to sample a family's profile."""
 
 
 def smooth_profile(edge0: float, edge1: float):
@@ -174,7 +175,7 @@ class UniformPartition:
         spec = self.spec
         width = 2 * self.half_width + 1
         if spec.d == 1:
-            width = _pruned_length(width)
+            width = _next_pow2(width)
             rows = spec.n // width
         else:
             rows = spec.n
@@ -230,20 +231,12 @@ class UniformPartition:
         return out
 
 
-def _pruned_length(width: int) -> int:
-    """Next power of two >= width: the inner FFT length of the pruned synthesis."""
-    return 1 << (width - 1).bit_length()
-
-
 def max_uniform_kmax(spec: GridSpec) -> int:
     """Largest kmax whose windows fit inside the resolved band with margin."""
     return (spec.n // 2 - 1 - (3 * spec.oversampling) // 4) // spec.oversampling
 
 
 def build_uniform(spec: GridSpec, kmax: int | None = None) -> UniformPartition:
-    m = spec.oversampling
-    if m < 8:
-        raise ResolutionError(f"frequency spacing 1/{m} > 1/8 undersamples the window")
     if kmax is None:
         kmax = max_uniform_kmax(spec)
     if kmax < 1:
@@ -252,7 +245,7 @@ def build_uniform(spec: GridSpec, kmax: int | None = None) -> UniformPartition:
         raise ValueError(
             f"kmax = {kmax} windows leave the resolved band (max {max_uniform_kmax(spec)})"
         )
-    return UniformPartition(spec, kmax, _uniform_axis_profile(m))
+    return UniformPartition(spec, kmax, _uniform_axis_profile(spec.oversampling))
 
 
 @dataclass(eq=False)
@@ -270,7 +263,7 @@ class DyadicPartition:
         return self.spec.freq_radius()
 
     def window(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.levels:
+        if not 0 <= _integer_level(j) <= self.levels:
             raise IndexError(f"dyadic level {j} outside 0..{self.levels}")
         if j not in self._cache:
             if j == 0:
@@ -323,7 +316,7 @@ def max_dyadic_level(spec: GridSpec) -> int:
 def build_dyadic(spec: GridSpec, levels: int | None = None) -> DyadicPartition:
     if levels is None:
         levels = max_dyadic_level(spec)
-    if levels < 1:
+    if _integer_level(levels) < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if 3 * 2 ** levels * spec.oversampling > spec.n:
         raise ValueError(
@@ -376,6 +369,14 @@ class LatticeIndexSet:
         return _as_lattice_point(k, self.d) in set(self.members)
 
 
+def _integer_level(level) -> int:
+    """``level`` as an int, or a ValueError if it is not an integer: a float
+    such as 2.5 or 3.0, a string or None."""
+    if not isinstance(level, (int, np.integer)):
+        raise ValueError(f"level must be an integer, got {level!r}")
+    return int(level)
+
+
 def _annulus_membership(level: int, d: int, inside: bool):
     """Yields each k whose box passes the exact integer test below, in lexicographic order.
 
@@ -414,9 +415,7 @@ def index_set(kind: str, parameter, d: int = 1) -> LatticeIndexSet:
     ``parameter`` is the integer level l. Members in lexicographic order."""
     if kind not in ("A", "B"):
         raise ValueError(f"unknown index-set kind {kind!r}")
-    if not isinstance(parameter, (int, np.integer)):
-        raise ValueError(f"level must be an integer, got {parameter!r}")
-    level = int(parameter)
+    level = _integer_level(parameter)
     members = list(_annulus_membership(level, d, inside=(kind == "A")))
     if kind == "A" and not members:
         warnings.warn(f"A_{level} is empty in dimension {d}", stacklevel=2)

@@ -188,6 +188,9 @@ def test_decide_exit_codes(capsys):
     (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
       "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
      "undecidable: unknown family kind 'dilation'"),
+    # a resolution out of range is refused like every other bad value
+    (["table", "--pair", "B-M", "--s", "0", "--resolution", "0"], 2,
+     "error: resolution must be between 1 and 64"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""

@@ -14,7 +14,8 @@ from modemb.experiments import (
     run_boundedness,
     run_sharpness,
 )
-from modemb.families import grid_for
+from modemb.families import family_annulus, grid_for
+from modemb.grid import FREQUENCY, GridFunction
 from modemb.oracle import SpaceSpec, decide, render_space
 
 F = Fraction
@@ -110,6 +111,21 @@ def test_run_norms_rejects_degenerate_norms(monkeypatch, side, value):
     monkeypatch.setattr(experiments, "space_norm", fake)
     with pytest.raises(ValueError, match=re.escape(f"{render_space(bad)} norm at level 5 is")):
         run_sharpness(source, target, "single_box", range(4, 7))
+
+
+@pytest.mark.parametrize("space", [
+    M(2, 2), B(2, 2, 0), SpaceSpec.triebel(2, 1, 0), SpaceSpec.sobolev(2, 0),
+    SpaceSpec.fourier_l(2),
+])
+def test_finite_norm_names_the_space_of_a_nan_member(space):
+    """Every space's norm of a member with a NaN sample is refused as nan,
+    naming the space."""
+    spec = grid_for("annulus", level=3)
+    values = family_annulus(spec, 3).values.copy()
+    values[spec.n // 2 + 3 * spec.oversampling] = np.nan
+    f = GridFunction(spec, values, FREQUENCY)
+    with pytest.raises(ValueError, match=re.escape(f"the {render_space(space)} norm is nan; x")):
+        experiments.finite_norm(f, space, None, None, "x")
 
 
 @pytest.mark.parametrize("s_mod", [F(1, 2), F(-1, 2)])

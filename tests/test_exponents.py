@@ -11,10 +11,8 @@ from modemb.exponents import (
     as_fraction,
     sigma,
     sigma_region,
-    sigma_with_region,
     tau,
     tau_region,
-    tau_with_region,
 )
 from modemb.oracle import SpaceSpec
 
@@ -110,7 +108,7 @@ def test_smoothness_validation():
         SpaceSpec.besov(2, 2, 0.5, 1)
 
 
-@pytest.mark.parametrize("index", [tau, sigma, tau_with_region, sigma_with_region])
+@pytest.mark.parametrize("index", [tau, sigma])
 def test_dimension_validation(index):
     index(2, 2, 2)
     for d in (0, -1, 2.0):

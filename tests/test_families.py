@@ -1,4 +1,5 @@
 """Extremal family generators: spectral bookkeeping and scaling behavior."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,19 @@ def test_comb_refuses_a_level_that_is_not_an_integer():
     for level in (2.5, "3"):
         with pytest.raises(ValueError, match="level must be an integer"):
             family_lattice_comb(COMB_SPEC, level)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
+def test_level_generators_refuse_a_level_that_is_not_an_integer(d, level):
+    """At 2.5 the annulus member would blend two dyadic windows, and the
+    single box would end in a TypeError from range()."""
+    spec = grid_for("single_box", d=d, level=4)
+    message = re.escape(f"level must be an integer, got {level!r}")
+    for find in (lambda: family_single_box(spec, level), lambda: family_annulus(spec, level),
+                 lambda: smallest_box_point(level, d)):
+        with pytest.raises(ValueError, match=message):
+            find()
 
 
 def test_comb_period_guard():

@@ -117,6 +117,18 @@ def test_dyadic_band_guard():
         build_dyadic(SPEC, levels=max_dyadic_level(SPEC) + 1)
 
 
+@pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
+def test_dyadic_partition_refuses_a_level_that_is_not_an_integer(dyadic, level):
+    """window(2.5) would blend the profiles of two levels into no phi_j.
+    build_dyadic reads levels=None as the largest level the grid resolves."""
+    message = f"level must be an integer, got {level!r}"
+    with pytest.raises(ValueError, match=message):
+        dyadic.window(level)
+    if level is not None:
+        with pytest.raises(ValueError, match=message):
+            build_dyadic(SPEC, levels=level)
+
+
 @pytest.mark.parametrize("knob", ["_radius", "_cache"])
 def test_dyadic_partition_takes_no_radius_or_cache(knob):
     """The radius is always the grid's own |xi|; the window cache starts empty."""
