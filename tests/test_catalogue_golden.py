@@ -17,7 +17,7 @@ import pytest
 
 from modemb.exponents import Exponent
 from modemb.experiments import predicted_slope
-from modemb.families import KINDS, grid_for
+from modemb.families import KINDS, grid_for, kind_row
 from modemb.oracle import Family, SpaceSpec
 
 F = Fraction
@@ -26,10 +26,11 @@ SMOOTHNESS = (F(-1, 2), 0, F(1, 4), 1)
 DIMENSIONS = (1, 2)
 SLOPE_PAIRS = ((Family.BESOV, Family.MODULATION), (Family.MODULATION, Family.BESOV),
                (Family.TRIEBEL, Family.MODULATION))
-LEVELS = range(14)
-WIDTHS = (1, F(1, 2), F(1, 4), F(1, 8), F(3, 4))
-# lambda and t: 2^-k and 3 * 2^-k; 3 and 3/2 are refused as out of (0, 1]
-PARAMETERS = tuple(c * F(1, 2 ** k) for k in LEVELS for c in (1, 3))
+# The sizing sweep, per grid_for keyword: lambda and t take 2^-k and
+# 3 * 2^-k, where 3 and 3/2 are refused as out of (0, 1].
+PARAMETERS = tuple(c * F(1, 2 ** k) for k in range(14) for c in (1, 3))
+SIZING = {"level": range(14), "width": (1, F(1, 2), F(1, 4), F(1, 8), F(3, 4)),
+          "lam": PARAMETERS, "t": PARAMETERS}
 
 GOLDEN = {
     "predicted_slope": "e31624d15d9b9fff3825674b6952d2eb89f27a4eb4097bb27a3fe6a4b26d901a",
@@ -58,30 +59,17 @@ def _slope_outcomes():
                         yield _refusal(exc)
 
 
-def _sizing_calls():
-    """(kind, keyword arguments) over the sizing sweep, in a fixed order."""
+def _grid_outcomes():
     for d in DIMENSIONS:
         for kind in KINDS:
-            if kind == "lattice_comb":
-                calls = [{"level": l, "width": a} for l in LEVELS for a in WIDTHS]
-            elif kind == "dilation":
-                calls = [{"lam": x} for x in PARAMETERS]
-            elif kind == "dilated_kernel":
-                calls = [{"t": x} for x in PARAMETERS]
-            else:
-                calls = [{"level": l} for l in LEVELS]
-            for kwargs in calls:
-                yield kind, dict(kwargs, d=d)
-
-
-def _grid_outcomes():
-    for kind, kwargs in _sizing_calls():
-        try:
-            spec = grid_for(kind, **kwargs)
-        except ValueError as exc:
-            yield _refusal(exc)
-        else:
-            yield f"{spec.d} {spec.n} {spec.oversampling}"
+            options = kind_row(kind)[0]
+            for values in itertools.product(*(SIZING[o] for o in options)):
+                try:
+                    spec = grid_for(kind, d=d, **dict(zip(options, values)))
+                except ValueError as exc:
+                    yield _refusal(exc)
+                else:
+                    yield f"{spec.d} {spec.n} {spec.oversampling}"
 
 
 def digest(name) -> str:
