@@ -164,8 +164,8 @@ _TABLE_PAIRS = {f"{a.value}-{b.value}": (a, b) for a, b in _REGION_RULES}
 def _refuse_foreign_options(args) -> None:
     """Refuse, rather than ignore, a family option given on the command line
     that the chosen family does not read; config-file keys stay shared defaults."""
-    reads, _, _ = kind_row(args.family)
-    for name in ("width", "lam", "t", "level"):
+    reads = kind_row(args.family).options
+    for name in dict.fromkeys(o for kind in KINDS for o in kind_row(kind).options):
         if getattr(args, name, None) is not None and name not in reads:
             raise ValueError(f"--{name} does not apply to the {args.family} family")
 
@@ -174,7 +174,7 @@ def _build_family(kind, args, config, d):
     width = as_fraction(_cfg(args, config, "width", str, "1"))
     n_override = _cfg(args, config, "n", int, None)
     m_override = _cfg(args, config, "oversampling", int, None)
-    option = kind_row(kind)[0][0]  # the option that carries the member parameter
+    option = kind_row(kind).options[0]  # the option that carries the member parameter
     param = getattr(args, option)
     if param is None:
         raise ValueError(f"--{option} is required for the {kind} family")

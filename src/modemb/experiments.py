@@ -98,15 +98,6 @@ class ExperimentReport:
             writer.writerows(self.csv_rows())
 
 
-# Each family's log2 growth of ||f||_M / ||f||_X at s_X = s_M = 0, in the
-# Besov space X's p and the modulation space M's q.
-_GROWTH = {
-    "single_box": lambda p, q, d: 0,
-    "annulus": lambda p, q, d: d * (p.reciprocal() + q.reciprocal() - 1),
-    "lattice_comb": lambda p, q, d: d * (q.reciprocal() - p.reciprocal()),
-}
-
-
 def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fraction:
     """Exact log2 slope of target_norm / source_norm along the family.
 
@@ -114,15 +105,15 @@ def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fracti
     certifies that the embedding fails. The family lives at frequencies
     |xi| ~ 2^level, where the Besov weight 2^(j s_X) and the modulation
     weight <k>^s_M are about 2^(level s_X) and 2^(level s_M). So the slope
-    into M is the family's growth (``_GROWTH``) - s_X + s_M, and the slope
-    out of M is its negation. The comb's estimate needs p >= 2 into M only.
+    into M is the growth in the family's row - s_X + s_M, and the slope out
+    of M is its negation. The comb's estimate needs p >= 2 into M only.
     """
     pair = (source.family, target.family)
     if pair not in ((Family.BESOV, Family.MODULATION), (Family.MODULATION, Family.BESOV)):
         raise CatalogueError(
             f"no catalogued growth predictions for {source.family.value} -> "
             f"{target.family.value}")
-    growth = _GROWTH.get(family)
+    growth = kind_row(family).growth if family in KINDS else None
     if growth is None:
         raise CatalogueError(
             f"no catalogued family {family!r} for {pair[0].value}->{pair[1].value}")
@@ -150,13 +141,14 @@ def _run_norms(source, target, family, levels, width, grid):
     # dilation has norm estimates but no experiment along it yet
     if family not in KINDS or family == "dilation":
         raise CatalogueError(f"unknown family kind {family!r}")
-    options, coordinate, _ = kind_row(family)
-    if options[0] == "level" and not all(isinstance(l, int) for l in levels):
+    row = kind_row(family)
+    option = row.options[0]
+    if option == "level" and not all(isinstance(l, int) for l in levels):
         raise ValueError(f"the {family} family takes integer levels, got "
                          f"{', '.join(str(l) for l in levels)}")
     if grid is None:
         grid = grid_for(family, d=source.d, width=width,
-                        **{options[0]: max(levels, key=coordinate)})
+                        **{option: max(levels, key=row.coordinate)})
     scales = {source.family, target.family}
     uniform = build_uniform(grid) if Family.MODULATION in scales else None
     dyadic = build_dyadic(grid) if scales & {Family.BESOV, Family.TRIEBEL} else None
@@ -183,7 +175,7 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
     predicted = predicted_slope(source, target, family)
     grid, source_norms, target_norms, ratios = _run_norms(
         source, target, family, levels, width, grid)
-    _, coordinate, _ = kind_row(family)
+    coordinate = kind_row(family).coordinate
     xs = np.array([coordinate(level) for level in levels])
     fitted = float(np.polyfit(xs, np.log2(ratios), 1)[0])
     passed = abs(fitted - float(predicted)) <= tolerance

@@ -6,13 +6,16 @@ object), and a member is that spectrum: a frequency-side GridFunction. The
 norms read it without a forward transform; ``in_space()`` gives the space
 samples. Identical parameters yield bit-identical samples.
 
-The family table, ``_table``, is the one place a family kind is defined;
-other modules read kinds only through ``KINDS``, ``kind_row``, ``member`` and
-``grid_for``.
+The family table, ``_TABLE``, is the one place a family kind is defined: one
+``Kind`` row holds its options, fit coordinate, generator, default grid size
+and catalogued growth. Other modules read kinds only through ``KINDS``,
+``kind_row``, ``member`` and ``grid_for``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,16 +57,16 @@ NARROW_BUMP = _skewed_bump(7.0 / 64.0, 1.0 / 8.0, 6.0)
 WIDE_BUMP = smooth_profile(1.0, 9.0 / 8.0)
 
 
+def _margin(spec: GridSpec) -> float:
+    """The band a family spectrum must stay inside: Omega less two samples."""
+    return float(spec.omega) * (1.0 - 2.0 / spec.n)
+
+
 def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
     """The member whose spectrum is ``values``, after the band-margin check."""
-    _assert_margin(spec, values)
-    return GridFunction(spec, values, FREQUENCY)
-
-
-def _assert_margin(spec: GridSpec, freq_values: np.ndarray) -> None:
-    margin = float(spec.omega) * (1.0 - 2.0 / spec.n)
-    if band_leak(freq_values, spec.freq_outside_cube(margin)) > 1e-12:
+    if band_leak(values, spec.freq_outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
+    return GridFunction(spec, values, FREQUENCY)
 
 
 def _axis_offsets(spec: GridSpec, center_k: int, half_width: int) -> np.ndarray:
@@ -117,10 +120,15 @@ def _unit_parameter(value, name: str, symbol: str) -> Fraction:
     return x
 
 
+_comb_width = partial(_unit_parameter, name="comb width", symbol="a")
+_dilation_lambda = partial(_unit_parameter, name="dilation parameter", symbol="lambda")
+_kernel_t = partial(_unit_parameter, name="kernel parameter", symbol="t")
+
+
 def family_dilation(spec: GridSpec, lam) -> GridFunction:
     """f_lambda(x) = f(lambda x) with spectrum lambda^-d eta(xi/lambda),
     supported in lambda [-1/8, 1/8]^d."""
-    lam = _unit_parameter(lam, "dilation parameter", "lambda")
+    lam = _dilation_lambda(lam)
     if lam * spec.oversampling < 48:
         raise ResolutionError(
             f"lambda = {lam} leaves fewer than 6 samples across the bump; "
@@ -154,14 +162,15 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     """Spectrum phi_level: the dyadic window itself. The partition dies within
     the expression, so its arrays are freed before the member's copy is made."""
-    return _finish(spec, build_dyadic(spec, levels=max(_integer_level(level), 1)).window(level)
+    level = _integer_level(level, least=0)
+    return _finish(spec, build_dyadic(spec, levels=max(level, 1)).window(level)
                    .astype(np.complex128))
 
 
 def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
     """f(x) = sum_{k in A_level} e^{ikx} eta((x-k)/a): modulated translates
     whose spectra tile the boxes k + [-1/(8a), 1/(8a)]^d."""
-    a = _unit_parameter(width, "comb width", "a")
+    a = _comb_width(width)
     points = index_set("A", level, spec.d).members
     if not points:
         raise ValueError(f"A_{level} is empty in dimension {spec.d}")
@@ -175,7 +184,7 @@ def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
 def family_dilated_kernel(spec: GridSpec, t) -> GridFunction:
     """f(x) = t^-d eta(x/t) with eta_hat = 1 on [-1,1]^d: the spectrum
     eta_hat(t xi) equals 1 on (1/t)[-1,1]^d."""
-    tf = float(_unit_parameter(t, "kernel parameter", "t"))
+    tf = float(_kernel_t(t))
     axis_vals = WIDE_BUMP(np.abs(tf * spec.freq_axis()))
     return _finish(spec, separable(np.multiply, (axis_vals,) * spec.d).astype(np.complex128))
 
@@ -187,36 +196,65 @@ def _octaves(parameter) -> float:
     return -np.log2(x) if x > 0 else np.inf
 
 
-def _table() -> dict:
-    """kind -> (options, growth coordinate, generator). ``options`` are the
-    grid_for keywords and command-line options the kind reads, its member
-    parameter first. The largest coordinate picks the member that sizes the
-    default grid; the coordinate is the fit abscissa. Built per call, so it
-    holds the generators this module binds when called."""
-    return {
-        "single_box": (("level",), float, family_single_box),
-        "annulus": (("level",), float, family_annulus),
-        "lattice_comb": (("level", "width"), float, family_lattice_comb),
-        "dilation": (("lam",), _octaves, family_dilation),
-        "dilated_kernel": (("t",), _octaves, family_dilated_kernel),
-    }
+class Kind(NamedTuple):
+    """A family kind: the grid_for keywords and command-line options it reads,
+    member parameter first; the fit abscissa, whose largest value picks the
+    member that sizes the default grid; ``generator(spec, parameter, width)``;
+    ``size(d, parameter, width)``, the default grid's (M, Omega); and
+    ``growth(p, q, d)``, the log2 growth of ||f||_M / ||f||_X at s = 0 in the
+    Besov p and the modulation q, or None if none is catalogued."""
+    options: tuple
+    coordinate: Callable
+    generator: Callable
+    size: Callable
+    growth: Callable | None
 
 
-KINDS = tuple(_table())
+# A generator is looked up when called, so a generator rebound on this module
+# is the one called. Sizes are exact: a huge level meets GridSpec's budget.
+_TABLE = {
+    # the top member's spectrum reaches (3/2) 2^level
+    "single_box": Kind(
+        ("level",), float, lambda spec, level, a: family_single_box(spec, level),
+        lambda d, level, a: (64 if d == 1 else 8, _next_pow2(Fraction(3, 2) * 2 ** level + 4)),
+        lambda p, q, d: 0),
+    # one octave of headroom: the top member's spectrum reaches (3/2) 2^level,
+    # which the dyadic cover only clears at J = level + 1
+    "annulus": Kind(
+        ("level",), float, lambda spec, level, a: family_annulus(spec, level),
+        lambda d, level, a: (64 if d == 1 else 8, _next_pow2(3 * 2 ** level + 4)),
+        lambda p, q, d: d * (p.reciprocal() + q.reciprocal() - 1)),
+    # room for the translates at |k| ~ 2^level: P = 2 pi M >= 8 * 2^level, and
+    # as 1 < 4/pi < 2 the least such power of two is M = 2^(level+1)
+    "lattice_comb": Kind(
+        ("level", "width"), float, lambda spec, level, a: family_lattice_comb(spec, level, a),
+        lambda d, level, a: (
+            max(64 if d == 1 else 8, _next_pow2(2 ** (level + 1))),
+            _next_pow2(Fraction(5, 4) * 2 ** level + 1 / (8 * _comb_width(a)) + 4)),
+        lambda p, q, d: d * (q.reciprocal() - p.reciprocal())),
+    # six samples across the bump lambda [-1/8, 1/8]
+    "dilation": Kind(
+        ("lam",), _octaves, lambda spec, lam, a: family_dilation(spec, lam),
+        lambda d, lam, a: (max(64, _next_pow2(48 / _dilation_lambda(lam))), 8), None),
+    # the uniform band edge kmax - 1 = omega - 2 must clear the support 9/(8t)
+    "dilated_kernel": Kind(
+        ("t",), _octaves, lambda spec, t, a: family_dilated_kernel(spec, t),
+        lambda d, t, a: (8, _next_pow2(9 / (8 * _kernel_t(t)) + 2)), None),
+}
+KINDS = tuple(_TABLE)
 
 
-def kind_row(kind: str) -> tuple:
+def kind_row(kind: str) -> Kind:
     """The family table's row for ``kind``."""
-    if kind not in KINDS:
+    if kind not in _TABLE:
         raise ValueError(f"unknown family kind {kind!r}")
-    return _table()[kind]
+    return _TABLE[kind]
 
 
 def member(kind: str, spec: GridSpec, parameter, width=1) -> GridFunction:
     """The member of family ``kind`` at ``parameter``: its level, lambda or t.
     Only a kind with ``width`` among its options reads ``width``."""
-    options, _, generator = kind_row(kind)
-    return generator(spec, parameter, *([width] if "width" in options else []))
+    return kind_row(kind).generator(spec, parameter, width)
 
 
 def random_band_limited(spec: GridSpec, band_radius: float, center=None,
@@ -231,7 +269,7 @@ def random_band_limited(spec: GridSpec, band_radius: float, center=None,
         raise ValueError(f"center {center} does not match dimension {spec.d}")
     dist = np.sqrt(separable(np.add, [(ax - cx) ** 2 for cx in c]))
     mask = dist <= band_radius
-    margin = float(spec.omega) * (1.0 - 2.0 / spec.n)
+    margin = _margin(spec)
     center_inf = float(np.abs(c).max())
     if band_radius + center_inf > margin:
         raise BandLimitError(
@@ -245,35 +283,13 @@ def random_band_limited(spec: GridSpec, band_radius: float, center=None,
 
 def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
              width=1) -> GridSpec:
-    """A default grid sized for one family at its largest level.
-
-    The resolved band Omega must clear the family's top frequency with
-    margin; the comb additionally needs spatial room for its translates at
-    |k| ~ 2^level (P >= 8 * 2^level). The family's parameter in (0, 1] (the
-    comb width, lambda or t) is checked before it sizes the grid.
-    """
-    if kind == "single_box":
-        m = 64 if d == 1 else 8
-        omega = _next_pow2(1.5 * 2 ** level + 4)
-    elif kind == "annulus":
-        # one octave of headroom: the top member's spectrum reaches
-        # (3/2) 2^level, which the dyadic cover only clears at J = level + 1
-        m = 64 if d == 1 else 8
-        omega = _next_pow2(3 * 2 ** level + 4)
-    elif kind == "lattice_comb":
-        a = float(_unit_parameter(width, "comb width", "a"))
-        base = _next_pow2(8 * 2 ** level / (2 * np.pi))
-        m = max(64 if d == 1 else 8, base)
-        omega = _next_pow2(1.25 * 2 ** level + 1.0 / (8 * a) + 4)
-    elif kind == "dilation":
-        lam = _unit_parameter(lam, "dilation parameter", "lambda")
-        m = max(64, _next_pow2(48 / lam))
-        omega = 8
-    elif kind == "dilated_kernel":
-        tf = float(_unit_parameter(t, "kernel parameter", "t"))
-        m = 8
-        # the uniform band edge kmax - 1 = omega - 2 must clear the support 9/(8t)
-        omega = _next_pow2(9.0 / (8.0 * tf) + 2)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    """A default grid for one family at its largest level, sized by the kind's
+    row. The family's parameter in (0, 1] (the comb width, lambda or t) is
+    checked before it sizes the grid."""
+    row = kind_row(kind)
+    option = row.options[0]
+    parameter = {"level": level, "lam": lam, "t": t}[option]
+    if parameter is None:
+        raise ValueError(f"{option} is required for the {kind} family")
+    m, omega = row.size(d, parameter, width)
     return GridSpec(d=d, n=2 * m * omega, oversampling=m)

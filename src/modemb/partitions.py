@@ -369,11 +369,13 @@ class LatticeIndexSet:
         return _as_lattice_point(k, self.d) in set(self.members)
 
 
-def _integer_level(level) -> int:
-    """``level`` as an int, or a ValueError if it is not an integer: a float
-    such as 2.5 or 3.0, a string or None."""
+def _integer_level(level, least: int | None = None) -> int:
+    """``level`` as an int, or a ValueError if it is not an integer (a float
+    such as 2.5 or 3.0, a string or None) or is below ``least``."""
     if not isinstance(level, (int, np.integer)):
         raise ValueError(f"level must be an integer, got {level!r}")
+    if least is not None and level < least:
+        raise ValueError(f"level must be >= {least}, got {level}")
     return int(level)
 
 
@@ -386,8 +388,7 @@ def _annulus_membership(level: int, d: int, inside: bool):
     """
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    level = _integer_level(level, least=0)
     r_in_sq = (3 * 2 ** level) ** 2
     r_out_sq = (5 * 2 ** level) ** 2
     bound = (5 * 2 ** level + 3) // 4

@@ -191,6 +191,26 @@ def test_decide_exit_codes(capsys):
     # a resolution out of range is refused like every other bad value
     (["table", "--pair", "B-M", "--s", "0", "--resolution", "0"], 2,
      "error: resolution must be between 1 and 64"),
+    # a negative annulus level is refused, not an IndexError from its dyadic window
+    (["sharpness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+      "--family", "annulus", "--lmin", "-1", "--lmax", "2"], 2,
+     "error: level must be >= 0, got -1"),
+    (["norm", "--family", "annulus", "--level", "-3", "--space", "M[p=2,q=2]"], 2,
+     "error: level must be >= 0, got -3"),
+    # a huge level meets the sample budget, not a float overflow in the sizing
+    pytest.param(
+        ["norm", "--family", "single_box", "--level", "2000", "--space", "M[p=2,q=2]"], 2,
+        f"error: a grid of N^d = {2 ** 2008}^1 samples exceeds the budget of 16777216 samples",
+        id="single_box-level-2000-budget"),
+    pytest.param(
+        ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "single_box", "--lmin", "4", "--lmax", "1030"], 2,
+        f"error: a grid of N^d = {2 ** 1038}^1 samples exceeds the budget of 16777216 samples",
+        id="single_box-lmax-1030-budget"),
+    pytest.param(
+        ["norm", "--family", "lattice_comb", "--level", "1100", "--space", "M[p=2,q=2]"], 2,
+        f"error: a grid of N^d = {2 ** 2203}^1 samples exceeds the budget of 16777216 samples",
+        id="lattice_comb-level-1100-budget"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -343,28 +363,37 @@ def test_norm_json_records_parameter(capsys, option, parameter, level):
     assert payload["value"] > 0
 
 
-@pytest.mark.parametrize("kind", ["annulus", "single_box", "lattice_comb"])
-def test_rebound_generator_is_called_once_per_member(capsys, monkeypatch, kind):
+@pytest.mark.parametrize("kind,option,parameter,boundedness,members", [
+    pytest.param(kind, "--level", "4", ["--lmin", "4", "--lmax", "5"], [4, 5], id=kind)
+    for kind in ("annulus", "single_box", "lattice_comb")] + [
+    pytest.param("dilation", "--lam", "1/2", None, None, id="dilation"),
+    pytest.param("dilated_kernel", "--t", "1/2", ["--t-list", "1/2,1/4"], [F(1, 2), F(1, 4)],
+                 id="dilated_kernel"),
+])
+def test_rebound_generator_is_called_once_per_member(capsys, monkeypatch, kind, option,
+                                                      parameter, boundedness, members):
     """A generator rebound in every loaded modemb module that holds it, as the
     benchmark tracer rebinds public functions, is the one norm and
-    boundedness call, once per member."""
+    boundedness call, once per member; dilation has no boundedness run."""
     original = getattr(families, f"family_{kind}")
-    levels = []
+    calls = []
 
-    def counting(spec, level, *args, **kwargs):
-        levels.append(level)
-        return original(spec, level, *args, **kwargs)
+    def counting(spec, member_parameter, *args, **kwargs):
+        calls.append(member_parameter)
+        return original(spec, member_parameter, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "modemb" or name.startswith("modemb."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    assert main(["norm", "--family", kind, "--level", "4", "--space", "M[p=2,q=2]"]) == 0
-    assert levels == [4]
-    main(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
-          "--family", kind, "--lmin", "4", "--lmax", "5"])
-    assert levels == [4, 4, 5]
+    assert main(["norm", "--family", kind, option, parameter, "--space", "M[p=2,q=2]"]) == 0
+    first = F(parameter)
+    assert calls == [first]
+    if boundedness is not None:
+        main(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+              "--family", kind, *boundedness])
+        assert calls == [first, *members]
     capsys.readouterr()
 
 

@@ -353,7 +353,8 @@ def test_member_space_samples_are_the_spectrum_transform(case):
 
 def test_family_table_rows():
     """Each kind names its member parameter, measures growth in octaves of
-    that parameter, and is refused by name when unknown."""
+    that parameter, and is refused by name when unknown; only the dilation
+    kinds have no catalogued growth."""
     assert {kind: kind_row(kind)[0] for kind in KINDS} == {
         "single_box": ("level",), "annulus": ("level",),
         "lattice_comb": ("level", "width"), "dilation": ("lam",), "dilated_kernel": ("t",)}
@@ -361,5 +362,15 @@ def test_family_table_rows():
     assert kind_row("dilation")[1](F(1, 8)) == 3.0
     assert kind_row("dilated_kernel")[1]("1/4") == 2.0
     assert kind_row("dilated_kernel")[1](0) == np.inf
+    assert [kind for kind in KINDS if kind_row(kind).growth is None] == [
+        "dilation", "dilated_kernel"]
     with pytest.raises(ValueError, match="unknown family kind 'ring'"):
         kind_row("ring")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_grid_for_names_a_missing_parameter(kind):
+    """A kind's member parameter is required, and its absence is named."""
+    option = kind_row(kind).options[0]
+    with pytest.raises(ValueError, match=f"^{option} is required for the {kind} family$"):
+        grid_for(kind)
