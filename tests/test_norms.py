@@ -323,6 +323,51 @@ def test_band_violation_errors(small_spec):
         besov_norm(f, 2, 2, 0, dyadic)
 
 
+# Per dimension: a grid, and the frequency point of each check's leak bin. On
+# GridSpec(1, 1024, 8) the cube edge kmax - 1 is 62, the dyadic ball's 40 and
+# the family margin 63.875; on GridSpec(2, 128, 8) they are 6, 5 and 7.875.
+# The d = 2 ball bin, (4, 4), lies inside the cube |xi|_inf <= 5.
+BAND_LINE_CASES = {
+    1: (GridSpec(d=1, n=1024, oversampling=8),
+        {"cube": (62.5,), "ball": (41.0,), "margin": (-64.0,)}),
+    2: (GridSpec(d=2, n=128, oversampling=8),
+        {"cube": (6.5, 1.0), "ball": (4.0, 4.0), "margin": (-8.0, 0.0)}),
+}
+
+
+def _band_line_member(spec, xi, leak):
+    """Peak 1 at xi = (1, 0, ...), and ``leak`` at the frequency point xi."""
+    values = np.zeros(spec.shape(), dtype=complex)
+    m, centre = spec.oversampling, spec.n // 2
+    values[(centre + m,) + (centre,) * (spec.d - 1)] = 1.0
+    values[tuple(centre + int(round(c * m)) for c in xi)] = leak
+    return values
+
+
+@pytest.mark.parametrize("leak,refused", [(2e-12, True), (5e-13, False)])
+@pytest.mark.parametrize("check", ["cube", "ball", "margin"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_band_checks_draw_the_line_at_1e12(d, check, leak, refused):
+    """Each band check refuses content beyond its band above 1e-12 of the
+    peak and accepts it below: the uniform cube |xi|_inf > kmax - 1
+    (modulation_norm), the dyadic ball |xi| > 1.25 * 2^levels (besov_norm)
+    and the family margin (_finish). 5e-13 of the peak survives the
+    1e-13 spectral floor, so the accepted member still holds the bin."""
+    spec, points = BAND_LINE_CASES[d]
+    values = _band_line_member(spec, points[check], leak)
+    if check == "margin":
+        run = lambda: _finish(spec, values)
+    else:
+        f = GridFunction(spec, values, FREQUENCY)
+        run = {"cube": lambda: modulation_norm(f, 2, 2, 0, build_uniform(spec)),
+               "ball": lambda: besov_norm(f, 2, 2, 0, build_dyadic(spec))}[check]
+    if refused:
+        with pytest.raises(BandLimitError):
+            run()
+    else:
+        run()
+
+
 def test_nan_rejected(small_spec):
     bad = np.ones(small_spec.n, dtype=complex)
     bad[7] = np.nan
