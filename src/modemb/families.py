@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exponents import as_fraction
-from .grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, band_leak, separable, \
-    _next_pow2
+from .grid import FREQUENCY, MAX_SAMPLES, BandLimitError, GridFunction, GridSpec, band_leak, \
+    separable, spectral_support, _next_pow2
 from .partitions import (
     ResolutionError,
     _annulus_membership,
@@ -63,10 +63,13 @@ def _margin(spec: GridSpec) -> float:
 
 
 def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
-    """The member whose spectrum is ``values``, after the band-margin check."""
-    if band_leak(values, spec.freq_outside_cube(_margin(spec))) > 1e-12:
+    """The member whose spectrum is ``values``, after the band-margin check
+    on the bins above the spectral floor."""
+    f = GridFunction(spec, values, FREQUENCY)
+    support = spectral_support(f)
+    if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
-    return GridFunction(spec, values, FREQUENCY)
+    return f
 
 
 def _axis_offsets(spec: GridSpec, center_k: int, half_width: int) -> np.ndarray:
@@ -211,7 +214,7 @@ class Kind(NamedTuple):
 
 
 # A generator is looked up when called, so a generator rebound on this module
-# is the one called. Sizes are exact: a huge level meets GridSpec's budget.
+# is the one called. Sizes are exact: a large parameter meets GridSpec's budget.
 _TABLE = {
     # the top member's spectrum reaches (3/2) 2^level
     "single_box": Kind(
@@ -291,5 +294,10 @@ def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
     parameter = {"level": level, "lam": lam, "t": t}[option]
     if parameter is None:
         raise ValueError(f"{option} is required for the {kind} family")
+    # A level member's spectrum reaches past 2^level, so N > 2^level: from
+    # 2^level >= MAX_SAMPLES on, the level is refused before 2 ** level is formed.
+    if option == "level" and parameter >= MAX_SAMPLES.bit_length() - 1:
+        raise ValueError(f"a grid for level {parameter} exceeds the budget of "
+                         f"{MAX_SAMPLES} samples")
     m, omega = row.size(d, parameter, width)
     return GridSpec(d=d, n=2 * m * omega, oversampling=m)

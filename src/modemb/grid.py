@@ -80,8 +80,11 @@ class GridSpec:
         if self.n <= self.oversampling:
             raise ValueError("N must exceed the oversampling factor")
         if self.n ** self.d > MAX_SAMPLES:
+            # N is a power of two here. Past 64 bits it is named by its exponent:
+            # Python refuses to write an int of more than 4300 digits in decimal.
+            n = self.n if self.n < 2 ** 64 else f"(2^{self.n.bit_length() - 1})"
             raise ValueError(
-                f"a grid of N^d = {self.n}^{self.d} samples exceeds the budget of "
+                f"a grid of N^d = {n}^{self.d} samples exceeds the budget of "
                 f"{MAX_SAMPLES} samples"
             )
 
@@ -113,7 +116,12 @@ class GridSpec:
         return (np.arange(self.n) - self.n // 2) * (self.period / self.n)
 
     def freq_axis(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.delta
+        return self.freq_at(np.arange(self.n))
+
+    def freq_at(self, index: np.ndarray) -> np.ndarray:
+        """xi at the per-axis sample indices ``index``: ``freq_axis()[index]``
+        bit for bit, computed at those indices alone."""
+        return (index - self.n // 2) * self.delta
 
     def freq_radius(self) -> np.ndarray:
         """|xi| at every frequency sample; sqrt(xi^2) is exactly |xi| in d = 1."""
@@ -229,11 +237,68 @@ def lq_seq_norm(values, q, weights=None) -> float:
     return float(np.sum(a ** qf) ** (1.0 / qf))
 
 
-def band_leak(spectrum: np.ndarray, outside: np.ndarray) -> float:
-    """Largest |spectrum| on the mask ``outside``, relative to the peak
-    |spectrum|; 0 for a zero spectrum or an empty mask. The toolkit calls a
-    function band-limited to the complement when this is <= 1e-12."""
-    peak = np.abs(spectrum).max()
-    if peak == 0.0 or not outside.any():
+# Spectral magnitudes at or below this fraction of the peak are transform
+# roundoff (the toolkit calls a function band-limited when it is < 1e-12 of
+# peak outside its band); quasi-norm exponents below 1 would otherwise amplify
+# that floor into the leading digits.
+_SPECTRUM_FLOOR = 1e-13
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The bins of a spectrum above the floor: their flat indices into the
+    N^d grid (ascending), per-axis sample indices, values and magnitudes,
+    and their frequency coordinates xi (one array per axis) and radii |xi|.
+    The peak bin is always kept, so ``peak`` is also the floored spectrum's;
+    a zero spectrum has no bins and peak 0."""
+
+    spec: GridSpec
+    peak: float
+    flat: np.ndarray
+    index: tuple[np.ndarray, ...]
+    values: np.ndarray
+    mags: np.ndarray
+    coords: tuple[np.ndarray, ...]
+    radius: np.ndarray
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """A fresh zero N^d complex array holding ``values`` at the support's
+        bins; ``scatter(self.values)`` is the floored spectrum."""
+        out = np.zeros(self.spec.shape(), dtype=np.complex128)
+        out.reshape(-1)[self.flat] = values
+        return out
+
+    def outside_cube(self, radius: float) -> np.ndarray:
+        """Which bins have |xi|_inf > radius: ``GridSpec.freq_outside_cube``
+        read at the support, bin for bin."""
+        return functools.reduce(np.logical_or, (np.abs(c) > radius for c in self.coords))
+
+
+def spectral_support(f: GridFunction) -> Support:
+    """The bins of f's spectrum whose magnitude exceeds _SPECTRUM_FLOOR times
+    the peak; NonFiniteError if a sample is NaN or Inf (the peak is then NaN
+    or Inf). A space-side f takes one forward transform. Coordinates come
+    from ``freq_at`` and radii by the operations of ``freq_radius``, in its
+    order, so each is the dense array's entry bit for bit."""
+    spec = f.spec
+    values = f.in_frequency().values.reshape(-1)
+    mags = np.abs(values)
+    peak = mags.max()
+    if not np.isfinite(peak):
+        raise NonFiniteError("samples contain NaN or Inf")
+    flat = np.flatnonzero(mags > _SPECTRUM_FLOOR * peak)
+    index = np.unravel_index(flat, spec.shape())
+    coords = tuple(spec.freq_at(i) for i in index)
+    radius = np.sqrt(functools.reduce(np.add, (c ** 2 for c in coords)))
+    return Support(spec, peak, flat, index, values[flat], mags[flat], coords, radius)
+
+
+def band_leak(support: Support, outside: np.ndarray) -> float:
+    """Largest magnitude among the support's bins flagged by the mask
+    ``outside``, relative to the peak; 0 for an empty support or mask. The
+    toolkit calls a function band-limited to the complement when this is
+    <= 1e-12. A bin under the floor (1e-13 of the peak) cannot pass 1e-12,
+    so reading the support alone decides exactly as the dense spectrum."""
+    if not outside.any():
         return 0.0
-    return float(np.abs(spectrum[outside]).max() / peak)
+    return float(support.mags[outside].max() / support.peak)

@@ -25,11 +25,12 @@ from .exponents import Exponent
 from .grid import (
     BandLimitError,
     GridFunction,
-    NonFiniteError,
+    Support,
     apply_multiplier,
     band_leak,
     lp_norm,
     lq_seq_norm,
+    spectral_support,
     _riemann_lp,
 )
 from .oracle import Family, SpaceSpec
@@ -43,24 +44,6 @@ from .partitions import (
 
 # Boxes whose windowed spectrum falls below this relative level contribute 0.
 _NEGLIGIBLE = 1e-15
-# Spectral magnitudes below this fraction of the peak are transform roundoff
-# (the toolkit calls a function band-limited when it is < 1e-12 of peak
-# outside its band); quasi-norm exponents below 1 would otherwise amplify
-# that floor into the leading digits.
-_SPECTRUM_FLOOR = 1e-13
-
-
-def _spectrum_of(f: GridFunction) -> tuple[np.ndarray, float]:
-    """(floored spectrum of f, its peak magnitude). The floor keeps the peak
-    sample, so the peak is also that of the floored spectrum."""
-    values = f.in_frequency().values
-    mags = np.abs(values)
-    if not np.all(np.isfinite(mags)):
-        raise NonFiniteError("samples contain NaN or Inf")
-    peak = mags.max()
-    if peak == 0.0:
-        return values, peak
-    return np.where(mags > _SPECTRUM_FLOOR * peak, values, 0.0), peak
 
 
 def _l2_norm(bins: np.ndarray, spec) -> float:
@@ -79,27 +62,20 @@ def _synthesized_magnitudes(bins: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.ifftn(bins, out=bins))
 
 
-def _in_band(f: GridFunction, outside: np.ndarray, edge: str,
-             partition: str) -> GridFunction:
-    """f on the frequency side, after the band check: BandLimitError if the
-    spectrum exceeds 1e-12 of its peak on the mask ``outside``. A
-    frequency-side f, such as a family member, is returned as it is; a
-    space-side f takes one forward transform, which the norm then shares
-    with the check."""
-    g = f.in_frequency()
-    if band_leak(g.values, outside) > 1e-12:
+def _check_band(support: Support, outside: np.ndarray, edge: str, partition: str) -> None:
+    """BandLimitError if the support exceeds 1e-12 of its peak on the bins
+    the mask ``outside`` flags."""
+    if band_leak(support, outside) > 1e-12:
         raise BandLimitError(f"spectral content beyond {edge}; "
                              f"the {partition} partition does not cover this function")
-    return g
 
 
-def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
+def box_piece_norms(support: Support, p, uniform: UniformPartition):
     """(lattice points as tuples, L^p norms of the uniform pieces) over the
-    whole lattice.
+    whole lattice, for the floored spectrum whose bins are ``support``.
 
     Only the boxes ``uniform.reached`` lists are visited: those whose window
-    (per axis, the samples c_k - w .. c_k + w) holds a nonzero bin of the
-    floored spectrum. At every other point sigma_k * spectrum is identically
+    (per axis, the samples c_k - w .. c_k + w) holds a bin of the support. At every other point sigma_k * spectrum is identically
     zero, so the piece is 0 and its norm stays 0 exactly. A visited box whose
     windowed spectrum falls below _NEGLIGIBLE of the peak also counts 0.
 
@@ -123,13 +99,13 @@ def box_piece_norms(f: GridFunction, p, uniform: UniformPartition):
     the norm is reused for the rest of the orbit. The memo lives for this
     call only and holds no arrays: one float norm per orbit key.
     """
-    spec = f.spec
-    spectrum, peak = _spectrum_of(f)
+    spec, peak = support.spec, support.peak
+    spectrum = support.scatter(support.values)
     points = uniform.lattice()
     norms = np.zeros(len(points))
     parseval = Exponent.of(p) == 2
     memo = {}
-    for i in uniform.reached(spectrum):
+    for i in uniform.reached(support):
         _, patch = uniform.patch(spectrum, points[i])
         if np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
@@ -149,21 +125,25 @@ def modulation_norm(f: GridFunction, p, q, s,
     if uniform is None:
         uniform = build_uniform(f.spec)
     edge = uniform.kmax - 1
-    g = _in_band(f, uniform._outside_band, f"|xi|_inf = {edge}", "uniform")
-    _, norms = box_piece_norms(g, p, uniform)
+    support = spectral_support(f)
+    _check_band(support, support.outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
+    _, norms = box_piece_norms(support, p, uniform)
     return lq_seq_norm(norms, q, lattice_weights(uniform.lattice(), s))
 
 
 def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
-    """(j, phi_j * spectrum, that is delta_j f on the frequency side) for the
-    levels ``dyadic.reached`` lists, after the dyadic band check. Every other
-    level's window is exactly 0 on each nonzero bin of the floored spectrum
-    (see ``DyadicPartition.support``), so its piece is identically zero."""
+    """f's support, after the dyadic band check, and an iterator of
+    (j, delta_j f on the frequency side at the support's bins) over the
+    levels ``dyadic.reached`` lists. A piece is phi_j at the support's radii
+    times its values, bit for bit ``window(j) * spectrum`` at those bins;
+    off the support both are 0. Every other level's window is exactly 0 on
+    each bin of the support (see ``DyadicPartition.support``), so its piece
+    is identically zero."""
     edge = 1.25 * 2 ** dyadic.levels
-    spectrum, _ = _spectrum_of(
-        _in_band(f, dyadic._radius > edge, f"|xi| = {edge:g}", "dyadic"))
-    for j in dyadic.reached(spectrum):
-        yield j, dyadic.window(j) * spectrum
+    support = spectral_support(f)
+    _check_band(support, support.radius > edge, f"|xi| = {edge:g}", "dyadic")
+    return support, ((j, dyadic.phi(j, support.radius) * support.values)
+                     for j in dyadic.reached(support))
 
 
 def besov_norm(f: GridFunction, p, q, s,
@@ -182,9 +162,11 @@ def besov_norm(f: GridFunction, p, q, s,
         dyadic = build_dyadic(spec)
     scale = (spec.n / spec.period) ** spec.d
     norms = np.zeros(dyadic.levels + 1)
-    for j, bins in _dyadic_pieces(f, dyadic):
-        norms[j] = (_l2_norm(bins, spec) if p == 2 else
-                    scale * _riemann_lp(_synthesized_magnitudes(bins), spec.cell_volume, p))
+    support, pieces = _dyadic_pieces(f, dyadic)
+    for j, piece in pieces:
+        norms[j] = (_l2_norm(piece, spec) if p == 2 else
+                    scale * _riemann_lp(_synthesized_magnitudes(support.scatter(piece)),
+                                        spec.cell_volume, p))
     weights = 2.0 ** (float(s) * np.arange(dyadic.levels + 1))
     return lq_seq_norm(norms, q, weights)
 
@@ -214,8 +196,9 @@ def triebel_norm(f: GridFunction, p, q, s,
     scale = (spec.n / spec.period) ** spec.d
     qf = None if q.is_infinite else float(q.value)
     stack = None
-    for j, bins in _dyadic_pieces(f, dyadic):
-        mags = (2.0 ** (sf * j) * scale) * _synthesized_magnitudes(bins)
+    support, pieces = _dyadic_pieces(f, dyadic)
+    for j, piece in pieces:
+        mags = (2.0 ** (sf * j) * scale) * _synthesized_magnitudes(support.scatter(piece))
         if q.is_infinite:
             stack = mags if stack is None else np.maximum(stack, mags)
         else:
@@ -236,7 +219,7 @@ def sobolev_norm(f: GridFunction, s, r) -> float:
 
 def fourier_lp_norm(f: GridFunction, r) -> float:
     """Riemann L^r norm of the frequency-side samples (delta^d per cell)."""
-    return _riemann_lp(np.abs(_spectrum_of(f)[0]), f.spec.freq_cell_volume, r)
+    return _riemann_lp(spectral_support(f).mags, f.spec.freq_cell_volume, r)
 
 
 def space_norm(f: GridFunction, space: SpaceSpec,

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import FREQUENCY, GridFunction, GridSpec, apply_multiplier, separable, transform, \
-    _next_pow2
+from .grid import FREQUENCY, GridFunction, GridSpec, Support, apply_multiplier, separable, \
+    transform, _next_pow2
 
 
 class ResolutionError(ValueError):
@@ -135,36 +135,27 @@ class UniformPartition:
         sl = self._slices(k)
         return sl, spectrum[sl] * self._tile
 
-    def _axis_hits(self, nonzero: np.ndarray) -> np.ndarray:
-        """For k = -kmax..kmax, whether the axis window [c_k - w, c_k + w]
-        holds one of the sorted sample indices ``nonzero``."""
-        centers = self.spec.n // 2 + self.spec.oversampling * np.arange(
-            -self.kmax, self.kmax + 1)
-        return (np.searchsorted(nonzero, centers + self.half_width, side="right")
-                > np.searchsorted(nonzero, centers - self.half_width, side="left"))
-
-    def reached(self, spectrum: np.ndarray) -> list[int]:
-        """Positions in ``lattice()`` of the points whose window holds a
-        nonzero sample of ``spectrum``; ``patch(spectrum, k)`` is identically
-        zero at every other point. In d = 2 the boxes are scanned one row of
-        the lattice at a time."""
-        if self.spec.d == 1:
-            return np.flatnonzero(self._axis_hits(np.flatnonzero(spectrum))).tolist()
+    def reached(self, support: Support) -> list[int]:
+        """Positions in ``lattice()`` of the points whose window holds a bin of
+        ``support``, ascending; the patch of the floored spectrum is
+        identically zero at every other point. A bin o samples from the
+        centre of an axis lies in the windows of ceil((o - w)/M) ..
+        floor((o + w)/M) on that axis, one or two points as w = (3/4)M < M,
+        so each bin reaches at most 2^d boxes, each a choice of the lower or
+        upper point per axis."""
+        spec, w, m = self.spec, self.half_width, self.spec.oversampling
         side = 2 * self.kmax + 1
-        found = []
-        for row in np.flatnonzero(self._axis_hits(np.flatnonzero(spectrum.any(axis=1)))):
-            band = spectrum[self._axis_slice(int(row) - self.kmax)]
-            cols = np.flatnonzero(self._axis_hits(np.flatnonzero(band.any(axis=0))))
-            found.extend((int(row) * side + cols).tolist())
-        return found
-
-    @cached_property
-    def _outside_band(self) -> np.ndarray:
-        """Read-only mask of the frequency samples beyond the band the lattice
-        covers, |xi|_inf > kmax - 1. Built on first use, then kept."""
-        mask = self.spec.freq_outside_cube(self.kmax - 1)
-        mask.flags.writeable = False
-        return mask
+        offsets = [i - spec.n // 2 for i in support.index]
+        ends = [(-((w - o) // m), (o + w) // m) for o in offsets]
+        hit = np.zeros(side ** spec.d, dtype=bool)
+        for choice in itertools.product((0, 1), repeat=spec.d):
+            position, inside = 0, True
+            for axis_ends, pick in zip(ends, choice):
+                k = axis_ends[pick]
+                position = position * side + (k + self.kmax)
+                inside = inside & (np.abs(k) <= self.kmax)
+            hit[position[inside]] = True
+        return np.flatnonzero(hit).tolist()
 
     @cached_property
     def _synthesis_table(self) -> np.ndarray:
@@ -248,49 +239,47 @@ def build_uniform(spec: GridSpec, kmax: int | None = None) -> UniformPartition:
     return UniformPartition(spec, kmax, _uniform_axis_profile(spec.oversampling))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DyadicPartition:
     """Dyadic partition of unity {phi_j}, j = 0..levels. Compared and hashed
-    by identity."""
+    by identity. It holds no per-sample array: ``phi`` evaluates a level at
+    the radii it is given, and ``window`` is the dense reference."""
 
     spec: GridSpec
     levels: int
-    _cache: dict = field(repr=False, init=False, default_factory=dict)
 
-    @cached_property
-    def _radius(self) -> np.ndarray:
-        """|xi| at every frequency sample. Built on first use, then kept."""
-        return self.spec.freq_radius()
-
-    def window(self, j: int) -> np.ndarray:
+    def phi(self, j: int, radius: np.ndarray) -> np.ndarray:
+        """phi_j at the radii ``radius``: DYADIC_PROFILE(r) for j = 0 and
+        DYADIC_PROFILE(r / 2^j) - DYADIC_PROFILE(r / 2^(j-1)) for j >= 1.
+        Every operation acts sample by sample, so the value at a radius is the
+        same bits whatever array holds it."""
         if not 0 <= _integer_level(j) <= self.levels:
             raise IndexError(f"dyadic level {j} outside 0..{self.levels}")
-        if j not in self._cache:
-            if j == 0:
-                self._cache[j] = DYADIC_PROFILE(self._radius)
-            else:
-                self._cache[j] = (DYADIC_PROFILE(self._radius / 2 ** j)
-                                  - DYADIC_PROFILE(self._radius / 2 ** (j - 1)))
-        return self._cache[j]
+        if j == 0:
+            return DYADIC_PROFILE(radius)
+        return DYADIC_PROFILE(radius / 2 ** j) - DYADIC_PROFILE(radius / 2 ** (j - 1))
+
+    def window(self, j: int) -> np.ndarray:
+        """Dense multiplier array for phi_j, built on each call."""
+        return self.phi(j, self.spec.freq_radius())
 
     def support(self, j: int) -> tuple[float, float]:
-        """Radii (lo, hi) such that window(j) is exactly 0 unless
+        """Radii (lo, hi) such that phi_j is exactly 0 unless
         lo <= |xi| < hi: (0, 3/2) for j = 0, (5/8, 3/2) * 2^j for j >= 1.
         DYADIC_PROFILE is exactly 1 at t <= 5/4 and exactly 0 at t >= 3/2, and
         dividing the radius by 2^j is exact, so below 5/8 * 2^j both terms of
         phi_j are 1 and cancel, and from 3/2 * 2^j on both are 0."""
-        if not 0 <= j <= self.levels:
+        if not 0 <= _integer_level(j) <= self.levels:
             raise IndexError(f"dyadic level {j} outside 0..{self.levels}")
         return (0.625 * 2 ** j if j else 0.0, 1.5 * 2 ** j)
 
-    def reached(self, spectrum: np.ndarray) -> list[int]:
-        """Levels whose support meets the radius span of the nonzero samples of
-        ``spectrum``; ``window(j) * spectrum`` is identically zero at every
-        other level."""
-        radii = self._radius[spectrum != 0]
-        if radii.size == 0:
+    def reached(self, support: Support) -> list[int]:
+        """Levels whose support meets the radius span of the bins of
+        ``support``; phi_j times the floored spectrum is identically zero at
+        every other level."""
+        if support.radius.size == 0:
             return []
-        near, far = radii.min(), radii.max()
+        near, far = support.radius.min(), support.radius.max()
         levels = []
         for j in range(self.levels + 1):
             lo, hi = self.support(j)
@@ -299,9 +288,10 @@ class DyadicPartition:
         return levels
 
     def partition_sum(self) -> np.ndarray:
+        radius = self.spec.freq_radius()
         out = np.zeros(self.spec.shape())
         for j in range(self.levels + 1):
-            out += self.window(j)
+            out += self.phi(j, radius)
         return out
 
 
@@ -327,9 +317,11 @@ def build_dyadic(spec: GridSpec, levels: int | None = None) -> DyadicPartition:
 
 
 def _as_lattice_point(k, d: int) -> tuple[int, ...]:
-    if isinstance(k, (int, np.integer)):
-        k = (int(k),)
-    k = tuple(int(c) for c in k)
+    """``k`` as a tuple of ints (a bare integer is a point in d = 1); a
+    coordinate that is not an integer is refused by ``_integer_level``'s rule."""
+    if np.ndim(k) == 0:
+        k = (k,)
+    k = tuple(_integer_level(c, what="lattice coordinate") for c in k)
     if len(k) != d:
         raise ValueError(f"lattice point {k} does not match dimension {d}")
     return k
@@ -369,13 +361,14 @@ class LatticeIndexSet:
         return _as_lattice_point(k, self.d) in set(self.members)
 
 
-def _integer_level(level, least: int | None = None) -> int:
-    """``level`` as an int, or a ValueError if it is not an integer (a float
-    such as 2.5 or 3.0, a string or None) or is below ``least``."""
+def _integer_level(level, least: int | None = None, what: str = "level") -> int:
+    """``level`` as an int, or a ValueError naming it ``what`` if it is not an
+    integer (a float such as 2.5 or 3.0, a string or None) or is below
+    ``least``."""
     if not isinstance(level, (int, np.integer)):
-        raise ValueError(f"level must be an integer, got {level!r}")
+        raise ValueError(f"{what} must be an integer, got {level!r}")
     if least is not None and level < least:
-        raise ValueError(f"level must be >= {least}, got {level}")
+        raise ValueError(f"{what} must be >= {least}, got {level}")
     return int(level)
 
 

@@ -200,17 +200,31 @@ def test_decide_exit_codes(capsys):
     # a huge level meets the sample budget, not a float overflow in the sizing
     pytest.param(
         ["norm", "--family", "single_box", "--level", "2000", "--space", "M[p=2,q=2]"], 2,
-        f"error: a grid of N^d = {2 ** 2008}^1 samples exceeds the budget of 16777216 samples",
+        "error: a grid for level 2000 exceeds the budget of 16777216 samples",
         id="single_box-level-2000-budget"),
     pytest.param(
         ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
          "--family", "single_box", "--lmin", "4", "--lmax", "1030"], 2,
-        f"error: a grid of N^d = {2 ** 1038}^1 samples exceeds the budget of 16777216 samples",
+        "error: a grid for level 1030 exceeds the budget of 16777216 samples",
         id="single_box-lmax-1030-budget"),
     pytest.param(
         ["norm", "--family", "lattice_comb", "--level", "1100", "--space", "M[p=2,q=2]"], 2,
-        f"error: a grid of N^d = {2 ** 2203}^1 samples exceeds the budget of 16777216 samples",
+        "error: a grid for level 1100 exceeds the budget of 16777216 samples",
         id="lattice_comb-level-1100-budget"),
+    # N past 4300 decimal digits is not written out: the refusal is the budget's
+    pytest.param(
+        ["norm", "--family", "annulus", "--level", "20000", "--space", "M[p=2,q=2]"], 2,
+        "error: a grid for level 20000 exceeds the budget of 16777216 samples",
+        id="annulus-level-20000-budget"),
+    # the first level refused by the bound, and the last one sized
+    pytest.param(
+        ["norm", "--family", "annulus", "--level", "24", "--space", "M[p=2,q=2]"], 2,
+        "error: a grid for level 24 exceeds the budget of 16777216 samples",
+        id="annulus-level-24-budget"),
+    pytest.param(
+        ["norm", "--family", "annulus", "--level", "23", "--space", "M[p=2,q=2]"], 2,
+        f"error: a grid of N^d = {2 ** 32}^1 samples exceeds the budget of 16777216 samples",
+        id="annulus-level-23-budget"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""

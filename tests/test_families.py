@@ -22,7 +22,7 @@ from modemb.families import (
     smallest_box_point,
 )
 from modemb.grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, SPACE, \
-    lp_norm, lq_seq_norm, transform
+    lp_norm, lq_seq_norm, spectral_support, transform
 from modemb.norms import box_piece_norms, modulation_norm
 from modemb.partitions import ResolutionError, box_apply, build_uniform, index_set
 
@@ -30,7 +30,7 @@ F = Fraction
 
 
 def active_boxes(f, uniform, p=2, rel=1e-10):
-    points, norms = box_piece_norms(f, p, uniform)
+    points, norms = box_piece_norms(spectral_support(f), p, uniform)
     peak = norms.max()
     return {k for k, v in zip(points, norms) if v > rel * peak}
 
@@ -228,7 +228,7 @@ def test_train_box_bookkeeping():
     uniform = build_uniform(TRAIN_SPEC)
     coeffs = {-24: 1.0, -3: 0.5j, 0: 2.0, 7: -1.0}
     f = _train(TRAIN_SPEC, coeffs)
-    points, norms = box_piece_norms(f, 2, uniform)
+    points, norms = box_piece_norms(spectral_support(f), 2, uniform)
     by_point = dict(zip(points, norms))
     eta_norm = by_point[(0,)] / 2.0
     for k, c in coeffs.items():

@@ -1,4 +1,6 @@
 """Transform convention, Riemann quasi-norms and multipliers."""
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ def test_grid_spec_sample_budget():
         GridSpec(d=2, n=2 ** 13, oversampling=8)
     with pytest.raises(ValueError, match="budget"):
         GridSpec(d=1, n=2 ** 49, oversampling=64)
+
+
+@pytest.mark.parametrize("n,d,written", [
+    (2 ** 63, 1, f"{2 ** 63}^1"), (2 ** 64, 1, "(2^64)^1"), (2 ** 20000, 2, "(2^20000)^2"),
+], ids=["2^63", "2^64", "2^20000"])
+def test_grid_spec_budget_names_a_huge_n_by_its_exponent(n, d, written):
+    """N is written in decimal up to 64 bits, then as a power of two: Python
+    refuses to write an int of more than 4300 digits in decimal."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"a grid of N^d = {written} samples exceeds the budget of {MAX_SAMPLES} samples")):
+        GridSpec(d=d, n=n, oversampling=8)
 
 
 def test_constant_transform(spec):

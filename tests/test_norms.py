@@ -16,10 +16,10 @@ from modemb.families import (
 )
 from modemb import grid, norms
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
-    lp_norm, lq_seq_norm, transform
+    lp_norm, lq_seq_norm, spectral_support, transform
 from modemb.norms import (
     _NEGLIGIBLE,
-    _spectrum_of,
+    _dyadic_pieces,
     besov_norm,
     box_piece_norms,
     fourier_lp_norm,
@@ -78,6 +78,12 @@ def _zero(spec):
     return GridFunction(spec, np.zeros(spec.shape()), SPACE)
 
 
+def _floored(f):
+    """f's spectrum with every bin at or below the spectral floor set to 0."""
+    support = spectral_support(f)
+    return support.scatter(support.values)
+
+
 def _train(spec, coefficients):
     """sum_k a_k e^{ikx} eta(x - k) over integers k (d = 1)."""
     out = np.zeros(spec.shape(), dtype=np.complex128)
@@ -106,26 +112,6 @@ def test_modulation_single_box_weighted(box_partitions):
 def test_modulation_zero(box_partitions):
     uniform, _ = box_partitions
     assert modulation_norm(_zero(BOX_SPEC), 2, 2, 0, uniform) == 0.0
-
-
-@pytest.mark.parametrize("spec", [GridSpec(d=1, n=2 ** 10, oversampling=8),
-                                  GridSpec(d=2, n=64, oversampling=8)], ids=["1d", "2d"])
-def test_uniform_band_mask_built_once(spec, monkeypatch):
-    """The modulation band check reads one read-only mask per partition,
-    |xi|_inf > kmax - 1, built on the first norm and kept for the rest."""
-    uniform = build_uniform(spec)
-    f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=3)
-    built = []
-    outside_cube = GridSpec.freq_outside_cube
-    monkeypatch.setattr(GridSpec, "freq_outside_cube",
-                        lambda self, radius: built.append(radius) or outside_cube(self, radius))
-    for p in (1, 2, 1):
-        modulation_norm(f, p, 1, 0, uniform)
-    monkeypatch.undo()
-    assert built == [uniform.kmax - 1]
-    mask = uniform._outside_band
-    assert mask is uniform._outside_band and not mask.flags.writeable
-    np.testing.assert_array_equal(mask, spec.freq_outside_cube(uniform.kmax - 1))
 
 
 ANNULUS_SPEC = grid_for("annulus", level=6)
@@ -411,8 +397,9 @@ def test_box_piece_norms_match_extended_precision(p, rel):
     extended precision (np.fft on clongdouble) from the same spectrum."""
     spec = GridSpec(d=1, n=1024, oversampling=8)
     uniform = build_uniform(spec)
-    spectrum, _ = _spectrum_of(family_annulus(spec, 4))
-    points, norms = box_piece_norms(GridFunction(spec, spectrum, FREQUENCY), p, uniform)
+    spectrum = _floored(family_annulus(spec, 4))
+    points, norms = box_piece_norms(spectral_support(GridFunction(spec, spectrum, FREQUENCY)),
+                                    p, uniform)
     pf = np.longdouble(float(Fraction(p)))
     scale = np.longdouble(spec.n) / np.longdouble(spec.period)
     active = [(k, value) for k, value in zip(points, norms) if value > 0.0]
@@ -439,7 +426,7 @@ def _pruned_cases():
         uniform = build_uniform(spec)
         for f in (random_band_limited(spec, band_radius=uniform.kmax - 1, seed=5),
                   family_annulus(spec, level)):
-            cases.append((uniform, GridFunction(spec, _spectrum_of(f)[0], FREQUENCY)))
+            cases.append((uniform, GridFunction(spec, _floored(f), FREQUENCY)))
     return cases
 
 
@@ -458,7 +445,7 @@ PRUNED_CASES = _pruned_cases()
 def test_box_piece_norms_match_dense(case, p, rel):
     """Every active box's pruned norm equals the full-grid box_apply norm."""
     uniform, g = PRUNED_CASES[case]
-    points, norms = box_piece_norms(g, p, uniform)
+    points, norms = box_piece_norms(spectral_support(g), p, uniform)
     active = [(k, v) for k, v in zip(points, norms) if v > 0.0]
     assert len(active) > 4
     for k, value in active:
@@ -479,14 +466,14 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
 
     monkeypatch.setattr(UniformPartition, "orbit_key", forbidden)
     monkeypatch.setattr(UniformPartition, "piece_magnitudes", forbidden)
-    points, norms = box_piece_norms(f, 2, uniform)
+    points, norms = box_piece_norms(spectral_support(f), 2, uniform)
     monkeypatch.undo()
     assert "_synthesis_table" not in vars(uniform)
-    spectrum, _ = _spectrum_of(f)
+    spectrum = _floored(f)
     for k, value in zip(points, norms):
         _, patch = uniform.patch(spectrum, k)
         assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
-    box_piece_norms(f, 1, uniform)
+    box_piece_norms(spectral_support(f), 1, uniform)
     assert "_synthesis_table" in vars(uniform)
 
 
@@ -575,8 +562,8 @@ def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
     for level in levels:
         f = family_annulus(spec, level)
         before = len(synthesized)
-        box_piece_norms(f, 1, uniform)
-        spectrum, _ = _spectrum_of(f)
+        box_piece_norms(spectral_support(f), 1, uniform)
+        spectrum = _floored(f)
         peak = np.abs(spectrum).max()
         orbits = set()
         for k in uniform.lattice():
@@ -623,9 +610,9 @@ def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
         return patch(self, spectrum, k)
 
     monkeypatch.setattr(UniformPartition, "patch", spy)
-    points, norms = box_piece_norms(f, 1, uniform)
+    points, norms = box_piece_norms(spectral_support(f), 1, uniform)
     monkeypatch.undo()
-    spectrum, _ = _spectrum_of(f)
+    spectrum = _floored(f)
     skipped = [i for i, k in enumerate(points) if k not in visited]
     assert visited and skipped
     for i in skipped:
@@ -635,26 +622,64 @@ def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
 
 @pytest.mark.parametrize("case", SKIP_CASES)
 def test_dyadic_norms_skip_only_zero_levels(case, monkeypatch):
-    """Every level besov_norm and triebel_norm do not transform has an
-    all-zero windowed spectrum."""
+    """Every level at which besov_norm and triebel_norm do not evaluate
+    phi_j has an all-zero windowed spectrum."""
     f = SKIP_CASES[case]
     dyadic = build_dyadic(f.spec)
-    spectrum, _ = _spectrum_of(f)
-    window = DyadicPartition.window
+    spectrum = _floored(f)
+    phi = DyadicPartition.phi
     for norm in (besov_norm, triebel_norm):
         visited = set()
 
-        def spy(self, j):
+        def spy(self, j, radius):
             visited.add(j)
-            return window(self, j)
+            return phi(self, j, radius)
 
-        monkeypatch.setattr(DyadicPartition, "window", spy)
+        monkeypatch.setattr(DyadicPartition, "phi", spy)
         norm(f, 1, 2, 0, dyadic)
         monkeypatch.undo()
         skipped = set(range(dyadic.levels + 1)) - visited
         assert visited and skipped
         for j in skipped:
             assert not (dyadic.window(j) * spectrum).any()
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_dyadic_pieces_are_the_dense_products(case):
+    """The support's radii are freq_radius() at its bins, and every dyadic
+    piece, phi_j at those radii times the support's values, scattered onto
+    the grid, is window(j) * spectrum bit for bit."""
+    f = SKIP_CASES[case]
+    dyadic = build_dyadic(f.spec)
+    spectrum = _floored(f)
+    support, pieces = _dyadic_pieces(f, dyadic)
+    dense_radius = f.spec.freq_radius().reshape(-1)[support.flat]
+    assert support.radius.tobytes() == dense_radius.tobytes()
+    levels = []
+    for j, piece in pieces:
+        levels.append(j)
+        assert support.scatter(piece).tobytes() == (dyadic.window(j) * spectrum).tobytes(), j
+    assert levels == dyadic.reached(support) and levels
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["1d", "2d"])
+def test_norms_read_no_dense_radius_or_cube(d, monkeypatch):
+    """The M, B, F and FL norms read the coordinates and radii of the
+    support alone: none builds the dense |xi| array or the |xi|_inf mask.
+    (W's Bessel multiplier is a dense array by definition.)"""
+    f = family_annulus(grid_for("annulus", d=d, level=2), 2)
+    uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)
+
+    def forbidden(*args):
+        raise AssertionError("a norm built a dense frequency-side mask or radius")
+
+    monkeypatch.setattr(GridSpec, "freq_radius", forbidden)
+    monkeypatch.setattr(GridSpec, "freq_outside_cube", forbidden)
+    for space in (SpaceSpec.modulation(1, 1, d=d), SpaceSpec.modulation(2, 2, d=d),
+                  SpaceSpec.besov(1, 1, 0, d=d), SpaceSpec.besov(2, 2, 0, d=d),
+                  SpaceSpec.triebel(1, 2, 0, d=d), SpaceSpec.triebel(2, 2, 0, d=d),
+                  SpaceSpec.fourier_l(1, d=d)):
+        assert space_norm(f, space, uniform, dyadic) > 0.0
 
 
 @pytest.mark.parametrize("q", [1, 2, "inf"])
@@ -793,7 +818,7 @@ def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
     per reached level for Triebel at p = 2, q = 1, which stays pointwise."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
-    reached = len(dyadic.reached(_spectrum_of(f)[0]))
+    reached = len(dyadic.reached(spectral_support(f)))
     assert reached >= 2
     for norm, q, expected in ((besov_norm, 1, 0), (besov_norm, "inf", 0),
                               (triebel_norm, 2, 0), (triebel_norm, 1, reached)):

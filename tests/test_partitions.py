@@ -1,5 +1,6 @@
 """Partition-of-unity invariants, decomposition operators, and index sets."""
 import functools
+import re
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from modemb.families import random_band_limited
-from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, lp_norm, transform
+from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, lp_norm, spectral_support, \
+    transform
 from modemb.partitions import (
     DYADIC_PROFILE,
     DyadicPartition,
@@ -119,11 +121,16 @@ def test_dyadic_band_guard():
 
 @pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
 def test_dyadic_partition_refuses_a_level_that_is_not_an_integer(dyadic, level):
-    """window(2.5) would blend the profiles of two levels into no phi_j.
-    build_dyadic reads levels=None as the largest level the grid resolves."""
+    """window(2.5) would blend the profiles of two levels into no phi_j, and
+    support(2.5) would give the radii of no level. build_dyadic reads
+    levels=None as the largest level the grid resolves."""
     message = f"level must be an integer, got {level!r}"
     with pytest.raises(ValueError, match=message):
         dyadic.window(level)
+    with pytest.raises(ValueError, match=message):
+        dyadic.support(level)
+    with pytest.raises(ValueError, match=message):
+        dyadic.phi(level, SPEC.freq_radius())
     if level is not None:
         with pytest.raises(ValueError, match=message):
             build_dyadic(SPEC, levels=level)
@@ -131,11 +138,17 @@ def test_dyadic_partition_refuses_a_level_that_is_not_an_integer(dyadic, level):
 
 @pytest.mark.parametrize("knob", ["_radius", "_cache"])
 def test_dyadic_partition_takes_no_radius_or_cache(knob):
-    """The radius is always the grid's own |xi|; the window cache starts empty."""
+    """A dyadic partition is its grid and level count and holds no array:
+    phi_j is evaluated at the radii it is given, and each window(j) is a
+    fresh dense array of the grid's own |xi|."""
     with pytest.raises(TypeError):
         DyadicPartition(SPEC, 3, **{knob: None})
     dyadic = DyadicPartition(SPEC, 3)
-    assert np.array_equal(dyadic._radius, SPEC.freq_radius()) and dyadic._cache == {}
+    assert vars(dyadic) == {"spec": SPEC, "levels": 3}
+    first, again = dyadic.window(1), dyadic.window(1)
+    assert first is not again and first.tobytes() == again.tobytes()
+    assert first.tobytes() == dyadic.phi(1, SPEC.freq_radius()).tobytes()
+    assert vars(dyadic) == {"spec": SPEC, "levels": 3}
 
 
 def _low_band_function():
@@ -144,6 +157,27 @@ def _low_band_function():
     center = SPEC.n // 2
     values[center - 1:center + 2] = [0.5, 1.0, 0.25j]  # |xi| <= 1/16
     return transform(GridFunction(SPEC, values, FREQUENCY), SPACE)
+
+
+@pytest.mark.parametrize("k", [2.5, (2.5,), 2.0, (np.float64(2.0),), "2", None])
+def test_uniform_partition_refuses_a_lattice_point_that_is_not_an_integer(uniform, k):
+    """window, patch and box_apply at k = 2.5 would act on box 2, and
+    window(2.0) would end in a TypeError; each is refused by the rule and
+    text of the integer level check."""
+    coordinate = k[0] if isinstance(k, tuple) else k
+    message = re.escape(f"lattice coordinate must be an integer, got {coordinate!r}")
+    f = _low_band_function()
+    spectrum = f.in_frequency().values
+    for call in (lambda: uniform.window(k), lambda: uniform.patch(spectrum, k),
+                 lambda: box_apply(f, k, uniform)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_uniform_partition_takes_integer_lattice_points(uniform):
+    """A bare integer is a point in d = 1; NumPy integers are integers."""
+    for k in (2, (2,), [2], np.int64(2), (np.int32(2),), np.array([2])):
+        assert np.array_equal(uniform.window(k), uniform.window((2,))), k
 
 
 def test_box_identity_on_low_band(uniform):
@@ -329,8 +363,8 @@ def test_dyadic_profile_convention():
 
 def test_partitions_compare_by_identity():
     """Equal-looking partitions are distinct objects: == does not raise, and
-    a partition can key a dict. The lazy synthesis table and the window cache
-    keep working."""
+    a partition can key a dict. The lazy synthesis table and the dyadic
+    windows keep working."""
     spec = GridSpec(1, 256, 8)
     for build in (build_uniform, build_dyadic):
         a, b = build(spec), build(spec)
@@ -341,7 +375,7 @@ def test_partitions_compare_by_identity():
     assert uniform.piece_magnitudes(patch).size == spec.n
     assert "_synthesis_table" in vars(uniform)
     dyadic = build_dyadic(spec)
-    assert dyadic.window(1) is dyadic.window(1)
+    assert dyadic.window(1).tobytes() == dyadic.window(1).tobytes()
 
 
 @pytest.mark.parametrize("spec", [SPEC, GridSpec(d=2, n=256, oversampling=8)])
@@ -364,21 +398,25 @@ def test_reached_pieces_hold_the_nonzero_bins(spec, center):
     every unreached window multiplies the spectrum to exactly zero."""
     uniform, dyadic = build_uniform(spec), build_dyadic(spec)
     f = random_band_limited(spec, band_radius=2.5, center=center, seed=3)
+    support = spectral_support(f)
     spectrum = f.in_frequency().values.copy()
     spectrum[np.abs(spectrum) <= 1e-13 * np.abs(spectrum).max()] = 0.0
-    reached = set(uniform.reached(spectrum))
+    assert np.array_equal(support.flat, np.flatnonzero(spectrum))
+    reached = uniform.reached(support)
+    assert reached == sorted(set(reached))
+    reached = set(reached)
     assert 0 < len(reached) < len(uniform.lattice())
     for i, k in enumerate(uniform.lattice()):
         slices, patch = uniform.patch(spectrum, k)
         assert spectrum[slices].any() == (i in reached)
         if i not in reached:
             assert not patch.any()
-    levels = dyadic.reached(spectrum)
+    levels = dyadic.reached(support)
     assert 0 < len(levels) < dyadic.levels + 1
     for j in set(range(dyadic.levels + 1)) - set(levels):
         assert not (dyadic.window(j) * spectrum).any()
-    assert uniform.reached(np.zeros(spec.shape(), dtype=complex)) == []
-    assert dyadic.reached(np.zeros(spec.shape(), dtype=complex)) == []
+    empty = spectral_support(GridFunction(spec, np.zeros(spec.shape()), FREQUENCY))
+    assert uniform.reached(empty) == [] and dyadic.reached(empty) == []
 
 
 @pytest.mark.parametrize("spec", [GridSpec(d=1, n=2 ** 12, oversampling=8),
