@@ -1,10 +1,17 @@
 """Generators for the extremal function families driving the experiments.
 
-Every family is synthesized exactly on the frequency side (compact spectral
-support, so the grid function is the exact periodization of the continuum
-object), and a member is that spectrum: a frequency-side GridFunction. The
-norms read it without a forward transform; ``in_space()`` gives the space
-samples. Identical parameters yield bit-identical samples.
+Every family is synthesized exactly on the frequency side, and a member is
+that spectrum: a frequency-side GridFunction. The spectrum is compact, so the
+space samples are those of the continuum object's periodization with period
+2 pi M, not of the object itself: its tails wrap around, and the norms
+depend on the grid. Measured against the same member with M and N doubled
+(ROADMAP item 13): in d = 1, single_box moves by 0.22 at p = 1 and 0.76 at
+p = 1/2 (NARROW_BUMP's edge spans about one sample at M = 64), the comb by
+0.11 in M at p = 1, the annulus by 6.7e-5 in M at p = 1; in d = 2 the
+level-3 annulus reads M[p=1,q=1] 15 % low at M = 8. Slopes mostly survive,
+as the error is nearly the same at every level; absolute values do not.
+The norms read a member without a forward transform; ``in_space()`` gives
+the space samples. Identical parameters yield bit-identical samples.
 
 The family table, ``_TABLE``, is the one place a family kind is defined: one
 ``Kind`` row holds its options, fit coordinate, generator, default grid size

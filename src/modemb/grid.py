@@ -14,6 +14,11 @@ per-axis array (``separable``), and the transforms are n-dimensional, so no
 function here has a body per dimension. Only ``GridSpec``'s check branches
 on d: it admits d in {1, 2}, the dimensions whose box syntheses
 ``partitions`` implements and in which every numerical path is tested.
+
+Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
+keeps the bins above the floor, with their coordinates and radii computed at
+those bins alone; ``band_leak`` reads a band check off them. A function with
+few nonzero bins is then checked and measured without a dense N^d mask.
 """
 from __future__ import annotations
 

@@ -7,6 +7,19 @@ norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
 both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
+Support. Every norm but Sobolev floors f's spectrum once, at 1e-13 of its
+peak, into a ``grid.Support``: the flat indices, values, magnitudes,
+frequency coordinates and radii of the bins above the floor. The rest reads
+only those bins. The band checks (the cube |xi|_inf > kmax - 1, the dyadic
+ball |xi| > 1.25 * 2^levels) test their coordinates; a bin under the floor
+could not pass the 1e-12 gate, so the decision is the dense one. phi_j is
+evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is
+bit for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
+Parseval sums the compact piece, otherwise it is scattered into a fresh
+zero grid for the inverse FFT. Fourier-L^p sums the compact magnitudes. No
+norm builds a dense radius, mask or window, so a member with few bins, such
+as a single box, costs a few full-grid passes per norm.
+
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized
 pieces skip the grid's centering shifts, so their magnitudes come in
@@ -47,7 +60,8 @@ _NEGLIGIBLE = 1e-15
 
 
 def _l2_norm(bins: np.ndarray, spec) -> float:
-    """By Parseval, exactly the Riemann L^2 norm of the samples whose spectrum is ``bins``."""
+    """By Parseval, exactly the Riemann L^2 norm of the samples whose spectrum
+    holds ``bins`` and is 0 elsewhere."""
     return float(np.sqrt(np.sum(np.abs(bins) ** 2) / spec.period ** spec.d))
 
 
@@ -75,9 +89,10 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     whole lattice, for the floored spectrum whose bins are ``support``.
 
     Only the boxes ``uniform.reached`` lists are visited: those whose window
-    (per axis, the samples c_k - w .. c_k + w) holds a bin of the support. At every other point sigma_k * spectrum is identically
-    zero, so the piece is 0 and its norm stays 0 exactly. A visited box whose
-    windowed spectrum falls below _NEGLIGIBLE of the peak also counts 0.
+    (per axis, the samples c_k - w .. c_k + w) holds a bin of the support.
+    At every other point sigma_k * spectrum is identically zero, so the piece
+    is 0 and its norm stays 0 exactly. A visited box whose windowed spectrum
+    falls below _NEGLIGIBLE of the peak also counts 0.
 
     Each piece's spectrum sigma_k * F f has only S = (3/2)M + 1 nonzero bins
     x_j, j = 0..S-1, per axis, starting at bin a. Output n of the N-point

@@ -9,17 +9,23 @@ D_j = {3/4 * 2^j <= |xi| <= 5/4 * 2^j}.
 
 Windows, patches, sums, orbit keys and index sets are written once for every
 d: a uniform window is sigma_0's tile (the d-fold outer product of the axis
-profile) placed at one slice per axis. Two operations keep a body per
-dimension, each for a stated reason. ``UniformPartition.reached`` lists
-exactly the boxes whose window holds a nonzero bin. A per-axis test would
-also list a box whose row and column each hold one elsewhere, so in d = 2
-it scans one row band of the lattice at a time. ``piece_magnitudes`` (with
+profile) placed at one slice per axis. One operation keeps a body per
+dimension, for a stated reason: ``piece_magnitudes`` (with
 ``_synthesis_table``) runs two algorithms, each benchmarked by its own
 annulus workload: a pruned length-L FFT in d = 1 and E P E^T in d = 2. In
 d = 1 the N x S matrix E would hold 131072 x 97 complex values on the
 annulus-1d grid, where the pruned FFT's table holds (N/L) x L = 1024 x 128;
 the patch is zero-padded to L bins and the FFTs run in place on the
 twiddled copy.
+
+Support. The norms hand both partitions the bins of the floored spectrum
+(``grid.Support``), never a dense spectrum to rescan. ``reached`` lists the
+boxes or levels those bins meet: a bin lies in at most 2^d uniform windows,
+found from its sample indices alone, and a level is reached when its radii
+meet the bins' radius span. ``DyadicPartition`` holds no per-sample array:
+``phi`` evaluates phi_j at the radii it is given, sample by sample, and
+``window`` is the dense reference built from it on each call, for
+``delta_apply``, ``partition_sum`` and the annulus family.
 """
 from __future__ import annotations
 

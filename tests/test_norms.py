@@ -645,16 +645,22 @@ def test_dyadic_norms_skip_only_zero_levels(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", SKIP_CASES)
-def test_dyadic_pieces_are_the_dense_products(case):
-    """The support's radii are freq_radius() at its bins, and every dyadic
+def test_support_and_dyadic_pieces_match_the_dense_arrays(case):
+    """The support's coordinates, radii and cube masks are freq_axis(),
+    freq_radius() and freq_outside_cube() at its bins, and every dyadic
     piece, phi_j at those radii times the support's values, scattered onto
     the grid, is window(j) * spectrum bit for bit."""
     f = SKIP_CASES[case]
-    dyadic = build_dyadic(f.spec)
+    spec, dyadic = f.spec, build_dyadic(f.spec)
     spectrum = _floored(f)
     support, pieces = _dyadic_pieces(f, dyadic)
-    dense_radius = f.spec.freq_radius().reshape(-1)[support.flat]
+    for index, coords in zip(support.index, support.coords):
+        assert coords.tobytes() == spec.freq_axis()[index].tobytes()
+    dense_radius = spec.freq_radius().reshape(-1)[support.flat]
     assert support.radius.tobytes() == dense_radius.tobytes()
+    for radius in (0.5, 2.0, 20.5):
+        dense_mask = spec.freq_outside_cube(radius).reshape(-1)[support.flat]
+        assert np.array_equal(support.outside_cube(radius), dense_mask), radius
     levels = []
     for j, piece in pieces:
         levels.append(j)
