@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exponents import INF, Exponent, as_fraction
-from .families import KINDS, grid_for, kind_row, member
+from .families import KINDS, grid_for, kind_row, member, _check_level_budget
 from .grid import GridSpec
 from .oracle import (
     SPACE_KEYS,
@@ -35,7 +35,7 @@ from .oracle import (
     _REGION_RULES,
 )
 from . import experiments
-from .partitions import selftest_report
+from .partitions import _integer_level, selftest_report
 
 EX_USAGE = 64
 
@@ -251,6 +251,9 @@ def _parse_levels(args, config):
     lmax = _cfg(args, config, "lmax", int, 8)
     if lmax < lmin:
         raise ValueError("lmax must be >= lmin")
+    if kind_row(args.family).options[0] == "level":  # refused before the list is built
+        _integer_level(lmin, least=0)
+        _check_level_budget(lmax)
     return list(range(lmin, lmax + 1))
 
 

@@ -291,6 +291,16 @@ def random_band_limited(spec: GridSpec, band_radius: float, center=None,
     return _finish(spec, out)
 
 
+def _check_level_budget(level) -> None:
+    """ValueError if no grid for ``level`` fits the sample budget. A level
+    member's spectrum reaches past 2^level, so N > 2^level: from
+    2^level >= MAX_SAMPLES on, the level is refused before 2 ** level is
+    formed."""
+    if level >= MAX_SAMPLES.bit_length() - 1:
+        raise ValueError(f"a grid for level {level} exceeds the budget of "
+                         f"{MAX_SAMPLES} samples")
+
+
 def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
              width=1) -> GridSpec:
     """A default grid for one family at its largest level, sized by the kind's
@@ -301,10 +311,7 @@ def grid_for(kind: str, d: int = 1, level: int | None = None, lam=None, t=None,
     parameter = {"level": level, "lam": lam, "t": t}[option]
     if parameter is None:
         raise ValueError(f"{option} is required for the {kind} family")
-    # A level member's spectrum reaches past 2^level, so N > 2^level: from
-    # 2^level >= MAX_SAMPLES on, the level is refused before 2 ** level is formed.
-    if option == "level" and parameter >= MAX_SAMPLES.bit_length() - 1:
-        raise ValueError(f"a grid for level {parameter} exceeds the budget of "
-                         f"{MAX_SAMPLES} samples")
+    if option == "level":
+        _check_level_budget(parameter)
     m, omega = row.size(d, parameter, width)
     return GridSpec(d=d, n=2 * m * omega, oversampling=m)

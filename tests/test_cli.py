@@ -225,6 +225,17 @@ def test_decide_exit_codes(capsys):
         ["norm", "--family", "annulus", "--level", "23", "--space", "M[p=2,q=2]"], 2,
         f"error: a grid of N^d = {2 ** 32}^1 samples exceeds the budget of 16777216 samples",
         id="annulus-level-23-budget"),
+    # an oversized --lmax is refused before the list of levels is built
+    pytest.param(
+        ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "single_box", "--lmin", "4", "--lmax", "1000000000"], 2,
+        "error: a grid for level 1000000000 exceeds the budget of 16777216 samples",
+        id="single_box-lmax-1000000000-budget"),
+    pytest.param(
+        ["sharpness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "annulus", "--lmin", "-1000000000", "--lmax", "2"], 2,
+        "error: level must be >= 0, got -1000000000",
+        id="annulus-lmin-negative-1000000000"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
