@@ -85,8 +85,9 @@ def _check_band(support: Support, outside: np.ndarray, edge: str, partition: str
 
 
 def box_piece_norms(support: Support, p, uniform: UniformPartition):
-    """(lattice points as tuples, L^p norms of the uniform pieces) over the
-    whole lattice, for the floored spectrum whose bins are ``support``.
+    """(``uniform.lattice()``, the L^p norms of the uniform pieces at its
+    points): the read-only lattice array and one norm per row of it, for the
+    floored spectrum whose bins are ``support``.
 
     Only the boxes ``uniform.reached`` lists are visited: those whose window
     (per axis, the samples c_k - w .. c_k + w) holds a bin of the support.
@@ -103,11 +104,16 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
     is the length-L inverse DFT in m of the twiddled bins
     x_j exp(2 pi i j r / N), one per residue r: the patch is zero-padded to
-    L bins, twiddled by an (N/L) x L table and transformed in place. In
+    L bins, twiddled by a table of residue rows and transformed in place. In
     d = 2 it separates by axis into E P E^T with the N x S matrix
     E[n, j] = exp(2 pi i j n / N). Both regroup the same finite sums as the
-    full N^d transform, so they are exact; only the rounding differs. At
-    p = 2 Parseval gives the norm from the patch alone (``_l2_norm``).
+    full N^d transform, so they are exact; only the rounding differs. Only
+    half the output rows are synthesized: the sum g_x(n) over the bins x
+    obeys g_x(-n) = conj(g_conj(x)(n)), so the rows -n have the magnitudes
+    of the rows n of conj(x)'s synthesis, which are x's own rows when the
+    patch is real. Residues 0 and R/2 in d = 1, rows n_1 = 0 and N/2 in
+    d = 2, are their own mirrors and are counted once. At p = 2 Parseval
+    gives the norm from the patch alone (``_l2_norm``).
 
     Otherwise each piece is synthesized once per symmetry orbit of its patch
     (``UniformPartition.orbit_key``), whose images permute its samples, and
@@ -131,7 +137,7 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
         if key not in memo:
             memo[key] = _riemann_lp(uniform.piece_magnitudes(patch), spec.cell_volume, p)
         norms[i] = memo[key]
-    return list(map(tuple, points.tolist())), norms
+    return points, norms
 
 
 def modulation_norm(f: GridFunction, p, q, s,
@@ -142,8 +148,8 @@ def modulation_norm(f: GridFunction, p, q, s,
     edge = uniform.kmax - 1
     support = spectral_support(f)
     _check_band(support, support.outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
-    _, norms = box_piece_norms(support, p, uniform)
-    return lq_seq_norm(norms, q, lattice_weights(uniform.lattice(), s))
+    points, norms = box_piece_norms(support, p, uniform)
+    return lq_seq_norm(norms, q, lattice_weights(points, s))
 
 
 def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):

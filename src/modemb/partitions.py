@@ -10,13 +10,16 @@ D_j = {3/4 * 2^j <= |xi| <= 5/4 * 2^j}.
 Windows, patches, sums, orbit keys and index sets are written once for every
 d: a uniform window is sigma_0's tile (the d-fold outer product of the axis
 profile) placed at one slice per axis. One operation keeps a body per
-dimension, for a stated reason: ``piece_magnitudes`` (with
-``_synthesis_table``) runs two algorithms, each benchmarked by its own
-annulus workload: a pruned length-L FFT in d = 1 and E P E^T in d = 2. In
-d = 1 the N x S matrix E would hold 131072 x 97 complex values on the
-annulus-1d grid, where the pruned FFT's table holds (N/L) x L = 1024 x 128;
-the patch is zero-padded to L bins and the FFTs run in place on the
-twiddled copy.
+dimension, for a stated reason: ``piece_magnitudes`` synthesizes a piece by
+a pruned length-L FFT in d = 1 and by E P E^T in d = 2, each benchmarked by
+its own annulus workload. In d = 1 the N x S matrix E would hold
+131072 x 97 complex values on the annulus-1d grid, where the pruned FFT's
+table holds the residue rows r = 0..R/2 of R = N/L, 513 x 128 there; the
+patch is zero-padded to L bins and the FFTs run in place on the twiddled
+copy. In both, only the first half of the output rows is synthesized: the
+mirrored rows -n hold the magnitudes of the rows n of the conjugate patch's
+synthesis, which a real patch (every annulus and single-box patch) already
+has, and a complex one gets from the same routine.
 
 Support. The norms hand both partitions the bins of the floored spectrum
 (``grid.Support``), never a dense spectrum to rescan. ``reached`` lists the
@@ -166,34 +169,64 @@ class UniformPartition:
     @cached_property
     def _synthesis_table(self) -> np.ndarray:
         """exp(2 pi i (j n mod N) / N) / P per axis, for the rows n the pruned
-        synthesis needs and the patch offsets j it reads: in d = 1 the N/L
-        residues r and j < L (the patch is zero-padded from S to L bins), in
-        d = 2 all N outputs and j < S. Built on first use, then kept."""
+        synthesis needs and the patch offsets j it reads: in d = 1 the
+        residues r = 0..R/2 of R = N/L, and j < L (the patch is zero-padded
+        from S to L bins); in d = 2 all N outputs, the right factor's, of
+        which the left factor reads rows 0..N/2, and j < S. Built on first
+        use, then kept."""
         spec = self.spec
         width = 2 * self.half_width + 1
         if spec.d == 1:
             width = _next_pow2(width)
-            rows = spec.n // width
+            rows = spec.n // width // 2 + 1
         else:
             rows = spec.n
         phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
         return np.exp(2j * np.pi * phase / spec.n) / spec.period
 
-    def piece_magnitudes(self, patch: np.ndarray) -> np.ndarray:
-        """The N^d magnitudes of the space-side piece whose windowed spectrum
-        is ``patch``: the |box_apply| samples, in the transform's order rather
-        than grid order. Only the patch's S = 2 * half_width + 1 bins per axis
-        are touched: in d = 1 the patch is zero-padded to L bins and twiddled
-        into one (N/L, L) array, whose length-L FFTs run in place; in d = 2,
-        E P E^T (``norms.box_piece_norms`` states the factorization)."""
+    def _half_synthesis(self, patch: np.ndarray, out: np.ndarray) -> None:
+        """Writes into ``out`` the first half of the rows of the piece whose
+        windowed spectrum is ``patch``, complex: in d = 1 the residues
+        r = 0..R/2 of the pruned length-L FFT, an (R/2 + 1, L) array; in
+        d = 2 the rows n_1 = 0..N/2 of E P E^T, an (N/2 + 1, N) array."""
         table = self._synthesis_table
         if self.spec.d == 1:
             padded = np.zeros(table.shape[1], dtype=np.complex128)
             padded[:patch.size] = patch
-            y = table * padded
-            np.fft.ifft(y, axis=-1, norm="forward", out=y)
-            return np.abs(y)
-        return np.abs((table @ patch) @ table.T)
+            np.multiply(table, padded, out=out)
+            np.fft.ifft(out, axis=-1, norm="forward", out=out)
+        else:
+            np.matmul(table[:len(out)] @ patch, table.T, out=out)
+
+    def piece_magnitudes(self, patch: np.ndarray) -> np.ndarray:
+        """The N^d magnitudes of the space-side piece whose windowed spectrum
+        is ``patch``: the |box_apply| samples as a multiset, not in grid
+        order. Only the patch's S = 2 * half_width + 1 bins per axis are
+        touched: in d = 1 the patch is zero-padded to L bins and twiddled
+        into one array of residue rows, whose length-L FFTs run in place; in
+        d = 2, E P E^T (``norms.box_piece_norms`` states both).
+
+        Half the rows are synthesized. With g_x(n) = sum_j x_j w^(jn),
+        w = exp(2 pi i / N), g_x(-n) = conj(g_conj(x)(n)), so the rows -n
+        hold the magnitudes of the rows n of conj(x)'s synthesis. Rows 0 and
+        R/2 in d = 1 (n_1 = 0 and N/2 in d = 2) are their own mirrors and
+        are counted once; the rows 1..R/2 - 1 of conj(x) fill in the rest.
+        For a real patch, conj(x) = x, so those rows are copied from the
+        first half; a complex patch synthesizes conj(x) on the same rows.
+        Grids with R = 1 or 2 have no mirrored row."""
+        spec = self.spec
+        rows, width = (self._synthesis_table.shape if spec.d == 1
+                       else (spec.n // 2 + 1, spec.n))
+        half = np.empty((rows, width), dtype=np.complex128)
+        out = np.empty((spec.n ** spec.d // width, width))
+        self._half_synthesis(patch, half)
+        np.abs(half, out=out[:rows])
+        if patch.imag.any():
+            self._half_synthesis(np.conj(patch), half)
+            np.abs(half[1:rows - 1], out=out[rows:])
+        else:
+            out[rows:] = out[1:rows - 1]
+        return out
 
     @staticmethod
     def orbit_key(patch: np.ndarray) -> bytes:

@@ -30,9 +30,9 @@ F = Fraction
 
 
 def active_boxes(f, uniform, p=2, rel=1e-10):
-    points, norms = box_piece_norms(spectral_support(f), p, uniform)
+    _, norms = box_piece_norms(spectral_support(f), p, uniform)
     peak = norms.max()
-    return {k for k, v in zip(points, norms) if v > rel * peak}
+    return {tuple(k) for k, v in zip(uniform.lattice().tolist(), norms) if v > rel * peak}
 
 
 def _train(spec, coefficients):
@@ -228,8 +228,8 @@ def test_train_box_bookkeeping():
     uniform = build_uniform(TRAIN_SPEC)
     coeffs = {-24: 1.0, -3: 0.5j, 0: 2.0, 7: -1.0}
     f = _train(TRAIN_SPEC, coeffs)
-    points, norms = box_piece_norms(spectral_support(f), 2, uniform)
-    by_point = dict(zip(points, norms))
+    _, norms = box_piece_norms(spectral_support(f), 2, uniform)
+    by_point = dict(zip(map(tuple, uniform.lattice().tolist()), norms))
     eta_norm = by_point[(0,)] / 2.0
     for k, c in coeffs.items():
         assert by_point[(k,)] == pytest.approx(abs(c) * eta_norm, rel=1e-9)

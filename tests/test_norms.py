@@ -9,6 +9,7 @@ from modemb.families import (
     _add_box,
     _finish,
     family_annulus,
+    family_lattice_comb,
     family_single_box,
     grid_for,
     random_band_limited,
@@ -16,7 +17,7 @@ from modemb.families import (
 )
 from modemb import grid, norms
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
-    lp_norm, lq_seq_norm, spectral_support, transform
+    lp_norm, lq_seq_norm, spectral_support, transform, _next_pow2
 from modemb.norms import (
     _NEGLIGIBLE,
     _dyadic_pieces,
@@ -32,6 +33,7 @@ from modemb.oracle import SpaceSpec
 from modemb.partitions import (
     DyadicPartition,
     UniformPartition,
+    _uniform_axis_profile,
     box_apply,
     build_dyadic,
     build_uniform,
@@ -400,9 +402,10 @@ def test_box_piece_norms_match_extended_precision(p, rel):
     spectrum = _floored(family_annulus(spec, 4))
     points, norms = box_piece_norms(spectral_support(GridFunction(spec, spectrum, FREQUENCY)),
                                     p, uniform)
+    assert points is uniform.lattice()
     pf = np.longdouble(float(Fraction(p)))
     scale = np.longdouble(spec.n) / np.longdouble(spec.period)
-    active = [(k, value) for k, value in zip(points, norms) if value > 0.0]
+    active = [(k, value) for k, value in zip(uniform.lattice(), norms) if value > 0.0]
     assert len(active) > 4
     for k, value in active:
         slices, patch = uniform.patch(spectrum, k)
@@ -416,18 +419,26 @@ def test_box_piece_norms_match_extended_precision(p, rel):
 
 
 def _pruned_cases():
-    """(spec, clean function) pairs in d = 1 and 2: a random band-limited
-    function and an annulus member, both rebuilt on the frequency side from
-    the spectrum box_piece_norms uses, so the dense reference sees the same
-    bins."""
-    cases = []
+    """(uniform partition, clean function, active boxes, boxes with a complex
+    patch) in d = 1 and 2: a random band-limited function, an annulus member,
+    a lattice comb (its translates are modulated, so its patches are complex)
+    and a single box, each rebuilt on the frequency side from the spectrum
+    box_piece_norms uses, so the dense reference sees the same bins. The
+    d = 2 comb has width 1/2: at width 1 on its default grid the phases of
+    its four boxes fall on +-1 and its patches are real."""
+    members = []
     for spec, level in ((GridSpec(d=1, n=2 ** 10, oversampling=8), 4),
                         (GridSpec(d=2, n=64, oversampling=8), 1)):
         uniform = build_uniform(spec)
-        for f in (random_band_limited(spec, band_radius=uniform.kmax - 1, seed=5),
-                  family_annulus(spec, level)):
-            cases.append((uniform, GridFunction(spec, _floored(f), FREQUENCY)))
-    return cases
+        members += [random_band_limited(spec, band_radius=uniform.kmax - 1, seed=5),
+                    family_annulus(spec, level)]
+    members += [family_lattice_comb(grid_for("lattice_comb", d=1, level=4), 4),
+                family_single_box(grid_for("single_box", d=1, level=4), 4),
+                family_lattice_comb(GridSpec(d=2, n=128, oversampling=8), 2, Fraction(1, 2)),
+                family_single_box(grid_for("single_box", d=2, level=2), 2)]
+    counts = ((125, 125), (30, 0), (25, 25), (44, 0), (14, 14), (1, 0), (4, 4), (1, 0))
+    return [(build_uniform(f.spec), GridFunction(f.spec, _floored(f), FREQUENCY), *count)
+            for f, count in zip(members, counts, strict=True)]
 
 
 PRUNED_CASES = _pruned_cases()
@@ -444,10 +455,11 @@ PRUNED_CASES = _pruned_cases()
 ])
 def test_box_piece_norms_match_dense(case, p, rel):
     """Every active box's pruned norm equals the full-grid box_apply norm."""
-    uniform, g = PRUNED_CASES[case]
-    points, norms = box_piece_norms(spectral_support(g), p, uniform)
-    active = [(k, v) for k, v in zip(points, norms) if v > 0.0]
-    assert len(active) > 4
+    uniform, g, active_boxes, complex_patches = PRUNED_CASES[case]
+    _, norms = box_piece_norms(spectral_support(g), p, uniform)
+    active = [(k, v) for k, v in zip(uniform.lattice(), norms) if v > 0.0]
+    assert len(active) == active_boxes
+    assert sum(uniform.patch(g.values, k)[1].imag.any() for k, _ in active) == complex_patches
     for k, value in active:
         assert value == pytest.approx(lp_norm(box_apply(g, k, uniform), p), rel=rel)
 
@@ -466,11 +478,11 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
 
     monkeypatch.setattr(UniformPartition, "orbit_key", forbidden)
     monkeypatch.setattr(UniformPartition, "piece_magnitudes", forbidden)
-    points, norms = box_piece_norms(spectral_support(f), 2, uniform)
+    _, norms = box_piece_norms(spectral_support(f), 2, uniform)
     monkeypatch.undo()
     assert "_synthesis_table" not in vars(uniform)
     spectrum = _floored(f)
-    for k, value in zip(points, norms):
+    for k, value in zip(uniform.lattice(), norms):
         _, patch = uniform.patch(spectrum, k)
         assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
     box_piece_norms(spectral_support(f), 1, uniform)
@@ -490,6 +502,82 @@ def test_piece_magnitudes_are_the_dense_samples():
         dense = np.sort(np.abs(box_apply(f, k, uniform).values), axis=None)
         assert pruned.size == spec.n ** spec.d
         np.testing.assert_allclose(pruned, dense, rtol=0, atol=1e-13 * dense.max())
+
+
+HALF_ROW_GRIDS = {
+    # (grid, first-half rows): R/2 + 1 residue rows of L in d = 1 (R = N/L),
+    # N/2 + 1 rows of E P E^T in d = 2
+    "1d-R1": (GridSpec(d=1, n=16, oversampling=8), 1),
+    "1d-R2": (GridSpec(d=1, n=32, oversampling=8), 2),
+    "1d-R64": (GridSpec(d=1, n=2 ** 10, oversampling=8), 33),
+    "1d-R16-M64": (GridSpec(d=1, n=2 ** 11, oversampling=64), 9),
+    "2d-N16": (GridSpec(d=2, n=16, oversampling=8), 9),
+    "2d-N64": (GridSpec(d=2, n=64, oversampling=8), 33),
+}
+
+
+class _TableSpy(np.ndarray):
+    """A synthesis table that records the shape of each matmul left operand
+    taken from it."""
+    left_operands = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and isinstance(inputs[0], _TableSpy):
+            _TableSpy.left_operands.append(inputs[0].shape)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _TableSpy) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("grid", HALF_ROW_GRIDS)
+def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
+    """A piece is synthesized on its first R/2 + 1 residue rows in d = 1
+    (N/2 + 1 rows in d = 2), once for a real patch and once more for its
+    conjugate when the patch is complex; the mirrored rows fill in the rest.
+    Sorted, the N^d magnitudes match the full-grid |box_apply| to 1e-13 of
+    the maximum. The p = inf maximum is exactly that of the rows kept from
+    the syntheses, so mirroring adds no rounding, and it is the dense
+    maximum to 1e-15. The tiny grids (R = 1, 2) have no mirrored row; they
+    are too small for build_uniform, so the partition is made directly with
+    kmax = 0."""
+    spec, rows = HALF_ROW_GRIDS[grid]
+    uniform = UniformPartition(spec, 0, _uniform_axis_profile(spec.oversampling))
+    rng = np.random.default_rng(31)
+    spectrum = rng.standard_normal(spec.shape()) + 0j
+    if not real:
+        spectrum += 1j * rng.standard_normal(spec.shape())
+    _, patch = uniform.patch(spectrum, (0,) * spec.d)
+    assert patch.imag.any() != real
+    samples = []
+    if spec.d == 1:
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            samples.append(a.shape)
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        width = 2 * uniform.half_width + 1
+        expected = [(rows, _next_pow2(width))] * (1 if real else 2)
+    else:
+        uniform.__dict__["_synthesis_table"] = uniform._synthesis_table.view(_TableSpy)
+        _TableSpy.left_operands = samples
+        expected = [(rows, 2 * uniform.half_width + 1)] * (1 if real else 2)
+    mags = uniform.piece_magnitudes(patch)
+    monkeypatch.undo()
+    assert samples == expected
+    dense = np.abs(box_apply(GridFunction(spec, spectrum, FREQUENCY), (0,) * spec.d,
+                             uniform).values)
+    assert mags.size == dense.size == spec.n ** spec.d
+    np.testing.assert_allclose(np.sort(mags, axis=None), np.sort(dense, axis=None),
+                               rtol=0, atol=1e-13 * dense.max())
+    kept = []
+    for x, first in ((patch, 0), (np.conj(patch), 1))[:1 if real else 2]:
+        half = np.empty((rows, mags.shape[1]), dtype=np.complex128)
+        uniform._half_synthesis(x, half)
+        kept.append(np.abs(half[first:rows - first]))
+    assert mags.max() == max(rows_kept.max() for rows_kept in kept if rows_kept.size)
+    assert mags.max() == pytest.approx(dense.max(), rel=1e-15)
 
 
 def _images(patch):
@@ -610,10 +698,11 @@ def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
         return patch(self, spectrum, k)
 
     monkeypatch.setattr(UniformPartition, "patch", spy)
-    points, norms = box_piece_norms(spectral_support(f), 1, uniform)
+    _, norms = box_piece_norms(spectral_support(f), 1, uniform)
     monkeypatch.undo()
     spectrum = _floored(f)
-    skipped = [i for i, k in enumerate(points) if k not in visited]
+    points = uniform.lattice()
+    skipped = [i for i, k in enumerate(points.tolist()) if tuple(k) not in visited]
     assert visited and skipped
     for i in skipped:
         assert not uniform.patch(spectrum, points[i])[1].any()
