@@ -213,7 +213,11 @@ class UniformPartition:
         are counted once; the rows 1..R/2 - 1 of conj(x) fill in the rest.
         For a real patch, conj(x) = x, so those rows are copied from the
         first half; a complex patch synthesizes conj(x) on the same rows.
-        Grids with R = 1 or 2 have no mirrored row."""
+        Grids with R = 1 or 2 have no mirrored row.
+
+        Both arrays are allocated here and the synthesis writes into
+        ``half``: with ``_half_synthesis`` returning fresh products instead,
+        ``annulus-2d`` ran 25 % slower (six alternating benchmark pairs)."""
         spec = self.spec
         rows, width = (self._synthesis_table.shape if spec.d == 1
                        else (spec.n // 2 + 1, spec.n))
