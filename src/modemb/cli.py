@@ -7,6 +7,9 @@ Examples: B[p=1,q=2,s=1/2], M[p=2,q=1,s=0], W[r=1,s=0], FL[r=2].
 
 Exit codes for decide: 0 embedding holds, 1 embedding fails,
 2 uncharacterized pair or domain error, 64 malformed specification.
+Every command exits 2, with one line on stderr, on a value it refuses
+(``error:``), a config file it cannot read (``config error:``) or an output
+path it cannot write (``error:`` and the OSError's text).
 """
 from __future__ import annotations
 
@@ -251,10 +254,12 @@ def _parse_levels(args, config):
     lmax = _cfg(args, config, "lmax", int, 8)
     if lmax < lmin:
         raise ValueError("lmax must be >= lmin")
-    if kind_row(args.family).options[0] == "level":  # refused before the list is built
+    if kind_row(args.family).options[0] == "level":  # refused before a level is read
         _integer_level(lmin, least=0)
         _check_level_budget(lmax)
-    return list(range(lmin, lmax + 1))
+    # No list: a t or lambda range is read only up to its first value outside
+    # (0, 1], which the experiment refuses after its own checks.
+    return range(lmin, lmax + 1)
 
 
 def _experiment_common(args, config, run, **options) -> int:
@@ -394,7 +399,7 @@ def main(argv=None) -> int:
     except (UncharacterizedPairError, DomainError, experiments.CatalogueError) as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import KINDS, grid_for, kind_row, member
+from .families import KINDS, UNIT_PARAMETERS, grid_for, kind_row, member
 from .grid import GridSpec, NonFiniteError
 from .norms import space_norm
 from .oracle import Family, SpaceSpec, decide, render_space
@@ -137,6 +137,11 @@ def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:
     return value
 
 
+def _sequence(levels):
+    """``levels`` as a sequence: a range as it is, anything else as a list."""
+    return levels if isinstance(levels, range) else list(levels)
+
+
 def _run_norms(source, target, family, levels, width, grid):
     # dilation has norm estimates but no experiment along it yet
     if family not in KINDS or family == "dilation":
@@ -146,6 +151,11 @@ def _run_norms(source, target, family, levels, width, grid):
     if option == "level" and not all(isinstance(l, int) for l in levels):
         raise ValueError(f"the {family} family takes integer levels, got "
                          f"{', '.join(str(l) for l in levels)}")
+    if option in UNIT_PARAMETERS:
+        # In order and before the grid is sized: a range of t or lambda is
+        # refused at its first value outside (0, 1], the rest unread.
+        for parameter in levels:
+            UNIT_PARAMETERS[option](parameter)
     if grid is None:
         grid = grid_for(family, d=source.d, width=width,
                         **{option: max(levels, key=row.coordinate)})
@@ -168,8 +178,10 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
                   tolerance: float = 0.2, width=1,
                   grid: GridSpec | None = None) -> ExperimentReport:
     """Fit the log2 ratio growth along the family and compare to the
-    catalogued prediction."""
-    levels = list(levels)
+    catalogued prediction. ``levels`` is a range or any iterable of member
+    parameters; a range is read lazily, so a long one costs nothing before
+    its first refused member."""
+    levels = _sequence(levels)
     if len(levels) < 2:
         raise ValueError("sharpness needs at least two levels to fit a slope")
     predicted = predicted_slope(source, target, family)
@@ -180,7 +192,7 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
     fitted = float(np.polyfit(xs, np.log2(ratios), 1)[0])
     passed = abs(fitted - float(predicted)) <= tolerance
     return ExperimentReport(
-        source=source, target=target, family=family, levels=levels,
+        source=source, target=target, family=family, levels=list(levels),
         source_norms=source_norms, target_norms=target_norms, ratios=ratios,
         mode="sharpness", fitted_slope=fitted, predicted_slope=predicted,
         tolerance=tolerance, passed=passed, grid=grid)
@@ -191,9 +203,10 @@ def run_boundedness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
                     grid: GridSpec | None = None) -> ExperimentReport:
     """Check that the embedding constant stays bounded along the family.
 
-    Requires the oracle to confirm the embedding holds first.
+    Requires the oracle to confirm the embedding holds first. ``levels`` is
+    read as in ``run_sharpness``.
     """
-    levels = list(levels)
+    levels = _sequence(levels)
     verdict = decide(source, target)
     if not verdict.holds:
         raise ValueError(
@@ -203,7 +216,7 @@ def run_boundedness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
         source, target, family, levels, width, grid)
     spread = max(ratios) / min(ratios)
     return ExperimentReport(
-        source=source, target=target, family=family, levels=levels,
+        source=source, target=target, family=family, levels=list(levels),
         source_norms=source_norms, target_norms=target_norms, ratios=ratios,
         mode="boundedness", spread=spread, bound=bound,
         passed=spread <= bound, grid=grid,

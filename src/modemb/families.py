@@ -71,8 +71,10 @@ def _margin(spec: GridSpec) -> float:
 
 def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
     """The member whose spectrum is ``values``, after the band-margin check
-    on the bins above the spectral floor."""
-    f = GridFunction(spec, values, FREQUENCY)
+    on the bins above the spectral floor. ``values`` is the generator's fresh
+    complex128 array and is handed over without a copy; the margin check
+    floors it into the member's one Support, which the norms then read."""
+    f = GridFunction.adopt(spec, values, FREQUENCY)
     support = spectral_support(f)
     if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
@@ -133,6 +135,9 @@ def _unit_parameter(value, name: str, symbol: str) -> Fraction:
 _comb_width = partial(_unit_parameter, name="comb width", symbol="a")
 _dilation_lambda = partial(_unit_parameter, name="dilation parameter", symbol="lambda")
 _kernel_t = partial(_unit_parameter, name="kernel parameter", symbol="t")
+# The (0, 1] check of each member parameter that is not a level, by option
+# name; a level is checked by its generator.
+UNIT_PARAMETERS = {"lam": _dilation_lambda, "t": _kernel_t}
 
 
 def family_dilation(spec: GridSpec, lam) -> GridFunction:
@@ -171,7 +176,7 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
 
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     """Spectrum phi_level: the dyadic window itself. The partition dies within
-    the expression, so its arrays are freed before the member's copy is made."""
+    the expression, so its arrays are freed before the member is floored."""
     level = _integer_level(level, least=0)
     return _finish(spec, build_dyadic(spec, levels=max(level, 1)).window(level)
                    .astype(np.complex128))

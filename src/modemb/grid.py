@@ -15,10 +15,21 @@ function here has a body per dimension. Only ``GridSpec``'s check branches
 on d: it admits d in {1, 2}, the dimensions whose box syntheses
 ``partitions`` implements and in which every numerical path is tested.
 
+Ownership. A ``GridFunction``'s samples are read-only. The constructor
+adopts, without a copy, an array that is complex128, C-contiguous, read-only
+and owns its data; it copies any other input, so a caller's writable array
+or view stays isolated from ``f.values``. An internal producer that built
+its samples fresh (a transform, a multiplier, a family spectrum, a box
+piece) hands the array over with ``GridFunction.adopt``, which freezes it
+first; it keeps no other reference to it.
+
 Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
 keeps the bins above the floor, with their coordinates and radii computed at
 those bins alone; ``band_leak`` reads a band check off them. A function with
-few nonzero bins is then checked and measured without a dense N^d mask.
+few nonzero bins is then checked and measured without a dense N^d mask. The
+floor is taken at most once per function: ``GridFunction.support`` is built
+on first read and kept, and its arrays are read-only, so every reader (the
+family's margin check and each norm) shares it.
 """
 from __future__ import annotations
 
@@ -142,7 +153,9 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples of a periodic band-limited function, on either side."""
+    """Complex samples of a periodic band-limited function, on either side.
+    ``values`` is read-only and adopted or copied by the ownership rule of
+    the module docstring; ``support`` is built on first read and kept."""
 
     spec: GridSpec
     values: np.ndarray
@@ -151,11 +164,32 @@ class GridFunction:
     def __post_init__(self):
         if self.side not in (SPACE, FREQUENCY):
             raise ValueError(f"side must be 'space' or 'frequency', got {self.side!r}")
-        values = np.array(self.values, dtype=np.complex128, order="C", copy=True)
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == np.complex128
+                and values.flags.c_contiguous and not values.flags.writeable
+                and values.base is None):
+            values = np.array(values, dtype=np.complex128, order="C", copy=True)
+            values.flags.writeable = False
         if values.shape != self.spec.shape():
             raise ValueError(f"expected shape {self.spec.shape()}, got {values.shape}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def adopt(cls, spec: GridSpec, values: np.ndarray, side: str) -> "GridFunction":
+        """The GridFunction that takes over ``values``, an array its caller
+        built and keeps no other reference to. The array is frozen here; a
+        complex128, C-ordered array that owns its data is then kept without a
+        copy."""
+        values.flags.writeable = False
+        return cls(spec, values, side)
+
+    @functools.cached_property
+    def support(self) -> "Support":
+        """The bins of the spectrum above the floor (``spectral_support``),
+        floored on first read and kept; a space-side function pays its one
+        forward transform then. A NaN or Inf sample raises NonFiniteError on
+        every read."""
+        return _floor(self)
 
     def in_space(self) -> "GridFunction":
         return transform(self, SPACE)
@@ -191,7 +225,7 @@ def transform(f: GridFunction, side: str) -> GridFunction:
     else:
         out, scale = _ifft(f.values), (spec.n / spec.period) ** spec.d
     out *= scale
-    return GridFunction(spec, out, side)
+    return GridFunction.adopt(spec, out, side)
 
 
 def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
@@ -203,7 +237,7 @@ def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
             f"multiplier shape {multiplier.shape} does not match grid {f.spec.shape()}"
         )
     spectrum = f.in_frequency().values
-    return transform(GridFunction(f.spec, multiplier * spectrum, FREQUENCY), SPACE)
+    return transform(GridFunction.adopt(f.spec, multiplier * spectrum, FREQUENCY), SPACE)
 
 
 def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
@@ -255,7 +289,8 @@ class Support:
     N^d grid (ascending), per-axis sample indices, values and magnitudes,
     and their frequency coordinates xi (one array per axis) and radii |xi|.
     The peak bin is always kept, so ``peak`` is also the floored spectrum's;
-    a zero spectrum has no bins and peak 0."""
+    a zero spectrum has no bins and peak 0. Every array is read-only, as
+    one Support is shared by every reader of its function."""
 
     spec: GridSpec
     peak: float
@@ -282,9 +317,16 @@ class Support:
 def spectral_support(f: GridFunction) -> Support:
     """The bins of f's spectrum whose magnitude exceeds _SPECTRUM_FLOOR times
     the peak; NonFiniteError if a sample is NaN or Inf (the peak is then NaN
-    or Inf). A space-side f takes one forward transform. Coordinates come
-    from ``freq_at`` and radii by the operations of ``freq_radius``, in its
-    order, so each is the dense array's entry bit for bit."""
+    or Inf). This is ``f.support``: f is floored on the first call only, and
+    every call returns the same object."""
+    return f.support
+
+
+def _floor(f: GridFunction) -> Support:
+    """``spectral_support``, computed. A space-side f takes one forward
+    transform. Coordinates come from ``freq_at`` and radii by the operations
+    of ``freq_radius``, in its order, so each is the dense array's entry bit
+    for bit."""
     spec = f.spec
     values = f.in_frequency().values.reshape(-1)
     mags = np.abs(values)
@@ -295,7 +337,10 @@ def spectral_support(f: GridFunction) -> Support:
     index = np.unravel_index(flat, spec.shape())
     coords = tuple(spec.freq_at(i) for i in index)
     radius = np.sqrt(functools.reduce(np.add, (c ** 2 for c in coords)))
-    return Support(spec, peak, flat, index, values[flat], mags[flat], coords, radius)
+    values, mags = values[flat], mags[flat]
+    for a in (flat, *index, values, mags, *coords, radius):
+        a.flags.writeable = False
+    return Support(spec, peak, flat, index, values, mags, coords, radius)
 
 
 def band_leak(support: Support, outside: np.ndarray) -> float:

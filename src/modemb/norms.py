@@ -7,12 +7,14 @@ norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
 both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
-Support. Every norm but Sobolev floors f's spectrum once, at 1e-13 of its
-peak, into a ``grid.Support``: the flat indices, values, magnitudes,
-frequency coordinates and radii of the bins above the floor. The rest reads
-only those bins. The band checks (the cube |xi|_inf > kmax - 1, the dyadic
-ball |xi| > 1.25 * 2^levels) test their coordinates; a bin under the floor
-could not pass the 1e-12 gate, so the decision is the dense one. phi_j is
+Support. Every norm but Sobolev reads the member's one Support
+(``spectral_support``, the ``grid.Support`` kept on f): the flat indices,
+values, magnitudes, frequency coordinates and radii of the bins above 1e-13
+of the peak. f is floored when the Support is first read, by the family's
+margin check for a member, and every later norm of f shares it. The rest
+reads only those bins. The band checks (the cube |xi|_inf > kmax - 1, the
+dyadic ball |xi| > 1.25 * 2^levels) test their coordinates; a bin under the
+floor could not pass the 1e-12 gate, so the decision is the dense one. phi_j is
 evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is
 bit for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
 Parseval sums the compact piece, otherwise it is scattered into a fresh
@@ -171,10 +173,11 @@ def besov_norm(f: GridFunction, p, q, s,
                dyadic: DyadicPartition | None = None) -> float:
     """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
 
-    One forward transform (none for a frequency-side f). At p = 2 a piece's
-    norm is ``_l2_norm`` of its spectrum; otherwise the piece is synthesized
-    (``_synthesized_magnitudes``), one inverse FFT per level the floored
-    spectrum reaches, and the (N/P)^d scale multiplies its norm. A level
+    One forward transform if f is space-side and not yet floored (none
+    otherwise). At p = 2 a piece's norm is ``_l2_norm`` of its spectrum;
+    otherwise the piece is synthesized (``_synthesized_magnitudes``), one
+    inverse FFT per level the floored spectrum reaches, and the (N/P)^d
+    scale multiplies its norm. A level
     with no nonzero bin in the support of phi_j (``DyadicPartition.support``)
     is skipped: its piece is identically zero and enters as 0.0."""
     p = Exponent.of(p)

@@ -377,7 +377,7 @@ def box_apply(f: GridFunction, k, partition: UniformPartition) -> GridFunction:
     slices, patch = partition.patch(spectrum, k)
     out = np.zeros(f.spec.shape(), dtype=np.complex128)
     out[slices] = patch
-    return transform(GridFunction(f.spec, out, FREQUENCY), "space")
+    return transform(GridFunction.adopt(f.spec, out, FREQUENCY), "space")
 
 
 def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunction:

@@ -236,6 +236,40 @@ def test_decide_exit_codes(capsys):
          "--family", "annulus", "--lmin", "-1000000000", "--lmax", "2"], 2,
         "error: level must be >= 0, got -1000000000",
         id="annulus-lmin-negative-1000000000"),
+    # a long range of t or lambda is refused at once, with the text its first
+    # refused member gives
+    pytest.param(
+        ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "dilated_kernel", "--lmin", "1", "--lmax", "3000000"], 2,
+        "error: kernel parameter must satisfy 0 < t <= 1, got 2",
+        id="dilated_kernel-lmax-3000000"),
+    pytest.param(
+        ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "dilation", "--lmin", "1", "--lmax", "3000000"], 2,
+        "undecidable: unknown family kind 'dilation'",
+        id="dilation-lmax-3000000"),
+    # an output path in a directory that does not exist
+    pytest.param(
+        ["table", "--pair", "B-M", "--s", "0", "--resolution", "2",
+         "--out", "/nonexistent-dir/table.csv"], 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent-dir/table.csv'",
+        id="table-out-missing-dir"),
+    pytest.param(
+        ["sharpness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "single_box", "--lmin", "4", "--lmax", "5",
+         "--csv", "/nonexistent-dir/levels.csv"], 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent-dir/levels.csv'",
+        id="sharpness-csv-missing-dir"),
+    pytest.param(
+        ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+         "--family", "single_box", "--lmin", "4", "--lmax", "5",
+         "--json", "/nonexistent-dir/report.json"], 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent-dir/report.json'",
+        id="boundedness-json-missing-dir"),
+    pytest.param(
+        ["selftest", "--n", "256", "--json", "/nonexistent-dir/selftest.json"], 2,
+        "error: [Errno 2] No such file or directory: '/nonexistent-dir/selftest.json'",
+        id="selftest-json-missing-dir"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -243,6 +277,19 @@ def test_error_messages_and_exit_codes(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_t_range_is_read_to_its_first_refused_value(capsys, monkeypatch):
+    """A range of kernel parameters is checked in order before the grid is
+    sized, so only t = 1 and t = 2 of the three million are read."""
+    checked = []
+    check = families.UNIT_PARAMETERS["t"]
+    monkeypatch.setitem(families.UNIT_PARAMETERS, "t",
+                        lambda t: checked.append(t) or check(t))
+    assert main(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                 "--family", "dilated_kernel", "--lmin", "1", "--lmax", "3000000"]) == 2
+    assert capsys.readouterr().err == "error: kernel parameter must satisfy 0 < t <= 1, got 2\n"
+    assert checked == [1, 2]
 
 
 def test_sharpness_degenerate_norm_exits_cleanly(capsys, monkeypatch):

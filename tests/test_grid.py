@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from modemb import grid
-from modemb.families import family_single_box, grid_for
+from fractions import Fraction
+
+from modemb.families import (
+    family_annulus,
+    family_dilated_kernel,
+    family_dilation,
+    family_lattice_comb,
+    family_single_box,
+    grid_for,
+    random_band_limited,
+)
 from modemb.grid import (
     FREQUENCY,
     SPACE,
@@ -221,3 +231,75 @@ def test_values_immutable(spec):
     f = space_fn(spec, np.ones(spec.n))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def _read_only_view(shape):
+    base = np.arange(np.prod(shape), dtype=np.complex128).reshape(shape)
+    view = base[...]
+    view.flags.writeable = False
+    return base, view
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda shape: (None, np.ones(shape, dtype=np.complex128)), id="writable"),
+    pytest.param(_read_only_view, id="read-only-view"),
+    pytest.param(lambda shape: (None, np.ones(shape)), id="float"),
+    pytest.param(lambda shape: (None, np.asfortranarray(
+        np.arange(np.prod(shape), dtype=np.complex128).reshape(shape))), id="fortran"),
+])
+def test_constructor_copies_what_it_cannot_own(make):
+    """An input that is not a read-only complex128 C-ordered array owning its
+    data is copied: writing into the caller's array later (or into the base
+    of its read-only view) leaves the function's samples unchanged."""
+    spec = GridSpec(d=2, n=16, oversampling=8)
+    base, values = make(spec.shape())
+    f = GridFunction(spec, values, SPACE)
+    before = f.values.copy()
+    assert not np.shares_memory(f.values, values)
+    assert not f.values.flags.writeable and f.values.flags.c_contiguous
+    writable = values if base is None else base
+    writable[...] = 7.0
+    np.testing.assert_array_equal(f.values, before)
+
+
+def test_constructor_adopts_a_frozen_owned_array(spec):
+    """A read-only complex128 C-ordered array that owns its data is taken as
+    it is, without a copy; ``adopt`` freezes a fresh array and does the same."""
+    values = np.ones(spec.n, dtype=np.complex128)
+    values.flags.writeable = False
+    assert GridFunction(spec, values, SPACE).values is values
+    fresh = np.ones(spec.n, dtype=np.complex128)
+    adopted = GridFunction.adopt(spec, fresh, FREQUENCY)
+    assert adopted.values is fresh and not fresh.flags.writeable
+
+
+def _generator_calls():
+    box, ann = grid_for("single_box", level=5), grid_for("annulus", level=3)
+    comb = grid_for("lattice_comb", level=4)
+    dil = grid_for("dilation", lam=Fraction(1, 2))
+    ker = grid_for("dilated_kernel", t=Fraction(1, 4))
+    ball = GridSpec(d=2, n=64, oversampling=8)
+    center = np.array([0.5, -0.25])
+    return {
+        "single_box": lambda: family_single_box(box, 5),
+        "annulus": lambda: family_annulus(ann, 3),
+        "lattice_comb": lambda: family_lattice_comb(comb, 4, Fraction(1, 2)),
+        "dilation": lambda: family_dilation(dil, Fraction(1, 2)),
+        "dilated_kernel": lambda: family_dilated_kernel(ker, Fraction(1, 4)),
+        "random_band_limited": lambda: random_band_limited(ball, 1.5, center=center, seed=3),
+    }
+
+
+GENERATOR_CALLS = _generator_calls()
+
+
+@pytest.mark.parametrize("kind", GENERATOR_CALLS)
+def test_members_share_memory_with_nothing_writable(kind):
+    """A member owns its read-only spectrum: no view of another array and no
+    memory shared with a second call's member; its space samples own theirs
+    too."""
+    first, second = GENERATOR_CALLS[kind](), GENERATOR_CALLS[kind]()
+    for f in (first, first.in_space()):
+        assert f.values.base is None and not f.values.flags.writeable
+    assert not np.shares_memory(first.values, second.values)
+    np.testing.assert_array_equal(first.values, second.values)

@@ -799,6 +799,10 @@ def test_dyadic_norms_of_zero(box_partitions, q):
                  (0, 1), (1, 1), id="triebel-q1"),
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
                  (0, 0), (1, 0), id="modulation"),
+    # two norms of one function share its one floor, so its one forward transform
+    pytest.param(lambda f, uniform, dyadic: (besov_norm(f, 1, 2, 0, dyadic),
+                                             modulation_norm(f, 2, 2, 0, uniform)),
+                 (0, 1), (1, 1), id="besov-p1+modulation"),
 ])
 def test_full_grid_transform_count(box_partitions, full_grid_transforms, norm,
                                    member_calls, space_calls):
@@ -920,3 +924,40 @@ def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
         full_grid_transforms.clear()
         norm(f, 2, q, 0, dyadic)
         assert full_grid_transforms["inverse"] == expected, (norm.__name__, q)
+
+
+def test_each_box_member_is_floored_once(monkeypatch, capsys):
+    """The two box-p2 benchmark commands floor each of their 14 members once:
+    the family's margin check and both norms read one Support (three floors
+    a member before the support was kept on the function)."""
+    from modemb.cli import main
+    floors = Counter()
+
+    def counted(f):
+        floors["floor"] += 1
+        return floor(f)
+
+    floor = grid._floor
+    monkeypatch.setattr(grid, "_floor", counted)
+    for source in ("B[p=2,q=2,s=0]", "F[p=2,q=2,s=0]"):
+        assert main(["boundedness", "--from", source, "--to", "M[p=2,q=2]",
+                     "--family", "single_box", "--lmin", "4", "--lmax", "10"]) == 0
+    capsys.readouterr()
+    assert floors["floor"] == 14
+
+
+@pytest.mark.parametrize("side", [FREQUENCY, SPACE])
+def test_support_is_kept_and_read_only(side):
+    """``spectral_support`` returns the function's one Support, and none of
+    its arrays can be written through."""
+    f = family_annulus(grid_for("annulus", d=2, level=2), 2)
+    if side == SPACE:
+        f = f.in_space()
+    support = spectral_support(f)
+    assert spectral_support(f) is support and f.support is support
+    arrays = (support.flat, *support.index, support.values, support.mags,
+              *support.coords, support.radius)
+    assert len(arrays) == 8 and all(a.size for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
