@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -65,7 +66,11 @@ def _parse_rational(text: str, token: str, pos: int, allow_negative: bool):
     if match is None:
         raise SpecParseError(
             text, pos, f"expected a rational a/b or 'inf' (no decimals), got {token!r}")
-    numerator, denominator = int(match[1]), int(match[2] or 1)
+    try:
+        numerator, denominator = int(match[1]), int(match[2] or 1)
+    except ValueError:  # more digits than Python converts to an int
+        raise SpecParseError(text, pos, "an integer exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     if denominator == 0:
         raise SpecParseError(text, pos, f"expected a rational or 'inf', got {token!r}")
     if not allow_negative and numerator <= 0:
@@ -316,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True, metavar="SPEC")
     p.add_argument("-d", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("table", help="region-classification sweep as CSV")
     p.add_argument("--pair", choices=sorted(_TABLE_PAIRS), required=True)
@@ -324,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("-d", type=int, default=None)
-    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("norm", help="evaluate a quasi-norm of a family member")
     p.add_argument("--family", choices=KINDS, required=True)
@@ -337,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("-d", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_norm)
 
-    for name, fn in (("sharpness", cmd_sharpness), ("boundedness", cmd_boundedness)):
+    for name in ("sharpness", "boundedness"):
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--from", dest="source", required=True, metavar="SPEC")
         p.add_argument("--to", dest="target", required=True, metavar="SPEC")
@@ -354,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="write per-level CSV here")
         p.add_argument("--json", default=None, help="write the JSON report here")
         p.add_argument("-d", type=int, default=None)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("selftest", help="run the partition/reconstruction checks")
     p.add_argument("--json", default=None, help="write the JSON report here")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("-d", type=int, default=None)
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
@@ -382,17 +382,28 @@ def _attach_negative_fractions(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and reused: parsing leaves
+    the parser as it was, even when argparse refuses an argv."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_negative_fractions(argv))
+    args = _parser().parse_args(_attach_negative_fractions(argv))
+    # Looked up per call, not bound into the kept parser, so a command rebound
+    # on this module (a tracing wrapper, a test's stand-in) is the one run.
+    command = {"decide": cmd_decide, "table": cmd_table, "norm": cmd_norm,
+               "sharpness": cmd_sharpness, "boundedness": cmd_boundedness,
+               "selftest": cmd_selftest}[args.command]
     try:
         config = _load_config(args.config)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args, config)
+        return command(args, config)
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -69,12 +69,14 @@ def _margin(spec: GridSpec) -> float:
     return float(spec.omega) * (1.0 - 2.0 / spec.n)
 
 
-def _finish(spec: GridSpec, values: np.ndarray) -> GridFunction:
+def _finish(spec: GridSpec, values: np.ndarray, bins: np.ndarray | None = None) -> GridFunction:
     """The member whose spectrum is ``values``, after the band-margin check
     on the bins above the spectral floor. ``values`` is the generator's fresh
-    complex128 array and is handed over without a copy; the margin check
-    floors it into the member's one Support, which the norms then read."""
-    f = GridFunction.adopt(spec, values, FREQUENCY)
+    complex128 array and is handed over without a copy, with ``bins``, the
+    ascending flat indices of the only bins a box generator wrote (None for
+    a dense spectrum). The margin check floors it into the member's one
+    Support, reading only ``bins`` when given, and the norms then read it."""
+    f = GridFunction.adopt(spec, values, FREQUENCY, bins)
     support = spectral_support(f)
     if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
@@ -111,9 +113,13 @@ def _box_term_axis(spec: GridSpec, k: int, width: float, modulated: bool):
 
 
 def _add_box(spectrum: np.ndarray, spec: GridSpec, k: tuple[int, ...],
-             coeff: complex, width: float = 1.0, modulated: bool = True) -> None:
+             coeff: complex, width: float = 1.0, modulated: bool = True) -> np.ndarray:
+    """Add the box at lattice point k to ``spectrum`` in place, and return
+    the ascending flat indices of the block of bins it wrote."""
     idx, vals = zip(*(_box_term_axis(spec, c, width, modulated) for c in k))
-    spectrum[np.ix_(*idx)] += coeff * separable(np.multiply, vals)
+    block = np.ix_(*idx)
+    spectrum[block] += coeff * separable(np.multiply, vals)
+    return np.ravel_multi_index(block, spec.shape()).reshape(-1)
 
 
 def _check_period(spec: GridSpec, points) -> None:
@@ -170,8 +176,8 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
         raise ValueError(f"single-box family needs level >= 2, got {level}")
     k = smallest_box_point(level, spec.d)
     out = np.zeros(spec.shape(), dtype=np.complex128)
-    _add_box(out, spec, k, 1.0, width=1.0, modulated=False)
-    return _finish(spec, out)
+    bins = _add_box(out, spec, k, 1.0, width=1.0, modulated=False)
+    return _finish(spec, out, bins)
 
 
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
@@ -191,9 +197,10 @@ def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
         raise ValueError(f"A_{level} is empty in dimension {spec.d}")
     _check_period(spec, points)
     out = np.zeros(spec.shape(), dtype=np.complex128)
-    for k in points:
-        _add_box(out, spec, k, 1.0, width=float(a), modulated=True)
-    return _finish(spec, out)
+    # neighbouring boxes share bins from a <= 1/4 on; the member's bins are their union
+    bins = np.unique(np.concatenate(
+        [_add_box(out, spec, k, 1.0, width=float(a), modulated=True) for k in points]))
+    return _finish(spec, out, bins)
 
 
 def family_dilated_kernel(spec: GridSpec, t) -> GridFunction:

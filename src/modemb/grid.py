@@ -21,21 +21,27 @@ and owns its data; it copies any other input, so a caller's writable array
 or view stays isolated from ``f.values``. An internal producer that built
 its samples fresh (a transform, a multiplier, a family spectrum, a box
 piece) hands the array over with ``GridFunction.adopt``, which freezes it
-first; it keeps no other reference to it.
+first; it keeps no other reference to it. A producer that wrote only some
+bins of a fresh zero spectrum (a box family) hands over their flat indices
+too, as ``bins``; every other producer, and direct construction, leaves
+``bins`` None.
 
 Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
 keeps the bins above the floor, with their coordinates and radii computed at
 those bins alone; ``band_leak`` reads a band check off them. A function with
 few nonzero bins is then checked and measured without a dense N^d mask. The
-floor is taken at most once per function: ``GridFunction.support`` is built
-on first read and kept, and its arrays are read-only, so every reader (the
-family's margin check and each norm) shares it.
+floor reads the whole spectrum, or only its ``bins`` when they are set:
+every other bin is exactly 0 and cannot pass the floor, so the Support is
+the whole spectrum's, array for array and bit for bit. The floor is taken
+at most once per function: ``GridFunction.support`` is built on first read
+and kept, and its arrays are read-only, so every reader (the family's
+margin check and each norm) shares it.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -155,11 +161,14 @@ class GridSpec:
 class GridFunction:
     """Complex samples of a periodic band-limited function, on either side.
     ``values`` is read-only and adopted or copied by the ownership rule of
-    the module docstring; ``support`` is built on first read and kept."""
+    the module docstring; ``support`` is built on first read and kept.
+    ``bins`` is None, or the read-only ascending flat indices outside which
+    a frequency-side spectrum is exactly 0; only ``adopt`` sets it."""
 
     spec: GridSpec
     values: np.ndarray
     side: str
+    bins: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.side not in (SPACE, FREQUENCY):
@@ -175,13 +184,23 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def adopt(cls, spec: GridSpec, values: np.ndarray, side: str) -> "GridFunction":
+    def adopt(cls, spec: GridSpec, values: np.ndarray, side: str,
+              bins: np.ndarray | None = None) -> "GridFunction":
         """The GridFunction that takes over ``values``, an array its caller
         built and keeps no other reference to. The array is frozen here; a
         complex128, C-ordered array that owns its data is then kept without a
-        copy."""
+        copy. ``bins``, the ascending flat indices of the only bins the
+        caller wrote into a zero spectrum, is taken over and frozen the same
+        way, so the floor reads those bins alone; a space-side function has
+        none."""
+        if bins is not None and side != FREQUENCY:
+            raise ValueError("bins apply to a frequency-side spectrum only")
         values.flags.writeable = False
-        return cls(spec, values, side)
+        f = cls(spec, values, side)
+        if bins is not None:
+            bins.flags.writeable = False
+            object.__setattr__(f, "bins", bins)
+        return f
 
     @functools.cached_property
     def support(self) -> "Support":
@@ -324,20 +343,25 @@ def spectral_support(f: GridFunction) -> Support:
 
 def _floor(f: GridFunction) -> Support:
     """``spectral_support``, computed. A space-side f takes one forward
-    transform. Coordinates come from ``freq_at`` and radii by the operations
-    of ``freq_radius``, in its order, so each is the dense array's entry bit
+    transform. The floor reads f's ``bins`` when it has them, and otherwise
+    the whole spectrum; the bins left out are 0, so the result is the same.
+    Coordinates come from ``freq_at`` and radii by the operations of
+    ``freq_radius``, in its order, so each is the dense array's entry bit
     for bit."""
     spec = f.spec
     values = f.in_frequency().values.reshape(-1)
+    if f.bins is not None:
+        values = values[f.bins]
     mags = np.abs(values)
     peak = mags.max()
     if not np.isfinite(peak):
         raise NonFiniteError("samples contain NaN or Inf")
-    flat = np.flatnonzero(mags > _SPECTRUM_FLOOR * peak)
+    kept = np.flatnonzero(mags > _SPECTRUM_FLOOR * peak)
+    flat = kept if f.bins is None else f.bins[kept]
     index = np.unravel_index(flat, spec.shape())
     coords = tuple(spec.freq_at(i) for i in index)
     radius = np.sqrt(functools.reduce(np.add, (c ** 2 for c in coords)))
-    values, mags = values[flat], mags[flat]
+    values, mags = values[kept], mags[kept]
     for a in (flat, *index, values, mags, *coords, radius):
         a.flags.writeable = False
     return Support(spec, peak, flat, index, values, mags, coords, radius)

@@ -270,6 +270,12 @@ def test_decide_exit_codes(capsys):
         ["selftest", "--n", "256", "--json", "/nonexistent-dir/selftest.json"], 2,
         "error: [Errno 2] No such file or directory: '/nonexistent-dir/selftest.json'",
         id="selftest-json-missing-dir"),
+    # an integer past Python's limit for converting digits is a parse error
+    pytest.param(
+        ["decide", "--from", f"B[p={'1' * 5000},q=1,s=0]", "--to", "M[p=2,q=2]"], 64,
+        "parse error: an integer exceeds the limit of 4300 digits at position 2: "
+        + repr(f"B[p={'1' * 5000},q=1,s=0]"),
+        id="decide-integer-5000-digits"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -277,6 +283,28 @@ def test_error_messages_and_exit_codes(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """main builds its parser on the first call and reuses it; an argv that
+    argparse refuses leaves the next call's output as it was, and a command
+    rebound on the module is the one run."""
+    from modemb import cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["decide", "--from", "B[p=1,q=1,s=1/2]", "--to", "M[p=2,q=2]", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["decide", "--from", "B[p=1,q=1,s=1/2]", "--bogus"])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    monkeypatch.setattr(cli, "cmd_decide", lambda args, config: 7)
+    assert main(argv) == 7
+    assert built == [1]
 
 
 def test_t_range_is_read_to_its_first_refused_value(capsys, monkeypatch):

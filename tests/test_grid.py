@@ -27,6 +27,7 @@ from modemb.grid import (
     lq_seq_norm,
     transform,
 )
+from modemb.partitions import index_set
 
 
 @pytest.fixture
@@ -303,3 +304,59 @@ def test_members_share_memory_with_nothing_writable(kind):
         assert f.values.base is None and not f.values.flags.writeable
     assert not np.shares_memory(first.values, second.values)
     np.testing.assert_array_equal(first.values, second.values)
+
+
+def _box_members():
+    """Box-family members whose bins the floor reads: single boxes, and
+    combs at width 1 and at widths 1/4 and 1/8, where neighbouring boxes of
+    A_3 share bins."""
+    members = {}
+    for d in (1, 2):
+        members[f"single_box-d{d}"] = family_single_box(grid_for("single_box", d=d, level=5), 5)
+        for a in (1, Fraction(1, 4), Fraction(1, 8)):
+            spec = grid_for("lattice_comb", d=d, level=3, width=a)
+            members[f"lattice_comb-a{a}-d{d}"] = family_lattice_comb(spec, 3, a)
+    return members
+
+
+BOX_MEMBERS = _box_members()
+
+
+@pytest.mark.parametrize("name", BOX_MEMBERS)
+def test_bins_floor_equals_the_dense_floor(name):
+    """A member floored on the bins its generator wrote has the Support of
+    the whole spectrum's floor, array for array, dtype and bit for bit."""
+    f = BOX_MEMBERS[name]
+    assert f.bins is not None and f.bins.size < f.values.size
+    assert not f.bins.flags.writeable and np.all(np.diff(f.bins) > 0)
+    bins, dense = f.support, grid._floor(GridFunction(f.spec, f.values, FREQUENCY))
+    assert dense is not bins and bins.peak == dense.peak
+    for a, b in zip((bins.flat, *bins.index, bins.values, bins.mags, *bins.coords, bins.radius),
+                    (dense.flat, *dense.index, dense.values, dense.mags, *dense.coords,
+                     dense.radius), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_overlapping_comb_boxes_share_bins():
+    """At width 1/8 a box spans 2M + 1 samples per axis, more than the
+    lattice spacing M, so neighbouring boxes share bins: the member's bins
+    are their union, fewer than the boxes' bins counted apart."""
+    for d in (1, 2):
+        f = BOX_MEMBERS[f"lattice_comb-a1/8-d{d}"]
+        boxes = len(index_set("A", 3, d).members)
+        assert f.bins.size < boxes * (2 * f.spec.oversampling + 1) ** d
+
+
+@pytest.mark.parametrize("kind", GENERATOR_CALLS)
+def test_only_box_generators_set_bins(kind):
+    """Dense members, transforms and direct construction have no bins."""
+    f = GENERATOR_CALLS[kind]()
+    assert (f.bins is not None) == (kind in ("single_box", "lattice_comb"))
+    assert f.in_space().bins is None and f.in_space().in_frequency().bins is None
+    assert GridFunction(f.spec, f.values, FREQUENCY).bins is None
+
+
+def test_adopt_refuses_bins_on_the_space_side(spec):
+    with pytest.raises(ValueError, match="frequency-side"):
+        GridFunction.adopt(spec, np.zeros(spec.n, dtype=np.complex128), SPACE,
+                           np.arange(3))
