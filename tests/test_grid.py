@@ -329,9 +329,10 @@ def test_bins_floor_equals_the_dense_floor(name):
     f = BOX_MEMBERS[name]
     assert f.bins is not None and f.bins.size < f.values.size
     assert not f.bins.flags.writeable and np.all(np.diff(f.bins) > 0)
-    bins, dense = f.support, grid._floor(GridFunction(f.spec, f.values, FREQUENCY))
-    assert dense is not bins and bins.peak == dense.peak
-    for a, b in zip((bins.flat, *bins.index, bins.values, bins.mags, *bins.coords, bins.radius),
+    support, dense = f.support, grid._floor(GridFunction(f.spec, f.values, FREQUENCY))
+    assert dense is not support and support.peak == dense.peak
+    for a, b in zip((support.flat, *support.index, support.values, support.mags,
+                     *support.coords, support.radius),
                     (dense.flat, *dense.index, dense.values, dense.mags, *dense.coords,
                      dense.radius), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
