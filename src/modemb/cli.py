@@ -321,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True, metavar="SPEC")
     p.add_argument("-d", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("table", help="region-classification sweep as CSV")
     p.add_argument("--pair", choices=sorted(_TABLE_PAIRS), required=True)
@@ -328,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("-d", type=int, default=None)
+    p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("norm", help="evaluate a quasi-norm of a family member")
     p.add_argument("--family", choices=KINDS, required=True)
@@ -340,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("-d", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=cmd_norm)
 
-    for name in ("sharpness", "boundedness"):
+    for name, fn in (("sharpness", cmd_sharpness), ("boundedness", cmd_boundedness)):
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--from", dest="source", required=True, metavar="SPEC")
         p.add_argument("--to", dest="target", required=True, metavar="SPEC")
@@ -356,12 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None, help="write per-level CSV here")
         p.add_argument("--json", default=None, help="write the JSON report here")
         p.add_argument("-d", type=int, default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("selftest", help="run the partition/reconstruction checks")
     p.add_argument("--json", default=None, help="write the JSON report here")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("-d", type=int, default=None)
+    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
@@ -392,11 +397,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(_attach_negative_fractions(argv))
-    # Looked up per call, not bound into the kept parser, so a command rebound
-    # on this module (a tracing wrapper, a test's stand-in) is the one run.
-    command = {"decide": cmd_decide, "table": cmd_table, "norm": cmd_norm,
-               "sharpness": cmd_sharpness, "boundedness": cmd_boundedness,
-               "selftest": cmd_selftest}[args.command]
+    # The kept parser holds each command as bound when it was built; look it
+    # up again by name, so a command rebound on this module since (a tracing
+    # wrapper, a test's stand-in) is the one run.
+    command = globals()[args.fn.__name__]
     try:
         config = _load_config(args.config)
     except (OSError, ValueError) as exc:

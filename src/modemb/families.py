@@ -73,8 +73,8 @@ def _finish(spec: GridSpec, values: np.ndarray, bins: np.ndarray | None = None) 
     """The member whose spectrum is ``values``, after the band-margin check
     on the bins above the spectral floor. ``values`` is the generator's fresh
     complex128 array and is handed over without a copy, with ``bins``, the
-    ascending flat indices of the only bins a box generator wrote (None for
-    a dense spectrum). The margin check floors it into the member's one
+    ascending flat indices of the only bins the single-box generator wrote
+    (None for any other spectrum). The margin check floors it into the member's one
     Support, reading only ``bins`` when given, and the norms then read it."""
     f = GridFunction.adopt(spec, values, FREQUENCY, bins)
     support = spectral_support(f)
@@ -197,10 +197,9 @@ def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:
         raise ValueError(f"A_{level} is empty in dimension {spec.d}")
     _check_period(spec, points)
     out = np.zeros(spec.shape(), dtype=np.complex128)
-    # neighbouring boxes share bins from a <= 1/4 on; the member's bins are their union
-    bins = np.unique(np.concatenate(
-        [_add_box(out, spec, k, 1.0, width=float(a), modulated=True) for k in points]))
-    return _finish(spec, out, bins)
+    for k in points:
+        _add_box(out, spec, k, 1.0, width=float(a), modulated=True)
+    return _finish(spec, out)
 
 
 def family_dilated_kernel(spec: GridSpec, t) -> GridFunction:

@@ -22,9 +22,9 @@ or view stays isolated from ``f.values``. An internal producer that built
 its samples fresh (a transform, a multiplier, a family spectrum, a box
 piece) hands the array over with ``GridFunction.adopt``, which freezes it
 first; it keeps no other reference to it. A producer that wrote only some
-bins of a fresh zero spectrum (a box family) hands over their flat indices
-too, as ``bins``; every other producer, and direct construction, leaves
-``bins`` None.
+bins of a fresh zero spectrum (the single-box family) hands over their flat
+indices too, as ``bins``; every other producer, and direct construction,
+leaves ``bins`` None.
 
 Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
 keeps the bins above the floor, with their coordinates and radii computed at

@@ -19,11 +19,11 @@ evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is
 bit for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
 Parseval sums the compact piece, otherwise it is scattered into a fresh
 zero grid for the inverse FFT. Fourier-L^p sums the compact magnitudes. No
-norm builds a dense radius, mask or window, and a box member's floor reads
-only the bins its generator wrote (``GridFunction.bins``). A member with few
-bins, such as a single box, is then floored at the cost of those bins; its
-full-grid passes are the norms' own: the zero grid its box pieces are cut
-from, and the inverse FFT of each dyadic piece at p != 2.
+norm builds a dense radius, mask or window, and a single-box member's floor
+reads only the bins its generator wrote (``GridFunction.bins``), so it is
+floored at the cost of those bins; its full-grid passes are the norms' own:
+the zero grid its box pieces are cut from, and the inverse FFT of each
+dyadic piece at p != 2.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized

@@ -27,7 +27,6 @@ from modemb.grid import (
     lq_seq_norm,
     transform,
 )
-from modemb.partitions import index_set
 
 
 @pytest.fixture
@@ -306,20 +305,8 @@ def test_members_share_memory_with_nothing_writable(kind):
     np.testing.assert_array_equal(first.values, second.values)
 
 
-def _box_members():
-    """Box-family members whose bins the floor reads: single boxes, and
-    combs at width 1 and at widths 1/4 and 1/8, where neighbouring boxes of
-    A_3 share bins."""
-    members = {}
-    for d in (1, 2):
-        members[f"single_box-d{d}"] = family_single_box(grid_for("single_box", d=d, level=5), 5)
-        for a in (1, Fraction(1, 4), Fraction(1, 8)):
-            spec = grid_for("lattice_comb", d=d, level=3, width=a)
-            members[f"lattice_comb-a{a}-d{d}"] = family_lattice_comb(spec, 3, a)
-    return members
-
-
-BOX_MEMBERS = _box_members()
+BOX_MEMBERS = {f"single_box-d{d}": family_single_box(grid_for("single_box", d=d, level=5), 5)
+               for d in (1, 2)}
 
 
 @pytest.mark.parametrize("name", BOX_MEMBERS)
@@ -338,21 +325,12 @@ def test_bins_floor_equals_the_dense_floor(name):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_overlapping_comb_boxes_share_bins():
-    """At width 1/8 a box spans 2M + 1 samples per axis, more than the
-    lattice spacing M, so neighbouring boxes share bins: the member's bins
-    are their union, fewer than the boxes' bins counted apart."""
-    for d in (1, 2):
-        f = BOX_MEMBERS[f"lattice_comb-a1/8-d{d}"]
-        boxes = len(index_set("A", 3, d).members)
-        assert f.bins.size < boxes * (2 * f.spec.oversampling + 1) ** d
-
-
 @pytest.mark.parametrize("kind", GENERATOR_CALLS)
 def test_only_box_generators_set_bins(kind):
-    """Dense members, transforms and direct construction have no bins."""
+    """Members of the other generators, transforms and direct construction
+    have no bins."""
     f = GENERATOR_CALLS[kind]()
-    assert (f.bins is not None) == (kind in ("single_box", "lattice_comb"))
+    assert (f.bins is not None) == (kind == "single_box")
     assert f.in_space().bins is None and f.in_space().in_frequency().bins is None
     assert GridFunction(f.spec, f.values, FREQUENCY).bins is None
 
