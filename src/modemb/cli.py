@@ -80,7 +80,21 @@ def _parse_rational(text: str, token: str, pos: int, allow_negative: bool):
 
 
 def parse_space(text: str, d: int = 1) -> SpaceSpec:
-    """Parse the textual grammar into a SpaceSpec."""
+    """Parse the textual grammar into a SpaceSpec.
+
+    Each distinct ``(text, d)`` is parsed once per process and its SpaceSpec
+    shared by every later call, which is safe because a spec is immutable.
+    The memo keeps the 4096 most recently used pairs, under 1 KiB each with
+    the rendered text, so at most about 4 MiB. It keys ``d`` by its type as
+    well as its value, so ``d=1.0`` is still refused, and it caches no
+    refusal: a malformed spec raises the same SpecParseError on every call.
+    The memo sits on the private ``_parse_space`` so that this name stays a
+    plain function, which tracing can wrap."""
+    return _parse_space(text, d)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _parse_space(text: str, d: int) -> SpaceSpec:
     stripped = text.strip()
     open_idx = stripped.find("[")
     if open_idx < 0 or not stripped.endswith("]"):

@@ -12,6 +12,8 @@ a reduced integer pair, so the oracle builds a Fraction only when one is read.
 from __future__ import annotations
 
 import enum
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -20,7 +22,8 @@ from math import gcd
 def as_fraction(value) -> Fraction:
     """Coerce an exact rational-like value (int, Fraction, str) to Fraction;
     a Fraction is returned as it is. A zero denominator ('1/0') raises
-    ValueError, as other malformed text does."""
+    ValueError, as other malformed text does, and so does text with an
+    integer longer than Python converts (``sys.get_int_max_str_digits``)."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -32,6 +35,12 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if isinstance(value, str) and limit and any(
+                len(run) > limit for run in re.findall(r"\d+", value.replace("_", ""))):
+            raise ValueError(f"an integer exceeds the limit of {limit} digits") from None
+        raise
 
 
 @dataclass(frozen=True)

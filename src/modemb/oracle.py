@@ -11,6 +11,13 @@ one Exponent per distinct sweep coordinate. A verdict keeps the critical s as
 an integer pair and builds the ``critical_s`` Fraction and the explanation
 when first read, so ``classify_region`` builds neither.
 
+Records are shared, so every one is frozen. ``cli.parse_space`` parses each
+distinct (text, d) once per process, in a bounded memo, and hands the same
+SpaceSpec to every caller; ``render_space`` formats a spec once and keeps the
+text on it. ``Verdict`` and ``RegionCell``, made once per query or cell, write
+their fields straight into the instance dict instead of through the generated
+frozen ``__init__``, and values kept on first read (``_once``) take no lock.
+
 Every characterization has one shape. An index hypothesis comes first;
 when it fails, the verdict is "none" (``_refuse``). Otherwise the embedding
 holds iff s >= tau into M or s <= sigma out of M (``_verdict``), with tau and
@@ -28,7 +35,7 @@ import enum
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Callable
 
 from .exponents import Exponent, INF, TauPiece, _extremum, as_fraction
@@ -63,6 +70,21 @@ _FAMILY_FIELDS = {
 }
 
 
+class _once:
+    """A read-only attribute computed on first read and kept in the instance
+    dict, as ``functools.cached_property`` does, but with no lock taken on
+    that first read (Python 3.11 takes one)."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A tagged function-space description."""
@@ -93,6 +115,12 @@ class SpaceSpec:
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
 
+    @_once
+    def _text(self) -> str:
+        """The canonical text of ``render_space``, formatted on first read."""
+        parts = [f"{key}={getattr(self, key)}" for key in SPACE_KEYS[self.family]]
+        return f"{self.family.value}[{','.join(parts)}]"
+
     @classmethod
     def modulation(cls, p, q, s=0, d: int = 1) -> "SpaceSpec":
         return cls(Family.MODULATION, p=Exponent.of(p), q=Exponent.of(q), s=s, d=d)
@@ -120,12 +148,13 @@ SPACE_KEYS = {family: fields + (() if family is Family.FOURIER_L else ("s",))
 
 
 def render_space(spec: SpaceSpec) -> str:
-    """Canonical textual form, e.g. B[p=1,q=2,s=1/2]; inverse of cli.parse_space."""
-    parts = [f"{key}={getattr(spec, key)}" for key in SPACE_KEYS[spec.family]]
-    return f"{spec.family.value}[{','.join(parts)}]"
+    """Canonical textual form, e.g. B[p=1,q=2,s=1/2]; inverse of cli.parse_space.
+    It is formatted once per spec and kept on it, so a spec that parse_space
+    shares is formatted once however often it is rendered."""
+    return spec._text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Outcome of an embedding query. ``critical_s`` is built from the reduced
     integer pair ``_critical``, and ``explanation`` formatted, on first read."""
@@ -137,11 +166,18 @@ class Verdict:
     piece: TauPiece | None
     _explain: Callable[[], str] = field(repr=False, compare=False)
 
-    @cached_property
+    def __init__(self, holds, clause, _critical, strict, piece, _explain):
+        # Still frozen: each field is written once, into the instance dict,
+        # not through the generated __init__'s object.__setattr__ per field.
+        fields = self.__dict__
+        fields["holds"], fields["clause"], fields["_critical"] = holds, clause, _critical
+        fields["strict"], fields["piece"], fields["_explain"] = strict, piece, _explain
+
+    @_once
     def critical_s(self) -> Fraction:
         return Fraction(*self._critical)
 
-    @cached_property
+    @_once
     def explanation(self) -> str:
         return self._explain()
 
@@ -432,7 +468,7 @@ def decide(source: SpaceSpec, target: SpaceSpec) -> Verdict:
     return route(source, target, source.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RegionCell:
     """One grid point of a region-classification sweep."""
 
@@ -441,6 +477,12 @@ class RegionCell:
     holds: bool
     clause: str
     piece: TauPiece | None
+
+    def __init__(self, inv_p, inv_q, holds, clause, piece):
+        # Frozen, and written like Verdict's fields.
+        fields = self.__dict__
+        fields["inv_p"], fields["inv_q"], fields["holds"] = inv_p, inv_q, holds
+        fields["clause"], fields["piece"] = clause, piece
 
 
 # Sweep conventions per pair: the x coordinate is the reciprocal of the

@@ -27,6 +27,7 @@ from modemb.exponents import INF, Exponent
 from modemb.oracle import Family, SpaceSpec, classify_region
 
 F = Fraction
+_LONG = "1" + "0" * 5000  # an integer past Python's 4300-digit limit for text
 
 requires_jsonschema = pytest.mark.skipif(jsonschema is None,
                                          reason="jsonschema not installed")
@@ -95,6 +96,50 @@ def test_render_parse_round_trip(spec):
             assert (e < other, e <= other, e == other, e > other, e >= other) == \
                 (reference < other, reference <= other, reference == other,
                  reference > other, reference >= other)
+
+
+def test_refused_spec_raises_the_same_error_on_every_call():
+    """A refusal is not cached: a repeated call raises an equal SpecParseError."""
+    errors = []
+    for _ in range(3):
+        with pytest.raises(SpecParseError) as err:
+            parse_space("B[p=1,q=oops]")
+        errors.append((str(err.value), err.value.pos, err.value.message))
+    assert errors == [("expected a rational a/b or 'inf' (no decimals), got 'oops' at "
+                       "position 6: 'B[p=1,q=oops]'", 6,
+                       "expected a rational a/b or 'inf' (no decimals), got 'oops'")] * 3
+
+
+def test_parse_memo_keys_the_dimension_by_type():
+    """A parsed d = 1 does not make d = 1.0 a hit, nor answer for d = True."""
+    text = "B[p=1,q=2,s=1/2]"
+    assert parse_space(text, 1).d == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got 1.0"):
+            parse_space(text, 1.0)
+    spec = parse_space(text, True)
+    assert spec.d is True and parse_space(text, 1).d is not True
+
+
+@given(spec=space_specs)
+def test_memoized_parse_equals_uncached_parse(spec):
+    from modemb import cli
+    text = render_space(spec)
+    parsed = parse_space(text, spec.d)
+    assert parsed == cli._parse_space.__wrapped__(text, spec.d) == spec
+    assert parse_space(text, spec.d) is parsed  # shared, not parsed again
+
+
+def test_sweep_past_the_memo_bound_parses_every_spec():
+    """More distinct specs than the memo holds: each parse, first or after
+    its entry was evicted, gives the spec its text names."""
+    from modemb import cli
+    count = cli._parse_space.cache_info().maxsize + 100
+    texts = [f"B[p={k},q=1/{k},s=-{k}]" for k in range(1, count + 1)]
+    for _ in range(2):
+        for k, text in enumerate(texts, 1):
+            assert parse_space(text, 2) == SpaceSpec.besov(k, F(1, k), -k, 2)
+    assert cli._parse_space.cache_info().currsize == count - 100
 
 
 def test_render_is_canonical():
@@ -276,6 +321,20 @@ def test_decide_exit_codes(capsys):
         "parse error: an integer exceeds the limit of 4300 digits at position 2: "
         + repr(f"B[p={'1' * 5000},q=1,s=0]"),
         id="decide-integer-5000-digits"),
+    # and so it is in an option read as an exact rational
+    pytest.param(["table", "--pair", "B-M", "--s", _LONG], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="table-s-5001-digits"),
+    pytest.param(["norm", "--family", "lattice_comb", "--level", "3", "--width", _LONG,
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="norm-width-5001-digits"),
+    pytest.param(["norm", "--family", "dilated_kernel", "--t", f"1/{_LONG}",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="norm-t-5001-digits"),
+    pytest.param(["norm", "--family", "dilation", "--lam", _LONG, "--space", "M[p=2,q=2]"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="norm-lam-5001-digits"),
+    pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                  "--family", "dilated_kernel", "--t-list", f"1/2,{_LONG}"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="t-list-5001-digits"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""

@@ -1,4 +1,5 @@
 """Embedding oracle truth tables, consistency identities, and routing."""
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from modemb.oracle import (
     embed_sobolev_to_mod,
     embed_triebel2_to_mod,
     embed_triebel_to_mod,
+    render_space,
 )
 
 F = Fraction
@@ -363,6 +365,43 @@ def test_explanation_formatted_once(monkeypatch):
     assert first == "p0 = 2 <= p = 2, q0 = 4 > q = 1; requires s > 1/2, s = 1/2"
     assert verdict.explanation is first and formatted == [first]
     assert verdict.as_dict()["explanation"] is first and formatted == [first]
+
+
+def _field_hash(record) -> int:
+    """The hash a frozen dataclass generates, of its compared fields as a
+    tuple; an Exponent hashes as its value."""
+    if type(record) is Exponent:
+        return hash(record.value)
+    return hash(tuple(getattr(record, f.name) for f in dataclasses.fields(record) if f.compare))
+
+
+def test_shared_records_stay_frozen_and_hash_by_their_fields():
+    """parse_space shares its specs between callers, and decide and
+    classify_region build their records without the generated __init__: each
+    record refuses every write and compares and hashes like one made through
+    the public constructors."""
+    source = parse_space("B[p=3/2,q=inf,s=1/2]", 2)
+    target = parse_space("M[p=2,q=1]", 2)
+    verdict = decide(source, target)
+    verdict.explanation  # a value kept on first read is no field either
+    cell = classify_region(Family.BESOV, Family.MODULATION, [(F(2, 3), 0)], F(1, 2), 2)[0]
+    diagonal = embed_besov_to_mod(F(3, 2), INF, F(3, 2), INF, F(1, 2), 2)  # the cell's rule
+    built = {
+        source: SpaceSpec.besov(F(3, 2), "inf", F(1, 2), 2),
+        source.p: Exponent(F(3, 2)),
+        verdict: embed_besov_to_mod(F(3, 2), INF, 2, 1, F(1, 2), 2),
+        cell: oracle.RegionCell(F(2, 3), F(0), diagonal.holds, diagonal.clause, diagonal.piece),
+    }
+    for record, reference in built.items():
+        assert type(record) is type(reference)
+        assert record == reference and hash(record) == hash(reference)
+        assert hash(record) == _field_hash(record)
+        for name in [f.name for f in dataclasses.fields(record)] + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, dataclasses.fields(record)[0].name)
+    assert render_space(source) == "B[p=3/2,q=inf,s=1/2]" and source == built[source]
 
 
 # Each region pair as decide sees the grid point (x, y): the parsed specs,

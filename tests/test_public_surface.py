@@ -6,6 +6,8 @@ package's ``__init__.py``. A name that only the tests reach is dead weight:
 give it a consumer in the program or delete it.
 """
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -59,3 +61,27 @@ def test_every_public_name_has_a_consumer():
 def test_exemptions_name_public_definitions():
     defined = {node.name for _, node in _public_definitions()}
     assert set(EXEMPT) <= defined
+
+
+def _traced_layers() -> tuple:
+    """``LAYERS`` of bench/tracing.py: the modules whose public functions the
+    tracer and the step clock wrap."""
+    for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no LAYERS")
+
+
+def test_public_callables_of_traced_layers_are_plain_functions():
+    """The tracer and the step clock wrap only plain functions. A public name
+    bound to a decorator's wrapper object (``functools.lru_cache``, say)
+    would drop out of every trace and step count without an error."""
+    hidden = []
+    for layer in _traced_layers():
+        module = importlib.import_module(f"modemb.{layer}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and not isinstance(obj, (types.FunctionType, type))):
+                hidden.append(f"{layer}.{name}: {type(obj).__name__}")
+    assert not hidden, f"public callables the tracer cannot wrap: {', '.join(hidden)}"
