@@ -134,12 +134,12 @@ def test_sweep_past_the_memo_bound_parses_every_spec():
     """More distinct specs than the memo holds: each parse, first or after
     its entry was evicted, gives the spec its text names."""
     from modemb import cli
-    count = cli._parse_space.cache_info().maxsize + 100
-    texts = [f"B[p={k},q=1/{k},s=-{k}]" for k in range(1, count + 1)]
+    bound = cli._parse_space.cache_info().maxsize
+    texts = [f"B[p={k},q=1/{k},s=-{k}]" for k in range(1, bound + 101)]
     for _ in range(2):
         for k, text in enumerate(texts, 1):
             assert parse_space(text, 2) == SpaceSpec.besov(k, F(1, k), -k, 2)
-    assert cli._parse_space.cache_info().currsize == count - 100
+    assert cli._parse_space.cache_info().currsize == bound
 
 
 def test_render_is_canonical():
