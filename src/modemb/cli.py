@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -224,7 +225,22 @@ def cmd_decide(args, config) -> int:
     return 0 if verdict.holds else 1
 
 
+def _csv_line(fields) -> str:
+    """One CSV row as ``csv.writer`` formats it, line terminator included."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()
+
+
 def cmd_table(args, config) -> int:
+    """Write the region table of a pair as CSV: one row per grid point
+    (1/p, 1/q), u-major, with the cell's holds, clause and piece.
+
+    Each coordinate text and each distinct (holds, clause, piece) row tail
+    is formatted once, through ``csv.writer``; a row is its two coordinate
+    texts and its tail, and the table is written in one write. Coordinates
+    are fractions, which csv never quotes, so the bytes are those of
+    writing every row through the writer."""
     pair = _TABLE_PAIRS[args.pair]
     resolution = _cfg(args, config, "resolution", int, 33)
     if not 1 <= resolution <= 64:
@@ -235,14 +251,23 @@ def cmd_table(args, config) -> int:
         coords = [Fraction(0)]
     else:
         coords = [Fraction(i, resolution - 1) for i in range(resolution)]
-    points = [(u, v) for u in coords for v in coords]
-    cells = classify_region(pair[0], pair[1], points, s, d)
-    texts = [str(c) for c in coords]  # each formatted once; cell i is points[i]
+    cells = iter(classify_region(pair[0], pair[1],
+                                 [(u, v) for u in coords for v in coords], s, d))
+    texts = [str(x) for x in coords]
+    tails = {}
+    lines = [_csv_line(["inv_p", "inv_q", "holds", "clause", "piece"])]
+    for u in texts:
+        # zip reads texts first, so it takes one cell per v and leaves the
+        # next row's cells to the next u
+        for v, c in zip(texts, cells):
+            key = c.holds, c.clause, c.piece
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _csv_line(
+                    [int(c.holds), c.clause, c.piece.value if c.piece else ""])
+            lines.append(f"{u},{v},{tail}")
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["inv_p", "inv_q", "holds", "clause", "piece"])
-        writer.writerows([u, v, int(c.holds), c.clause, c.piece.value if c.piece else ""]
-                         for (u, v), c in zip([(u, v) for u in texts for v in texts], cells))
+        handle.write("".join(lines))
     return 0
 
 

@@ -19,11 +19,40 @@ from fractions import Fraction
 from math import gcd
 
 
+# A decimal with an exponent, as Fraction reads it: whole digits, fraction
+# digits and the power of ten, which Fraction builds as an integer. It is
+# compiled (by re) on the first text with an exponent, not at import.
+_DECIMAL = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*"
+
+
+def _power_digits(text: str) -> int:
+    """The digits of the largest integer Fraction(text) builds from the
+    decimal exponent of ``text``, or 0 when it has none (or one too long to
+    read, which Fraction refuses itself)."""
+    match = ("e" in text or "E" in text) and re.fullmatch(_DECIMAL, text)
+    if not match:
+        return 0
+    whole, fraction, power = (group.replace("_", "") for group in match.groups(""))
+    try:
+        power = int(power)
+    except ValueError:
+        return 0
+    if power < 0:  # the denominator 10**(len(fraction) - power)
+        return len(fraction) - power + 1
+    return power + max(len((whole + fraction).lstrip("0")), 1)
+
+
+def _too_long(limit: int) -> ValueError:
+    return ValueError(f"an integer exceeds the limit of {limit} digits")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an exact rational-like value (int, Fraction, str) to Fraction;
     a Fraction is returned as it is. A zero denominator ('1/0') raises
     ValueError, as other malformed text does, and so does text with an
-    integer longer than Python converts (``sys.get_int_max_str_digits``)."""
+    integer longer than Python converts (``sys.get_int_max_str_digits``),
+    or a decimal exponent that would build one ('1e100000000'), which is
+    refused before Fraction spends its time building it."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -31,15 +60,16 @@ def as_fraction(value) -> Fraction:
             f"floating-point value {value!r} not allowed in exact index arithmetic; "
             "pass an int, Fraction or 'a/b' string"
         )
+    limit = sys.get_int_max_str_digits() if isinstance(value, str) else 0
+    if limit and _power_digits(value) > limit:
+        raise _too_long(limit)
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if isinstance(value, str) and limit and any(
-                len(run) > limit for run in re.findall(r"\d+", value.replace("_", ""))):
-            raise ValueError(f"an integer exceeds the limit of {limit} digits") from None
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", value.replace("_", ""))):
+            raise _too_long(limit) from None
         raise
 
 
@@ -91,31 +121,39 @@ class Exponent:
             return INF
         return Exponent(self.value / (self.value - 1))
 
-    def _cmp(self, other) -> int:
-        """Negative, zero or positive as p <, = or > other, from an integer
-        cross-product of the reciprocals: p < p' iff 1/p > 1/p' (1/inf = 0)."""
+    # Each comparison is an integer cross-product of the reduced reciprocals,
+    # written out in place: p < p' iff 1/p > 1/p' (1/inf = 0).
+    def __eq__(self, other) -> bool:
+        if type(other) is not Exponent:
+            try:
+                other = Exponent.of(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return self._inverse == other._inverse  # reduced, so equal pairs
+
+    def __lt__(self, other) -> bool:
         if type(other) is not Exponent:
             other = Exponent.of(other)
         (a, b), (c, e) = self._inverse, other._inverse
-        return c * b - a * e
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self._cmp(other) == 0
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
+        return c * b < a * e
 
     def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
+        if type(other) is not Exponent:
+            other = Exponent.of(other)
+        (a, b), (c, e) = self._inverse, other._inverse
+        return c * b <= a * e
 
     def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
+        if type(other) is not Exponent:
+            other = Exponent.of(other)
+        (a, b), (c, e) = self._inverse, other._inverse
+        return c * b > a * e
 
     def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+        if type(other) is not Exponent:
+            other = Exponent.of(other)
+        (a, b), (c, e) = self._inverse, other._inverse
+        return c * b >= a * e
 
     def __hash__(self):
         return hash(self.value)
@@ -134,29 +172,37 @@ INF = Exponent(None)
 
 
 class TauPiece(enum.Enum):
-    """Which affine piece attains the extremum in tau (or sigma)."""
+    """Which affine piece attains the extremum in tau (or sigma), in
+    tie-break order: at a region boundary the first attaining piece wins."""
 
     ZERO = "0"
     Q_MINUS_P = "1/q - 1/p"
     P_PLUS_Q_MINUS_1 = "1/q + 1/p - 1"
 
 
-# Tie-break priority at region boundaries: the first attaining piece wins.
-_PIECE_ORDER = (TauPiece.ZERO, TauPiece.Q_MINUS_P, TauPiece.P_PLUS_Q_MINUS_1)
+_ZERO, _Q_MINUS_P, _P_PLUS_Q_MINUS_1 = TauPiece
 
 
 def _extremum(pick, p: Exponent, q: Exponent, d: int) -> tuple[tuple[int, int], TauPiece]:
-    """d * pick(pieces) as a reduced integer pair (numerator, positive
-    denominator), and the first piece, in tie-break order, attaining it; the
-    pieces are integer numerators over den(1/p) * den(1/q)."""
+    """d * pick(0, 1/q - 1/p, 1/q + 1/p - 1), for pick max (tau) or min
+    (sigma), as a reduced integer pair (numerator, positive denominator), and
+    the first attaining piece in TauPiece's order. The pieces are integer
+    numerators over den(1/p) * den(1/q); a min is the max of the negated
+    pieces, which keeps the first attaining piece."""
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
     (a, b), (c, e) = p._inverse, q._inverse
     den = b * e
-    values = (0, c * b - a * e, c * b + a * e - den)
-    best = pick(values)
-    g = gcd(d * best, den)
-    return (d * best // g, den // g), _PIECE_ORDER[values.index(best)]
+    sign = 1 if pick is max else -1
+    x, y = sign * (c * b - a * e), sign * (c * b + a * e - den)
+    if x <= 0 >= y:
+        return (0, 1), _ZERO
+    if x >= y:
+        best, piece = sign * d * x, _Q_MINUS_P
+    else:
+        best, piece = sign * d * y, _P_PLUS_Q_MINUS_1
+    g = gcd(best, den)
+    return (best // g, den // g), piece
 
 
 def tau(p, q, d: int = 1) -> Fraction:

@@ -7,9 +7,12 @@ s-comparison in that condition is strict. All comparisons are exact, on
 integer cross-products of numerators and denominators. Values are coerced
 once, at the public boundary (``_exact``): ``decide`` and ``classify_region``
 call each rule (``embed_*.exact``) on the exact values of ``SpaceSpec`` and of
-one Exponent per distinct sweep coordinate. A verdict keeps the critical s as
-an integer pair and builds the ``critical_s`` Fraction and the explanation
-when first read, so ``classify_region`` builds neither.
+one Exponent per distinct sweep coordinate. ``classify_region`` makes one rule
+call per cell and converts each coordinate object once, in a memo keyed on
+its identity that holds the object for the sweep; the ``table`` command
+formats each distinct row tail once. A verdict keeps the critical s as an
+integer pair and builds the ``critical_s`` Fraction and the explanation when
+first read, so ``classify_region`` builds neither.
 
 Records are shared, so every one is frozen. ``cli.parse_space`` parses each
 distinct (text, d) once per process, in a bounded memo, and hands the same
@@ -192,18 +195,20 @@ class Verdict:
         }
 
 
-def _verdict(lower, label, s, crit, strict, piece, detail) -> Verdict:
+def _verdict(lower, label, s, crit, strict, piece, detail, rel=None) -> Verdict:
     """The verdict of the condition s >= crit (``lower``, source -> M) or
     s <= crit (M -> target), with > or < when ``strict``; ``crit`` is a reduced
-    integer pair (numerator, positive denominator). ``detail()`` states the
-    case that fired, once the explanation is read."""
+    integer pair (numerator, positive denominator). ``detail()``, or
+    ``detail(rel)`` when a relation is given, states the case that fired,
+    once the explanation is read."""
     x, y = s.numerator * crit[1], crit[0] * s.denominator
     if lower:
-        ok, rel = (x > y, ">") if strict else (x >= y, ">=")
+        ok, bound = (x > y, ">") if strict else (x >= y, ">=")
     else:
-        ok, rel = (x < y, "<") if strict else (x <= y, "<=")
+        ok, bound = (x < y, "<") if strict else (x <= y, "<=")
     return Verdict(ok, label, crit, strict, piece,
-                   lambda: f"{detail()}; requires s {rel} {Fraction(*crit)}, s = {s}")
+                   lambda: f"{detail() if rel is None else detail(rel)}; "
+                           f"requires s {bound} {Fraction(*crit)}, s = {s}")
 
 
 def _refuse(hypothesis, detail, crit, piece) -> Verdict:
@@ -237,9 +242,8 @@ def _two_clause(rule, lower, s, crit, piece, first, op, detail) -> Verdict:
     (``first``); otherwise clause (2), strict, which states its negation.
     ``detail(rel)`` states the comparison with the relation ``rel``."""
     if first:
-        return _verdict(lower, f"{rule} (1)", s, crit, False, piece, lambda: detail(op))
-    return _verdict(lower, f"{rule} (2)", s, crit, True, piece,
-                    lambda: detail(_NEGATED[op]))
+        return _verdict(lower, f"{rule} (1)", s, crit, False, piece, detail, op)
+    return _verdict(lower, f"{rule} (2)", s, crit, True, piece, detail, _NEGATED[op])
 
 
 @_exact
@@ -518,20 +522,26 @@ def classify_region(source_family: Family, target_family: Family, points, s,
         )
     s = as_fraction(s)
     exponents: dict[tuple[int, int], Exponent] = {}
+    converted: dict[int, tuple] = {}
 
-    def exponent(u: Fraction) -> Exponent:
-        """The exponent with reciprocal u, made once per distinct u."""
+    def convert(c) -> tuple:
+        """(c, its Fraction, the Exponent with that reciprocal), made once per
+        coordinate object and once per distinct value; the entry keeps c, so
+        its id is not reused while the sweep runs."""
+        u = as_fraction(c)
         key = u.as_integer_ratio()
         e = exponents.get(key)
         if e is None:
             if key[0] < 0:
                 raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
             e = exponents[key] = INF if key[0] == 0 else Exponent(Fraction(key[1], key[0]))
-        return e
+        converted[id(c)] = entry = c, u, e
+        return entry
 
     cells = []
     for u, v in points:
-        u, v = as_fraction(u), as_fraction(v)
-        verdict = rule(exponent(u), exponent(v), s, d)
+        _, u, x = converted.get(id(u)) or convert(u)
+        _, v, y = converted.get(id(v)) or convert(v)
+        verdict = rule(x, y, s, d)
         cells.append(RegionCell(u, v, verdict.holds, verdict.clause, verdict.piece))
     return cells

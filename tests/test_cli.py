@@ -1,10 +1,12 @@
 """CLI grammar, exit codes, CSV/JSON contracts, and schema validation."""
 import csv
+import gzip
 import io
 import json
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -335,6 +337,18 @@ def test_decide_exit_codes(capsys):
     pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
                   "--family", "dilated_kernel", "--t-list", f"1/2,{_LONG}"], 2,
                  "error: an integer exceeds the limit of 4300 digits", id="t-list-5001-digits"),
+    # a short decimal whose exponent would build such an integer is refused
+    # before Fraction spends seconds or minutes building it
+    pytest.param(["table", "--pair", "B-M", "--s=1e100000000", "--resolution", "2"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="table-s-1e100000000"),
+    pytest.param(["table", "--pair", "B-M", "--s=1e-100000000", "--resolution", "2"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="table-s-1e-100000000"),
+    pytest.param(["norm", "--family", "lattice_comb", "--level", "3", "--width", "1e100000000",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="norm-width-1e100000000"),
+    pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                  "--family", "dilated_kernel", "--t-list", "1/2,1e-100000000"], 2,
+                 "error: an integer exceeds the limit of 4300 digits", id="t-list-1e-100000000"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -453,10 +467,10 @@ def test_table_besov_pieces(tmp_path):
             assert row["piece"] == "0"
 
 
-def _dictwriter_table(pair, s, resolution):
+def _dictwriter_table(pair, s, resolution, d=1):
     """The table CSV as a csv.DictWriter renders it, from classify_region."""
-    coords = [F(i, resolution - 1) for i in range(resolution)]
-    cells = classify_region(*pair, [(u, v) for u in coords for v in coords], s)
+    coords = [F(0)] if resolution == 1 else [F(i, resolution - 1) for i in range(resolution)]
+    cells = classify_region(*pair, [(u, v) for u in coords for v in coords], s, d)
     buffer = io.StringIO(newline="")
     writer = csv.DictWriter(buffer, fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
     writer.writeheader()
@@ -467,12 +481,35 @@ def _dictwriter_table(pair, s, resolution):
 
 
 @pytest.mark.parametrize("name", list(_TABLE_PAIRS))
-@pytest.mark.parametrize("s", ["0", "1/2"])
-def test_table_bytes_match_dictwriter(tmp_path, name, s):
+@pytest.mark.parametrize("s", ["0", "1/2", "-1"])
+def test_table_bytes_match_dictwriter(tmp_path, capsys, name, s):
+    """The table, written to --out or to stdout, has the bytes of every row
+    written through a csv.DictWriter, in d = 1 and 2 and at resolutions 1,
+    2 and 9."""
     out = tmp_path / "table.csv"
-    assert main(["table", "--pair", name, f"--s={s}", "--resolution", "9",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == _dictwriter_table(_TABLE_PAIRS[name], F(s), 9)
+    for d in (1, 2):
+        for resolution in (1, 2, 9):
+            expected = _dictwriter_table(_TABLE_PAIRS[name], F(s), resolution, d)
+            argv = ["table", "--pair", name, f"--s={s}", "--resolution", str(resolution),
+                    "-d", str(d)]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == expected
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == expected
+
+
+_GOLDEN_TABLES = Path(__file__).resolve().parent.parent / "bench" / "golden" / "full" / "tables"
+
+
+@pytest.mark.parametrize("name", list(_TABLE_PAIRS))
+@pytest.mark.parametrize("s", ["0", "1/2"])
+def test_table_bytes_match_benchmark_golden(capsys, name, s):
+    """The twelve resolution-64 tables of the benchmark's oracle-sweep
+    workload, run as it runs them, have the bytes of its golden CSVs."""
+    assert main(["table", "--pair", name, f"--s={s}", "--resolution", "64"]) == 0
+    path = _GOLDEN_TABLES / f"{name}_s{s.replace('/', '_')}.csv.gz"
+    with gzip.open(path, "rb") as handle:
+        assert capsys.readouterr().out.encode() == handle.read()
 
 
 def test_table_resolution_one(capsys):

@@ -216,3 +216,22 @@ def test_as_fraction_matches_fraction(x):
 def test_as_fraction_rejects_floats(x):
     with pytest.raises(TypeError, match="floating-point value"):
         as_fraction(x)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0.5", F(1, 2)), ("1e3", F(1000)), ("-1.5E2", F(-150)), (" 2e1 ", F(20)),
+    ("1_0e1_0", F(10 ** 11)), ("1e4299", F(10 ** 4299)), ("1e-4299", F(1, 10 ** 4299)),
+])
+def test_as_fraction_reads_decimal_exponents(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "0e5000", "12e4299", "0.1e-4299", "1e10000000", "1e100000000", "1e-100000000",
+])
+def test_as_fraction_refuses_exponents_past_the_digit_limit(text):
+    """A short decimal whose power of ten has more digits than Python
+    converts is refused with the digit-limit message, before Fraction builds
+    the power (1e100000000 would take minutes)."""
+    with pytest.raises(ValueError, match="^an integer exceeds the limit of 4300 digits$"):
+        as_fraction(text)

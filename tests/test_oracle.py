@@ -183,6 +183,70 @@ def test_sobolev_triebel2_consistency(r, q, s):
     assert w.holds == f.holds
 
 
+# The index grid of the Besov-sandwich measurement: finite Lebesgue
+# indices, quasi-Banach ones included, and the smoothness values there.
+sandwich_exponents = st.sampled_from(
+    [Exponent(x) for x in (F(1, 2), 1, F(4, 3), F(3, 2), 2, 3, 4)])
+sandwich_indices = st.one_of(sandwich_exponents, st.just(INF))
+sandwich_s = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 4), F(1, 2), F(1)])
+_TWO = Exponent(2)
+
+
+def _holds(source, target):
+    """decide's holds, or None where it answers with no verdict."""
+    try:
+        return decide(source, target).holds
+    except (UncharacterizedPairError, DomainError):
+        return None
+
+
+@st.composite
+def triebel_queries(draw):
+    """(p0, q0, p, q, s, d) for F^s_{p0,q0} <-> M_{p,q}, drawn toward the
+    cases decide routes: a shared q, q0 = 2, or p = p0."""
+    p0, q = draw(sandwich_exponents), draw(sandwich_indices)
+    q0 = draw(st.one_of(st.just(q), st.just(_TWO), sandwich_indices))
+    p = draw(st.one_of(st.just(p0), sandwich_indices))
+    return p0, q0, p, q, draw(sandwich_s), draw(st.integers(1, 2))
+
+
+@settings(max_examples=300)
+@given(query=triebel_queries())
+def test_triebel_verdicts_lie_in_the_besov_sandwich(query):
+    """B^s_{p0,min(p0,q0)} -> F^s_{p0,q0} -> B^s_{p0,max(p0,q0)} for
+    0 < p0 < inf (Triebel 1983, 2.3.2, Prop. 2). So F -> M holds where
+    B_{p0,max} -> M holds and fails where B_{p0,min} -> M fails, and
+    M -> F mirrors it, wherever decide answers every side."""
+    p0, q0, p, q, s, d = query
+    mod = SpaceSpec.modulation(p, q, 0, d)
+    triebel = SpaceSpec.triebel(p0, q0, s, d)
+    small = SpaceSpec.besov(p0, min(p0, q0), s, d)
+    large = SpaceSpec.besov(p0, max(p0, q0), s, d)
+    into, out_of = _holds(triebel, mod), _holds(mod, triebel)
+    if into is not None:
+        assert into or not _holds(large, mod)
+        assert not into or _holds(small, mod)
+    if out_of is not None:
+        assert out_of or not _holds(mod, small)
+        assert not out_of or _holds(mod, large)
+
+
+@settings(max_examples=200)
+@given(p=sandwich_indices, q=sandwich_indices, s=sandwich_s, d=st.integers(1, 2))
+def test_equal_spaces_get_equal_verdicts(p, q, s, d):
+    """B^s_{2,2} = F^s_{2,2} = W^{s,2}, and FL^2 = W^{0,2}: decide gives
+    equal spaces one verdict into and out of M_{p,q}, on every route, where
+    it answers every side."""
+    mod = SpaceSpec.modulation(p, q, 0, d)
+    hilbert = [SpaceSpec.besov(2, 2, s, d), SpaceSpec.triebel(2, 2, s, d),
+               SpaceSpec.sobolev(2, s, d)]
+    fourier = [SpaceSpec.fourier_l(2, d), SpaceSpec.sobolev(2, 0, d)]
+    for spaces in (hilbert, fourier):
+        for answers in ([_holds(x, mod) for x in spaces], [_holds(mod, x) for x in spaces]):
+            if None not in answers:
+                assert len(set(answers)) == 1, answers
+
+
 _LOWER_OPS = [
     lambda s: embed_besov_to_mod(2, 4, 4, 2, s),
     lambda s: embed_sobolev_to_mod(2, 4, 1, s),
@@ -312,6 +376,36 @@ def test_classify_region_matches_rule_per_point(pair, d, s):
                          verdict.piece))
     cells = classify_region(*pair, MIXED_POINTS, s, d)
     assert [_cell_fields(cell) for cell in cells] == expected
+
+
+def _fresh_points():
+    """A 7 x 7 grid as text made anew for each point, so a coordinate is
+    freed once converted and its id may be taken by the next one; the
+    zero-padding keeps the text out of the allocation size of a Fraction,
+    so the next coordinate text is what reuses it."""
+    return ((f"{i:0>60}/6", f"{j:0>60}/6") for i in range(7) for j in range(7))
+
+
+@pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
+@pytest.mark.parametrize("d", [1, 2])
+def test_classify_region_calls_the_rule_once_per_cell(monkeypatch, pair, d):
+    """Every cell is one call of its pair's rule, on its own point, whether
+    the points come as a list, as a generator of fresh objects or repeated
+    and of mixed types; each gives the cells of its points as Fractions."""
+    grid = [(F(i, 6), F(j, 6)) for i in range(7) for j in range(7)]
+    cases = [(grid, grid), (_fresh_points(), grid),
+             (MIXED_POINTS, [(F(u), F(v)) for u, v in MIXED_POINTS])]
+    expected = [[_cell_fields(c) for c in classify_region(*pair, fractions, F(1, 2), d)]
+                for _, fractions in cases]
+    rule, calls = oracle._REGION_RULES[pair], []
+    monkeypatch.setitem(oracle._REGION_RULES, pair,
+                        lambda *args: calls.append(args) or rule(*args))
+    for (points, fractions), fields in zip(cases, expected):
+        del calls[:]
+        cells = classify_region(*pair, points, F(1, 2), d)
+        assert len(calls) == len(fractions) == len(cells)
+        assert [(x.reciprocal(), y.reciprocal()) for x, y, *_ in calls] == fractions
+        assert [_cell_fields(c) for c in cells] == fields
 
 
 @pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
