@@ -203,8 +203,9 @@ def _build_family(kind, args, config, d):
         raise ValueError(f"--{option} is required for the {kind} family")
     param = as_fraction(param) if isinstance(param, str) else param  # --level is an int
     spec = grid_for(kind, d=d, width=width, **{option: param})
-    if n_override or m_override:
-        spec = GridSpec(d, n_override or spec.n, m_override or spec.oversampling)
+    if n_override is not None or m_override is not None:
+        spec = GridSpec(d, spec.n if n_override is None else n_override,
+                        spec.oversampling if m_override is None else m_override)
     return member(kind, spec, param, width), param
 
 
@@ -233,8 +234,9 @@ def _csv_line(fields) -> str:
 
 
 def cmd_table(args, config) -> int:
-    """Write the region table of a pair as CSV: one row per grid point
-    (1/p, 1/q), u-major, with the cell's holds, clause and piece.
+    """Write the region table of a pair as CSV: one row per point (1/p, 1/q)
+    of the square grid ``classify_region`` sweeps, u-major, with the cell's
+    holds, clause and piece.
 
     Each coordinate text and each distinct (holds, clause, piece) row tail
     is formatted once, through ``csv.writer``; a row is its two coordinate
@@ -251,8 +253,7 @@ def cmd_table(args, config) -> int:
         coords = [Fraction(0)]
     else:
         coords = [Fraction(i, resolution - 1) for i in range(resolution)]
-    cells = iter(classify_region(pair[0], pair[1],
-                                 [(u, v) for u in coords for v in coords], s, d))
+    cells = iter(classify_region(pair[0], pair[1], coords, s, d))
     texts = [str(x) for x in coords]
     tails = {}
     lines = [_csv_line(["inv_p", "inv_q", "holds", "clause", "piece"])]
@@ -365,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="region-classification sweep as CSV")
     p.add_argument("--pair", choices=sorted(_TABLE_PAIRS), required=True)
     p.add_argument("--s", required=True, help="smoothness, exact rational")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=None,
+                   help="grid points per axis, 1 to 64 (default 33)")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("-d", type=int, default=None)
     p.set_defaults(fn=cmd_table)

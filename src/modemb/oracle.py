@@ -7,12 +7,12 @@ s-comparison in that condition is strict. All comparisons are exact, on
 integer cross-products of numerators and denominators. Values are coerced
 once, at the public boundary (``_exact``): ``decide`` and ``classify_region``
 call each rule (``embed_*.exact``) on the exact values of ``SpaceSpec`` and of
-one Exponent per distinct sweep coordinate. ``classify_region`` makes one rule
-call per cell and converts each coordinate object once, in a memo keyed on
-its identity that holds the object for the sweep; the ``table`` command
-formats each distinct row tail once. A verdict keeps the critical s as an
-integer pair and builds the ``critical_s`` Fraction and the explanation when
-first read, so ``classify_region`` builds neither.
+one Exponent per sweep coordinate. ``classify_region`` sweeps the square grid
+of its coordinates, converts each coordinate once before the sweep and makes
+one rule call per cell; the ``table`` command formats each distinct row tail
+once. A verdict keeps the critical s as an integer pair and builds the
+``critical_s`` Fraction and the explanation when first read, so
+``classify_region`` builds neither.
 
 Records are shared, so every one is frozen. ``cli.parse_space`` parses each
 distinct (text, d) once per process, in a bounded memo, and hands the same
@@ -268,19 +268,19 @@ def embed_mod_to_besov(p, q, p1, q1, s, d: int = 1) -> Verdict:
                        lambda rel: f"p1 = {p1} >= p = {p}, q1 = {q1} {rel} q = {q}")
 
 
-def _check_wr_hypotheses(values: dict) -> None:
-    for name, e in values.items():
-        if e < _ONE:
-            raise DomainError(
-                f"hypothesis 1 <= {name} <= inf violated: {name} = {e}; "
-                "the Sobolev characterizations assume Banach-range Lebesgue indices"
-            )
+def _check_wr_hypotheses(r, p) -> None:
+    if r < _ONE or p < _ONE:
+        name, e = ("r", r) if r < _ONE else ("p", p)
+        raise DomainError(
+            f"hypothesis 1 <= {name} <= inf violated: {name} = {e}; "
+            "the Sobolev characterizations assume Banach-range Lebesgue indices"
+        )
 
 
 @_exact
 def embed_sobolev_to_mod(r, p, q, s, d: int = 1) -> Verdict:
     """W^{s,r} -> M_{p,q} for 1 <= r, p <= inf and 0 < q <= inf."""
-    _check_wr_hypotheses({"r": r, "p": p})
+    _check_wr_hypotheses(r, p)
     crit, piece = _extremum(max, r, q, d)
     if not r <= p:
         return _refuse("r <= p", lambda: f"r = {r} > p = {p}", crit, piece)
@@ -302,7 +302,7 @@ def embed_mod_to_sobolev(p, q, r, s, d: int = 1) -> Verdict:
     For 0 < q < 1 the characterization reduces to the non-strict condition
     s <= sigma(r,q) = 0 (the small-q extension of conditions (2)/(3)).
     """
-    _check_wr_hypotheses({"r": r, "p": p})
+    _check_wr_hypotheses(r, p)
     crit, piece = _extremum(min, r, q, d)
     if not p <= r:
         return _refuse("p <= r", lambda: f"p = {p} > r = {r}", crit, piece)
@@ -508,12 +508,16 @@ _REGION_RULES = {
 }
 
 
-def classify_region(source_family: Family, target_family: Family, points, s,
+def classify_region(source_family: Family, target_family: Family, coords, s,
                     d: int = 1) -> list[RegionCell]:
-    """Classify grid points (1/p-like, 1/q) for a characterized pair.
+    """Classify the square grid ``coords`` x ``coords`` of points (1/p-like,
+    1/q) for a characterized pair, u-major, as the ``table`` command writes it.
 
-    Returns one RegionCell per point with the verdict, clause label, and the
-    tau/sigma piece, suitable for rendering region diagrams.
+    ``coords`` is read once. Each coordinate is converted once, to its
+    Fraction and the Exponent with that reciprocal (INF at 0), before any
+    rule call, so a negative one is refused before the sweep. Returns one
+    RegionCell per point with the verdict, clause label, and the tau/sigma
+    piece, suitable for rendering region diagrams.
     """
     rule = _REGION_RULES.get((source_family, target_family))
     if rule is None:
@@ -521,27 +525,15 @@ def classify_region(source_family: Family, target_family: Family, points, s,
             f"region sweep not supported for {source_family.value} -> {target_family.value}"
         )
     s = as_fraction(s)
-    exponents: dict[tuple[int, int], Exponent] = {}
-    converted: dict[int, tuple] = {}
-
-    def convert(c) -> tuple:
-        """(c, its Fraction, the Exponent with that reciprocal), made once per
-        coordinate object and once per distinct value; the entry keeps c, so
-        its id is not reused while the sweep runs."""
+    axis = []
+    for c in coords:
         u = as_fraction(c)
-        key = u.as_integer_ratio()
-        e = exponents.get(key)
-        if e is None:
-            if key[0] < 0:
-                raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
-            e = exponents[key] = INF if key[0] == 0 else Exponent(Fraction(key[1], key[0]))
-        converted[id(c)] = entry = c, u, e
-        return entry
-
+        if u < 0:
+            raise ValueError(f"reciprocal coordinate must be >= 0, got {u}")
+        axis.append((u, INF if u == 0 else Exponent(1 / u)))
     cells = []
-    for u, v in points:
-        _, u, x = converted.get(id(u)) or convert(u)
-        _, v, y = converted.get(id(v)) or convert(v)
-        verdict = rule(x, y, s, d)
-        cells.append(RegionCell(u, v, verdict.holds, verdict.clause, verdict.piece))
+    for u, x in axis:
+        for v, y in axis:
+            verdict = rule(x, y, s, d)
+            cells.append(RegionCell(u, v, verdict.holds, verdict.clause, verdict.piece))
     return cells

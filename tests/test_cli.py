@@ -349,6 +349,14 @@ def test_decide_exit_codes(capsys):
     pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
                   "--family", "dilated_kernel", "--t-list", "1/2,1e-100000000"], 2,
                  "error: an integer exceeds the limit of 4300 digits", id="t-list-1e-100000000"),
+    # a zero grid size is refused by the grid, not read as "no override"
+    pytest.param(["norm", "--family", "annulus", "--level", "3", "--space", "B[p=1,q=1,s=0]",
+                  "--n", "0"], 2,
+                 "error: N must be a power of two >= 16, got 0", id="norm-n-0"),
+    pytest.param(["norm", "--family", "annulus", "--level", "3", "--space", "B[p=1,q=1,s=0]",
+                  "--oversampling", "0"], 2,
+                 "error: oversampling M must be a power of two >= 8, got 0",
+                 id="norm-oversampling-0"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -470,7 +478,7 @@ def test_table_besov_pieces(tmp_path):
 def _dictwriter_table(pair, s, resolution, d=1):
     """The table CSV as a csv.DictWriter renders it, from classify_region."""
     coords = [F(0)] if resolution == 1 else [F(i, resolution - 1) for i in range(resolution)]
-    cells = classify_region(*pair, [(u, v) for u in coords for v in coords], s, d)
+    cells = classify_region(*pair, coords, s, d)
     buffer = io.StringIO(newline="")
     writer = csv.DictWriter(buffer, fieldnames=["inv_p", "inv_q", "holds", "clause", "piece"])
     writer.writeheader()
@@ -674,6 +682,19 @@ def test_config_defaults_and_override(tmp_path, capsys):
                  "--resolution", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 1  # flag overrides config
+
+
+@pytest.mark.parametrize("key,message", [
+    ("n", "N must be a power of two >= 16, got 0"),
+    ("oversampling", "oversampling M must be a power of two >= 8, got 0"),
+])
+def test_config_zero_grid_size_is_refused(tmp_path, capsys, key, message):
+    config = tmp_path / "modemb.cfg"
+    config.write_text(f"{key} = 0\n")
+    assert main(["--config", str(config), "norm", "--family", "annulus", "--level", "3",
+                 "--space", "B[p=1,q=1,s=0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_config_parse_error(tmp_path, capsys):

@@ -332,27 +332,23 @@ def test_decide_uncharacterized():
 
 
 def test_classify_region_examples():
-    cells = classify_region(Family.SOBOLEV_W, Family.MODULATION,
-                            [(F(1), F(0))], 0)
-    assert cells[0].clause == "W->M (3)" and cells[0].holds
+    cells = classify_region(Family.SOBOLEV_W, Family.MODULATION, [F(1), F(0)], 0)
+    assert (cells[1].inv_p, cells[1].inv_q) == (1, 0)
+    assert cells[1].clause == "W->M (3)" and cells[1].holds
 
-    cells = classify_region(Family.BESOV, Family.MODULATION,
-                            [(F(1, 2), F(1, 2))], 0)
-    assert cells[0].piece is TauPiece.ZERO
+    cells = classify_region(Family.BESOV, Family.MODULATION, [F(1, 2)], 0)
+    assert len(cells) == 1 and cells[0].piece is TauPiece.ZERO
 
-    cells = classify_region(Family.TRIEBEL, Family.MODULATION,
-                            [(F(1, 4), F(3, 4))], 0)
-    assert cells[0].piece is TauPiece.Q_MINUS_P
+    cells = classify_region(Family.TRIEBEL, Family.MODULATION, [F(1, 4), F(3, 4)], 0)
+    assert (cells[1].inv_p, cells[1].inv_q) == (F(1, 4), F(3, 4))
+    assert cells[1].piece is TauPiece.Q_MINUS_P
 
     with pytest.raises(UncharacterizedPairError):
-        classify_region(Family.FOURIER_L, Family.MODULATION, [(F(1), F(1))], 0)
+        classify_region(Family.FOURIER_L, Family.MODULATION, [F(1)], 0)
 
 
-# Repeated, unordered coordinates, each value given as int, str and Fraction.
-MIXED_POINTS = [
-    (1, "1/2"), (F(1, 3), 0), ("1/2", 1), (1, "1/2"), (0, 0), ("1", F(1, 2)),
-    (F(2, 3), "2/3"), (F(1, 2), F(1, 2)), ("0", F(1)), (F(1), "0"), (F(1, 3), 0),
-]
+# Repeated, unordered coordinates, values given as int, str and Fraction.
+MIXED_COORDS = [1, "1/2", F(1, 3), 0, "1/2", F(2, 3), "0", F(1, 2), "1", F(1, 3)]
 
 
 def _cell_fields(cell):
@@ -364,56 +360,58 @@ def _cell_fields(cell):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("s", [-1, 0, F(1, 2)])
 def test_classify_region_matches_rule_per_point(pair, d, s):
-    """One Exponent per distinct coordinate gives the cells that a fresh
-    Exponent per point gives."""
+    """The sweep of the square grid of MIXED_COORDS gives, u-major, the cells
+    that a fresh Exponent per point gives, from a list or a one-pass
+    iterator alike."""
     rule = oracle._REGION_RULES[pair]
     expected = []
-    for u, v in MIXED_POINTS:
-        u, v = F(u), F(v)
-        x, y = (INF if c == 0 else Exponent(1 / c) for c in (u, v))
-        verdict = rule(x, y, F(s), d)
-        expected.append((Fraction, u, Fraction, v, verdict.holds, verdict.clause,
-                         verdict.piece))
-    cells = classify_region(*pair, MIXED_POINTS, s, d)
-    assert [_cell_fields(cell) for cell in cells] == expected
+    for u in map(F, MIXED_COORDS):
+        for v in map(F, MIXED_COORDS):
+            x, y = (INF if c == 0 else Exponent(1 / c) for c in (u, v))
+            verdict = rule(x, y, F(s), d)
+            expected.append((Fraction, u, Fraction, v, verdict.holds, verdict.clause,
+                             verdict.piece))
+    for coords in (MIXED_COORDS, iter(MIXED_COORDS)):
+        cells = classify_region(*pair, coords, s, d)
+        assert [_cell_fields(cell) for cell in cells] == expected
 
 
-def _fresh_points():
-    """A 7 x 7 grid as text made anew for each point, so a coordinate is
-    freed once converted and its id may be taken by the next one; the
-    zero-padding keeps the text out of the allocation size of a Fraction,
-    so the next coordinate text is what reuses it."""
-    return ((f"{i:0>60}/6", f"{j:0>60}/6") for i in range(7) for j in range(7))
+def _spy_on_rule(monkeypatch, pair) -> list:
+    """Route the pair's region rule through a spy that appends each call's
+    arguments to the returned list."""
+    rule, calls = oracle._REGION_RULES[pair], []
+    monkeypatch.setitem(oracle._REGION_RULES, pair,
+                        lambda *args: calls.append(args) or rule(*args))
+    return calls
 
 
 @pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
 @pytest.mark.parametrize("d", [1, 2])
 def test_classify_region_calls_the_rule_once_per_cell(monkeypatch, pair, d):
     """Every cell is one call of its pair's rule, on its own point, whether
-    the points come as a list, as a generator of fresh objects or repeated
-    and of mixed types; each gives the cells of its points as Fractions."""
-    grid = [(F(i, 6), F(j, 6)) for i in range(7) for j in range(7)]
-    cases = [(grid, grid), (_fresh_points(), grid),
-             (MIXED_POINTS, [(F(u), F(v)) for u, v in MIXED_POINTS])]
-    expected = [[_cell_fields(c) for c in classify_region(*pair, fractions, F(1, 2), d)]
-                for _, fractions in cases]
-    rule, calls = oracle._REGION_RULES[pair], []
-    monkeypatch.setitem(oracle._REGION_RULES, pair,
-                        lambda *args: calls.append(args) or rule(*args))
-    for (points, fractions), fields in zip(cases, expected):
+    the coordinates are distinct or repeated and of mixed types; each gives
+    the cells of its points as Fractions."""
+    cases = [[F(i, 6) for i in range(7)], MIXED_COORDS]
+    expected = [[_cell_fields(c) for c in classify_region(*pair, coords, F(1, 2), d)]
+                for coords in cases]
+    calls = _spy_on_rule(monkeypatch, pair)
+    for coords, fields in zip(cases, expected):
         del calls[:]
-        cells = classify_region(*pair, points, F(1, 2), d)
-        assert len(calls) == len(fractions) == len(cells)
-        assert [(x.reciprocal(), y.reciprocal()) for x, y, *_ in calls] == fractions
+        cells = classify_region(*pair, coords, F(1, 2), d)
+        points = [(F(u), F(v)) for u in coords for v in coords]
+        assert len(calls) == len(points) == len(cells)
+        assert [(x.reciprocal(), y.reciprocal()) for x, y, *_ in calls] == points
         assert [_cell_fields(c) for c in cells] == fields
 
 
 @pytest.mark.parametrize("pair", list(oracle._REGION_RULES))
-def test_classify_region_rejects_negative_coordinates(pair):
-    for points in ([(F(1, 2), F(1, 2)), (F(-1, 3), 0)],
-                   [(F(1, 2), F(1, 2)), (F(1, 2), "-1/3")]):
+def test_classify_region_rejects_negative_coordinates(monkeypatch, pair):
+    """A negative coordinate is refused before any cell is classified."""
+    calls = _spy_on_rule(monkeypatch, pair)
+    for coords in ([F(1, 2), F(-1, 3)], [F(1, 2), "-1/3", 0]):
         with pytest.raises(ValueError, match="reciprocal coordinate must be >= 0, got -1/3"):
-            classify_region(*pair, points, 0)
+            classify_region(*pair, coords, 0)
+    assert calls == []
 
 
 def _spy_on_explanations(monkeypatch) -> list:
@@ -440,11 +438,11 @@ def test_classify_region_formats_no_explanation(monkeypatch):
     exponent_str = Exponent.__str__
     monkeypatch.setattr(Exponent, "__str__",
                         lambda e: rendered.append(e) or exponent_str(e))
-    points = [(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)]
+    coords = [F(i, 8) for i in range(9)]
     for pair in oracle._REGION_RULES:
         for d in (1, 2):
             for s in (-1, 0, F(1, 2)):
-                assert len(classify_region(*pair, points, s, d)) == len(points)
+                assert len(classify_region(*pair, coords, s, d)) == len(coords) ** 2
     assert formatted == [] and rendered == []
     # the spies do see a read
     text = embed_besov_to_mod(2, 4, 2, 1, F(1, 2)).explanation
@@ -478,7 +476,7 @@ def test_shared_records_stay_frozen_and_hash_by_their_fields():
     target = parse_space("M[p=2,q=1]", 2)
     verdict = decide(source, target)
     verdict.explanation  # a value kept on first read is no field either
-    cell = classify_region(Family.BESOV, Family.MODULATION, [(F(2, 3), 0)], F(1, 2), 2)[0]
+    cell = classify_region(Family.BESOV, Family.MODULATION, [F(2, 3), 0], F(1, 2), 2)[1]
     diagonal = embed_besov_to_mod(F(3, 2), INF, F(3, 2), INF, F(1, 2), 2)  # the cell's rule
     built = {
         source: SpaceSpec.besov(F(3, 2), "inf", F(1, 2), 2),
@@ -512,7 +510,7 @@ _GRID_QUERIES = {
 
 
 def test_oracle_coerces_once_at_the_boundary(monkeypatch):
-    """classify_region makes at most one Exponent per distinct coordinate and
+    """classify_region makes at most one Exponent per coordinate and
     coerces no cell; decide on parsed specs coerces nothing; a verdict
     builds its critical_s only when it is read."""
     made, coerced = [], []
@@ -521,13 +519,12 @@ def test_oracle_coerces_once_at_the_boundary(monkeypatch):
     monkeypatch.setattr(Exponent, "of",
                         classmethod(lambda cls, value: coerced.append(value) or of(cls, value)))
     coords = [F(i, 8) for i in range(9)]
-    points = [(u, v) for u in coords for v in coords]
     texts = ["inf" if u == 0 else str(1 / u) for u in coords]
     assert set(oracle._REGION_RULES) == set(_GRID_QUERIES)
     for pair, (source, target, index) in _GRID_QUERIES.items():
         for d in (1, 2):
             del made[:], coerced[:]
-            assert len(classify_region(*pair, points, 0, d)) == len(points)
+            assert len(classify_region(*pair, coords, 0, d)) == len(coords) ** 2
             assert len(made) <= len(coords) and coerced == []
             specs = [(parse_space(source.format(x=x, y=y), d),
                       parse_space(target.format(x=x, y=y), d)) for x in texts for y in texts]

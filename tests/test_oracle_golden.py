@@ -95,12 +95,12 @@ def _decide_outcomes():
 
 
 def _region_outcomes():
-    points = [(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)]
+    coords = [F(i, 8) for i in range(9)]
     for pair in REGION_PAIRS:
         for d in DIMENSIONS:
             for s in SMOOTHNESS:
-                yield _outcome(oracle.classify_region, *pair, points, s, d)
-    yield _outcome(oracle.classify_region, Family.FOURIER_L, Family.MODULATION, points, 0)
+                yield _outcome(oracle.classify_region, *pair, coords, s, d)
+    yield _outcome(oracle.classify_region, Family.FOURIER_L, Family.MODULATION, coords, 0)
 
 
 def _outcomes(name):
