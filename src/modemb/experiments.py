@@ -126,11 +126,12 @@ def predicted_slope(source: SpaceSpec, target: SpaceSpec, family: str) -> Fracti
 
 
 def finite_norm(f, space, uniform, dyadic, purpose, where="") -> float:
-    """space_norm, refused naming the space unless finite and nonzero; NumPy warns nothing."""
+    """space_norm, refused naming the space unless finite and nonzero; NumPy warns nothing.
+    A smoothness beyond double range, whose float conversion overflows, reads nan."""
     with np.errstate(all="ignore"):
         try:
             value = space_norm(f, space, uniform, dyadic)
-        except NonFiniteError:
+        except (NonFiniteError, OverflowError):
             value = math.nan
     if value == 0.0 or not math.isfinite(value):
         raise ValueError(f"the {render_space(space)} norm{where} is {value}; {purpose}")

@@ -30,6 +30,7 @@ from modemb.oracle import Family, SpaceSpec, classify_region
 
 F = Fraction
 _LONG = "1" + "0" * 5000  # an integer past Python's 4300-digit limit for text
+_HUGE = "1" + "0" * 400  # 10^400, within that limit but beyond double range
 
 requires_jsonschema = pytest.mark.skipif(jsonschema is None,
                                          reason="jsonschema not installed")
@@ -349,6 +350,24 @@ def test_decide_exit_codes(capsys):
     pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
                   "--family", "dilated_kernel", "--t-list", "1/2,1e-100000000"], 2,
                  "error: an integer exceeds the limit of 4300 digits", id="t-list-1e-100000000"),
+    # a smoothness beyond double range makes the norm nan, not an OverflowError
+    pytest.param(["norm", "--family", "annulus", "--level", "3",
+                  "--space", f"B[p=1,q=1,s={_HUGE}]"], 2,
+                 f"error: the B[p=1,q=1,s={_HUGE}] norm is nan; it must be finite and nonzero",
+                 id="norm-besov-s-1e400"),
+    pytest.param(["norm", "--family", "annulus", "--level", "3",
+                  "--space", f"M[p=1,q=1,s=-{_HUGE}]"], 2,
+                 f"error: the M[p=1,q=1,s=-{_HUGE}] norm is nan; it must be finite and nonzero",
+                 id="norm-modulation-s-minus-1e400"),
+    pytest.param(["norm", "--family", "annulus", "--level", "3",
+                  "--space", f"W[r=2,s={_HUGE}]"], 2,
+                 f"error: the W[r=2,s={_HUGE}] norm is nan; it must be finite and nonzero",
+                 id="norm-sobolev-s-1e400"),
+    pytest.param(["sharpness", "--from", f"B[p=1,q=1,s=-{_HUGE}]", "--to", "M[p=1,q=1]",
+                  "--family", "annulus", "--lmin", "3", "--lmax", "4"], 2,
+                 f"error: the B[p=1,q=1,s=-{_HUGE}] norm at level 3 is nan; "
+                 "a growth ratio needs finite nonzero norms",
+                 id="sharpness-besov-s-minus-1e400"),
     # a zero grid size is refused by the grid, not read as "no override"
     pytest.param(["norm", "--family", "annulus", "--level", "3", "--space", "B[p=1,q=1,s=0]",
                   "--n", "0"], 2,

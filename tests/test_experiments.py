@@ -148,6 +148,23 @@ def test_predicted_slope_modulation_smoothness_other_families():
     assert predicted_slope(M(1, 4, -1), B(1, 2, 0), "lattice_comb") == F(7, 4)
 
 
+@pytest.mark.parametrize("source,target,family,levels,slope", [
+    pytest.param(B(F(1, 2), F(1, 2), 0), M(F(1, 2), F(1, 2)), "annulus", range(3, 8), 3,
+                 id="annulus-B-to-M"),
+    pytest.param(M(F(1, 2), F(1, 2)), B(F(1, 2), F(1, 2), 0), "annulus", range(3, 8), -3,
+                 id="annulus-M-to-B"),
+    pytest.param(B(F(1, 2), 2, 1), M(F(1, 2), 2), "single_box", range(3, 8), -1,
+                 id="single_box-B-to-M"),
+])
+def test_run_sharpness_quasi_banach_d1(source, target, family, levels, slope):
+    """p = 1/2 end to end in d = 1, through the pruned box and dyadic
+    syntheses: each run fits its catalogued slope within the default
+    tolerance (the annulus fits about 2.888 against 3)."""
+    report = run_sharpness(source, target, family, levels)
+    assert report.predicted_slope == slope
+    assert report.passed, report.fitted_slope
+
+
 def test_run_sharpness_holding_query_decays():
     """At s = tau + 1 the annulus ratio decays at rate about -1."""
     report = run_sharpness(B(1, 1, 2), M(1, 1), "annulus", range(4, 9))

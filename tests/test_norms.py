@@ -1,4 +1,5 @@
 """The five quasi-norm evaluators: exact bookkeeping cases and stability."""
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from modemb.families import (
     random_band_limited,
     smallest_box_point,
 )
-from modemb import grid, norms
+from modemb import grid, norms, partitions
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lp_norm, lq_seq_norm, spectral_support, transform, _next_pow2
 from modemb.norms import (
@@ -58,9 +59,11 @@ def small_spec():
 @pytest.fixture
 def full_grid_transforms(monkeypatch):
     """Counts the full-grid transforms made while the test runs: "forward"
-    for grid._fft; "inverse" for grid._ifft and for the dyadic piece
-    synthesis in norms, which inverse-transforms the whole grid without
-    grid._ifft. Clear it to start a new count."""
+    for grid._fft; "inverse" for grid._ifft and for the dense dyadic piece
+    synthesis in norms (d = 2), which inverse-transforms the whole grid
+    without grid._ifft. "band" counts the d = 1 dyadic pieces synthesized
+    on the support's band instead, which make no full-grid transform. Clear
+    it to start a new count."""
     calls = Counter()
 
     def counted(original, kind):
@@ -73,6 +76,8 @@ def full_grid_transforms(monkeypatch):
     monkeypatch.setattr(grid, "_ifft", counted(grid._ifft, "inverse"))
     monkeypatch.setattr(norms, "_synthesized_magnitudes",
                         counted(norms._synthesized_magnitudes, "inverse"))
+    monkeypatch.setattr(norms, "_half_row_magnitudes",
+                        counted(norms._half_row_magnitudes, "band"))
     return calls
 
 
@@ -574,7 +579,7 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
     kept = []
     for x, first in ((patch, 0), (np.conj(patch), 1))[:1 if real else 2]:
         half = np.empty((rows, mags.shape[1]), dtype=np.complex128)
-        uniform._half_synthesis(x, half)
+        partitions._half_synthesis(x, uniform._synthesis_table, half)
         kept.append(np.abs(half[first:rows - first]))
     assert mags.max() == max(rows_kept.max() for rows_kept in kept if rows_kept.size)
     assert mags.max() == pytest.approx(dense.max(), rel=1e-15)
@@ -641,9 +646,9 @@ def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
     synthesized = []
     magnitudes = UniformPartition.piece_magnitudes
 
-    def spy(self, patch):
+    def spy(self, patch, *args):
         synthesized.append(_orbit(patch))
-        return magnitudes(self, patch)
+        return magnitudes(self, patch, *args)
 
     monkeypatch.setattr(UniformPartition, "piece_magnitudes", spy)
     active = 0
@@ -788,38 +793,52 @@ def test_dyadic_norms_of_zero(box_partitions, q):
             norm(zero, 0, q, 1, dyadic)  # reaches no level, still checks p
 
 
-@pytest.mark.parametrize("norm,member_calls,space_calls", [
+def _single_box_1d():
+    return family_single_box(BOX_SPEC, 5)
+
+
+def _annulus_2d():
+    return family_annulus(grid_for("annulus", d=2, level=2), 2)
+
+
+@pytest.mark.parametrize("norm,member,member_calls,space_calls", [
     pytest.param(lambda f, uniform, dyadic: besov_norm(f, 2, 2, 0, dyadic),
-                 (0, 0), (1, 0), id="besov"),
+                 _single_box_1d, (0, 0, 0), (1, 0, 0), id="besov"),
     pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 2, 0, dyadic),
-                 (0, 0), (1, 0), id="triebel"),
+                 _single_box_1d, (0, 0, 0), (1, 0, 0), id="triebel"),
     pytest.param(lambda f, uniform, dyadic: besov_norm(f, 1, 2, 0, dyadic),
-                 (0, 1), (1, 1), id="besov-p1"),
+                 _single_box_1d, (0, 0, 1), (1, 0, 1), id="besov-p1"),
     pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 2, 1, 0, dyadic),
-                 (0, 1), (1, 1), id="triebel-q1"),
+                 _single_box_1d, (0, 0, 1), (1, 0, 1), id="triebel-q1"),
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
-                 (0, 0), (1, 0), id="modulation"),
+                 _single_box_1d, (0, 0, 0), (1, 0, 0), id="modulation"),
     # two norms of one function share its one floor, so its one forward transform
     pytest.param(lambda f, uniform, dyadic: (besov_norm(f, 1, 2, 0, dyadic),
                                              modulation_norm(f, 2, 2, 0, uniform)),
-                 (0, 1), (1, 1), id="besov-p1+modulation"),
+                 _single_box_1d, (0, 0, 1), (1, 0, 1), id="besov-p1+modulation"),
+    # in d = 2 each of the three reached levels is one full-grid inverse
+    pytest.param(lambda f, uniform, dyadic: besov_norm(f, 1, 2, 0, dyadic),
+                 _annulus_2d, (0, 3, 0), (1, 3, 0), id="besov-p1-2d"),
+    pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 1, 1, 0, dyadic),
+                 _annulus_2d, (0, 3, 0), (1, 3, 0), id="triebel-p1-q1-2d"),
 ])
-def test_full_grid_transform_count(box_partitions, full_grid_transforms, norm,
+def test_full_grid_transform_count(full_grid_transforms, norm, member,
                                    member_calls, space_calls):
-    """(forward, inverse) full-grid transforms per norm. A single-box member
-    is its spectrum, so no norm forward-transforms it; its space samples take
-    one forward transform, shared by the band check and the norm. L^2 piece
-    norms come from the spectrum, so Besov at p = 2 and Triebel at p = q = 2
-    make no inverse transform. Elsewhere only the one reached dyadic level is
-    inverse-transformed: full-grid work on empty pieces would show here as
-    extra transforms."""
-    uniform, dyadic = box_partitions
-    member = family_single_box(BOX_SPEC, 5)
-    for f, expected in ((member, member_calls), (member.in_space(), space_calls)):
+    """(forward, inverse, band) transforms per norm. A family member is its
+    spectrum, so no norm forward-transforms it; its space samples take one
+    forward transform, shared by the band check and the norm. L^2 piece
+    norms come from the spectrum, so Besov at p = 2 and Triebel at
+    p = q = 2 synthesize nothing. Elsewhere only the reached dyadic levels
+    are synthesized: in d = 1 on the support's band, with no full-grid
+    inverse transform, and in d = 2 by one full-grid inverse each.
+    Full-grid work on empty pieces would show here as extra transforms."""
+    f = member()
+    uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)
+    for g, expected in ((f, member_calls), (f.in_space(), space_calls)):
         full_grid_transforms.clear()
-        norm(f, uniform, dyadic)
+        norm(g, uniform, dyadic)
         calls = full_grid_transforms
-        assert (calls["forward"], calls["inverse"]) == expected, f.side
+        assert (calls["forward"], calls["inverse"], calls["band"]) == expected, g.side
 
 
 def _parseval_cases():
@@ -889,13 +908,89 @@ def test_triebel_matches_pointwise_synthesis(case, p, q):
     dyadic = build_dyadic(f.spec)
     pieces = _synthesized_pieces(f, dyadic)
     for s in (F(-1, 2), 0, 1):
-        mags = np.array([2.0 ** (float(s) * j) * np.abs(piece.values)
-                         for j, piece in enumerate(pieces)])
-        pointwise = (mags.max(axis=0) if q == "inf"
-                     else np.sum(mags ** float(q), axis=0) ** (1.0 / float(q)))
-        expected = lp_norm(GridFunction(f.spec, pointwise, SPACE), p)
+        expected = _triebel_by_synthesis(pieces, p, q, s)
         assert triebel_norm(f, p, q, s, dyadic) == pytest.approx(expected, rel=1e-12,
                                                                  abs=0), s
+
+
+def _triebel_by_synthesis(pieces, p, q, s):
+    """The Triebel norm from the dense pieces: the pointwise l^q over their
+    samples, then the spatial L^p norm through lp_norm."""
+    mags = np.array([2.0 ** (float(s) * j) * np.abs(piece.values)
+                     for j, piece in enumerate(pieces)])
+    pointwise = (mags.max(axis=0) if q == "inf"
+                 else np.sum(mags ** float(q), axis=0) ** (1.0 / float(q)))
+    return lp_norm(GridFunction(pieces[0].spec, pointwise, SPACE), p)
+
+
+def _band_cases():
+    """(name, (d = 1 function, R = N/L)) for the dyadic synthesis on the
+    support's band, L the next power of two >= the bins the support spans: a
+    lattice comb, whose modulated translates make its pieces complex, on a
+    grid eight times its default, so R = 8 and the conjugate patch's
+    synthesis fills the mirrored rows; a random function whose support
+    spans more than N/2 bins, so R = 1 and the band is the whole grid; and a
+    random function reaching levels 0..5, whose pieces span from a few bins
+    to all of the support, all synthesized on one layout."""
+    comb = grid_for("lattice_comb", d=1, level=4)
+    comb = GridSpec(d=1, n=8 * comb.n, oversampling=comb.oversampling)
+    return {
+        "comb-R8": (family_lattice_comb(comb, 4, F(1, 2)), 8),
+        "random-R1": (random_band_limited(GridSpec(d=1, n=2 ** 10, oversampling=8),
+                                          band_radius=36, seed=17), 1),
+        "random-levels-R8": (random_band_limited(GridSpec(d=1, n=2 ** 12, oversampling=8),
+                                                 band_radius=20, seed=3), 8),
+    }
+
+
+BAND_CASES = _band_cases()
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+@pytest.mark.parametrize("p,rel", [(1, 1e-12), (F(3, 2), 1e-12), ("inf", 1e-12),
+                                   # p < 1 holds only about 1e-7 (module docstring)
+                                   (F(1, 2), 1e-7)])
+def test_band_synthesis_matches_dense_pieces(case, p, rel):
+    """In d = 1 the pieces synthesized on the support's band give the Besov
+    norm (every q) and the Triebel norm (q = 1, inf; p < inf) of the dense
+    delta_apply pieces, with complex pieces and mirrored rows, with R = 1,
+    and with levels of different extent paired on one layout."""
+    f, rows = BAND_CASES[case]
+    support = spectral_support(f)
+    assert f.spec.n // _next_pow2(support.flat[-1] - support.flat[0] + 1) == rows
+    assert support.values.imag.any() and f.spec.d == 1
+    dyadic = build_dyadic(f.spec)
+    pieces = _synthesized_pieces(f, dyadic)
+    for q in (1, 2, "inf"):
+        expected = _besov_by_synthesis(pieces, p, q, F(1, 2))
+        assert besov_norm(f, p, q, F(1, 2), dyadic) == pytest.approx(expected, rel=rel,
+                                                                     abs=0), q
+    if p == "inf":
+        return
+    for q in (1, "inf"):
+        expected = _triebel_by_synthesis(pieces, p, q, F(1, 2))
+        assert triebel_norm(f, p, q, F(1, 2), dyadic) == pytest.approx(expected, rel=rel,
+                                                                       abs=0), q
+
+
+@pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
+def test_band_twiddles_die_with_the_norm_call(norm, monkeypatch):
+    """The d = 1 twiddle factors are built once per norm call, for all its
+    levels, and nothing keeps them after the call returns."""
+    f, _ = BAND_CASES["random-levels-R8"]
+    dyadic = build_dyadic(f.spec)
+    built = []
+    factors = norms._twiddle_factors
+
+    def spy(*args):
+        tables = factors(*args)
+        built.extend(weakref.ref(t) for t in tables)
+        return tables
+
+    monkeypatch.setattr(norms, "_twiddle_factors", spy)
+    assert norm(f, 1, 1, 0, dyadic) > 0.0
+    assert len(built) == 2
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.parametrize("case", PARSEVAL_CASES)
@@ -913,17 +1008,20 @@ def test_triebel_22_matches_pointwise_synthesis(case, s):
 
 @pytest.mark.parametrize("case", PARSEVAL_CASES)
 def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
-    """No inverse transform for Besov at p = 2 or Triebel at p = q = 2; one
-    per reached level for Triebel at p = 2, q = 1, which stays pointwise."""
+    """No synthesis for Besov at p = 2 or Triebel at p = q = 2; one per
+    reached level for Triebel at p = 2, q = 1, which stays pointwise: on the
+    support's band in d = 1, a full-grid inverse transform in d = 2."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
     reached = len(dyadic.reached(spectral_support(f)))
     assert reached >= 2
-    for norm, q, expected in ((besov_norm, 1, 0), (besov_norm, "inf", 0),
-                              (triebel_norm, 2, 0), (triebel_norm, 1, reached)):
+    pointwise = (0, reached) if f.spec.d == 1 else (reached, 0)
+    for norm, q, expected in ((besov_norm, 1, (0, 0)), (besov_norm, "inf", (0, 0)),
+                              (triebel_norm, 2, (0, 0)), (triebel_norm, 1, pointwise)):
         full_grid_transforms.clear()
         norm(f, 2, q, 0, dyadic)
-        assert full_grid_transforms["inverse"] == expected, (norm.__name__, q)
+        calls = full_grid_transforms
+        assert (calls["inverse"], calls["band"]) == expected, (norm.__name__, q)
 
 
 def test_each_box_member_is_floored_once(monkeypatch, capsys):
