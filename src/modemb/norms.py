@@ -7,36 +7,37 @@ norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
 both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
-Support. Every norm but Sobolev reads the member's one Support
-(``spectral_support``, the ``grid.Support`` kept on f): the flat indices,
-values, magnitudes, frequency coordinates and radii of the bins above 1e-13
-of the peak. f is floored when the Support is first read, by the family's
-margin check for a member, and every later norm of f shares it. The rest
-reads only those bins. The band checks (the cube |xi|_inf > kmax - 1, the
-dyadic ball |xi| > 1.25 * 2^levels) test their coordinates; a bin under the
-floor could not pass the 1e-12 gate, so the decision is the dense one. phi_j is
-evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is
-bit for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
+Support. Every norm reads the member's one Support (``spectral_support``,
+the ``grid.Support`` kept on f): the flat indices, values, magnitudes,
+frequency coordinates and radii of the bins above 1e-13 of the peak. f is
+floored when the Support is first read, by the family's margin check for a
+member, and every later norm of f shares it. The rest reads only those bins.
+The band checks (the cube |xi|_inf > kmax - 1, the dyadic ball
+|xi| > 1.25 * 2^levels) test their coordinates; a bin under the floor could
+not pass the 1e-12 gate, so the decision is the dense one. phi_j is
+evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is bit
+for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
 Parseval sums the compact piece. Otherwise, in d = 1, it is synthesized on
-the support's band as a box piece is (``_piece_synthesis``), with no
-N-point complex grid; in d = 2 it is scattered into a fresh zero grid for
-the inverse FFT. Fourier-L^p sums the compact magnitudes. No norm
-builds a dense radius, mask or window, and a single-box member's floor
-reads only the bins its generator wrote (``GridFunction.bins``), so it is
-floored at the cost of those bins; its full-grid passes are the norms' own:
-the zero grid its box pieces are cut from, and in d = 2 the inverse FFT of
-each dyadic piece at p != 2.
+the support's band as a box piece is (``_piece_synthesis``), with no N-point
+complex grid; in d = 2 it is scattered into a fresh zero grid for the
+inverse FFT. W is one more piece: the Bessel multiplier at the support's
+radii times its values, floored like the rest. Fourier-L^p sums the compact
+magnitudes. No norm builds a dense radius, mask or window, and a single-box
+member's floor reads only the bins its generator wrote
+(``GridFunction.bins``), so it is floored at the cost of those bins; its
+full-grid passes are the norms' own: the zero grid its box pieces are cut
+from, and in d = 2 the inverse FFT of W and of each dyadic piece at p != 2.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
-from the spectrum round unlike synthesis, by about 1e-16. Synthesized
-pieces skip the grid's centering shifts, so their magnitudes come in
-transform order, or in residue rows when pruned, and round unlike
-``transform``'s, again by about 1e-16. At
-p < 1 it holds only about 1e-7 relative: the sum of |x|^p is dominated by
-space samples at roundoff level in each piece's tails, which p < 1
-amplifies, so a change to the rounding of a transform moves the value in
-the eighth digit. Never gate a p < 1 value at 1e-12; compare it against an
-extended-precision reference.
+from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
+skip the grid's centering shifts, so their magnitudes come in transform
+order, or in residue rows when pruned, and round unlike ``transform``'s,
+again by about 1e-16. At p < 1 it holds only about 1e-7 relative (1e-6 at
+N = 2^17): the sum of |x|^p is dominated by space samples at roundoff level
+in each piece's tails, which p < 1 amplifies, so a change to the rounding of
+a transform moves the value in the seventh or eighth digit. Never gate a
+p < 1 value at 1e-12; compare it against an extended-precision reference.
+The floor moves it more: by 1e-5 for W^{s,1/2} on the level-8 d = 1 annulus.
 """
 from __future__ import annotations
 
@@ -47,9 +48,7 @@ from .grid import (
     BandLimitError,
     GridFunction,
     Support,
-    apply_multiplier,
     band_leak,
-    lp_norm,
     lq_seq_norm,
     spectral_support,
     _next_pow2,
@@ -286,10 +285,11 @@ def triebel_norm(f: GridFunction, p, q, s,
 
 
 def sobolev_norm(f: GridFunction, s, r) -> float:
-    """|| (I - Laplacian)^(s/2) f ||_r via the multiplier (1+|xi|^2)^(s/2)."""
-    radius = f.spec.freq_radius()
-    multiplier = (1.0 + radius ** 2) ** (float(s) / 2.0)
-    return lp_norm(apply_multiplier(f, multiplier), r)
+    """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is."""
+    spec, support = f.spec, spectral_support(f)
+    multiplier = (1.0 + support.radius ** 2) ** (float(s) / 2.0)
+    mags = _piece_synthesis(support)(multiplier * support.values)
+    return (spec.n / spec.period) ** spec.d * _riemann_lp(mags, spec.cell_volume, r)
 
 
 def fourier_lp_norm(f: GridFunction, r) -> float:

@@ -331,8 +331,8 @@ def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.nda
     d = 1 (n_1 = 0 and N/2 in d = 2) are their own mirrors and are counted
     once; the rows 1..R/2 - 1 of conj(x) fill in the rest. For a real
     patch, conj(x) = x, so those rows are copied from the first half; a
-    complex patch synthesizes conj(x) on the same rows. Grids with R = 1 or
-    2 have no mirrored row. Each row of the result holds the same samples
+    complex patch synthesizes conj(x) on the same rows, if R > 2: with R = 1
+    or 2 no row is mirrored. Each row of the result holds the same samples
     for every patch of one table, so two results pair sample by sample.
 
     The synthesis writes into the complex rows ``half`` of ``work``, and
@@ -346,7 +346,7 @@ def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.nda
     rows = len(half)
     _half_synthesis(patch, table, half, at)
     np.abs(half, out=out[:rows])
-    if patch.imag.any():
+    if rows > 2 and patch.imag.any():
         _half_synthesis(np.conj(patch), table, half, at)
         np.abs(half[1:rows - 1], out=out[rows:])
     else:

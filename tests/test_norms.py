@@ -18,7 +18,7 @@ from modemb.families import (
 )
 from modemb import grid, norms, partitions
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
-    lp_norm, lq_seq_norm, spectral_support, transform, _next_pow2
+    apply_multiplier, lp_norm, lq_seq_norm, spectral_support, transform, _next_pow2
 from modemb.norms import (
     _NEGLIGIBLE,
     _dyadic_pieces,
@@ -59,11 +59,11 @@ def small_spec():
 @pytest.fixture
 def full_grid_transforms(monkeypatch):
     """Counts the full-grid transforms made while the test runs: "forward"
-    for grid._fft; "inverse" for grid._ifft and for the dense dyadic piece
-    synthesis in norms (d = 2), which inverse-transforms the whole grid
-    without grid._ifft. "band" counts the d = 1 dyadic pieces synthesized
-    on the support's band instead, which make no full-grid transform. Clear
-    it to start a new count."""
+    for grid._fft; "inverse" for grid._ifft and for the dense synthesis of
+    a dyadic piece or W in norms (d = 2), which inverse-transforms the whole
+    grid without grid._ifft. "band" counts the d = 1 dyadic pieces and W
+    synthesized on the support's band instead, which make no full-grid
+    transform. Clear it to start a new count."""
     calls = Counter()
 
     def counted(original, kind):
@@ -217,6 +217,79 @@ def test_sobolev_lattice_mode():
         expected = (1.0 + k ** 2) ** (s / 2.0) * lp_norm(f, 2)
         assert sobolev_norm(f, s, 2) == pytest.approx(expected, rel=0.02)
     assert sobolev_norm(_zero(spec), 1, 2) == 0.0
+
+
+def _dense_sobolev(f, s, r):
+    """W^{s,r} on the full grid: the dense Bessel multiplier, applied to the
+    unfloored spectrum by apply_multiplier's inverse transform, then lp_norm."""
+    multiplier = (1.0 + f.spec.freq_radius() ** 2) ** (float(s) / 2.0)
+    return lp_norm(apply_multiplier(f, multiplier), r)
+
+
+def _sobolev_cases():
+    """(name, function): annulus, single-box and comb members in d = 1 and 2,
+    a space-side random function and the zero function in each dimension."""
+    spec = GridSpec(d=1, n=2 ** 10, oversampling=8)
+    random = random_band_limited(spec, band_radius=build_uniform(spec).kmax - 1, seed=5)
+    return {
+        "annulus-1d": family_annulus(spec, 4),
+        "box-1d": family_single_box(grid_for("single_box", d=1, level=4), 4),
+        "comb-1d": family_lattice_comb(grid_for("lattice_comb", d=1, level=4), 4),
+        "random-space-1d": random.in_space(),
+        "zero-1d": _zero(spec),
+        "annulus-2d": family_annulus(GridSpec(d=2, n=64, oversampling=8), 1),
+        "box-2d": family_single_box(grid_for("single_box", d=2, level=2), 2),
+        "comb-2d": family_lattice_comb(GridSpec(d=2, n=128, oversampling=8), 2, F(1, 2)),
+        "zero-2d": _zero(GridSpec(d=2, n=64, oversampling=8)),
+    }
+
+
+SOBOLEV_CASES = _sobolev_cases()
+
+
+@pytest.mark.parametrize("s", [-1, 0, 1])
+@pytest.mark.parametrize("case", SOBOLEV_CASES)
+def test_sobolev_matches_dense(case, s):
+    """At r >= 1, W from the floored support is the dense full-grid W to
+    1e-12 relative: the bins under the floor and the synthesis order move it
+    by rounding only. The zero function reads 0.0 exactly on both paths."""
+    f = SOBOLEV_CASES[case]
+    for r in (1, 2, 3, "inf"):
+        expected = _dense_sobolev(f, s, r)
+        assert (expected == 0.0) == case.startswith("zero")
+        assert sobolev_norm(f, s, r) == pytest.approx(expected, rel=1e-12, abs=0), r
+
+
+@pytest.fixture(scope="module")
+def annulus_level8():
+    return family_annulus(grid_for("annulus", level=8), 8)
+
+
+def _extended_sobolev_half(spec, spectrum, s):
+    """W^{s,1/2} of ``spectrum`` synthesized in extended precision (np.fft on
+    clongdouble) on the full grid."""
+    radius = spec.freq_radius().astype(np.longdouble)
+    piece = spectrum.astype(np.clongdouble) * (1 + radius ** 2) ** (np.longdouble(s) / 2)
+    samples = np.abs(np.fft.ifft(piece)) * (np.longdouble(spec.n) / np.longdouble(spec.period))
+    assert samples.dtype == np.longdouble
+    return float((np.longdouble(spec.cell_volume) * np.sum(np.sqrt(samples))) ** 2)
+
+
+@pytest.mark.parametrize("s", [-1, 0, 1, 2])
+def test_sobolev_below_one_matches_extended_precision(annulus_level8, s):
+    """At r = 1/2 (the p < 1 contract of the norms module: never 1e-12) W
+    is the floored spectrum's norm, like every other norm: it holds the
+    extended-precision synthesis of the support to 1e-6 relative. The dense
+    path also sums the bins under the floor; on this level-8 member they
+    move the r = 1/2 value by about 1e-5, so the two paths differ by that
+    much while each holds its own spectrum's extended-precision value."""
+    f = annulus_level8
+    support = spectral_support(f)
+    value, dense = sobolev_norm(f, s, "1/2"), _dense_sobolev(f, s, "1/2")
+    assert value == pytest.approx(
+        _extended_sobolev_half(f.spec, support.scatter(support.values), s), rel=1e-6)
+    assert dense == pytest.approx(_extended_sobolev_half(f.spec, f.values, s), rel=1e-5)
+    assert value == pytest.approx(dense, rel=2e-5)
 
 
 def test_fourier_lp_plateau(small_spec):
@@ -538,7 +611,8 @@ class _TableSpy(np.ndarray):
 def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
     """A piece is synthesized on its first R/2 + 1 residue rows in d = 1
     (N/2 + 1 rows in d = 2), once for a real patch and once more for its
-    conjugate when the patch is complex; the mirrored rows fill in the rest.
+    conjugate when the patch is complex and the grid has mirrored rows; the
+    mirrored rows fill in the rest.
     Sorted, the N^d magnitudes match the full-grid |box_apply| to 1e-13 of
     the maximum. The p = inf maximum is exactly that of the rows kept from
     the syntheses, so mirroring adds no rounding, and it is the dense
@@ -563,7 +637,7 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
 
         monkeypatch.setattr(np.fft, "ifft", spy)
         width = 2 * uniform.half_width + 1
-        expected = [(rows, _next_pow2(width))] * (1 if real else 2)
+        expected = [(rows, _next_pow2(width))] * (1 if real or rows <= 2 else 2)
     else:
         uniform.__dict__["_synthesis_table"] = uniform._synthesis_table.view(_TableSpy)
         _TableSpy.left_operands = samples
@@ -764,9 +838,8 @@ def test_support_and_dyadic_pieces_match_the_dense_arrays(case):
 
 @pytest.mark.parametrize("d", [1, 2], ids=["1d", "2d"])
 def test_norms_read_no_dense_radius_or_cube(d, monkeypatch):
-    """The M, B, F and FL norms read the coordinates and radii of the
-    support alone: none builds the dense |xi| array or the |xi|_inf mask.
-    (W's Bessel multiplier is a dense array by definition.)"""
+    """The M, B, F, W and FL norms read the coordinates and radii of the
+    support alone: none builds the dense |xi| array or the |xi|_inf mask."""
     f = family_annulus(grid_for("annulus", d=d, level=2), 2)
     uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)
 
@@ -778,6 +851,7 @@ def test_norms_read_no_dense_radius_or_cube(d, monkeypatch):
     for space in (SpaceSpec.modulation(1, 1, d=d), SpaceSpec.modulation(2, 2, d=d),
                   SpaceSpec.besov(1, 1, 0, d=d), SpaceSpec.besov(2, 2, 0, d=d),
                   SpaceSpec.triebel(1, 2, 0, d=d), SpaceSpec.triebel(2, 2, 0, d=d),
+                  SpaceSpec.sobolev(1, 1, d=d), SpaceSpec.sobolev(2, 0, d=d),
                   SpaceSpec.fourier_l(1, d=d)):
         assert space_norm(f, space, uniform, dyadic) > 0.0
 
@@ -812,25 +886,38 @@ def _annulus_2d():
                  _single_box_1d, (0, 0, 1), (1, 0, 1), id="triebel-q1"),
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 2, 2, 0, uniform),
                  _single_box_1d, (0, 0, 0), (1, 0, 0), id="modulation"),
+    pytest.param(lambda f, uniform, dyadic: fourier_lp_norm(f, 1),
+                 _single_box_1d, (0, 0, 0), (1, 0, 0), id="fourier-l"),
+    pytest.param(lambda f, uniform, dyadic: sobolev_norm(f, 1, 1),
+                 _single_box_1d, (0, 0, 1), (1, 0, 1), id="sobolev"),
     # two norms of one function share its one floor, so its one forward transform
     pytest.param(lambda f, uniform, dyadic: (besov_norm(f, 1, 2, 0, dyadic),
                                              modulation_norm(f, 2, 2, 0, uniform)),
                  _single_box_1d, (0, 0, 1), (1, 0, 1), id="besov-p1+modulation"),
+    pytest.param(lambda f, uniform, dyadic: (sobolev_norm(f, 1, 1),
+                                             modulation_norm(f, 1, 1, 0, uniform)),
+                 _single_box_1d, (0, 0, 1), (1, 0, 1), id="sobolev+modulation-p1"),
     # in d = 2 each of the three reached levels is one full-grid inverse
     pytest.param(lambda f, uniform, dyadic: besov_norm(f, 1, 2, 0, dyadic),
                  _annulus_2d, (0, 3, 0), (1, 3, 0), id="besov-p1-2d"),
     pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 1, 1, 0, dyadic),
                  _annulus_2d, (0, 3, 0), (1, 3, 0), id="triebel-p1-q1-2d"),
+    # W is one piece: one full-grid inverse in d = 2; box pieces make none
+    pytest.param(lambda f, uniform, dyadic: sobolev_norm(f, 1, 1),
+                 _annulus_2d, (0, 1, 0), (1, 1, 0), id="sobolev-2d"),
+    pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 1, 1, 0, uniform),
+                 _annulus_2d, (0, 0, 0), (1, 0, 0), id="modulation-p1-2d"),
 ])
 def test_full_grid_transform_count(full_grid_transforms, norm, member,
                                    member_calls, space_calls):
     """(forward, inverse, band) transforms per norm. A family member is its
     spectrum, so no norm forward-transforms it; its space samples take one
-    forward transform, shared by the band check and the norm. L^2 piece
+    forward transform, shared by the band check and the norms. L^2 piece
     norms come from the spectrum, so Besov at p = 2 and Triebel at
-    p = q = 2 synthesize nothing. Elsewhere only the reached dyadic levels
-    are synthesized: in d = 1 on the support's band, with no full-grid
-    inverse transform, and in d = 2 by one full-grid inverse each.
+    p = q = 2 synthesize nothing, and FL reads only the spectrum. Elsewhere
+    only the reached dyadic levels, and W as one piece, are synthesized: in
+    d = 1 on the support's band, with no full-grid inverse transform, and
+    in d = 2 by one full-grid inverse each. Box pieces make none.
     Full-grid work on empty pieces would show here as extra transforms."""
     f = member()
     uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)

@@ -21,6 +21,8 @@ CONSUMERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 EXEMPT = {
     "box_apply": "dense reference that the pruned box pieces are tested against",
     "delta_apply": "dense reference that the dyadic pieces are tested against",
+    "lp_norm": "dense reference that every norm is tested against; exported in "
+               "modemb.__all__",
     **dict.fromkeys(
         ("tau", "sigma", "tau_region", "sigma_region"),
         "exact index function exported in modemb.__all__; the oracle computes "
