@@ -73,9 +73,10 @@ def _finish(spec: GridSpec, values: np.ndarray, bins: np.ndarray | None = None) 
     """The member whose spectrum is ``values``, after the band-margin check
     on the bins above the spectral floor. ``values`` is the generator's fresh
     complex128 array and is handed over without a copy, with ``bins``, the
-    ascending flat indices of the only bins the single-box generator wrote
-    (None for any other spectrum). The margin check floors it into the member's one
-    Support, reading only ``bins`` when given, and the norms then read it."""
+    ascending flat indices of the only bins the single-box or annulus
+    generator wrote (None for any other spectrum). The margin check floors
+    it into the member's one Support, reading only ``bins`` when given, and
+    the norms then read it."""
     f = GridFunction.adopt(spec, values, FREQUENCY, bins)
     support = spectral_support(f)
     if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
@@ -181,11 +182,28 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
 
 
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
-    """Spectrum phi_level: the dyadic window itself. The partition dies within
-    the expression, so its arrays are freed before the member is floored."""
+    """Spectrum phi_level: the dyadic window itself, built on its bins only.
+    phi_level is exactly 0 off lo <= |xi| < hi (``DyadicPartition.support``),
+    so radii are taken on the cube |xi|_inf < hi alone, by ``freq_at`` and
+    the operations of ``freq_radius`` in its order, and phi_level is
+    evaluated at the bins with lo <= |xi| < hi. Each value is the dense
+    window's bit for bit; the member's floor reads those bins only. The
+    partition admits only hi <= (3/4) Omega, so the cube is inside the grid:
+    the samples o from its centre with |o| <= hi M, filtered by |xi| < hi."""
     level = _integer_level(level, least=0)
-    return _finish(spec, build_dyadic(spec, levels=max(level, 1)).window(level)
-                   .astype(np.complex128))
+    dyadic = build_dyadic(spec, levels=max(level, 1))
+    lo, hi = dyadic.support(level)
+    reach = int(hi * spec.oversampling)
+    index = spec.n // 2 + np.arange(-reach, reach + 1)
+    xi = spec.freq_at(index)
+    inside = np.abs(xi) < hi
+    index, xi = index[inside], xi[inside]
+    radius = np.sqrt(separable(np.add, (xi ** 2,) * spec.d))
+    on = np.nonzero((lo <= radius) & (radius < hi))
+    bins = np.ravel_multi_index(tuple(index[i] for i in on), spec.shape())
+    out = np.zeros(spec.shape(), dtype=np.complex128)
+    out.reshape(-1)[bins] = dyadic.phi(level, radius[on])
+    return _finish(spec, out, bins)
 
 
 def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:

@@ -22,9 +22,9 @@ or view stays isolated from ``f.values``. An internal producer that built
 its samples fresh (a transform, a multiplier, a family spectrum, a box
 piece) hands the array over with ``GridFunction.adopt``, which freezes it
 first; it keeps no other reference to it. A producer that wrote only some
-bins of a fresh zero spectrum (the single-box family) hands over their flat
-indices too, as ``bins``; every other producer, and direct construction,
-leaves ``bins`` None.
+bins of a fresh zero spectrum (the single-box and annulus families) hands
+over their flat indices too, as ``bins``; every other producer, and direct
+construction, leaves ``bins`` None.
 
 Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
 keeps the bins above the floor, with their coordinates and radii computed at
@@ -322,7 +322,9 @@ class Support:
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """A fresh zero N^d complex array holding ``values`` at the support's
-        bins; ``scatter(self.values)`` is the floored spectrum."""
+        bins; ``scatter(self.values)`` is the floored spectrum. The norms
+        scatter only where a synthesis needs all N^d samples: d = 2 dyadic
+        pieces at p != 2, and W in d = 2."""
         out = np.zeros(self.spec.shape(), dtype=np.complex128)
         out.reshape(-1)[self.flat] = values
         return out

@@ -22,21 +22,23 @@ the support's band as a box piece is (``_piece_synthesis``), with no N-point
 complex grid; in d = 2 it is scattered into a fresh zero grid for the
 inverse FFT. W is one more piece: the Bessel multiplier at the support's
 radii times its values, floored like the rest. Fourier-L^p sums the compact
-magnitudes. No norm builds a dense radius, mask or window, and a single-box
-member's floor reads only the bins its generator wrote
-(``GridFunction.bins``), so it is floored at the cost of those bins; its
-full-grid passes are the norms' own: the zero grid its box pieces are cut
-from, and in d = 2 the inverse FFT of W and of each dyadic piece at p != 2.
+magnitudes. No norm builds a dense radius, mask or window. Box patches are
+cut from a block the size of the support's bounding box, not from an N^d
+grid (``box_piece_norms``). A single-box or annulus member's floor reads
+only the bins its generator wrote (``GridFunction.bins``), so it is floored
+at the cost of those bins. The only full-grid passes left are in d = 2: the
+inverse FFT of W and of each dyadic piece at p != 2.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
 skip the grid's centering shifts, so their magnitudes come in transform
 order, or in residue rows when pruned, and round unlike ``transform``'s,
-again by about 1e-16. At p < 1 it holds only about 1e-7 relative (1e-6 at
-N = 2^17): the sum of |x|^p is dominated by space samples at roundoff level
-in each piece's tails, which p < 1 amplifies, so a change to the rounding of
-a transform moves the value in the seventh or eighth digit. Never gate a
-p < 1 value at 1e-12; compare it against an extended-precision reference.
+again by about 1e-16. At p < 1 it holds only about 1e-7 relative, and
+1.3e-6 for B^0_{1/2,1} of the level-8 d = 1 annulus (N = 2^17): the sum of
+|x|^p is dominated by space samples at roundoff level in each piece's tails,
+which p < 1 amplifies, so a change to the rounding of a transform moves the
+value in the sixth to eighth digit. Never gate a p < 1 value at 1e-12;
+compare it against an extended-precision reference.
 The floor moves it more: by 1e-5 for W^{s,1/2} on the level-8 d = 1 annulus.
 """
 from __future__ import annotations
@@ -94,6 +96,19 @@ def _check_band(support: Support, outside: np.ndarray, edge: str, partition: str
                              f"the {partition} partition does not cover this function")
 
 
+def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]]:
+    """(block, origin): a fresh zero complex array holding the support's
+    values at its bins, over the bounding box of its bins widened by
+    ``margin`` samples on each side and clipped to the grid, and the grid's
+    per-axis indices of its first sample. The support must have a bin."""
+    n = support.spec.n
+    origin = [max(int(i.min()) - margin, 0) for i in support.index]
+    ends = [min(int(i.max()) + margin + 1, n) for i in support.index]
+    block = np.zeros([end - start for start, end in zip(origin, ends)], dtype=np.complex128)
+    block[tuple(i - start for i, start in zip(support.index, origin))] = support.values
+    return block, origin
+
+
 def box_piece_norms(support: Support, p, uniform: UniformPartition):
     """(``uniform.lattice()``, the L^p norms of the uniform pieces at its
     points): the read-only lattice array and one norm per row of it, for the
@@ -130,22 +145,31 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     the norm is reused for the rest of the orbit. The memo lives for this
     call only and holds no arrays: one float norm per orbit key.
 
+    Patches are cut from the support's block (``_support_block``): the
+    bounding box of its bins, widened by 2 w samples per side and clipped to
+    the grid. A window that holds a bin lies within 2 w of it, so every
+    visited window is inside the block, and its patch is the one the dense
+    floored spectrum gives, byte for byte. A zero support visits nothing.
+
     The syntheses share one pair of work arrays
-    (``UniformPartition.work_arrays``), allocated before the dense spectrum.
+    (``UniformPartition.work_arrays``), allocated before the block.
     Fresh arrays per synthesis got new pages or recycled ones as the
     allocator's history decided: 51,500 or 3,900 page faults, 0.19 or
-    0.11 s, for the 512^2 annulus member. Allocated after the spectrum, the
-    pair raised the peak RSS by 1.6 MiB in 6 of 16 fresh interpreters.
+    0.11 s, for the 512^2 annulus member. Allocated after the dense
+    spectrum the patches were then cut from, the pair raised the peak RSS
+    by 1.6 MiB in 6 of 16 fresh interpreters.
     """
     spec, peak = support.spec, support.peak
-    parseval = Exponent.of(p) == 2
-    work = None if parseval else uniform.work_arrays()
-    spectrum = support.scatter(support.values)
     points = uniform.lattice()
     norms = np.zeros(len(points))
+    if not support.flat.size:
+        return points, norms
+    parseval = Exponent.of(p) == 2
+    work = None if parseval else uniform.work_arrays()
+    block, origin = _support_block(support, 2 * uniform.half_width)
     memo = {}
     for i in uniform.reached(support):
-        _, patch = uniform.patch(spectrum, points[i])
+        _, patch = uniform.patch(block, points[i], origin)
         if np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
         if parseval:

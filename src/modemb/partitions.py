@@ -31,7 +31,9 @@ found from its sample indices alone, and a level is reached when its radii
 meet the bins' radius span. ``DyadicPartition`` holds no per-sample array:
 ``phi`` evaluates phi_j at the radii it is given, sample by sample, and
 ``window`` is the dense reference built from it on each call, for
-``delta_apply``, ``partition_sum`` and the annulus family.
+``delta_apply`` and the tests; the annulus family evaluates ``phi`` at its
+own bins. The box loop cuts patches from a block of the support's bins
+(``patch`` with an ``origin``), not from an N^d grid.
 """
 from __future__ import annotations
 
@@ -106,13 +108,17 @@ class UniformPartition:
         """Window half-width in samples: (3/4) * M."""
         return (3 * self.spec.oversampling) // 4
 
-    def _axis_slice(self, k: int) -> slice:
-        center = self.spec.n // 2 + k * self.spec.oversampling
+    def _axis_slice(self, k: int, start: int) -> slice:
+        center = self.spec.n // 2 + k * self.spec.oversampling - start
         return slice(center - self.half_width, center + self.half_width + 1)
 
-    def _slices(self, k: tuple[int, ...]) -> tuple[slice, ...]:
-        """The support of sigma_k: one axis slice per coordinate of k."""
-        return tuple(self._axis_slice(c) for c in k)
+    def _slices(self, k: tuple[int, ...], origin=None) -> tuple[slice, ...]:
+        """The support of sigma_k: one axis slice per coordinate of k, into
+        an array whose first sample sits at the grid's per-axis indices
+        ``origin`` (by default the grid's own first sample)."""
+        if origin is None:
+            origin = (0,) * len(k)
+        return tuple(self._axis_slice(c, start) for c, start in zip(k, origin))
 
     @cached_property
     def _tile(self) -> np.ndarray:
@@ -128,8 +134,9 @@ class UniformPartition:
 
     @cached_property
     def _lattice(self) -> np.ndarray:
-        axis = range(-self.kmax, self.kmax + 1)
-        points = np.array(list(itertools.product(axis, repeat=self.spec.d)))
+        axis = np.arange(-self.kmax, self.kmax + 1)
+        grids = np.meshgrid(*(axis,) * self.spec.d, indexing="ij")
+        points = np.stack(grids, axis=-1).reshape(-1, self.spec.d)
         points.flags.writeable = False
         return points
 
@@ -141,11 +148,14 @@ class UniformPartition:
         out[self._slices(k)] = self._tile
         return out
 
-    def patch(self, spectrum: np.ndarray, k) -> tuple[tuple[slice, ...], np.ndarray]:
-        """(slices, sigma_k * spectrum restricted to the window support)."""
+    def patch(self, spectrum: np.ndarray, k, origin=None) -> tuple[tuple[slice, ...], np.ndarray]:
+        """(slices, sigma_k * spectrum restricted to the window support).
+        ``spectrum`` is the N^d spectrum, or a block of it that holds the
+        window and whose first sample sits at the grid's per-axis indices
+        ``origin``; the slices index ``spectrum``."""
         k = _as_lattice_point(k, self.spec.d)
         self._check_index(k)
-        sl = self._slices(k)
+        sl = self._slices(k, origin)
         return sl, spectrum[sl] * self._tile
 
     def reached(self, support: Support) -> list[int]:
@@ -218,15 +228,16 @@ class UniformPartition:
         every image only permutes the piece's sample magnitudes (in d = 2,
         conjugating the inner sum sends the outer index m to -m). The L^p
         norm is the same on the orbit in exact arithmetic; only rounding
-        differs."""
+        differs. x + 0.0 and conj(x) + 0.0 are formed once, and every image
+        is a reversed or transposed view of one of them."""
         d = patch.ndim
+        plain, conjugate = patch + 0.0, np.conj(patch) + 0.0
         images = []
         for flips in itertools.product((False, True), repeat=d):
-            x = patch[tuple(slice(None, None, -1 if f else 1) for f in flips)]
-            if sum(flips) % 2:
-                x = np.conj(x)
+            x = (conjugate if sum(flips) % 2 else plain)[
+                tuple(slice(None, None, -1 if f else 1) for f in flips)]
             images.extend(x.transpose(axes) for axes in itertools.permutations(range(d)))
-        return min((x + 0.0).tobytes() for x in images)
+        return min(x.tobytes() for x in images)
 
     def _check_index(self, k) -> None:
         if max(abs(c) for c in k) > self.kmax:

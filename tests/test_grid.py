@@ -27,6 +27,7 @@ from modemb.grid import (
     lq_seq_norm,
     transform,
 )
+from modemb.partitions import build_dyadic
 
 
 @pytest.fixture
@@ -305,15 +306,28 @@ def test_members_share_memory_with_nothing_writable(kind):
     np.testing.assert_array_equal(first.values, second.values)
 
 
-BOX_MEMBERS = {f"single_box-d{d}": family_single_box(grid_for("single_box", d=d, level=5), 5)
-               for d in (1, 2)}
+# Annulus members (grid, level): in d = 1 at levels 0, 1, 4 and 8 on their
+# own grids and at the top level of a small grid, whose cube |xi|_inf < hi
+# spans 3/4 of the band (hi = 3/2 2^l <= (3/4) Omega at every level the
+# partition admits, so no cube reaches further), and in d = 2 at levels 2
+# and 3.
+ANNULUS_CASES = {f"annulus-d{d}-l{level}": (grid_for("annulus", d=d, level=level), level)
+                 for d, level in ((1, 0), (1, 1), (1, 4), (1, 8), (2, 2), (2, 3))}
+ANNULUS_CASES["annulus-d1-top"] = (GridSpec(d=1, n=256, oversampling=8), 3)
+
+# Members whose generator hands its bins to the floor.
+BOX_MEMBERS = {
+    **{f"single_box-d{d}": lambda d=d: family_single_box(grid_for("single_box", d=d, level=5), 5)
+       for d in (1, 2)},
+    **{name: lambda case=case: family_annulus(*case) for name, case in ANNULUS_CASES.items()},
+}
 
 
 @pytest.mark.parametrize("name", BOX_MEMBERS)
 def test_bins_floor_equals_the_dense_floor(name):
     """A member floored on the bins its generator wrote has the Support of
     the whole spectrum's floor, array for array, dtype and bit for bit."""
-    f = BOX_MEMBERS[name]
+    f = BOX_MEMBERS[name]()
     assert f.bins is not None and f.bins.size < f.values.size
     assert not f.bins.flags.writeable and np.all(np.diff(f.bins) > 0)
     support, dense = f.support, grid._floor(GridFunction(f.spec, f.values, FREQUENCY))
@@ -325,12 +339,21 @@ def test_bins_floor_equals_the_dense_floor(name):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("name", ANNULUS_CASES)
+def test_annulus_member_is_the_dense_window(name):
+    """An annulus member built on its bins holds the dense window phi_l of
+    the partition it is built with, byte for byte."""
+    spec, level = ANNULUS_CASES[name]
+    window = build_dyadic(spec, max(level, 1)).window(level).astype(np.complex128)
+    assert family_annulus(spec, level).values.tobytes() == window.tobytes()
+
+
 @pytest.mark.parametrize("kind", GENERATOR_CALLS)
 def test_only_box_generators_set_bins(kind):
     """Members of the other generators, transforms and direct construction
     have no bins."""
     f = GENERATOR_CALLS[kind]()
-    assert (f.bins is not None) == (kind == "single_box")
+    assert (f.bins is not None) == (kind in ("single_box", "annulus"))
     assert f.in_space().bins is None and f.in_space().in_frequency().bins is None
     assert GridFunction(f.spec, f.values, FREQUENCY).bins is None
 

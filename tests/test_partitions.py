@@ -1,5 +1,6 @@
 """Partition-of-unity invariants, decomposition operators, and index sets."""
 import functools
+import itertools
 import re
 import warnings
 from fractions import Fraction
@@ -432,3 +433,19 @@ def test_lattice_weights_match_pointwise_powers(spec, s):
         assert np.array_equal(weights, reference) and np.all(weights == 1.0)
     else:
         assert np.max(np.abs(weights - reference) / reference) <= 1e-15
+
+
+@pytest.mark.parametrize("spec,kmax", [(GridSpec(d=1, n=2 ** 12, oversampling=8), 1),
+                                       (GridSpec(d=1, n=2 ** 12, oversampling=8), None),
+                                       (GridSpec(d=2, n=2 ** 7, oversampling=8), 1),
+                                       (GridSpec(d=2, n=512, oversampling=8), None)])
+def test_lattice_is_the_lexicographic_product(spec, kmax):
+    """The lattice built by arithmetic is the itertools product it replaced:
+    the same dtype, shape, order and bytes, read-only and kept."""
+    uniform = build_uniform(spec, kmax)
+    axis = range(-uniform.kmax, uniform.kmax + 1)
+    reference = np.array(list(itertools.product(axis, repeat=spec.d)))
+    points = uniform.lattice()
+    assert points.dtype == reference.dtype and points.shape == reference.shape
+    assert points.flags.c_contiguous and points.tobytes() == reference.tobytes()
+    assert not points.flags.writeable and uniform.lattice() is points
