@@ -10,7 +10,8 @@ p = 1/2 (NARROW_BUMP's edge spans about one sample at M = 64), the comb by
 0.11 in M at p = 1, the annulus by 6.7e-5 in M at p = 1; in d = 2 the
 level-3 annulus reads M[p=1,q=1] 15 % low at M = 8. Slopes mostly survive,
 as the error is nearly the same at every level; absolute values do not.
-The norms read a member without a forward transform; ``in_space()`` gives
+The norms read a member's Support (``GridFunction.support``), floored once
+by the band-margin check, with no forward transform; ``in_space()`` gives
 the space samples. Identical parameters yield bit-identical samples.
 
 The family table, ``_TABLE``, is the one place a family kind is defined: one
@@ -28,7 +29,7 @@ import numpy as np
 
 from .exponents import as_fraction
 from .grid import FREQUENCY, MAX_SAMPLES, BandLimitError, GridFunction, GridSpec, band_leak, \
-    separable, spectral_support, _next_pow2
+    separable, _next_pow2
 from .partitions import (
     ResolutionError,
     _annulus_membership,
@@ -78,7 +79,7 @@ def _finish(spec: GridSpec, values: np.ndarray, bins: np.ndarray | None = None) 
     it into the member's one Support, reading only ``bins`` when given, and
     the norms then read it."""
     f = GridFunction.adopt(spec, values, FREQUENCY, bins)
-    support = spectral_support(f)
+    support = f.support
     if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
     return f
@@ -187,9 +188,10 @@ def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     so radii are taken on the cube |xi|_inf < hi alone, by ``freq_at`` and
     the operations of ``freq_radius`` in its order, and phi_level is
     evaluated at the bins with lo <= |xi| < hi. Each value is the dense
-    window's bit for bit; the member's floor reads those bins only. The
-    partition admits only hi <= (3/4) Omega, so the cube is inside the grid:
-    the samples o from its centre with |o| <= hi M, filtered by |xi| < hi."""
+    window's, phi_level at ``freq_radius()``, bit for bit; the member's
+    floor reads those bins only. The partition admits only hi <= (3/4)
+    Omega, so the cube is inside the grid: the samples o from its centre
+    with |o| <= hi M, filtered by |xi| < hi."""
     level = _integer_level(level, least=0)
     dyadic = build_dyadic(spec, levels=max(level, 1))
     lo, hi = dyadic.support(level)

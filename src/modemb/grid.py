@@ -19,22 +19,22 @@ Ownership. A ``GridFunction``'s samples are read-only. The constructor
 adopts, without a copy, an array that is complex128, C-contiguous, read-only
 and owns its data; it copies any other input, so a caller's writable array
 or view stays isolated from ``f.values``. An internal producer that built
-its samples fresh (a transform, a multiplier, a family spectrum, a box
-piece) hands the array over with ``GridFunction.adopt``, which freezes it
-first; it keeps no other reference to it. A producer that wrote only some
-bins of a fresh zero spectrum (the single-box and annulus families) hands
-over their flat indices too, as ``bins``; every other producer, and direct
-construction, leaves ``bins`` None.
+its samples fresh (a transform or a family spectrum) hands the array over
+with ``GridFunction.adopt``, which freezes it first; it keeps no other
+reference to it. A producer that wrote only some bins of a fresh zero
+spectrum (the single-box and annulus families) hands over their flat
+indices too, as ``bins``; every other producer, and direct construction,
+leaves ``bins`` None.
 
-Support. ``spectral_support`` floors a spectrum at 1e-13 of its peak and
-keeps the bins above the floor, with their coordinates and radii computed at
-those bins alone; ``band_leak`` reads a band check off them. A function with
-few nonzero bins is then checked and measured without a dense N^d mask. The
-floor reads the whole spectrum, or only its ``bins`` when they are set:
-every other bin is exactly 0 and cannot pass the floor, so the Support is
-the whole spectrum's, array for array and bit for bit. The floor is taken
-at most once per function: ``GridFunction.support`` is built on first read
-and kept, and its arrays are read-only, so every reader (the family's
+Support. ``GridFunction.support`` floors a spectrum at 1e-13 of its peak
+and keeps the bins above the floor, with their coordinates and radii
+computed at those bins alone; ``band_leak`` reads a band check off them. A
+function with few nonzero bins is then checked and measured without a dense
+N^d mask. The floor reads the whole spectrum, or only its ``bins`` when
+they are set: every other bin is exactly 0 and cannot pass the floor, so
+the Support is the whole spectrum's, array for array and bit for bit. The
+floor is taken at most once per function: the Support is built on first
+read and kept, and its arrays are read-only, so every reader (the family's
 margin check and each norm) shares it.
 """
 from __future__ import annotations
@@ -134,9 +134,6 @@ class GridSpec:
         """Frequency Riemann cell delta^d."""
         return self.delta ** self.d
 
-    def space_axis(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * (self.period / self.n)
-
     def freq_axis(self) -> np.ndarray:
         return self.freq_at(np.arange(self.n))
 
@@ -148,10 +145,6 @@ class GridSpec:
     def freq_radius(self) -> np.ndarray:
         """|xi| at every frequency sample; sqrt(xi^2) is exactly |xi| in d = 1."""
         return np.sqrt(separable(np.add, (self.freq_axis() ** 2,) * self.d))
-
-    def freq_outside_cube(self, radius: float) -> np.ndarray:
-        """Mask of the frequency samples with |xi|_inf > radius."""
-        return separable(np.logical_or, (np.abs(self.freq_axis()) > radius,) * self.d)
 
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
@@ -204,8 +197,9 @@ class GridFunction:
 
     @functools.cached_property
     def support(self) -> "Support":
-        """The bins of the spectrum above the floor (``spectral_support``),
-        floored on first read and kept; a space-side function pays its one
+        """The bins of the spectrum whose magnitude exceeds _SPECTRUM_FLOOR
+        times the peak, floored on first read (``_floor``) and kept, so every
+        read returns the same object; a space-side function pays its one
         forward transform then. A NaN or Inf sample raises NonFiniteError on
         every read."""
         return _floor(self)
@@ -247,18 +241,6 @@ def transform(f: GridFunction, side: str) -> GridFunction:
     return GridFunction.adopt(spec, out, side)
 
 
-def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
-    """Apply a frequency-side multiplier: returns the space-side inverse
-    transform of multiplier * spectrum. Linear in f."""
-    multiplier = np.asarray(multiplier)
-    if multiplier.shape != f.spec.shape():
-        raise ValueError(
-            f"multiplier shape {multiplier.shape} does not match grid {f.spec.shape()}"
-        )
-    spectrum = f.in_frequency().values
-    return transform(GridFunction.adopt(f.spec, multiplier * spectrum, FREQUENCY), SPACE)
-
-
 def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
     """Riemann-sum L^p quasi-norm of the sample magnitudes ``mags``, which
     the caller takes with np.abs; max for p = inf. At p = 1 the magnitudes
@@ -271,12 +253,6 @@ def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
     pf = float(p.value)
     total = np.sum(mags) if pf == 1.0 else np.sum(mags ** pf)
     return float((cell_volume * total) ** (1.0 / pf))
-
-
-def lp_norm(f: GridFunction, p) -> float:
-    """Riemann-sum L^p quasi-norm of f's space samples; max for p = inf. A
-    frequency-side f is transformed to space first."""
-    return _riemann_lp(np.abs(f.in_space().values), f.spec.cell_volume, p)
 
 
 def lq_seq_norm(values, q, weights=None) -> float:
@@ -330,21 +306,12 @@ class Support:
         return out
 
     def outside_cube(self, radius: float) -> np.ndarray:
-        """Which bins have |xi|_inf > radius: ``GridSpec.freq_outside_cube``
-        read at the support, bin for bin."""
+        """Which bins have |xi|_inf > radius, read from their coordinates."""
         return functools.reduce(np.logical_or, (np.abs(c) > radius for c in self.coords))
 
 
-def spectral_support(f: GridFunction) -> Support:
-    """The bins of f's spectrum whose magnitude exceeds _SPECTRUM_FLOOR times
-    the peak; NonFiniteError if a sample is NaN or Inf (the peak is then NaN
-    or Inf). This is ``f.support``: f is floored on the first call only, and
-    every call returns the same object."""
-    return f.support
-
-
 def _floor(f: GridFunction) -> Support:
-    """``spectral_support``, computed. A space-side f takes one forward
+    """``f.support``, computed. A space-side f takes one forward
     transform. The floor reads f's ``bins`` when it has them, and otherwise
     the whole spectrum; the bins left out are 0, so the result is the same.
     Coordinates come from ``freq_at`` and radii by the operations of

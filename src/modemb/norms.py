@@ -7,8 +7,8 @@ norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
 both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
-Support. Every norm reads the member's one Support (``spectral_support``,
-the ``grid.Support`` kept on f): the flat indices, values, magnitudes,
+Support. Every norm reads the member's one Support (``f.support``, the
+``grid.Support`` kept on f): the flat indices, values, magnitudes,
 frequency coordinates and radii of the bins above 1e-13 of the peak. f is
 floored when the Support is first read, by the family's margin check for a
 member, and every later norm of f shares it. The rest reads only those bins.
@@ -16,30 +16,32 @@ The band checks (the cube |xi|_inf > kmax - 1, the dyadic ball
 |xi| > 1.25 * 2^levels) test their coordinates; a bin under the floor could
 not pass the 1e-12 gate, so the decision is the dense one. phi_j is
 evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is bit
-for bit ``window(j) * spectrum`` on the support and 0 off it; at p = 2
-Parseval sums the compact piece. Otherwise, in d = 1, it is synthesized on
-the support's band as a box piece is (``_piece_synthesis``), with no N-point
-complex grid; in d = 2 it is scattered into a fresh zero grid for the
-inverse FFT. W is one more piece: the Bessel multiplier at the support's
-radii times its values, floored like the rest. Fourier-L^p sums the compact
-magnitudes. No norm builds a dense radius, mask or window. Box patches are
-cut from a block the size of the support's bounding box, not from an N^d
-grid (``box_piece_norms``). A single-box or annulus member's floor reads
-only the bins its generator wrote (``GridFunction.bins``), so it is floored
-at the cost of those bins. The only full-grid passes left are in d = 2: the
-inverse FFT of W and of each dyadic piece at p != 2.
+for bit the dense phi_j(|xi|) times the spectrum on the support and 0 off
+it; at p = 2 Parseval sums the compact piece. Otherwise, in d = 1, it is
+synthesized on the support's band as a box piece is (``_piece_synthesis``),
+with no N-point complex grid; in d = 2 it is scattered into a fresh zero
+grid for the inverse FFT. W is one more piece: the Bessel multiplier at the
+support's radii times its values. Fourier-L^p sums the compact magnitudes.
+No norm builds a dense radius, mask or window. Box patches are cut from a
+block the size of the support's bounding box (``box_piece_norms``), with a
+uniform partition of f's own grid. A single-box or annulus member's floor
+reads only the bins its generator wrote (``GridFunction.bins``). The only
+full-grid passes left are in d = 2: the inverse FFT of W and of each dyadic
+piece at p != 2.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
 skip the grid's centering shifts, so their magnitudes come in transform
 order, or in residue rows when pruned, and round unlike ``transform``'s,
-again by about 1e-16. At p < 1 it holds only about 1e-7 relative, and
-1.3e-6 for B^0_{1/2,1} of the level-8 d = 1 annulus (N = 2^17): the sum of
-|x|^p is dominated by space samples at roundoff level in each piece's tails,
-which p < 1 amplifies, so a change to the rounding of a transform moves the
-value in the sixth to eighth digit. Never gate a p < 1 value at 1e-12;
-compare it against an extended-precision reference.
-The floor moves it more: by 1e-5 for W^{s,1/2} on the level-8 d = 1 annulus.
+again by about 1e-16. At p < 1 a norm holds only about 1e-7 relative: the
+sum of |x|^p is dominated by space samples at roundoff level in each
+piece's tails, which p < 1 amplifies, so a change to the rounding of a
+transform moves the value in the sixth to eighth digit. On the level-8
+d = 1 annulus (N = 2^17), against extended-precision syntheses of the same
+floored spectrum, B^0_{1/2,1} is 1.3e-6 off, F^0_{1/2,q} 4.2e-7 (q = 1) to
+4.8e-8 (q = inf), and a box piece at p = 1/2 within 3e-11. Never gate a
+p < 1 value at 1e-12; compare it against an extended-precision reference.
+The floor moves it more: by 1e-5 for W^{s,1/2} on that member.
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ from .grid import (
     Support,
     band_leak,
     lq_seq_norm,
-    spectral_support,
     _next_pow2,
     _riemann_lp,
 )
@@ -96,6 +97,14 @@ def _check_band(support: Support, outside: np.ndarray, edge: str, partition: str
                              f"the {partition} partition does not cover this function")
 
 
+def _check_grid(spec, uniform: UniformPartition) -> None:
+    """ValueError unless ``uniform`` was built on the grid ``spec``; on
+    another grid its windows would cut the wrong bins."""
+    if uniform.spec != spec:
+        raise ValueError(f"uniform partition built on {uniform.spec} does not "
+                         f"match the function's grid {spec}")
+
+
 def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]]:
     """(block, origin): a fresh zero complex array holding the support's
     values at its bins, over the bounding box of its bins widened by
@@ -112,7 +121,7 @@ def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]
 def box_piece_norms(support: Support, p, uniform: UniformPartition):
     """(``uniform.lattice()``, the L^p norms of the uniform pieces at its
     points): the read-only lattice array and one norm per row of it, for the
-    floored spectrum whose bins are ``support``.
+    floored spectrum whose bins are ``support``, on a partition of its grid.
 
     Only the boxes ``uniform.reached`` lists are visited: those whose window
     (per axis, the samples c_k - w .. c_k + w) holds a bin of the support.
@@ -160,6 +169,7 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     by 1.6 MiB in 6 of 16 fresh interpreters.
     """
     spec, peak = support.spec, support.peak
+    _check_grid(spec, uniform)
     points = uniform.lattice()
     norms = np.zeros(len(points))
     if not support.flat.size:
@@ -184,11 +194,13 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
 
 def modulation_norm(f: GridFunction, p, q, s,
                     uniform: UniformPartition | None = None) -> float:
-    """|| <k>^s ||box_k f||_p ||_{l^q} over the partition's lattice."""
+    """|| <k>^s ||box_k f||_p ||_{l^q} over the partition's lattice; a
+    partition of another grid than f's is refused (ValueError)."""
     if uniform is None:
         uniform = build_uniform(f.spec)
+    _check_grid(f.spec, uniform)
     edge = uniform.kmax - 1
-    support = spectral_support(f)
+    support = f.support
     _check_band(support, support.outside_cube(edge), f"|xi|_inf = {edge}", "uniform")
     points, norms = box_piece_norms(support, p, uniform)
     return lq_seq_norm(norms, q, lattice_weights(points, s))
@@ -198,12 +210,12 @@ def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
     """f's support, after the dyadic band check, and an iterator of
     (j, delta_j f on the frequency side at the support's bins) over the
     levels ``dyadic.reached`` lists. A piece is phi_j at the support's radii
-    times its values, bit for bit ``window(j) * spectrum`` at those bins;
-    off the support both are 0. Every other level's window is exactly 0 on
+    times its values, bit for bit the dense window times the spectrum at
+    those bins; off the support both are 0. Every other level's window is exactly 0 on
     each bin of the support (see ``DyadicPartition.support``), so its piece
     is identically zero."""
     edge = 1.25 * 2 ** dyadic.levels
-    support = spectral_support(f)
+    support = f.support
     _check_band(support, support.radius > edge, f"|xi| = {edge:g}", "dyadic")
     return support, ((j, dyadic.phi(j, support.radius) * support.values)
                      for j in dyadic.reached(support))
@@ -310,7 +322,7 @@ def triebel_norm(f: GridFunction, p, q, s,
 
 def sobolev_norm(f: GridFunction, s, r) -> float:
     """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is."""
-    spec, support = f.spec, spectral_support(f)
+    spec, support = f.spec, f.support
     multiplier = (1.0 + support.radius ** 2) ** (float(s) / 2.0)
     mags = _piece_synthesis(support)(multiplier * support.values)
     return (spec.n / spec.period) ** spec.d * _riemann_lp(mags, spec.cell_volume, r)
@@ -318,7 +330,7 @@ def sobolev_norm(f: GridFunction, s, r) -> float:
 
 def fourier_lp_norm(f: GridFunction, r) -> float:
     """Riemann L^r norm of the frequency-side samples (delta^d per cell)."""
-    return _riemann_lp(spectral_support(f).mags, f.spec.freq_cell_volume, r)
+    return _riemann_lp(f.support.mags, f.spec.freq_cell_volume, r)
 
 
 def space_norm(f: GridFunction, space: SpaceSpec,

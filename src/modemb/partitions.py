@@ -29,11 +29,11 @@ Support. The norms hand both partitions the bins of the floored spectrum
 boxes or levels those bins meet: a bin lies in at most 2^d uniform windows,
 found from its sample indices alone, and a level is reached when its radii
 meet the bins' radius span. ``DyadicPartition`` holds no per-sample array:
-``phi`` evaluates phi_j at the radii it is given, sample by sample, and
-``window`` is the dense reference built from it on each call, for
-``delta_apply`` and the tests; the annulus family evaluates ``phi`` at its
-own bins. The box loop cuts patches from a block of the support's bins
-(``patch`` with an ``origin``), not from an N^d grid.
+``phi`` evaluates phi_j at the radii it is given, sample by sample, and the
+annulus family evaluates it at its own bins. The box loop cuts patches from
+a block of the support's bins (``patch`` with an ``origin``), not from an
+N^d grid. No window is built on the full grid here, except by the dense
+``partition_sum``s the self-test reads.
 """
 from __future__ import annotations
 
@@ -45,8 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FREQUENCY, GridFunction, GridSpec, Support, apply_multiplier, separable, \
-    transform, _next_pow2
+from .grid import GridSpec, Support, separable, _next_pow2
 
 
 class ResolutionError(ValueError):
@@ -140,14 +139,6 @@ class UniformPartition:
         points.flags.writeable = False
         return points
 
-    def window(self, k) -> np.ndarray:
-        """Dense multiplier array for sigma_k."""
-        k = _as_lattice_point(k, self.spec.d)
-        self._check_index(k)
-        out = np.zeros(self.spec.shape())
-        out[self._slices(k)] = self._tile
-        return out
-
     def patch(self, spectrum: np.ndarray, k, origin=None) -> tuple[tuple[slice, ...], np.ndarray]:
         """(slices, sigma_k * spectrum restricted to the window support).
         ``spectrum`` is the N^d spectrum, or a block of it that holds the
@@ -202,8 +193,8 @@ class UniformPartition:
 
     def piece_magnitudes(self, patch: np.ndarray, work=None) -> np.ndarray:
         """The N^d magnitudes of the space-side piece whose windowed spectrum
-        is ``patch``: the |box_apply| samples as a multiset, not in grid
-        order. Only the patch's S = 2 * half_width + 1 bins per axis are
+        is ``patch``, as a multiset, not in grid order: those of the N^d
+        inverse transform of sigma_k * spectrum. Only the patch's S = 2 * half_width + 1 bins per axis are
         touched: in d = 1 the patch is zero-padded to L bins and twiddled
         into one array of residue rows, whose length-L FFTs run in place; in
         d = 2, E P E^T (``norms.box_piece_norms`` states both). Half the rows
@@ -369,7 +360,7 @@ def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.nda
 class DyadicPartition:
     """Dyadic partition of unity {phi_j}, j = 0..levels. Compared and hashed
     by identity. It holds no per-sample array: ``phi`` evaluates a level at
-    the radii it is given, and ``window`` is the dense reference."""
+    the radii it is given."""
 
     spec: GridSpec
     levels: int
@@ -384,10 +375,6 @@ class DyadicPartition:
         if j == 0:
             return DYADIC_PROFILE(radius)
         return DYADIC_PROFILE(radius / 2 ** j) - DYADIC_PROFILE(radius / 2 ** (j - 1))
-
-    def window(self, j: int) -> np.ndarray:
-        """Dense multiplier array for phi_j, built on each call."""
-        return self.phi(j, self.spec.freq_radius())
 
     def support(self, j: int) -> tuple[float, float]:
         """Radii (lo, hi) such that phi_j is exactly 0 unless
@@ -451,21 +438,6 @@ def _as_lattice_point(k, d: int) -> tuple[int, ...]:
     if len(k) != d:
         raise ValueError(f"lattice point {k} does not match dimension {d}")
     return k
-
-
-def box_apply(f: GridFunction, k, partition: UniformPartition) -> GridFunction:
-    """The uniform-decomposition operator: inverse transform of sigma_k * spectrum."""
-    k = _as_lattice_point(k, f.spec.d)
-    spectrum = f.in_frequency().values
-    slices, patch = partition.patch(spectrum, k)
-    out = np.zeros(f.spec.shape(), dtype=np.complex128)
-    out[slices] = patch
-    return transform(GridFunction.adopt(f.spec, out, FREQUENCY), "space")
-
-
-def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunction:
-    """The dyadic-decomposition operator: inverse transform of phi_j * spectrum."""
-    return apply_multiplier(f, partition.window(j))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,95 @@
+"""Full-grid references for the tests: the dense operators that define
+the uniform and dyadic pieces, and extended-precision syntheses.
+
+The package computes every norm from a function's floored Support, never
+from a dense N^d array. The references here build the dense objects the
+norms are checked against: a window or mask over the whole grid, a piece by
+one full inverse transform, and the Riemann L^p norm of the space samples.
+The golden digests of ``test_separable_golden`` pin the windows and the
+cube mask bit for bit.
+
+The extended-precision helpers synthesize a spectrum with ``np.fft`` on
+``clongdouble`` and sum in ``longdouble``: the reference for norms at
+p < 1, whose float64 values hold only about 1e-7 relative.
+"""
+from fractions import Fraction
+
+import numpy as np
+
+from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, separable, transform, \
+    _riemann_lp
+from modemb.partitions import DyadicPartition, UniformPartition, _as_lattice_point
+
+
+def space_axis(spec: GridSpec) -> np.ndarray:
+    """x at every space sample of one axis, from -P/2."""
+    return (np.arange(spec.n) - spec.n // 2) * (spec.period / spec.n)
+
+
+def freq_outside_cube(spec: GridSpec, radius: float) -> np.ndarray:
+    """Mask of the frequency samples with |xi|_inf > radius."""
+    return separable(np.logical_or, (np.abs(spec.freq_axis()) > radius,) * spec.d)
+
+
+def uniform_window(partition: UniformPartition, k) -> np.ndarray:
+    """Dense multiplier array for sigma_k."""
+    k = _as_lattice_point(k, partition.spec.d)
+    partition._check_index(k)
+    out = np.zeros(partition.spec.shape())
+    out[partition._slices(k)] = partition._tile
+    return out
+
+
+def dyadic_window(partition: DyadicPartition, j: int) -> np.ndarray:
+    """Dense multiplier array for phi_j, built on each call."""
+    return partition.phi(j, partition.spec.freq_radius())
+
+
+def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
+    """Apply a frequency-side multiplier: returns the space-side inverse
+    transform of multiplier * spectrum. Linear in f."""
+    multiplier = np.asarray(multiplier)
+    if multiplier.shape != f.spec.shape():
+        raise ValueError(
+            f"multiplier shape {multiplier.shape} does not match grid {f.spec.shape()}"
+        )
+    spectrum = f.in_frequency().values
+    return transform(GridFunction.adopt(f.spec, multiplier * spectrum, FREQUENCY), SPACE)
+
+
+def lp_norm(f: GridFunction, p) -> float:
+    """Riemann-sum L^p quasi-norm of f's space samples; max for p = inf. A
+    frequency-side f is transformed to space first."""
+    return _riemann_lp(np.abs(f.in_space().values), f.spec.cell_volume, p)
+
+
+def box_apply(f: GridFunction, k, partition: UniformPartition) -> GridFunction:
+    """The uniform-decomposition operator: inverse transform of sigma_k * spectrum."""
+    k = _as_lattice_point(k, f.spec.d)
+    spectrum = f.in_frequency().values
+    slices, patch = partition.patch(spectrum, k)
+    out = np.zeros(f.spec.shape(), dtype=np.complex128)
+    out[slices] = patch
+    return transform(GridFunction.adopt(f.spec, out, FREQUENCY), SPACE)
+
+
+def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunction:
+    """The dyadic-decomposition operator: inverse transform of phi_j * spectrum."""
+    return apply_multiplier(f, dyadic_window(partition, j))
+
+
+def extended_magnitudes(spec: GridSpec, spectrum: np.ndarray) -> np.ndarray:
+    """|space samples| of the N^d ``spectrum``, in ``longdouble``: np.fft on
+    ``clongdouble``, scaled by (N/P)^d. The grid's centering shifts are left
+    out; they only permute and rephase the samples."""
+    samples = np.abs(np.fft.ifftn(np.asarray(spectrum, dtype=np.clongdouble)))
+    samples *= (np.longdouble(spec.n) / np.longdouble(spec.period)) ** spec.d
+    assert samples.dtype == np.longdouble
+    return samples
+
+
+def extended_lp(mags: np.ndarray, spec: GridSpec, p) -> np.longdouble:
+    """Riemann-sum L^p quasi-norm of the ``longdouble`` magnitudes ``mags``
+    on the space grid of ``spec``, summed in ``longdouble``; finite p only."""
+    pf = np.longdouble(float(Fraction(p)))
+    return (np.longdouble(spec.cell_volume) * np.sum(mags ** pf)) ** (1 / pf)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import box_apply, delta_apply, lp_norm
 from modemb.families import (
     KINDS,
     PeriodError,
@@ -22,15 +23,15 @@ from modemb.families import (
     smallest_box_point,
 )
 from modemb.grid import FREQUENCY, BandLimitError, GridFunction, GridSpec, SPACE, \
-    lp_norm, lq_seq_norm, spectral_support, transform
+    lq_seq_norm, transform
 from modemb.norms import box_piece_norms, modulation_norm
-from modemb.partitions import ResolutionError, box_apply, build_uniform, index_set
+from modemb.partitions import ResolutionError, build_uniform, index_set
 
 F = Fraction
 
 
 def active_boxes(f, uniform, p=2, rel=1e-10):
-    _, norms = box_piece_norms(spectral_support(f), p, uniform)
+    _, norms = box_piece_norms(f.support, p, uniform)
     peak = norms.max()
     return {tuple(k) for k, v in zip(uniform.lattice().tolist(), norms) if v > rel * peak}
 
@@ -116,7 +117,7 @@ def test_single_box_norm_constant_across_levels():
 
 
 def test_single_box_dyadic_locality():
-    from modemb.partitions import build_dyadic, delta_apply
+    from modemb.partitions import build_dyadic
     dyadic = build_dyadic(BOX_SPEC)
     level = 5
     f = family_single_box(BOX_SPEC, level)
@@ -228,7 +229,7 @@ def test_train_box_bookkeeping():
     uniform = build_uniform(TRAIN_SPEC)
     coeffs = {-24: 1.0, -3: 0.5j, 0: 2.0, 7: -1.0}
     f = _train(TRAIN_SPEC, coeffs)
-    _, norms = box_piece_norms(spectral_support(f), 2, uniform)
+    _, norms = box_piece_norms(f.support, 2, uniform)
     by_point = dict(zip(map(tuple, uniform.lattice().tolist()), norms))
     eta_norm = by_point[(0,)] / 2.0
     for k, c in coeffs.items():

@@ -1,5 +1,6 @@
 """The five quasi-norm evaluators: exact bookkeeping cases and stability."""
 import itertools
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import apply_multiplier, box_apply, delta_apply, dyadic_window, extended_lp, \
+    extended_magnitudes, freq_outside_cube, lp_norm
 from modemb.families import (
     _add_box,
     _finish,
@@ -20,7 +23,7 @@ from modemb.families import (
 from modemb import grid, norms, partitions
 from modemb.exponents import Exponent
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
-    apply_multiplier, lp_norm, lq_seq_norm, spectral_support, transform, _next_pow2
+    lq_seq_norm, transform, _next_pow2
 from modemb.norms import (
     _NEGLIGIBLE,
     _dyadic_pieces,
@@ -37,10 +40,8 @@ from modemb.partitions import (
     DyadicPartition,
     UniformPartition,
     _uniform_axis_profile,
-    box_apply,
     build_dyadic,
     build_uniform,
-    delta_apply,
 )
 
 F = Fraction
@@ -89,7 +90,7 @@ def _zero(spec):
 
 def _floored(f):
     """f's spectrum with every bin at or below the spectral floor set to 0."""
-    support = spectral_support(f)
+    support = f.support
     return support.scatter(support.values)
 
 
@@ -268,13 +269,11 @@ def annulus_level8():
 
 
 def _extended_sobolev_half(spec, spectrum, s):
-    """W^{s,1/2} of ``spectrum`` synthesized in extended precision (np.fft on
-    clongdouble) on the full grid."""
+    """W^{s,1/2} of ``spectrum`` synthesized in extended precision on the
+    full grid, the Bessel multiplier taken in longdouble too."""
     radius = spec.freq_radius().astype(np.longdouble)
     piece = spectrum.astype(np.clongdouble) * (1 + radius ** 2) ** (np.longdouble(s) / 2)
-    samples = np.abs(np.fft.ifft(piece)) * (np.longdouble(spec.n) / np.longdouble(spec.period))
-    assert samples.dtype == np.longdouble
-    return float((np.longdouble(spec.cell_volume) * np.sum(np.sqrt(samples))) ** 2)
+    return float(extended_lp(extended_magnitudes(spec, piece), spec, "1/2"))
 
 
 @pytest.mark.parametrize("s", [-1, 0, 1, 2])
@@ -286,7 +285,7 @@ def test_sobolev_below_one_matches_extended_precision(annulus_level8, s):
     move the r = 1/2 value by about 1e-5, so the two paths differ by that
     much while each holds its own spectrum's extended-precision value."""
     f = annulus_level8
-    support = spectral_support(f)
+    support = f.support
     value, dense = sobolev_norm(f, s, "1/2"), _dense_sobolev(f, s, "1/2")
     assert value == pytest.approx(
         _extended_sobolev_half(f.spec, support.scatter(support.values), s), rel=1e-6)
@@ -296,23 +295,43 @@ def test_sobolev_below_one_matches_extended_precision(annulus_level8, s):
 
 def test_besov_below_one_matches_extended_precision_at_large_n(annulus_level8):
     """B^0_{1/2,1} of the level-8 d = 1 annulus (N = 2^17) against its
-    extended-precision synthesis: per reached level, window(j) times the
-    floored spectrum transformed by np.fft on clongdouble. The float64
+    extended-precision synthesis: per reached level, the dense phi_j times
+    the floored spectrum transformed by np.fft on clongdouble. The float64
     value is 1.34e-6 from it, nearly all from the level-8 piece (1.9e-6):
     its tail samples sit at roundoff level, and the square root amplifies
     them. The full-grid float64 transform of the same piece errs as much
     (1.8e-6), so the bound is the norms module's p < 1 contract at this N."""
     f = annulus_level8
-    spec, dyadic, support = f.spec, build_dyadic(f.spec), spectral_support(f)
-    spectrum = support.scatter(support.values).astype(np.clongdouble)
-    scale = np.longdouble(spec.n) / np.longdouble(spec.period)
-    reference = np.longdouble(0)
-    for j in dyadic.reached(support):
-        samples = np.abs(np.fft.ifft(dyadic.window(j) * spectrum)) * scale
-        assert samples.dtype == np.longdouble
-        reference += (np.longdouble(spec.cell_volume) * np.sum(np.sqrt(samples))) ** 2
-    assert dyadic.reached(support) == [7, 8, 9]
+    spec, dyadic = f.spec, build_dyadic(f.spec)
+    reference = sum(extended_lp(level, spec, "1/2") for level in _extended_levels(f, dyadic))
+    assert dyadic.reached(f.support) == [7, 8, 9]
     assert besov_norm(f, "1/2", 1, 0) == pytest.approx(float(reference), rel=2e-6)
+
+
+def _extended_levels(f, dyadic):
+    """The extended-precision magnitudes of each level ``dyadic`` reaches:
+    the dense phi_j times f's floored spectrum, one per level."""
+    support = f.support
+    spectrum = support.scatter(support.values).astype(np.clongdouble)
+    return [extended_magnitudes(f.spec, dyadic_window(dyadic, j) * spectrum)
+            for j in dyadic.reached(support)]
+
+
+@pytest.mark.parametrize("q", [1, 2, "inf"])
+def test_triebel_below_one_matches_extended_precision_at_large_n(annulus_level8, q):
+    """F^0_{1/2,q} of the level-8 d = 1 annulus (N = 2^17) against the
+    pointwise l^q, in extended precision, of each reached level's
+    extended-precision synthesis, then its L^{1/2} norm. It reads 4.2e-7
+    off at q = 1, 1.3e-7 at q = 2 and 4.8e-8 at q = inf, so the bound is the
+    norms module's p < 1 contract at this N."""
+    f = annulus_level8
+    levels = _extended_levels(f, build_dyadic(f.spec))
+    if q == "inf":
+        pointwise = np.maximum.reduce(levels)
+    else:
+        pointwise = sum(level ** np.longdouble(q) for level in levels) ** (1 / np.longdouble(q))
+    reference = extended_lp(pointwise, f.spec, "1/2")
+    assert triebel_norm(f, "1/2", q, 0) == pytest.approx(float(reference), rel=1e-6)
 
 
 def test_fourier_lp_plateau(small_spec):
@@ -490,6 +509,42 @@ def test_space_norm_refuses_dimension_mismatch(member_d, space_d):
             space_norm(f, space)
 
 
+# (member grid, level, other grids): a larger N, a larger M, and a smaller N
+# whose kmax the member's spectrum exceeds, so the grid check must come
+# before the band check.
+OTHER_GRID_CASES = {
+    "1d": (GridSpec(d=1, n=1024, oversampling=8), 5,
+           [GridSpec(d=1, n=2048, oversampling=8), GridSpec(d=1, n=1024, oversampling=16),
+            GridSpec(d=1, n=256, oversampling=8)]),
+    "2d": (GridSpec(d=2, n=128, oversampling=8), 2,
+           [GridSpec(d=2, n=256, oversampling=8), GridSpec(d=2, n=128, oversampling=16),
+            GridSpec(d=2, n=64, oversampling=8)]),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_GRID_CASES)
+def test_modulation_refuses_a_partition_of_another_grid(case):
+    """A uniform partition built on another grid would cut the wrong bins:
+    unchecked, M^0_{1,1} of the d = 1 member reads twice its value with the
+    partition of N = 2048. modulation_norm, space_norm and box_piece_norms
+    refuse it with a ValueError naming both grids, not a BandLimitError;
+    the member's own partition still works."""
+    spec, level, others = OTHER_GRID_CASES[case]
+    f = family_annulus(spec, level)
+    own = build_uniform(spec)
+    assert space_norm(f, SpaceSpec.modulation(1, 1, d=spec.d), own) == modulation_norm(f, 1, 1, 0)
+    for other in others:
+        uniform = build_uniform(other)
+        message = re.escape(f"uniform partition built on {other} does not match the "
+                            f"function's grid {spec}")
+        for call in (lambda: modulation_norm(f, 1, 1, 0, uniform),
+                     lambda: space_norm(f, SpaceSpec.modulation(1, 1, d=spec.d), uniform),
+                     lambda: box_piece_norms(f.support, 1, uniform)):
+            with pytest.raises(ValueError, match=message) as caught:
+                call()
+            assert type(caught.value) is ValueError, other
+
+
 @pytest.mark.parametrize("p,rel", [
     # the p < 1 precision contract of the norms module; never 1e-12 here
     ("1/2", 1e-7),
@@ -501,22 +556,37 @@ def test_box_piece_norms_match_extended_precision(p, rel):
     spec = GridSpec(d=1, n=1024, oversampling=8)
     uniform = build_uniform(spec)
     spectrum = _floored(family_annulus(spec, 4))
-    points, norms = box_piece_norms(spectral_support(GridFunction(spec, spectrum, FREQUENCY)),
-                                    p, uniform)
+    points, norms = box_piece_norms(GridFunction(spec, spectrum, FREQUENCY).support, p, uniform)
     assert points is uniform.lattice()
-    pf = np.longdouble(float(Fraction(p)))
-    scale = np.longdouble(spec.n) / np.longdouble(spec.period)
     active = [(k, value) for k, value in zip(uniform.lattice(), norms) if value > 0.0]
     assert len(active) > 4
     for k, value in active:
-        slices, patch = uniform.patch(spectrum, k)
-        piece = np.zeros(spec.shape(), dtype=np.clongdouble)
-        piece[slices] = patch
-        # the grid's centering shifts only permute and rephase the samples
-        samples = np.abs(np.fft.ifft(piece)) * scale
-        assert samples.dtype == np.longdouble
-        reference = (np.longdouble(spec.cell_volume) * np.sum(samples ** pf)) ** (1 / pf)
-        assert value == pytest.approx(float(reference), rel=rel)
+        assert value == pytest.approx(_extended_box_norm(uniform, spectrum, k, p), rel=rel)
+
+
+def _extended_box_norm(uniform, spectrum, k, p) -> float:
+    """The L^p norm of sigma_k times ``spectrum``, synthesized on the full grid
+    and summed in extended precision."""
+    slices, patch = uniform.patch(spectrum, k)
+    piece = np.zeros(uniform.spec.shape(), dtype=np.clongdouble)
+    piece[slices] = patch
+    return float(extended_lp(extended_magnitudes(uniform.spec, piece), uniform.spec, p))
+
+
+def test_box_piece_norms_below_one_match_extended_precision_at_large_n(annulus_level8):
+    """Every 16th of the 444 active boxes of the level-8 d = 1 annulus
+    (N = 2^17) at p = 1/2 against its extended-precision synthesis. Every
+    8th read at most 2.6e-11 off; the bound is the norms module's p < 1
+    contract."""
+    f = annulus_level8
+    uniform = build_uniform(f.spec)
+    points, norms = box_piece_norms(f.support, "1/2", uniform)
+    active = np.flatnonzero(norms)
+    assert len(active) == 444
+    spectrum = f.support.scatter(f.support.values)
+    for i in active[::16]:
+        reference = _extended_box_norm(uniform, spectrum, points[i], "1/2")
+        assert norms[i] == pytest.approx(reference, rel=1e-7), points[i]
 
 
 def _pruned_cases():
@@ -557,7 +627,7 @@ PRUNED_CASES = _pruned_cases()
 def test_box_piece_norms_match_dense(case, p, rel):
     """Every active box's pruned norm equals the full-grid box_apply norm."""
     uniform, g, active_boxes, complex_patches = PRUNED_CASES[case]
-    _, norms = box_piece_norms(spectral_support(g), p, uniform)
+    _, norms = box_piece_norms(g.support, p, uniform)
     active = [(k, v) for k, v in zip(uniform.lattice(), norms) if v > 0.0]
     assert len(active) == active_boxes
     assert sum(uniform.patch(g.values, k)[1].imag.any() for k, _ in active) == complex_patches
@@ -637,7 +707,7 @@ def test_box_piece_norms_match_the_scattered_loop(case):
     """Patches cut from the support's block give the norms of patches cut
     from the dense scattered spectrum, byte for byte, at every p."""
     f, clipped = BLOCK_CASES[case]
-    support, uniform = spectral_support(f), build_uniform(f.spec)
+    support, uniform = f.support, build_uniform(f.spec)
     reach = 2 * uniform.half_width
     if clipped:
         for index in support.index:
@@ -664,14 +734,14 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
 
     monkeypatch.setattr(UniformPartition, "orbit_key", forbidden)
     monkeypatch.setattr(UniformPartition, "piece_magnitudes", forbidden)
-    _, norms = box_piece_norms(spectral_support(f), 2, uniform)
+    _, norms = box_piece_norms(f.support, 2, uniform)
     monkeypatch.undo()
     assert "_synthesis_table" not in vars(uniform)
     spectrum = _floored(f)
     for k, value in zip(uniform.lattice(), norms):
         _, patch = uniform.patch(spectrum, k)
         assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
-    box_piece_norms(spectral_support(f), 1, uniform)
+    box_piece_norms(f.support, 1, uniform)
     assert "_synthesis_table" in vars(uniform)
 
 
@@ -837,7 +907,7 @@ def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
     for level in levels:
         f = family_annulus(spec, level)
         before = len(synthesized)
-        box_piece_norms(spectral_support(f), 1, uniform)
+        box_piece_norms(f.support, 1, uniform)
         spectrum = _floored(f)
         peak = np.abs(spectrum).max()
         orbits = set()
@@ -885,7 +955,7 @@ def test_box_piece_norms_skips_only_zero_patches(case, monkeypatch):
         return patch(self, spectrum, k, *origin)
 
     monkeypatch.setattr(UniformPartition, "patch", spy)
-    _, norms = box_piece_norms(spectral_support(f), 1, uniform)
+    _, norms = box_piece_norms(f.support, 1, uniform)
     monkeypatch.undo()
     spectrum = _floored(f)
     points = uniform.lattice()
@@ -917,15 +987,15 @@ def test_dyadic_norms_skip_only_zero_levels(case, monkeypatch):
         skipped = set(range(dyadic.levels + 1)) - visited
         assert visited and skipped
         for j in skipped:
-            assert not (dyadic.window(j) * spectrum).any()
+            assert not (dyadic_window(dyadic, j) * spectrum).any()
 
 
 @pytest.mark.parametrize("case", SKIP_CASES)
 def test_support_and_dyadic_pieces_match_the_dense_arrays(case):
     """The support's coordinates, radii and cube masks are freq_axis(),
-    freq_radius() and freq_outside_cube() at its bins, and every dyadic
+    freq_radius() and the dense cube mask at its bins, and every dyadic
     piece, phi_j at those radii times the support's values, scattered onto
-    the grid, is window(j) * spectrum bit for bit."""
+    the grid, is the dense phi_j times the spectrum bit for bit."""
     f = SKIP_CASES[case]
     spec, dyadic = f.spec, build_dyadic(f.spec)
     spectrum = _floored(f)
@@ -935,19 +1005,21 @@ def test_support_and_dyadic_pieces_match_the_dense_arrays(case):
     dense_radius = spec.freq_radius().reshape(-1)[support.flat]
     assert support.radius.tobytes() == dense_radius.tobytes()
     for radius in (0.5, 2.0, 20.5):
-        dense_mask = spec.freq_outside_cube(radius).reshape(-1)[support.flat]
+        dense_mask = freq_outside_cube(spec, radius).reshape(-1)[support.flat]
         assert np.array_equal(support.outside_cube(radius), dense_mask), radius
     levels = []
     for j, piece in pieces:
         levels.append(j)
-        assert support.scatter(piece).tobytes() == (dyadic.window(j) * spectrum).tobytes(), j
+        dense = dyadic_window(dyadic, j) * spectrum
+        assert support.scatter(piece).tobytes() == dense.tobytes(), j
     assert levels == dyadic.reached(support) and levels
 
 
 @pytest.mark.parametrize("d", [1, 2], ids=["1d", "2d"])
 def test_norms_read_no_dense_radius_or_cube(d, monkeypatch):
     """The M, B, F, W and FL norms read the coordinates and radii of the
-    support alone: none builds the dense |xi| array or the |xi|_inf mask."""
+    support alone: none builds the dense |xi| array. The package has no
+    dense |xi|_inf mask to build."""
     f = family_annulus(grid_for("annulus", d=d, level=2), 2)
     uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)
 
@@ -955,7 +1027,6 @@ def test_norms_read_no_dense_radius_or_cube(d, monkeypatch):
         raise AssertionError("a norm built a dense frequency-side mask or radius")
 
     monkeypatch.setattr(GridSpec, "freq_radius", forbidden)
-    monkeypatch.setattr(GridSpec, "freq_outside_cube", forbidden)
     for space in (SpaceSpec.modulation(1, 1, d=d), SpaceSpec.modulation(2, 2, d=d),
                   SpaceSpec.besov(1, 1, 0, d=d), SpaceSpec.besov(2, 2, 0, d=d),
                   SpaceSpec.triebel(1, 2, 0, d=d), SpaceSpec.triebel(2, 2, 0, d=d),
@@ -1151,7 +1222,7 @@ def test_band_synthesis_matches_dense_pieces(case, p, rel):
     delta_apply pieces, with complex pieces and mirrored rows, with R = 1,
     and with levels of different extent paired on one layout."""
     f, rows = BAND_CASES[case]
-    support = spectral_support(f)
+    support = f.support
     assert f.spec.n // _next_pow2(support.flat[-1] - support.flat[0] + 1) == rows
     assert support.values.imag.any() and f.spec.d == 1
     dyadic = build_dyadic(f.spec)
@@ -1208,7 +1279,7 @@ def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
     support's band in d = 1, a full-grid inverse transform in d = 2."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
-    reached = len(dyadic.reached(spectral_support(f)))
+    reached = len(dyadic.reached(f.support))
     assert reached >= 2
     pointwise = (0, reached) if f.spec.d == 1 else (reached, 0)
     for norm, q, expected in ((besov_norm, 1, (0, 0)), (besov_norm, "inf", (0, 0)),
@@ -1241,13 +1312,13 @@ def test_each_box_member_is_floored_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("side", [FREQUENCY, SPACE])
 def test_support_is_kept_and_read_only(side):
-    """``spectral_support`` returns the function's one Support, and none of
-    its arrays can be written through."""
+    """``f.support`` is the function's one Support, and none of its arrays
+    can be written through."""
     f = family_annulus(grid_for("annulus", d=2, level=2), 2)
     if side == SPACE:
         f = f.in_space()
-    support = spectral_support(f)
-    assert spectral_support(f) is support and f.support is support
+    support = f.support
+    assert f.support is support
     arrays = (support.flat, *support.index, support.values, support.mags,
               *support.coords, support.radius)
     assert len(arrays) == 8 and all(a.size for a in arrays)

@@ -8,16 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import box_apply, delta_apply, dyadic_window, lp_norm, uniform_window
 from modemb.families import random_band_limited
-from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, lp_norm, spectral_support, \
-    transform
+from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, transform
 from modemb.partitions import (
     DYADIC_PROFILE,
     DyadicPartition,
     build_dyadic,
     build_uniform,
-    box_apply,
-    delta_apply,
     index_set,
     lattice_weights,
     max_dyadic_level,
@@ -57,7 +55,7 @@ def _sup_radius(spec):
 
 def test_uniform_window_plateau_and_support():
     for spec in UNIFORM_SPECS:
-        w0 = build_uniform(spec).window((0,) * spec.d)
+        w0 = uniform_window(build_uniform(spec), (0,) * spec.d)
         radius = _sup_radius(spec)
         assert np.all(w0[radius <= 0.25] == 1.0), spec
         assert np.all(w0[radius >= 0.75] == 0.0), spec
@@ -72,7 +70,7 @@ def test_uniform_translation_covariance():
     wraps only zeros here."""
     for spec, k in zip(UNIFORM_SPECS, [(5,), (5, -3)]):
         uniform = build_uniform(spec)
-        w0, wk = uniform.window((0,) * spec.d), uniform.window(k)
+        w0, wk = uniform_window(uniform, (0,) * spec.d), uniform_window(uniform, k)
         shift = tuple(spec.oversampling * c for c in k)
         assert np.array_equal(wk, np.roll(w0, shift, axis=tuple(range(spec.d)))), spec
 
@@ -93,7 +91,7 @@ def test_uniform_kmax_guard():
 
 def test_dyadic_windows(dyadic):
     ax = np.abs(SPEC.freq_axis())
-    w3 = dyadic.window(3)
+    w3 = dyadic_window(dyadic, 3)
     on_annulus = (ax >= 0.75 * 8) & (ax <= 1.25 * 8)
     assert np.all(w3[on_annulus] == 1.0)
     idx = np.argmin(np.abs(SPEC.freq_axis() - 32.0))
@@ -112,7 +110,7 @@ def test_dyadic_partition_sum(dyadic):
 def test_dyadic_adjacent_only_overlap(dyadic):
     for j in range(dyadic.levels - 1):
         for jp in range(j + 2, dyadic.levels + 1):
-            assert np.abs(dyadic.window(j) * dyadic.window(jp)).max() == 0.0
+            assert np.abs(dyadic_window(dyadic, j) * dyadic_window(dyadic, jp)).max() == 0.0
 
 
 def test_dyadic_band_guard():
@@ -122,12 +120,10 @@ def test_dyadic_band_guard():
 
 @pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
 def test_dyadic_partition_refuses_a_level_that_is_not_an_integer(dyadic, level):
-    """window(2.5) would blend the profiles of two levels into no phi_j, and
+    """phi(2.5, r) would blend the profiles of two levels into no phi_j, and
     support(2.5) would give the radii of no level. build_dyadic reads
     levels=None as the largest level the grid resolves."""
     message = f"level must be an integer, got {level!r}"
-    with pytest.raises(ValueError, match=message):
-        dyadic.window(level)
     with pytest.raises(ValueError, match=message):
         dyadic.support(level)
     with pytest.raises(ValueError, match=message):
@@ -140,15 +136,14 @@ def test_dyadic_partition_refuses_a_level_that_is_not_an_integer(dyadic, level):
 @pytest.mark.parametrize("knob", ["_radius", "_cache"])
 def test_dyadic_partition_takes_no_radius_or_cache(knob):
     """A dyadic partition is its grid and level count and holds no array:
-    phi_j is evaluated at the radii it is given, and each window(j) is a
-    fresh dense array of the grid's own |xi|."""
+    phi_j is evaluated at the radii it is given, into a fresh array each
+    time."""
     with pytest.raises(TypeError):
         DyadicPartition(SPEC, 3, **{knob: None})
     dyadic = DyadicPartition(SPEC, 3)
     assert vars(dyadic) == {"spec": SPEC, "levels": 3}
-    first, again = dyadic.window(1), dyadic.window(1)
+    first, again = dyadic.phi(1, SPEC.freq_radius()), dyadic.phi(1, SPEC.freq_radius())
     assert first is not again and first.tobytes() == again.tobytes()
-    assert first.tobytes() == dyadic.phi(1, SPEC.freq_radius()).tobytes()
     assert vars(dyadic) == {"spec": SPEC, "levels": 3}
 
 
@@ -162,23 +157,23 @@ def _low_band_function():
 
 @pytest.mark.parametrize("k", [2.5, (2.5,), 2.0, (np.float64(2.0),), "2", None])
 def test_uniform_partition_refuses_a_lattice_point_that_is_not_an_integer(uniform, k):
-    """window, patch and box_apply at k = 2.5 would act on box 2, and
-    window(2.0) would end in a TypeError; each is refused by the rule and
-    text of the integer level check."""
+    """patch at k = 2.5 would cut box 2, and at 2.0 would end in a
+    TypeError; each is refused by the rule and text of the integer level
+    check."""
     coordinate = k[0] if isinstance(k, tuple) else k
     message = re.escape(f"lattice coordinate must be an integer, got {coordinate!r}")
-    f = _low_band_function()
-    spectrum = f.in_frequency().values
-    for call in (lambda: uniform.window(k), lambda: uniform.patch(spectrum, k),
-                 lambda: box_apply(f, k, uniform)):
-        with pytest.raises(ValueError, match=message):
-            call()
+    spectrum = _low_band_function().in_frequency().values
+    with pytest.raises(ValueError, match=message):
+        uniform.patch(spectrum, k)
 
 
 def test_uniform_partition_takes_integer_lattice_points(uniform):
     """A bare integer is a point in d = 1; NumPy integers are integers."""
+    spectrum = _low_band_function().in_frequency().values
+    box = uniform.patch(spectrum, (2,))
     for k in (2, (2,), [2], np.int64(2), (np.int32(2),), np.array([2])):
-        assert np.array_equal(uniform.window(k), uniform.window((2,))), k
+        slices, patch = uniform.patch(spectrum, k)
+        assert slices == box[0] and np.array_equal(patch, box[1]), k
 
 
 def test_box_identity_on_low_band(uniform):
@@ -364,8 +359,7 @@ def test_dyadic_profile_convention():
 
 def test_partitions_compare_by_identity():
     """Equal-looking partitions are distinct objects: == does not raise, and
-    a partition can key a dict. The lazy synthesis table and the dyadic
-    windows keep working."""
+    a partition can key a dict. The lazy synthesis table keeps working."""
     spec = GridSpec(1, 256, 8)
     for build in (build_uniform, build_dyadic):
         a, b = build(spec), build(spec)
@@ -375,8 +369,6 @@ def test_partitions_compare_by_identity():
     _, patch = uniform.patch(np.ones(spec.n, dtype=complex), (0,))
     assert uniform.piece_magnitudes(patch).size == spec.n
     assert "_synthesis_table" in vars(uniform)
-    dyadic = build_dyadic(spec)
-    assert dyadic.window(1).tobytes() == dyadic.window(1).tobytes()
 
 
 @pytest.mark.parametrize("spec", [SPEC, GridSpec(d=2, n=256, oversampling=8)])
@@ -385,7 +377,7 @@ def test_dyadic_support_holds_every_nonzero_window_sample(spec):
     radius = spec.freq_radius()
     for j in range(dyadic.levels + 1):
         lo, hi = dyadic.support(j)
-        nonzero = radius[dyadic.window(j) != 0.0]
+        nonzero = radius[dyadic_window(dyadic, j) != 0.0]
         assert nonzero.size and lo <= nonzero.min() and nonzero.max() < hi
     with pytest.raises(IndexError):
         dyadic.support(dyadic.levels + 1)
@@ -399,7 +391,7 @@ def test_reached_pieces_hold_the_nonzero_bins(spec, center):
     every unreached window multiplies the spectrum to exactly zero."""
     uniform, dyadic = build_uniform(spec), build_dyadic(spec)
     f = random_band_limited(spec, band_radius=2.5, center=center, seed=3)
-    support = spectral_support(f)
+    support = f.support
     spectrum = f.in_frequency().values.copy()
     spectrum[np.abs(spectrum) <= 1e-13 * np.abs(spectrum).max()] = 0.0
     assert np.array_equal(support.flat, np.flatnonzero(spectrum))
@@ -415,8 +407,8 @@ def test_reached_pieces_hold_the_nonzero_bins(spec, center):
     levels = dyadic.reached(support)
     assert 0 < len(levels) < dyadic.levels + 1
     for j in set(range(dyadic.levels + 1)) - set(levels):
-        assert not (dyadic.window(j) * spectrum).any()
-    empty = spectral_support(GridFunction(spec, np.zeros(spec.shape()), FREQUENCY))
+        assert not (dyadic_window(dyadic, j) * spectrum).any()
+    empty = GridFunction(spec, np.zeros(spec.shape()), FREQUENCY).support
     assert uniform.reached(empty) == [] and dyadic.reached(empty) == []
 
 

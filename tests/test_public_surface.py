@@ -1,9 +1,12 @@
-"""Every public top-level function and class of modemb has a consumer.
+"""Every public top-level function and class of modemb, and every public
+method of a public class, has a consumer.
 
 A public name must be read somewhere in ``src/modemb`` or in the benchmark
 program (``bench/*.py``), outside its own definition and outside the
-package's ``__init__.py``. A name that only the tests reach is dead weight:
-give it a consumer in the program or delete it.
+package's ``__init__.py``. A method counts as read when its name is read
+anywhere there, as a name or an attribute, outside its own body. A name that
+only the tests reach is dead weight: give it a consumer in the program or
+delete it. The tests' own full-grid references live in ``tests/dense.py``.
 """
 import ast
 import importlib
@@ -19,14 +22,19 @@ CONSUMERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 # Public names that only tests reach, on purpose.
 EXEMPT = {
-    "box_apply": "dense reference that the pruned box pieces are tested against",
-    "delta_apply": "dense reference that the dyadic pieces are tested against",
-    "lp_norm": "dense reference that every norm is tested against; exported in "
-               "modemb.__all__",
     **dict.fromkeys(
         ("tau", "sigma", "tau_region", "sigma_region"),
         "exact index function exported in modemb.__all__; the oracle computes "
         "it through exponents._extremum"),
+}
+# Public methods, as Class.method, that only tests reach, on purpose.
+EXEMPT_METHODS = {
+    **dict.fromkeys(
+        (f"SpaceSpec.{name}" for name in ("modulation", "besov", "triebel", "sobolev",
+                                           "fourier_l")),
+        "constructors of a class exported in modemb.__all__"),
+    "GridFunction.in_space": "the public way to read a member's space samples, the "
+                             "counterpart of in_frequency; no norm needs them",
 }
 
 
@@ -60,9 +68,40 @@ def test_every_public_name_has_a_consumer():
     assert not unused, f"public names that only tests reach: {', '.join(unused)}"
 
 
+def _public_methods():
+    """(module file, ``Class.method``, method node) for every public method of
+    a public class."""
+    for module, node in _public_definitions():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield module, f"{node.name}.{item.name}", item
+
+
+def _read_names(node):
+    """Every name read under ``node``, as a name or as any attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_method_has_a_consumer():
+    named = Counter()
+    for path in CONSUMERS:
+        named.update(_read_names(ast.parse(path.read_text())))
+    unused = [f"{module}:{name}" for module, name, node in _public_methods()
+              if name not in EXEMPT_METHODS
+              and named[node.name] <= Counter(_read_names(node))[node.name]]
+    assert not unused, f"public methods that only tests reach: {', '.join(unused)}"
+
+
 def test_exemptions_name_public_definitions():
     defined = {node.name for _, node in _public_definitions()}
     assert set(EXEMPT) <= defined
+    assert set(EXEMPT_METHODS) <= {name for _, name, _ in _public_methods()}
 
 
 def _traced_layers() -> tuple:

@@ -6,7 +6,8 @@ array a function gives over fixed inputs, the raw bytes of an orbit key, and
 the canonical JSON of anything else (slice bounds, the selftest report). The
 frequency grid, the uniform partition, the selftest and the family spectra
 are pinned bit for bit in d = 1 and in d = 2, so a failure names the function
-and the dimension that drifted.
+and the dimension that drifted. The dense cube mask and windows come from
+the tests' full-grid references (``dense.py``).
 
 Run ``python tests/test_separable_golden.py`` to print the current digests.
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import freq_outside_cube, uniform_window
 from modemb import families
 from modemb.grid import GridSpec
 from modemb.partitions import build_uniform, selftest_report
@@ -76,13 +78,13 @@ def _freq_radius(d):
 
 def _freq_outside_cube(d):
     for radius in (0.0, 2.5, 3.0, 6.875):
-        yield SPECS[d].freq_outside_cube(radius)
+        yield freq_outside_cube(SPECS[d], radius)
 
 
 def _window(d):
     uniform = build_uniform(SPECS[d])
     for k in POINTS[d]:
-        yield uniform.window(k)
+        yield uniform_window(uniform, k)
 
 
 def _patches(d):
