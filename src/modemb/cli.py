@@ -385,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_norm)
 
-    for name, fn in (("sharpness", cmd_sharpness), ("boundedness", cmd_boundedness)):
+    # each experiment takes only its own gate
+    for name, fn, gate in (("sharpness", cmd_sharpness, "--tolerance"),
+                           ("boundedness", cmd_boundedness, "--bound")):
         p = sub.add_parser(name, help=f"run a {name} experiment")
         p.add_argument("--from", dest="source", required=True, metavar="SPEC")
         p.add_argument("--to", dest="target", required=True, metavar="SPEC")
@@ -394,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lmax", type=int, default=None)
         p.add_argument("--t-list", default=None,
                        help="comma-separated kernel parameters, e.g. 1/4,1/16,1/64")
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--bound", type=float, default=None)
+        p.add_argument(gate, type=float, default=None)
         p.add_argument("--width", default=None)
         p.add_argument("--csv", default=None, help="write per-level CSV here")
         p.add_argument("--json", default=None, help="write the JSON report here")

@@ -144,8 +144,9 @@ def _sequence(levels):
 
 
 def _run_norms(source, target, family, levels, width, grid):
-    # dilation has norm estimates but no experiment along it yet
-    if family not in KINDS or family == "dilation":
+    if family == "dilation":  # it has norm estimates, but no experiment driver
+        raise CatalogueError("no experiment runs along the dilation family yet")
+    if family not in KINDS:
         raise CatalogueError(f"unknown family kind {family!r}")
     row = kind_row(family)
     option = row.options[0]
@@ -181,7 +182,9 @@ def run_sharpness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
     """Fit the log2 ratio growth along the family and compare to the
     catalogued prediction. ``levels`` is a range or any iterable of member
     parameters; a range is read lazily, so a long one costs nothing before
-    its first refused member."""
+    its first refused member. The tolerance must be finite and >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     levels = _sequence(levels)
     if len(levels) < 2:
         raise ValueError("sharpness needs at least two levels to fit a slope")
@@ -205,8 +208,11 @@ def run_boundedness(source: SpaceSpec, target: SpaceSpec, family: str, levels,
     """Check that the embedding constant stays bounded along the family.
 
     Requires the oracle to confirm the embedding holds first. ``levels`` is
-    read as in ``run_sharpness``.
+    read as in ``run_sharpness``. The bound must be finite and >= 1: the
+    spread max/min it gates is never below 1.
     """
+    if not (math.isfinite(bound) and bound >= 1):
+        raise ValueError(f"bound must be finite and >= 1, got {bound}")
     levels = _sequence(levels)
     verdict = decide(source, target)
     if not verdict.holds:

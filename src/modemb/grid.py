@@ -13,7 +13,7 @@ Dimension. Every separable object is the d-fold outer product of one
 per-axis array (``separable``), and the transforms are n-dimensional, so no
 function here has a body per dimension. Only ``GridSpec``'s check branches
 on d: it admits d in {1, 2}, the dimensions whose box syntheses
-``partitions`` implements and in which every numerical path is tested.
+``norms`` implements and in which every numerical path is tested.
 
 Ownership. A ``GridFunction``'s samples are read-only. The constructor
 adopts, without a copy, an array that is complex128, C-contiguous, read-only

@@ -7,6 +7,15 @@ norms interchanged (spatial norm outside). At p = 2 (Triebel: p = q = 2)
 both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
+Synthesis lives here, for box and dyadic pieces alike; the partitions hold
+geometry only. ``_half_row_magnitudes`` synthesizes the first half of a
+piece's output rows, by a pruned length-L FFT on residue rows in d = 1 and
+by E P E^T in d = 2, each benchmarked by its own annulus workload (on the
+annulus-1d grid E would be 131072 x 97, the residue rows 513 x 128). Each
+norm call builds its tables and drops them: in d = 1 from one twiddle
+formula (``_twiddle_factors``), whose two factors a box multiplies into one
+(``_box_table``) and a dyadic piece keeps apart.
+
 Support. Every norm reads the member's one Support (``f.support``, the
 ``grid.Support`` kept on f): the flat indices, values, magnitudes,
 frequency coordinates and radii of the bins above 1e-13 of the peak. f is
@@ -45,6 +54,8 @@ The floor moves it more: by 1e-5 for W^{s,1/2} on that member.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exponents import Exponent
@@ -64,8 +75,6 @@ from .partitions import (
     build_dyadic,
     build_uniform,
     lattice_weights,
-    _half_row_magnitudes,
-    _twiddle_factors,
 )
 
 # Boxes whose windowed spectrum falls below this relative level contribute 0.
@@ -118,6 +127,120 @@ def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]
     return block, origin
 
 
+def _twiddle_factors(n: int, width: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The d = 1 twiddle rows exp(2 pi i j r / n) * scale, for the residues
+    r = 0..R/2 of R = n/width and the offsets j < width (both powers of
+    two), as two factors for ``_half_row_magnitudes``: with J the least power
+    of two >= sqrt(width) and j = j1 + J j2, exp(2 pi i j1 r / n) * scale of
+    shape (R/2 + 1, 1, J) and exp(2 pi i J j2 r / n) of shape
+    (R/2 + 1, width/J, 1). Only (R/2 + 1)(J + width/J) exponentials are
+    taken; their product is within about 6e-16 of each root taken alone."""
+    low = 1 << (width.bit_length() // 2)
+    r = np.arange(n // width // 2 + 1)[:, None]
+
+    def roots(step, count):
+        return np.exp(2j * np.pi * ((r * (step * np.arange(count))) % n) / n)
+
+    return (roots(1, low) * scale)[:, None, :], roots(low, width // low)[:, :, None]
+
+
+def _half_synthesis(patch: np.ndarray, table, out: np.ndarray, at=None) -> None:
+    """Writes into ``out`` the first half of the rows of the piece whose
+    spectrum is ``patch``, complex. In d = 1, the residues r = 0..R/2 of the
+    pruned length-L FFT, an (R/2 + 1, L) array: the patch is written into
+    row 0, zero-padded to L bins (at the offsets ``at``, by default its
+    first bins), copied twiddled into the other rows, twiddled in place in
+    row 0, and the rows are transformed in place. ``table`` is a sequence
+    of twiddle factors, the first of shape (R/2 + 1, 1, J), whose product
+    on the rows viewed as (R/2 + 1, K, J), K J = L, is the twiddle of
+    offset j = j1 + J j2 on row r (``_twiddle_factors``, or a box's one
+    factor with K = 1). The first factor multiplies the patch and the rest
+    multiply in place, so a box's rows are the products of its one table
+    and the patch, bit for bit as with the table alone. In d = 2, the
+    rows n_1 = 0..N/2 of E P E^T, an (N/2 + 1, N) array, where ``table``
+    is E."""
+    if patch.ndim == 1:
+        out[0] = 0
+        out[0, slice(patch.size) if at is None else at] = patch
+        first, *rest = table
+        view = out.reshape(len(out), -1, first.shape[-1])
+        np.multiply(first[1:], view[0], out=view[1:])
+        np.multiply(first[0], view[0], out=view[0])
+        for factor in rest:
+            view *= factor
+        np.fft.ifft(out, axis=-1, norm="forward", out=out)
+    else:
+        np.matmul(table[:len(out)] @ patch, table.T, out=out)
+
+
+def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (half, out) for ``_half_row_magnitudes`` on ``table``: the
+    complex rows r = 0..R/2 (d = 1) or n_1 = 0..N/2 (d = 2), and the N^d
+    magnitudes, shaped as that function returns them."""
+    if d == 1:
+        # the factors span complementary axes of the (K, J) view of a row
+        rows, width = len(table[0]), math.prod(f[0].size for f in table)
+        total = max(2 * rows - 2, 1)
+    else:
+        total = width = len(table)
+        rows = width // 2 + 1
+    return np.empty((rows, width), dtype=np.complex128), np.empty((total, width))
+
+
+def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.ndarray:
+    """The N^d magnitudes of the space-side samples whose spectrum is
+    ``patch``, as a multiset, scaled by the table: in d = 1 an (R, L) array
+    of residue rows, where ``table`` holds the twiddle factors of the rows
+    r = 0..R/2 and the patch puts its values at the offsets ``at`` < L (by
+    default its first bins); in d = 2 an (N, N) array from the N x S matrix
+    E (``_half_synthesis`` states both).
+
+    Half the rows are synthesized. With g_x(n) = sum_j x_j w^(jn),
+    w = exp(2 pi i / N), g_x(-n) = conj(g_conj(x)(n)), so the rows -n hold
+    the magnitudes of the rows n of conj(x)'s synthesis. Rows 0 and R/2 in
+    d = 1 (n_1 = 0 and N/2 in d = 2) are their own mirrors and are counted
+    once; the rows 1..R/2 - 1 of conj(x) fill in the rest. For a real
+    patch, conj(x) = x, so those rows are copied from the first half; a
+    complex patch synthesizes conj(x) on the same rows, if R > 2: with R = 1
+    or 2 no row is mirrored. Each row of the result holds the same samples
+    for every patch of one table, so two results pair sample by sample.
+
+    The synthesis writes into the complex rows ``half`` of ``work``, and
+    the magnitudes into its ``out``, which is returned: with
+    ``_half_synthesis`` returning fresh products instead, ``annulus-2d``
+    ran 25 % slower (six alternating benchmark pairs). Without ``work``
+    both are allocated here (``_work_arrays``); a caller that synthesizes
+    many patches of one table passes one pair to every call, and each call
+    overwrites the result of the one before."""
+    half, out = _work_arrays(table, patch.ndim) if work is None else work
+    rows = len(half)
+    _half_synthesis(patch, table, half, at)
+    np.abs(half, out=out[:rows])
+    if rows > 2 and patch.imag.any():
+        _half_synthesis(np.conj(patch), table, half, at)
+        np.abs(half[1:rows - 1], out=out[rows:])
+    else:
+        out[rows:] = out[1:rows - 1]
+    return out
+
+
+def _box_table(uniform: UniformPartition):
+    """The synthesis table of the boxes of ``uniform``, built on each call:
+    exp(2 pi i (j n mod N) / N) / P per axis, for the rows n the pruned
+    synthesis needs and the patch offsets j it reads. In d = 1, the product
+    of ``_twiddle_factors``' two factors for the residues r = 0..R/2 of
+    R = N/L and j < L, kept as one factor of shape (R/2 + 1, 1, L): on two
+    factors a box synthesis was 1.24-1.38x slower. In d = 2, the N x S
+    matrix E of all N outputs, of which the left factor reads rows 0..N/2."""
+    spec = uniform.spec
+    width = 2 * uniform.half_width + 1
+    if spec.d == 1:
+        low, high = _twiddle_factors(spec.n, _next_pow2(width), 1.0 / spec.period)
+        return ((low * high).reshape(len(low), 1, -1),)
+    phase = (np.arange(spec.n)[:, None] * np.arange(width)[None, :]) % spec.n
+    return np.exp(2j * np.pi * phase / spec.n) / spec.period
+
+
 def box_piece_norms(support: Support, p, uniform: UniformPartition):
     """(``uniform.lattice()``, the L^p norms of the uniform pieces at its
     points): the read-only lattice array and one norm per row of it, for the
@@ -134,8 +257,7 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     inverse DFT is exp(2 pi i a n / N) sum_j x_j exp(2 pi i j n / N), times
     P^-1 per axis. The leading factor, like the centering shifts, is
     unimodular, which the magnitudes in the L^p sum cannot see, so the
-    samples come from the S bins alone (``UniformPartition.piece_magnitudes``).
-    In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
+    samples come from the S bins alone (``_half_row_magnitudes``). In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
     is the length-L inverse DFT in m of the twiddled bins
     x_j exp(2 pi i j r / N), one per residue r: the patch is zero-padded to
     L bins, twiddled by a table of residue rows and transformed in place. In
@@ -160,9 +282,10 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     visited window is inside the block, and its patch is the one the dense
     floored spectrum gives, byte for byte. A zero support visits nothing.
 
-    The syntheses share one pair of work arrays
-    (``UniformPartition.work_arrays``), allocated before the block.
-    Fresh arrays per synthesis got new pages or recycled ones as the
+    The table (``_box_table``) is built on each call that synthesizes and
+    dropped with it; the Parseval path builds none. The syntheses share one
+    pair of work arrays (``_work_arrays``), allocated after the table and
+    before the block. Fresh arrays per synthesis got new pages or recycled ones as the
     allocator's history decided: 51,500 or 3,900 page faults, 0.19 or
     0.11 s, for the 512^2 annulus member. Allocated after the dense
     spectrum the patches were then cut from, the pair raised the peak RSS
@@ -175,7 +298,9 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     if not support.flat.size:
         return points, norms
     parseval = Exponent.of(p) == 2
-    work = None if parseval else uniform.work_arrays()
+    if not parseval:
+        table = _box_table(uniform)
+        work = _work_arrays(table, spec.d)
     block, origin = _support_block(support, 2 * uniform.half_width)
     memo = {}
     for i in uniform.reached(support):
@@ -187,7 +312,8 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
             continue
         key = uniform.orbit_key(patch)
         if key not in memo:
-            memo[key] = _riemann_lp(uniform.piece_magnitudes(patch, work), spec.cell_volume, p)
+            memo[key] = _riemann_lp(_half_row_magnitudes(patch, table, work=work),
+                                     spec.cell_volume, p)
         norms[i] = memo[key]
     return points, norms
 

@@ -7,22 +7,12 @@ partition {phi_j} uses a radial profile psi with plateau |xi| <= 5/4 and
 support |xi| < 3/2, so each phi_j equals 1 on the annulus
 D_j = {3/4 * 2^j <= |xi| <= 5/4 * 2^j}.
 
-Windows, patches, sums, orbit keys and index sets are written once for every
-d: a uniform window is sigma_0's tile (the d-fold outer product of the axis
-profile) placed at one slice per axis. One operation keeps a body per
-dimension, for a stated reason: ``_half_row_magnitudes`` synthesizes a piece
-by a pruned length-L FFT in d = 1 and by E P E^T in d = 2, each benchmarked
-by its own annulus workload. In d = 1 the N x S matrix E would hold
-131072 x 97 complex values on the annulus-1d grid, where the pruned FFT's
-table holds the residue rows r = 0..R/2 of R = N/L, 513 x 128 there; the
-patch is zero-padded to L bins and the FFTs run in place on the twiddled
-rows. The d = 1 routine also synthesizes the dyadic pieces of a support
-(``norms._piece_synthesis``), on twiddles built from two small factors
-(``_twiddle_factors``). In both, only the first half of the output rows is
-synthesized: the mirrored rows -n hold the magnitudes of the rows n of the
-conjugate patch's synthesis, which a real patch (every annulus and
-single-box patch) already has, and a complex one gets from the same
-routine.
+The partitions hold geometry only: windows, the lattice, the boxes or
+levels a support reaches, patches and orbit keys, written once for every
+d. A uniform window is sigma_0's tile (the d-fold outer product of the axis
+profile) placed at one slice per axis. Neither partition synthesizes a
+piece or keeps a synthesis table; ``norms`` builds its tables per norm call
+and owns the synthesis.
 
 Support. The norms hand both partitions the bins of the floored spectrum
 (``grid.Support``), never a dense spectrum to rescan. ``reached`` lists the
@@ -38,14 +28,13 @@ N^d grid. No window is built on the full grid here, except by the dense
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec, Support, separable, _next_pow2
+from .grid import GridSpec, Support, separable
 
 
 class ResolutionError(ValueError):
@@ -171,43 +160,6 @@ class UniformPartition:
             hit[position[inside]] = True
         return np.flatnonzero(hit).tolist()
 
-    @cached_property
-    def _synthesis_table(self):
-        """exp(2 pi i (j n mod N) / N) / P per axis, for the rows n the pruned
-        synthesis needs and the patch offsets j it reads: in d = 1 the
-        residues r = 0..R/2 of R = N/L, and j < L (the patch is zero-padded
-        from S to L bins), as the one twiddle factor of
-        ``_half_row_magnitudes``, of shape (R/2 + 1, 1, L); in d = 2 the
-        matrix E of all N outputs, the right factor's, of which the left
-        factor reads rows 0..N/2, and j < S. Built on first use, then kept."""
-        spec = self.spec
-        width = 2 * self.half_width + 1
-        if spec.d == 1:
-            width = _next_pow2(width)
-            rows = spec.n // width // 2 + 1
-        else:
-            rows = spec.n
-        phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
-        table = np.exp(2j * np.pi * phase / spec.n) / spec.period
-        return (table[:, None, :],) if spec.d == 1 else table
-
-    def piece_magnitudes(self, patch: np.ndarray, work=None) -> np.ndarray:
-        """The N^d magnitudes of the space-side piece whose windowed spectrum
-        is ``patch``, as a multiset, not in grid order: those of the N^d
-        inverse transform of sigma_k * spectrum. Only the patch's S = 2 * half_width + 1 bins per axis are
-        touched: in d = 1 the patch is zero-padded to L bins and twiddled
-        into one array of residue rows, whose length-L FFTs run in place; in
-        d = 2, E P E^T (``norms.box_piece_norms`` states both). Half the rows
-        are synthesized (``_half_row_magnitudes``). ``work``, a pair from
-        ``work_arrays``, is written over and its magnitudes returned; without
-        it both arrays are fresh."""
-        return _half_row_magnitudes(patch, self._synthesis_table, work=work)
-
-    def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh work arrays for ``piece_magnitudes``: the complex half rows
-        and the N^d magnitudes of one synthesis."""
-        return _work_arrays(self._synthesis_table, self.spec.d)
-
     @staticmethod
     def orbit_key(patch: np.ndarray) -> bytes:
         """The smallest byte string, signed zeros made +0.0, among the images
@@ -257,103 +209,6 @@ def build_uniform(spec: GridSpec, kmax: int | None = None) -> UniformPartition:
             f"kmax = {kmax} windows leave the resolved band (max {max_uniform_kmax(spec)})"
         )
     return UniformPartition(spec, kmax, _uniform_axis_profile(spec.oversampling))
-
-
-def _twiddle_factors(n: int, width: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The d = 1 twiddle rows exp(2 pi i j r / n) * scale, for the residues
-    r = 0..R/2 of R = n/width and the offsets j < width (both powers of
-    two), as two factors for ``_half_row_magnitudes``: with J the least power
-    of two >= sqrt(width) and j = j1 + J j2, exp(2 pi i j1 r / n) * scale of
-    shape (R/2 + 1, 1, J) and exp(2 pi i J j2 r / n) of shape
-    (R/2 + 1, width/J, 1). Only (R/2 + 1)(J + width/J) exponentials are
-    taken; their product is within about 6e-16 of each root taken alone."""
-    low = 1 << (width.bit_length() // 2)
-    r = np.arange(n // width // 2 + 1)[:, None]
-
-    def roots(step, count):
-        return np.exp(2j * np.pi * ((r * (step * np.arange(count))) % n) / n)
-
-    return (roots(1, low) * scale)[:, None, :], roots(low, width // low)[:, :, None]
-
-
-def _half_synthesis(patch: np.ndarray, table, out: np.ndarray, at=None) -> None:
-    """Writes into ``out`` the first half of the rows of the piece whose
-    spectrum is ``patch``, complex. In d = 1, the residues r = 0..R/2 of the
-    pruned length-L FFT, an (R/2 + 1, L) array: the patch is written into
-    row 0, zero-padded to L bins (at the offsets ``at``, by default its
-    first bins), copied twiddled into the other rows, twiddled in place in
-    row 0, and the rows are transformed in place. ``table`` is a sequence
-    of twiddle factors, the first of shape (R/2 + 1, 1, J), whose product
-    on the rows viewed as (R/2 + 1, K, J), K J = L, is the twiddle of
-    offset j = j1 + J j2 on row r (``_twiddle_factors``, or a box's one
-    factor with K = 1). The first factor multiplies the patch and the rest
-    multiply in place, so a box's rows are the products of its one table
-    and the patch, bit for bit as with the table alone. In d = 2, the
-    rows n_1 = 0..N/2 of E P E^T, an (N/2 + 1, N) array, where ``table``
-    is E."""
-    if patch.ndim == 1:
-        out[0] = 0
-        out[0, slice(patch.size) if at is None else at] = patch
-        first, *rest = table
-        view = out.reshape(len(out), -1, first.shape[-1])
-        np.multiply(first[1:], view[0], out=view[1:])
-        np.multiply(first[0], view[0], out=view[0])
-        for factor in rest:
-            view *= factor
-        np.fft.ifft(out, axis=-1, norm="forward", out=out)
-    else:
-        np.matmul(table[:len(out)] @ patch, table.T, out=out)
-
-
-def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh (half, out) for ``_half_row_magnitudes`` on ``table``: the
-    complex rows r = 0..R/2 (d = 1) or n_1 = 0..N/2 (d = 2), and the N^d
-    magnitudes, shaped as that function returns them."""
-    if d == 1:
-        # the factors span complementary axes of the (K, J) view of a row
-        rows, width = len(table[0]), math.prod(f[0].size for f in table)
-        total = max(2 * rows - 2, 1)
-    else:
-        total = width = len(table)
-        rows = width // 2 + 1
-    return np.empty((rows, width), dtype=np.complex128), np.empty((total, width))
-
-
-def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.ndarray:
-    """The N^d magnitudes of the space-side samples whose spectrum is
-    ``patch``, as a multiset, scaled by the table: in d = 1 an (R, L) array
-    of residue rows, where ``table`` holds the twiddle factors of the rows
-    r = 0..R/2 and the patch puts its values at the offsets ``at`` < L (by
-    default its first bins); in d = 2 an (N, N) array from the N x S matrix
-    E (``_half_synthesis`` states both).
-
-    Half the rows are synthesized. With g_x(n) = sum_j x_j w^(jn),
-    w = exp(2 pi i / N), g_x(-n) = conj(g_conj(x)(n)), so the rows -n hold
-    the magnitudes of the rows n of conj(x)'s synthesis. Rows 0 and R/2 in
-    d = 1 (n_1 = 0 and N/2 in d = 2) are their own mirrors and are counted
-    once; the rows 1..R/2 - 1 of conj(x) fill in the rest. For a real
-    patch, conj(x) = x, so those rows are copied from the first half; a
-    complex patch synthesizes conj(x) on the same rows, if R > 2: with R = 1
-    or 2 no row is mirrored. Each row of the result holds the same samples
-    for every patch of one table, so two results pair sample by sample.
-
-    The synthesis writes into the complex rows ``half`` of ``work``, and
-    the magnitudes into its ``out``, which is returned: with
-    ``_half_synthesis`` returning fresh products instead, ``annulus-2d``
-    ran 25 % slower (six alternating benchmark pairs). Without ``work``
-    both are allocated here (``_work_arrays``); a caller that synthesizes
-    many patches of one table passes one pair to every call, and each call
-    overwrites the result of the one before."""
-    half, out = _work_arrays(table, patch.ndim) if work is None else work
-    rows = len(half)
-    _half_synthesis(patch, table, half, at)
-    np.abs(half, out=out[:rows])
-    if rows > 2 and patch.imag.any():
-        _half_synthesis(np.conj(patch), table, half, at)
-        np.abs(half[1:rows - 1], out=out[rows:])
-    else:
-        out[rows:] = out[1:rows - 1]
-    return out
 
 
 @dataclass(frozen=True, eq=False)

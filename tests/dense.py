@@ -8,6 +8,10 @@ one full inverse transform, and the Riemann L^p norm of the space samples.
 The golden digests of ``test_separable_golden`` pin the windows and the
 cube mask bit for bit.
 
+``box_table`` is the box synthesis table taken root by root with one
+``np.exp`` each, the reference for the factor product ``norms._box_table``
+builds.
+
 The extended-precision helpers synthesize a spectrum with ``np.fft`` on
 ``clongdouble`` and sum in ``longdouble``: the reference for norms at
 p < 1, whose float64 values hold only about 1e-7 relative.
@@ -17,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, separable, transform, \
-    _riemann_lp
+    _next_pow2, _riemann_lp
 from modemb.partitions import DyadicPartition, UniformPartition, _as_lattice_point
 
 
@@ -76,6 +80,23 @@ def box_apply(f: GridFunction, k, partition: UniformPartition) -> GridFunction:
 def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunction:
     """The dyadic-decomposition operator: inverse transform of phi_j * spectrum."""
     return apply_multiplier(f, dyadic_window(partition, j))
+
+
+def box_table(partition: UniformPartition):
+    """exp(2 pi i (j n mod N) / N) / P, one ``np.exp`` per root, for the rows n
+    and patch offsets j of ``norms._box_table``: in d = 1 the residues
+    r = 0..R/2 of R = N/L and j < L, as one factor of shape (R/2 + 1, 1, L);
+    in d = 2 the N x S matrix E."""
+    spec = partition.spec
+    width = 2 * partition.half_width + 1
+    if spec.d == 1:
+        width = _next_pow2(width)
+        rows = spec.n // width // 2 + 1
+    else:
+        rows = spec.n
+    phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
+    table = np.exp(2j * np.pi * phase / spec.n) / spec.period
+    return (table[:, None, :],) if spec.d == 1 else table
 
 
 def extended_magnitudes(spec: GridSpec, spectrum: np.ndarray) -> np.ndarray:

@@ -162,6 +162,12 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+SHARPNESS = ["sharpness", "--from", "B[p=2,q=2,s=-1/4]", "--to", "M[p=2,q=2]",
+             "--family", "single_box", "--lmin", "4", "--lmax", "5"]
+BOUNDEDNESS = ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+               "--family", "single_box", "--lmin", "4", "--lmax", "5"]
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (["decide", "--from", "B[p=x,q=1]", "--to", "M[p=1,q=1]"], EX_USAGE,
      "parse error: expected a rational a/b or 'inf' (no decimals), got 'x' "
@@ -235,7 +241,7 @@ def test_decide_exit_codes(capsys):
     # dilation has norm asymptotics but no experiment driver
     (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
       "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
-     "undecidable: unknown family kind 'dilation'"),
+     "undecidable: no experiment runs along the dilation family yet"),
     # a resolution out of range is refused like every other bad value
     (["table", "--pair", "B-M", "--s", "0", "--resolution", "0"], 2,
      "error: resolution must be between 1 and 64"),
@@ -294,7 +300,7 @@ def test_decide_exit_codes(capsys):
     pytest.param(
         ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
          "--family", "dilation", "--lmin", "1", "--lmax", "3000000"], 2,
-        "undecidable: unknown family kind 'dilation'",
+        "undecidable: no experiment runs along the dilation family yet",
         id="dilation-lmax-3000000"),
     # an output path in a directory that does not exist
     pytest.param(
@@ -376,6 +382,26 @@ def test_decide_exit_codes(capsys):
                   "--oversampling", "0"], 2,
                  "error: oversampling M must be a power of two >= 8, got 0",
                  id="norm-oversampling-0"),
+    # dilation is one of --family's choices, with no experiment driver
+    pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                  "--family", "dilation", "--t-list", "1/2,1/4"], 2,
+                 "undecidable: no experiment runs along the dilation family yet",
+                 id="dilation-t-list"),
+    # a gate no run could meet, or one that passes every run
+    pytest.param(SHARPNESS + ["--tolerance", "nan"], 2,
+                 "error: tolerance must be finite and >= 0, got nan", id="tolerance-nan"),
+    pytest.param(SHARPNESS + ["--tolerance", "inf"], 2,
+                 "error: tolerance must be finite and >= 0, got inf", id="tolerance-inf"),
+    pytest.param(SHARPNESS + ["--tolerance=-3"], 2,
+                 "error: tolerance must be finite and >= 0, got -3.0", id="tolerance-negative"),
+    pytest.param(BOUNDEDNESS + ["--bound", "inf"], 2,
+                 "error: bound must be finite and >= 1, got inf", id="bound-inf"),
+    pytest.param(BOUNDEDNESS + ["--bound", "nan"], 2,
+                 "error: bound must be finite and >= 1, got nan", id="bound-nan"),
+    pytest.param(BOUNDEDNESS + ["--bound=-1"], 2,
+                 "error: bound must be finite and >= 1, got -1.0", id="bound-negative"),
+    pytest.param(BOUNDEDNESS + ["--bound", "0.5"], 2,
+                 "error: bound must be finite and >= 1, got 0.5", id="bound-below-1"),
 ])
 def test_error_messages_and_exit_codes(capsys, argv, code, message):
     """Each refused command prints one line on stderr, nothing on stdout."""
@@ -383,6 +409,51 @@ def test_error_messages_and_exit_codes(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("argv,gate,value", [
+    (SHARPNESS + ["--tolerance", "0.5"], "tolerance", 0.5),
+    (SHARPNESS + ["--tolerance", "0"], "tolerance", 0.0),
+    (BOUNDEDNESS + ["--bound", "4"], "bound", 4.0),
+    (BOUNDEDNESS + ["--bound", "1"], "bound", 1.0),
+], ids=["sharpness-tolerance", "sharpness-tolerance-0", "boundedness-bound",
+        "boundedness-bound-1"])
+def test_experiment_takes_its_own_gate(capsys, argv, gate, value):
+    """Each experiment reads its own gate from the command line and writes
+    it into the report."""
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert report[gate] == value
+    assert code == (0 if report["passed"] else 1)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (SHARPNESS + ["--bound", "3"], "--bound"),
+    (BOUNDEDNESS + ["--tolerance", "0.001"], "--tolerance"),
+], ids=["sharpness-bound", "boundedness-tolerance"])
+def test_experiment_refuses_the_other_gate(capsys, argv, flag):
+    """The other experiment's gate is refused by argparse (exit 2), not
+    ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("argv,line,message", [
+    (SHARPNESS, "tolerance = nan", "tolerance must be finite and >= 0, got nan"),
+    (SHARPNESS, "tolerance = -1", "tolerance must be finite and >= 0, got -1.0"),
+    (BOUNDEDNESS, "bound = inf", "bound must be finite and >= 1, got inf"),
+    (BOUNDEDNESS, "bound = 0", "bound must be finite and >= 1, got 0.0"),
+], ids=["tolerance-nan", "tolerance-negative", "bound-inf", "bound-0"])
+def test_config_gate_that_cannot_work_is_refused(tmp_path, capsys, argv, line, message):
+    config = tmp_path / "modemb.cfg"
+    config.write_text(line + "\n")
+    assert main(["--config", str(config), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

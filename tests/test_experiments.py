@@ -195,6 +195,21 @@ def test_run_boundedness_requires_holding_verdict():
         run_boundedness(B(1, 1, 0), M(1, 1), "annulus", range(4, 7))
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9, -3])
+def test_run_sharpness_refuses_a_gate_that_cannot_work(tolerance):
+    with pytest.raises(ValueError, match=r"tolerance must be finite and >= 0"):
+        run_sharpness(B(2, 2, F(-1, 4)), M(2, 2), "single_box", range(4, 6),
+                      tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.999, 0, -1])
+def test_run_boundedness_refuses_a_gate_that_cannot_work(bound):
+    """The spread max/min is never below 1, so a bound below 1 fails every
+    run, and a non-finite one gates nothing."""
+    with pytest.raises(ValueError, match=r"bound must be finite and >= 1"):
+        run_boundedness(B(2, 2, 0), M(2, 2), "single_box", range(4, 6), bound=bound)
+
+
 def test_run_boundedness_kernel_sobolev():
     """W^{0,1} -> M_{1,inf} holds (condition with r = 1, q = inf); the
     dilated-kernel ratio stays bounded as t -> 0."""

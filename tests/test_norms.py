@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense import apply_multiplier, box_apply, delta_apply, dyadic_window, extended_lp, \
-    extended_magnitudes, freq_outside_cube, lp_norm
+from dense import apply_multiplier, box_apply, box_table, delta_apply, dyadic_window, \
+    extended_lp, extended_magnitudes, freq_outside_cube, lp_norm
 from modemb.families import (
     _add_box,
     _finish,
@@ -20,7 +20,7 @@ from modemb.families import (
     random_band_limited,
     smallest_box_point,
 )
-from modemb import grid, norms, partitions
+from modemb import grid, norms
 from modemb.exponents import Exponent
 from modemb.grid import FREQUENCY, SPACE, BandLimitError, GridFunction, GridSpec, \
     lq_seq_norm, transform, _next_pow2
@@ -65,8 +65,9 @@ def full_grid_transforms(monkeypatch):
     for grid._fft; "inverse" for grid._ifft and for the dense synthesis of
     a dyadic piece or W in norms (d = 2), which inverse-transforms the whole
     grid without grid._ifft. "band" counts the d = 1 dyadic pieces and W
-    synthesized on the support's band instead, which make no full-grid
-    transform. Clear it to start a new count."""
+    synthesized on the support's band instead, at the offsets of its bins,
+    which make no full-grid transform; "box" counts the box pieces, which
+    share that routine with no offsets. Clear it to start a new count."""
     calls = Counter()
 
     def counted(original, kind):
@@ -79,8 +80,13 @@ def full_grid_transforms(monkeypatch):
     monkeypatch.setattr(grid, "_ifft", counted(grid._ifft, "inverse"))
     monkeypatch.setattr(norms, "_synthesized_magnitudes",
                         counted(norms._synthesized_magnitudes, "inverse"))
-    monkeypatch.setattr(norms, "_half_row_magnitudes",
-                        counted(norms._half_row_magnitudes, "band"))
+    half_rows = norms._half_row_magnitudes
+
+    def band_or_box(patch, table, at=None, work=None):
+        calls["box" if at is None else "band"] += 1
+        return half_rows(patch, table, at, work)
+
+    monkeypatch.setattr(norms, "_half_row_magnitudes", band_or_box)
     return calls
 
 
@@ -654,7 +660,9 @@ def _scattered_box_piece_norms(support, p, uniform):
     checked against UniformPartition.orbit_key on the way."""
     spec, peak = support.spec, support.peak
     parseval = Exponent.of(p) == 2
-    work = None if parseval else uniform.work_arrays()
+    if not parseval:
+        table = norms._box_table(uniform)
+        work = norms._work_arrays(table, spec.d)
     spectrum = support.scatter(support.values)
     points = uniform.lattice()
     values = np.zeros(len(points))
@@ -669,7 +677,7 @@ def _scattered_box_piece_norms(support, p, uniform):
         key = _eight_copy_orbit_key(patch)
         assert uniform.orbit_key(patch) == key
         if key not in memo:
-            memo[key] = grid._riemann_lp(uniform.piece_magnitudes(patch, work),
+            memo[key] = grid._riemann_lp(norms._half_row_magnitudes(patch, table, work=work),
                                          spec.cell_volume, p)
         values[i] = memo[key]
     return points, values
@@ -724,7 +732,7 @@ def test_box_piece_norms_match_the_scattered_loop(case):
 def test_box_piece_norms_parseval_path(d, n, monkeypatch):
     """At p = 2 the norms come from the patches alone, exactly as before:
     no piece is synthesized, no orbit key computed and no synthesis table
-    built."""
+    built; at p = 1 one table is built."""
     spec = GridSpec(d=d, n=n, oversampling=8)
     uniform = build_uniform(spec)
     f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=9)
@@ -733,16 +741,25 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
         raise AssertionError("the Parseval path synthesizes no piece and keys no orbit")
 
     monkeypatch.setattr(UniformPartition, "orbit_key", forbidden)
-    monkeypatch.setattr(UniformPartition, "piece_magnitudes", forbidden)
-    _, norms = box_piece_norms(f.support, 2, uniform)
+    monkeypatch.setattr(norms, "_half_row_magnitudes", forbidden)
+    monkeypatch.setattr(norms, "_box_table", forbidden)
+    _, values = box_piece_norms(f.support, 2, uniform)
     monkeypatch.undo()
-    assert "_synthesis_table" not in vars(uniform)
     spectrum = _floored(f)
-    for k, value in zip(uniform.lattice(), norms):
+    for k, value in zip(uniform.lattice(), values):
         _, patch = uniform.patch(spectrum, k)
         assert value == np.sqrt(np.sum(np.abs(patch) ** 2) / spec.period ** d)
+    built = []
+    build = norms._box_table
+    monkeypatch.setattr(norms, "_box_table", lambda u: built.append(u) or build(u))
     box_piece_norms(f.support, 1, uniform)
-    assert "_synthesis_table" in vars(uniform)
+    assert built == [uniform]
+
+
+def _box_magnitudes(uniform, patch):
+    """The magnitudes of the box piece whose windowed spectrum is ``patch``,
+    synthesized as box_piece_norms does, on a fresh table of the grid."""
+    return norms._half_row_magnitudes(patch, norms._box_table(uniform))
 
 
 def test_piece_magnitudes_are_the_dense_samples():
@@ -754,7 +771,7 @@ def test_piece_magnitudes_are_the_dense_samples():
         f = random_band_limited(spec, band_radius=uniform.kmax - 1, seed=13)
         k = (1,) * spec.d
         _, patch = uniform.patch(f.in_frequency().values, k)
-        pruned = np.sort(uniform.piece_magnitudes(patch), axis=None)
+        pruned = np.sort(_box_magnitudes(uniform, patch), axis=None)
         dense = np.sort(np.abs(box_apply(f, k, uniform).values), axis=None)
         assert pruned.size == spec.n ** spec.d
         np.testing.assert_allclose(pruned, dense, rtol=0, atol=1e-13 * dense.max())
@@ -817,10 +834,10 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
         width = 2 * uniform.half_width + 1
         expected = [(rows, _next_pow2(width))] * (1 if real or rows <= 2 else 2)
     else:
-        uniform.__dict__["_synthesis_table"] = uniform._synthesis_table.view(_TableSpy)
         _TableSpy.left_operands = samples
         expected = [(rows, 2 * uniform.half_width + 1)] * (1 if real else 2)
-    mags = uniform.piece_magnitudes(patch)
+    table = norms._box_table(uniform)
+    mags = norms._half_row_magnitudes(patch, table if spec.d == 1 else table.view(_TableSpy))
     monkeypatch.undo()
     assert samples == expected
     dense = np.abs(box_apply(GridFunction(spec, spectrum, FREQUENCY), (0,) * spec.d,
@@ -831,10 +848,78 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
     kept = []
     for x, first in ((patch, 0), (np.conj(patch), 1))[:1 if real else 2]:
         half = np.empty((rows, mags.shape[1]), dtype=np.complex128)
-        partitions._half_synthesis(x, uniform._synthesis_table, half)
+        norms._half_synthesis(x, table, half)
         kept.append(np.abs(half[first:rows - first]))
     assert mags.max() == max(rows_kept.max() for rows_kept in kept if rows_kept.size)
     assert mags.max() == pytest.approx(dense.max(), rel=1e-15)
+
+
+BOX_TABLE_GRIDS = {
+    **{name: spec for name, (spec, _) in HALF_ROW_GRIDS.items()},
+    "annulus-1d-level8": grid_for("annulus", d=1, level=8),
+    "comb-1d-level4": grid_for("lattice_comb", d=1, level=4),
+    "annulus-2d-level3": grid_for("annulus", d=2, level=3),
+}
+
+
+@pytest.mark.parametrize("name", BOX_TABLE_GRIDS)
+def test_box_table_matches_the_exp_table(name):
+    """The d = 1 box table, the product of the two twiddle factors, holds
+    every root within 1e-15/P of the root taken alone by np.exp; the d = 2
+    matrix E is the np.exp table byte for byte."""
+    spec = BOX_TABLE_GRIDS[name]
+    uniform = UniformPartition(spec, 0, _uniform_axis_profile(spec.oversampling))
+    table, reference = norms._box_table(uniform), box_table(uniform)
+    if spec.d == 2:
+        assert table.dtype == reference.dtype and table.tobytes() == reference.tobytes()
+        return
+    (table,), (reference,) = table, reference
+    assert table.shape == reference.shape
+    assert np.abs(table - reference).max() <= 1e-15 / spec.period
+
+
+BOX_TABLE_MEMBERS = {
+    "annulus-1d-level8": (family_annulus, grid_for("annulus", d=1, level=8), 8),
+    "comb-1d-level4": (family_lattice_comb, grid_for("lattice_comb", d=1, level=4), 4),
+}
+
+
+@pytest.mark.parametrize("p,rel", [(1, 1e-15), (3, 1e-15), ("inf", 1e-15), ("1/2", 1e-13)])
+@pytest.mark.parametrize("member", BOX_TABLE_MEMBERS)
+def test_box_norms_match_the_exp_table(member, p, rel, monkeypatch):
+    """Every d = 1 box norm on the factor-product table is within 1e-15
+    relative of the norm on the np.exp table at p >= 1, and within 1e-13 at
+    p = 1/2, where roundoff-level tails dominate the sum."""
+    family, spec, level = BOX_TABLE_MEMBERS[member]
+    f = family(spec, level)
+    uniform = build_uniform(spec)
+    _, values = box_piece_norms(f.support, p, uniform)
+    monkeypatch.setattr(norms, "_box_table", box_table)
+    _, reference = box_piece_norms(f.support, p, uniform)
+    active = reference != 0.0
+    assert active.any() and np.array_equal(values != 0.0, active)
+    assert np.max(np.abs(values[active] - reference[active]) / reference[active]) <= rel
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_table_dies_with_the_norm_call(d, monkeypatch):
+    """modulation_norm builds one box table per call, and nothing keeps it
+    after the call returns: the partition holds geometry only."""
+    f = family_annulus(grid_for("annulus", d=d, level=2), 2)
+    uniform = build_uniform(f.spec)
+    built = []
+    box_table_of = norms._box_table
+
+    def spy(partition):
+        table = box_table_of(partition)
+        built.extend(weakref.ref(t) for t in (table if d == 1 else (table,)))
+        return table
+
+    monkeypatch.setattr(norms, "_box_table", spy)
+    assert modulation_norm(f, 1, 1, 0, uniform) > 0.0
+    assert len(built) == 1
+    assert all(ref() is None for ref in built)
+    assert set(vars(uniform)) <= {"spec", "kmax", "axis_profile", "_tile", "_lattice"}
 
 
 def _images(patch):
@@ -871,13 +956,13 @@ def test_orbit_images_permute_piece_magnitudes(spec):
         patch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         patch[rng.random(shape) < 0.2] = 0.0
         key = uniform.orbit_key(patch)
-        mags = np.sort(uniform.piece_magnitudes(patch), axis=None)
+        mags = np.sort(_box_magnitudes(uniform, patch), axis=None)
         images = _images(patch)
         assert len(_orbit(patch)) == len(images) == 2 ** (2 * spec.d - 1)
         for image in images:
             assert uniform.orbit_key(image) == key
             np.testing.assert_allclose(
-                np.sort(uniform.piece_magnitudes(image), axis=None), mags,
+                np.sort(_box_magnitudes(uniform, image), axis=None), mags,
                 rtol=0, atol=1e-13 * mags.max())
         assert uniform.orbit_key(np.where(patch == 0, complex(-0.0, -0.0), patch)) == key
 
@@ -896,13 +981,13 @@ def test_box_piece_norms_synthesize_once_per_orbit(case, monkeypatch):
     spec, levels, active_boxes, syntheses = ORBIT_CASES[case]
     uniform = build_uniform(spec)
     synthesized = []
-    magnitudes = UniformPartition.piece_magnitudes
+    magnitudes = norms._half_row_magnitudes
 
-    def spy(self, patch, *args):
+    def spy(patch, *args, **kwargs):
         synthesized.append(_orbit(patch))
-        return magnitudes(self, patch, *args)
+        return magnitudes(patch, *args, **kwargs)
 
-    monkeypatch.setattr(UniformPartition, "piece_magnitudes", spy)
+    monkeypatch.setattr(norms, "_half_row_magnitudes", spy)
     active = 0
     for level in levels:
         f = family_annulus(spec, level)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dense import box_apply, delta_apply, dyadic_window, lp_norm, uniform_window
+from modemb import norms
 from modemb.families import random_band_limited
 from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, transform
 from modemb.partitions import (
@@ -359,7 +360,8 @@ def test_dyadic_profile_convention():
 
 def test_partitions_compare_by_identity():
     """Equal-looking partitions are distinct objects: == does not raise, and
-    a partition can key a dict. The lazy synthesis table keeps working."""
+    a partition can key a dict. The lazy window tile keeps working, and a
+    patch cut with it synthesizes through the norms' box table."""
     spec = GridSpec(1, 256, 8)
     for build in (build_uniform, build_dyadic):
         a, b = build(spec), build(spec)
@@ -367,8 +369,8 @@ def test_partitions_compare_by_identity():
         assert {a: 1, b: 2}[a] == 1
     uniform = build_uniform(spec)
     _, patch = uniform.patch(np.ones(spec.n, dtype=complex), (0,))
-    assert uniform.piece_magnitudes(patch).size == spec.n
-    assert "_synthesis_table" in vars(uniform)
+    assert norms._half_row_magnitudes(patch, norms._box_table(uniform)).size == spec.n
+    assert "_tile" in vars(uniform)
 
 
 @pytest.mark.parametrize("spec", [SPEC, GridSpec(d=2, n=256, oversampling=8)])
