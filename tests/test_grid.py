@@ -361,3 +361,28 @@ def test_adopt_refuses_bins_on_the_space_side(spec):
     with pytest.raises(ValueError, match="frequency-side"):
         GridFunction.adopt(spec, np.zeros(spec.n, dtype=np.complex128), SPACE,
                            np.arange(3))
+
+
+FINITENESS_P = ["1/2", 1, 3, "inf"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("p", FINITENESS_P)
+def test_riemann_lp_refuses_a_non_finite_sample(p, bad):
+    """One NaN or Inf among the magnitudes raises NonFiniteError at every p,
+    wherever it sits."""
+    for at in (0, 7, -1):
+        mags = np.linspace(0.0, 2.0, 24).reshape(3, 8)
+        mags[np.unravel_index(at % mags.size, mags.shape)] = bad
+        with pytest.raises(grid.NonFiniteError, match="NaN or Inf"):
+            grid._riemann_lp(mags, 0.5, p)
+
+
+@pytest.mark.parametrize("p", FINITENESS_P)
+def test_riemann_lp_overflow_of_finite_samples_is_inf(p):
+    """Finite magnitudes whose sum overflows give inf and raise nothing; at
+    p = inf, where nothing is summed, they give their maximum."""
+    mags = np.full((2, 4), 1e308)
+    with np.errstate(over="ignore"):
+        value = grid._riemann_lp(mags, 1.0, p)
+    assert value == (1e308 if p == "inf" else np.inf)
