@@ -241,17 +241,36 @@ def transform(f: GridFunction, side: str) -> GridFunction:
     return GridFunction.adopt(spec, out, side)
 
 
-def _riemann_lp(mags: np.ndarray, cell_volume: float, p) -> float:
-    """Riemann-sum L^p quasi-norm of the sample magnitudes ``mags``, which
-    the caller takes with np.abs; max for p = inf. At p = 1 the magnitudes
-    are summed as they are (x ** 1.0 is x)."""
+def _riemann_lp(samples, cell_volume: float, p) -> float:
+    """Riemann-sum L^p quasi-norm of sample magnitudes, which the caller
+    takes with np.abs; max for p = inf. At p = 1 the magnitudes are summed
+    as they are (x ** 1.0 is x).
+
+    ``samples`` is one array, or the pair (mags, mirror) of a half-row
+    synthesis (``norms._half_row_magnitudes``): both parts count. A mirror
+    that is the view ``mags[1:-1]`` is not read again: the sum is twice
+    mags' less its first and last rows, and the maximum is mags'.
+
+    The magnitudes are >= 0, so a NaN or Inf among them makes the total NaN
+    or Inf, and a finite total needs no scan. Only a non-finite one scans
+    the samples, raising NonFiniteError on a NaN or Inf; finite samples
+    whose sum overflows give inf."""
+    mags, mirror = samples if isinstance(samples, tuple) else (samples, None)
     p = Exponent.of(p)
-    if not np.all(np.isfinite(mags)):
+    twice = mirror is not None and np.shares_memory(mags, mirror)
+    parts = (mags,) if mirror is None or twice else (mags, mirror)
+    if p.is_infinite:
+        total = np.max([x.max() for x in parts if x.size], initial=0.0)
+    else:
+        pf = float(p.value)
+        powered = parts if pf == 1.0 else tuple(x ** pf for x in parts)
+        total = sum(np.sum(x) for x in powered)
+    if not np.isfinite(total) and not all(np.all(np.isfinite(x)) for x in parts):
         raise NonFiniteError("samples contain NaN or Inf")
     if p.is_infinite:
-        return float(mags.max()) if mags.size else 0.0
-    pf = float(p.value)
-    total = np.sum(mags) if pf == 1.0 else np.sum(mags ** pf)
+        return float(total)
+    if twice:
+        total = 2 * total - np.sum(powered[0][0]) - np.sum(powered[0][-1])
     return float((cell_volume * total) ** (1.0 / pf))
 
 

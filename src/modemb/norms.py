@@ -11,7 +11,9 @@ Synthesis lives here, for box and dyadic pieces alike; the partitions hold
 geometry only. ``_half_row_magnitudes`` synthesizes the first half of a
 piece's output rows, by a pruned length-L FFT on residue rows in d = 1 and
 by E P E^T in d = 2, each benchmarked by its own annulus workload (on the
-annulus-1d grid E would be 131072 x 97, the residue rows 513 x 128). Each
+annulus-1d grid E would be 131072 x 97, the residue rows 513 x 128), and
+returns those rows and the mirrored ones apart: a real piece's mirror is a
+view, which ``grid._riemann_lp`` counts twice with no copy. Each
 norm call builds its tables and drops them: in d = 1 from one twiddle
 formula (``_twiddle_factors``), whose two factors a box multiplies into one
 (``_box_table``) and a dyadic piece keeps apart.
@@ -42,10 +44,13 @@ Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
 skip the grid's centering shifts, so their magnitudes come in transform
 order, or in residue rows when pruned, and round unlike ``transform``'s,
-again by about 1e-16. At p < 1 a norm holds only about 1e-7 relative: the
-sum of |x|^p is dominated by space samples at roundoff level in each
-piece's tails, which p < 1 amplifies, so a change to the rounding of a
-transform moves the value in the sixth to eighth digit. On the level-8
+again by about 1e-16. A real half-row piece sums as twice its first rows
+less the two self-mirrored ones, within 5.4e-16 relative of one sum over
+the copied rows at p >= 1 (8.8e-16 at p = 1/2) on the annulus members. At
+p < 1 a norm holds only about 1e-7 relative: the sum of |x|^p is dominated
+by space samples at roundoff level in each piece's tails, which p < 1
+amplifies, so a change to the rounding of a transform moves the value in
+the sixth to eighth digit. On the level-8
 d = 1 annulus (N = 2^17), against extended-precision syntheses of the same
 floored spectrum, B^0_{1/2,1} is 1.3e-6 off, F^0_{1/2,q} 4.2e-7 (q = 1) to
 4.8e-8 (q = inf), and a box piece at p = 1/2 within 3e-11. Never gate a
@@ -176,7 +181,7 @@ def _half_synthesis(patch: np.ndarray, table, out: np.ndarray, at=None) -> None:
 def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Fresh (half, out) for ``_half_row_magnitudes`` on ``table``: the
     complex rows r = 0..R/2 (d = 1) or n_1 = 0..N/2 (d = 2), and the N^d
-    magnitudes, shaped as that function returns them."""
+    magnitudes' rows, of which that function returns two views."""
     if d == 1:
         # the factors span complementary axes of the (K, J) view of a row
         rows, width = len(table[0]), math.prod(f[0].size for f in table)
@@ -187,26 +192,30 @@ def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, width), dtype=np.complex128), np.empty((total, width))
 
 
-def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.ndarray:
-    """The N^d magnitudes of the space-side samples whose spectrum is
-    ``patch``, as a multiset, scaled by the table: in d = 1 an (R, L) array
-    of residue rows, where ``table`` holds the twiddle factors of the rows
-    r = 0..R/2 and the patch puts its values at the offsets ``at`` < L (by
-    default its first bins); in d = 2 an (N, N) array from the N x S matrix
-    E (``_half_synthesis`` states both).
+def _half_row_magnitudes(patch: np.ndarray, table, at=None,
+                         work=None) -> tuple[np.ndarray, np.ndarray]:
+    """(mags, mirror): the N^d magnitudes of the space-side samples whose
+    spectrum is ``patch``, as a multiset in two parts, scaled by the table.
+    In d = 1 ``mags`` is the (R/2 + 1, L) array of residue rows r = 0..R/2,
+    where ``table`` holds their twiddle factors and the patch puts its
+    values at the offsets ``at`` < L (by default its first bins); in d = 2
+    it is the (N/2 + 1, N) array of rows n_1 = 0..N/2 of E P E^T, from the
+    N x S matrix E (``_half_synthesis`` states both); ``mirror`` holds the
+    mirrored rows.
 
     Half the rows are synthesized. With g_x(n) = sum_j x_j w^(jn),
     w = exp(2 pi i / N), g_x(-n) = conj(g_conj(x)(n)), so the rows -n hold
     the magnitudes of the rows n of conj(x)'s synthesis. Rows 0 and R/2 in
     d = 1 (n_1 = 0 and N/2 in d = 2) are their own mirrors and are counted
     once; the rows 1..R/2 - 1 of conj(x) fill in the rest. For a real
-    patch, conj(x) = x, so those rows are copied from the first half; a
-    complex patch synthesizes conj(x) on the same rows, if R > 2: with R = 1
-    or 2 no row is mirrored. Each row of the result holds the same samples
-    for every patch of one table, so two results pair sample by sample.
+    patch, conj(x) = x, so ``mirror`` is the view ``mags[1:-1]``, not a
+    copy; a complex patch synthesizes conj(x) on the same rows, if R > 2:
+    with R = 1 or 2 no row is mirrored. np.concatenate((mags, mirror)) is
+    the whole multiset; each of its rows holds the same samples for every
+    patch of one table, so two of them pair sample by sample.
 
     The synthesis writes into the complex rows ``half`` of ``work``, and
-    the magnitudes into its ``out``, which is returned: with
+    the magnitudes into its ``out``, of which both parts are views: with
     ``_half_synthesis`` returning fresh products instead, ``annulus-2d``
     ran 25 % slower (six alternating benchmark pairs). Without ``work``
     both are allocated here (``_work_arrays``); a caller that synthesizes
@@ -215,13 +224,11 @@ def _half_row_magnitudes(patch: np.ndarray, table, at=None, work=None) -> np.nda
     half, out = _work_arrays(table, patch.ndim) if work is None else work
     rows = len(half)
     _half_synthesis(patch, table, half, at)
-    np.abs(half, out=out[:rows])
+    mags = np.abs(half, out=out[:rows])
     if rows > 2 and patch.imag.any():
         _half_synthesis(np.conj(patch), table, half, at)
-        np.abs(half[1:rows - 1], out=out[rows:])
-    else:
-        out[rows:] = out[1:rows - 1]
-    return out
+        return mags, np.abs(half[1:rows - 1], out=out[rows:])
+    return mags, mags[1:-1]
 
 
 def _box_table(uniform: UniformPartition):
@@ -257,7 +264,8 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     inverse DFT is exp(2 pi i a n / N) sum_j x_j exp(2 pi i j n / N), times
     P^-1 per axis. The leading factor, like the centering shifts, is
     unimodular, which the magnitudes in the L^p sum cannot see, so the
-    samples come from the S bins alone (``_half_row_magnitudes``). In d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
+    samples come from the S bins alone (``_half_row_magnitudes``). In
+    d = 1, with L the next power of two >= S and n = r + (N/L) m, the sum
     is the length-L inverse DFT in m of the twiddled bins
     x_j exp(2 pi i j r / N), one per residue r: the patch is zero-padded to
     L bins, twiddled by a table of residue rows and transformed in place. In
@@ -268,8 +276,10 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
     obeys g_x(-n) = conj(g_conj(x)(n)), so the rows -n have the magnitudes
     of the rows n of conj(x)'s synthesis, which are x's own rows when the
     patch is real. Residues 0 and R/2 in d = 1, rows n_1 = 0 and N/2 in
-    d = 2, are their own mirrors and are counted once. At p = 2 Parseval
-    gives the norm from the patch alone (``_l2_norm``).
+    d = 2, are their own mirrors and are counted once. ``_riemann_lp``
+    reduces the two parts straight to the norm, a real patch's mirror with
+    no copy and no second pass. At p = 2 Parseval gives the norm from the
+    patch alone (``_l2_norm``).
 
     Otherwise each piece is synthesized once per symmetry orbit of its patch
     (``UniformPartition.orbit_key``), whose images permute its samples, and
@@ -351,8 +361,10 @@ def _piece_synthesis(support: Support):
     """The function that takes a dyadic piece of ``support`` (its values at
     the support's bins, as ``_dyadic_pieces`` yields it) to |ifftn| of the
     piece: the samples divided by (N/P)^d, with no centering shift
-    (``_synthesized_magnitudes``), as a multiset. Every piece comes in one
-    sample order, so the arrays of two levels pair sample by sample.
+    (``_synthesized_magnitudes``), as a multiset: in d = 1 the pair
+    (mags, mirror) of ``_half_row_magnitudes``, in d = 2 one array.
+    ``grid._riemann_lp`` reduces either. Every piece comes in one sample
+    order, so the joined arrays of two levels pair sample by sample.
 
     In d = 1 a piece is synthesized on the support's band alone, as a box
     piece is: with a..b the bins the support spans, L the next power of two
@@ -415,8 +427,8 @@ def triebel_norm(f: GridFunction, p, q, s,
     ``besov_norm`` does not skip (a skipped piece adds only zeros), with the
     (N/P)^d scale folded into the weight 2^(js). Every level is synthesized
     in one sample order (``_piece_synthesis``: the support's residue rows in
-    d = 1, transform order in d = 2), so the pointwise l^q pairs the same
-    points as on the grid."""
+    d = 1, its two parts joined into one array, transform order in d = 2),
+    so the pointwise l^q pairs the same points as on the grid."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
@@ -434,6 +446,8 @@ def triebel_norm(f: GridFunction, p, q, s,
     synthesize = _piece_synthesis(support)
     for j, piece in pieces:
         mags = synthesize(piece)
+        if isinstance(mags, tuple):
+            mags = np.concatenate(mags)
         mags *= 2.0 ** (sf * j) * scale
         if q.is_infinite:
             stack = mags if stack is None else np.maximum(stack, mags)

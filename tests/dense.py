@@ -10,7 +10,9 @@ cube mask bit for bit.
 
 ``box_table`` is the box synthesis table taken root by root with one
 ``np.exp`` each, the reference for the factor product ``norms._box_table``
-builds.
+builds. ``half_row_magnitudes`` is the half-row synthesis with its mirrored
+rows copied into one N^d multiset, the reference for the two parts
+``norms._half_row_magnitudes`` returns.
 
 The extended-precision helpers synthesize a spectrum with ``np.fft`` on
 ``clongdouble`` and sum in ``longdouble``: the reference for norms at
@@ -22,6 +24,7 @@ import numpy as np
 
 from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, separable, transform, \
     _next_pow2, _riemann_lp
+from modemb.norms import _half_synthesis, _work_arrays
 from modemb.partitions import DyadicPartition, UniformPartition, _as_lattice_point
 
 
@@ -114,3 +117,21 @@ def extended_lp(mags: np.ndarray, spec: GridSpec, p) -> np.longdouble:
     on the space grid of ``spec``, summed in ``longdouble``; finite p only."""
     pf = np.longdouble(float(Fraction(p)))
     return (np.longdouble(spec.cell_volume) * np.sum(mags ** pf)) ** (1 / pf)
+
+
+def half_row_magnitudes(patch: np.ndarray, table, at=None) -> np.ndarray:
+    """The N^d magnitudes of the piece whose spectrum is ``patch``, as one
+    array: the first half of the rows synthesized as
+    ``norms._half_row_magnitudes`` does, then the mirrored rows, copied from
+    rows 1..R/2 - 1 for a real patch and synthesized from conj(x) for a
+    complex one (R > 2)."""
+    half, out = _work_arrays(table, patch.ndim)
+    rows = len(half)
+    _half_synthesis(patch, table, half, at)
+    np.abs(half, out=out[:rows])
+    if rows > 2 and patch.imag.any():
+        _half_synthesis(np.conj(patch), table, half, at)
+        np.abs(half[1:rows - 1], out=out[rows:])
+    else:
+        out[rows:] = out[1:rows - 1]
+    return out

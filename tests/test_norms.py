@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense import apply_multiplier, box_apply, box_table, delta_apply, dyadic_window, \
-    extended_lp, extended_magnitudes, freq_outside_cube, lp_norm
+    extended_lp, extended_magnitudes, freq_outside_cube, half_row_magnitudes, lp_norm
 from modemb.families import (
     _add_box,
     _finish,
@@ -758,8 +758,9 @@ def test_box_piece_norms_parseval_path(d, n, monkeypatch):
 
 def _box_magnitudes(uniform, patch):
     """The magnitudes of the box piece whose windowed spectrum is ``patch``,
-    synthesized as box_piece_norms does, on a fresh table of the grid."""
-    return norms._half_row_magnitudes(patch, norms._box_table(uniform))
+    synthesized as box_piece_norms does, on a fresh table of the grid, as
+    one array: the first rows, then the mirrored ones."""
+    return np.concatenate(norms._half_row_magnitudes(patch, norms._box_table(uniform)))
 
 
 def test_piece_magnitudes_are_the_dense_samples():
@@ -837,7 +838,8 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
         _TableSpy.left_operands = samples
         expected = [(rows, 2 * uniform.half_width + 1)] * (1 if real else 2)
     table = norms._box_table(uniform)
-    mags = norms._half_row_magnitudes(patch, table if spec.d == 1 else table.view(_TableSpy))
+    mags = np.concatenate(
+        norms._half_row_magnitudes(patch, table if spec.d == 1 else table.view(_TableSpy)))
     monkeypatch.undo()
     assert samples == expected
     dense = np.abs(box_apply(GridFunction(spec, spectrum, FREQUENCY), (0,) * spec.d,
@@ -852,6 +854,80 @@ def test_piece_magnitudes_synthesize_half_the_rows(grid, real, monkeypatch):
         kept.append(np.abs(half[first:rows - first]))
     assert mags.max() == max(rows_kept.max() for rows_kept in kept if rows_kept.size)
     assert mags.max() == pytest.approx(dense.max(), rel=1e-15)
+
+
+def _half_row_patch(grid_name, real, seed=31):
+    """A random real or complex patch of the grid ``grid_name`` of
+    HALF_ROW_GRIDS, its partition (kmax = 0) and its box table."""
+    spec, rows = HALF_ROW_GRIDS[grid_name]
+    uniform = UniformPartition(spec, 0, _uniform_axis_profile(spec.oversampling))
+    rng = np.random.default_rng(seed)
+    spectrum = rng.standard_normal(spec.shape()) + 0j
+    if not real:
+        spectrum += 1j * rng.standard_normal(spec.shape())
+    _, patch = uniform.patch(spectrum, (0,) * spec.d)
+    return spec, rows, patch, norms._box_table(uniform)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("grid_name", HALF_ROW_GRIDS)
+def test_half_row_pair_norm_matches_the_copied_multiset(grid_name, real):
+    """The L^p norm of the pair (mags, mirror) is that of the whole multiset
+    with the mirrored rows copied (dense.half_row_magnitudes): within 1e-15
+    relative at p >= 1 and 1e-13 at p = 1/2. mags holds the first rows, the
+    pair concatenated is the copied multiset, and a real patch's mirror is
+    a view of mags while a complex one's is memory of its own."""
+    spec, rows, patch, table = _half_row_patch(grid_name, real)
+    mags, mirror = norms._half_row_magnitudes(patch, table)
+    whole = half_row_magnitudes(patch, table)
+    assert len(mags) == rows and len(mirror) == max(rows - 2, 0)
+    np.testing.assert_array_equal(np.concatenate((mags, mirror)), whole)
+    if rows > 2:
+        assert np.shares_memory(mags, mirror) == real
+    for p, rel in ((1, 1e-15), (3, 1e-15), ("inf", 1e-15), ("1/2", 1e-13)):
+        value = grid._riemann_lp((mags, mirror), spec.cell_volume, p)
+        assert value == pytest.approx(grid._riemann_lp(whole, spec.cell_volume, p), rel=rel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("p", ["1/2", 1, 3, "inf"])
+def test_half_row_pair_refuses_a_non_finite_sample(p, bad):
+    """A NaN or Inf bin of a complex d = 1 patch reaches both parts of the
+    pair, and its norm raises NonFiniteError; so does a NaN or Inf only in
+    a mirror of its own rows, or in a mirrored row a view shares."""
+    spec, rows, patch, table = _half_row_patch("1d-R64", real=False)
+    patch[3] = bad
+    with np.errstate(invalid="ignore"):  # an Inf bin times a zero bin is NaN
+        mags, mirror = norms._half_row_magnitudes(patch, table)
+    assert not np.shares_memory(mags, mirror)
+    with pytest.raises(grid.NonFiniteError):
+        grid._riemann_lp((mags, mirror), spec.cell_volume, p)
+    mags, own = np.ones((rows, 8)), np.ones((rows - 2, 8))
+    own[-1, 2] = bad
+    with pytest.raises(grid.NonFiniteError):
+        grid._riemann_lp((mags, own), spec.cell_volume, p)
+    mags[1, 5] = bad  # a mirrored row, which the view shares
+    with pytest.raises(grid.NonFiniteError):
+        grid._riemann_lp((mags, mags[1:-1]), spec.cell_volume, p)
+
+
+@pytest.mark.parametrize("p", ["1/2", 1, 3, "inf"])
+def test_riemann_lp_scans_no_finite_sample(p, monkeypatch):
+    """A finite total proves every sample finite: _riemann_lp then tests
+    only scalars with np.isfinite, never the magnitudes."""
+    spec, _, patch, table = _half_row_patch("2d-N64", real=True)
+    mags, mirror = norms._half_row_magnitudes(patch, table)
+    tested = []
+    isfinite = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        tested.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    assert grid._riemann_lp((mags, mirror), spec.cell_volume, p) > 0.0
+    monkeypatch.undo()
+    assert tested and max(tested) == 1
 
 
 BOX_TABLE_GRIDS = {
@@ -965,6 +1041,21 @@ def test_orbit_images_permute_piece_magnitudes(spec):
                 np.sort(_box_magnitudes(uniform, image), axis=None), mags,
                 rtol=0, atol=1e-13 * mags.max())
         assert uniform.orbit_key(np.where(patch == 0, complex(-0.0, -0.0), patch)) == key
+
+
+def test_orbit_key_matches_the_eight_copy_key():
+    """On random patches, with zeros of either sign, the written-out images
+    of UniformPartition.orbit_key give the key of the conjugated copies."""
+    rng = np.random.default_rng(41)
+    for d in (1, 2):
+        for _ in range(25):
+            shape = tuple(rng.integers(1, 14, size=d))
+            patch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            patch[rng.random(shape) < 0.2] = complex(-0.0, 0.0)
+            patch.imag[rng.random(shape) < 0.2] = -0.0
+            if rng.random() < 0.3:
+                patch = patch.real + 0j
+            assert UniformPartition.orbit_key(patch) == _eight_copy_orbit_key(patch)
 
 
 ORBIT_CASES = {

@@ -50,7 +50,7 @@ GOLDEN = {
     "orbit_key/d1": "92a0cce621fe4afb551f5b6ce5b7b266299c5c05637141d9503afc604b90c526",
     "orbit_key/d2": "b2e792ff03dd2ee83567e65f187e67d3d8050e16bb77c9742ffee5fcf4fdfecd",
     "selftest_report/d1": "bf1ee62eec0dd590bc27a5298edced3b400e7186c19cdecb11927793923deec6",
-    "selftest_report/d2": "05d4f36d98ffeaf9413bd724f0e457b6133c7227e5b38fdab176a6033a147a5b",
+    "selftest_report/d2": "c77744e400b1a42ccaa9009f3c12373226aca723955923b52a05d6c168ab8be7",
     "random_band_limited/d1": "e5207f6e874ffc7ebbbaabb15e75f7c4df7500d8a5b8d5c1926e31fe328e222f",
     "random_band_limited/d2": "77cc447ba991f02cf251a2ce78065c41392082bcac0c4c0ec983ef8fed550e18",
     "dilation_spectrum/d1": "32c295ccd9247dd6681e47c34492ce2479f97518c9d360fab0a8bd142fb025fb",
