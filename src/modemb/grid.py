@@ -304,7 +304,9 @@ class Support:
     and their frequency coordinates xi (one array per axis) and radii |xi|.
     The peak bin is always kept, so ``peak`` is also the floored spectrum's;
     a zero spectrum has no bins and peak 0. Every array is read-only, as
-    one Support is shared by every reader of its function."""
+    one Support is shared by every reader of its function. It builds no
+    N^d array: the norms read its bins, or a block over their bounding
+    box, and only the tests' dense references scatter them onto the grid."""
 
     spec: GridSpec
     peak: float
@@ -314,15 +316,6 @@ class Support:
     mags: np.ndarray
     coords: tuple[np.ndarray, ...]
     radius: np.ndarray
-
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """A fresh zero N^d complex array holding ``values`` at the support's
-        bins; ``scatter(self.values)`` is the floored spectrum. The norms
-        scatter only where a synthesis needs all N^d samples: d = 2 dyadic
-        pieces at p != 2, and W in d = 2."""
-        out = np.zeros(self.spec.shape(), dtype=np.complex128)
-        out.reshape(-1)[self.flat] = values
-        return out
 
     def outside_cube(self, radius: float) -> np.ndarray:
         """Which bins have |xi|_inf > radius, read from their coordinates."""

@@ -13,7 +13,9 @@ piece's output rows, by a pruned length-L FFT on residue rows in d = 1 and
 by E P E^T in d = 2, each benchmarked by its own annulus workload (on the
 annulus-1d grid E would be 131072 x 97, the residue rows 513 x 128), and
 returns those rows and the mirrored ones apart: a real piece's mirror is a
-view, which ``grid._riemann_lp`` counts twice with no copy. Each
+view, which ``grid._riemann_lp`` counts twice with no copy. A d = 2 dyadic
+piece takes one real FFT of a block over the support's bounding box
+instead (``_block_magnitudes``), which returns the same two parts. Each
 norm call builds its tables and drops them: in d = 1 from one twiddle
 formula (``_twiddle_factors``), whose two factors a box multiplies into one
 (``_box_table``) and a dyadic piece keeps apart.
@@ -28,33 +30,34 @@ The band checks (the cube |xi|_inf > kmax - 1, the dyadic ball
 not pass the 1e-12 gate, so the decision is the dense one. phi_j is
 evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is bit
 for bit the dense phi_j(|xi|) times the spectrum on the support and 0 off
-it; at p = 2 Parseval sums the compact piece. Otherwise, in d = 1, it is
-synthesized on the support's band as a box piece is (``_piece_synthesis``),
-with no N-point complex grid; in d = 2 it is scattered into a fresh zero
-grid for the inverse FFT. W is one more piece: the Bessel multiplier at the
-support's radii times its values. Fourier-L^p sums the compact magnitudes.
-No norm builds a dense radius, mask or window. Box patches are cut from a
-block the size of the support's bounding box (``box_piece_norms``), with a
-uniform partition of f's own grid. A single-box or annulus member's floor
-reads only the bins its generator wrote (``GridFunction.bins``). The only
-full-grid passes left are in d = 2: the inverse FFT of W and of each dyadic
-piece at p != 2.
+it; at p = 2 Parseval sums the compact piece. Otherwise it is synthesized
+on the support's band in d = 1, as a box piece is, and in d = 2 by one real
+FFT of a block over the support's bounding box (``_piece_synthesis``), with
+no N-point or N^2 complex grid. W is one more piece: the Bessel multiplier
+at the support's radii times its values. Fourier-L^p sums the compact
+magnitudes. No norm builds a dense radius, mask or window, and none takes a
+full-grid inverse FFT. Box patches are cut from a block the size of the
+support's bounding box (``box_piece_norms``), with a uniform partition of
+f's own grid. A single-box or annulus member's floor reads only the bins its
+generator wrote (``GridFunction.bins``). The largest arrays left are a
+d = 2 piece's transform and magnitudes, N/2 + 1 rows of N samples each.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
-skip the grid's centering shifts, so their magnitudes come in transform
-order, or in residue rows when pruned, and round unlike ``transform``'s,
-again by about 1e-16. A real half-row piece sums as twice its first rows
-less the two self-mirrored ones, within 5.4e-16 relative of one sum over
-the copied rows at p >= 1 (8.8e-16 at p = 1/2) on the annulus members. At
-p < 1 a norm holds only about 1e-7 relative: the sum of |x|^p is dominated
-by space samples at roundoff level in each piece's tails, which p < 1
-amplifies, so a change to the rounding of a transform moves the value in
-the sixth to eighth digit. On the level-8
-d = 1 annulus (N = 2^17), against extended-precision syntheses of the same
-floored spectrum, B^0_{1/2,1} is 1.3e-6 off, F^0_{1/2,q} 4.2e-7 (q = 1) to
-4.8e-8 (q = inf), and a box piece at p = 1/2 within 3e-11. Never gate a
-p < 1 value at 1e-12; compare it against an extended-precision reference.
+skip the grid's centering shifts, so their magnitudes come in an order of
+their own (residue rows when pruned, mirrored rows in a d = 2 block
+transform) and round unlike ``transform``'s, again by about 1e-16. A real
+half-row piece sums as twice its first rows less the two self-mirrored
+ones, within 5.4e-16 relative of one sum over the copied rows at p >= 1
+(8.8e-16 at p = 1/2) on the annulus members. At p < 1 a norm holds only
+about 1e-7 relative: the sum of |x|^p is dominated by space samples at
+roundoff level in each piece's tails, which p < 1 amplifies, so a change to
+the rounding of a transform moves the value in the sixth to eighth digit.
+On the level-8 d = 1 annulus (N = 2^17), against extended-precision
+syntheses of the same floored spectrum, B^0_{1/2,1} is 1.3e-6 off,
+F^0_{1/2,q} 4.2e-7 (q = 1) to 4.8e-8 (q = inf), and a box piece at p = 1/2
+within 3e-11. Never gate a p < 1 value at 1e-12; compare it against an
+extended-precision reference.
 The floor moves it more: by 1e-5 for W^{s,1/2} on that member.
 """
 from __future__ import annotations
@@ -92,17 +95,6 @@ def _l2_norm(bins: np.ndarray, spec) -> float:
     return float(np.sqrt(np.sum(np.abs(bins) ** 2) / spec.period ** spec.d))
 
 
-def _synthesized_magnitudes(bins: np.ndarray) -> np.ndarray:
-    """|ifftn(bins)|: the magnitudes of the space samples whose spectrum is
-    ``bins``, divided by (N/P)^d and in transform order. The transform runs
-    in place, so ``bins`` (a fresh complex array) is overwritten.
-    ``transform`` also shifts the input and output to centre both grids; the
-    input shift multiplies each output by a unimodular phase and the output
-    shift only permutes the outputs, so neither changes a Riemann sum of
-    magnitudes."""
-    return np.abs(np.fft.ifftn(bins, out=bins))
-
-
 def _check_band(support: Support, outside: np.ndarray, edge: str, partition: str) -> None:
     """BandLimitError if the support exceeds 1e-12 of its peak on the bins
     the mask ``outside`` flags."""
@@ -119,16 +111,25 @@ def _check_grid(spec, uniform: UniformPartition) -> None:
                          f"match the function's grid {spec}")
 
 
-def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]]:
-    """(block, origin): a fresh zero complex array holding the support's
-    values at its bins, over the bounding box of its bins widened by
-    ``margin`` samples on each side and clipped to the grid, and the grid's
-    per-axis indices of its first sample. The support must have a bin."""
+def _support_box(support: Support, margin: int) -> tuple[list[int], tuple, tuple]:
+    """(origin, shape, at): the bounding box of the support's bins, widened
+    by ``margin`` samples on each side and clipped to the grid, as the
+    grid's per-axis indices of its first sample and its shape, and the
+    bins' per-axis indices in it. The support must have a bin."""
     n = support.spec.n
     origin = [max(int(i.min()) - margin, 0) for i in support.index]
     ends = [min(int(i.max()) + margin + 1, n) for i in support.index]
-    block = np.zeros([end - start for start, end in zip(origin, ends)], dtype=np.complex128)
-    block[tuple(i - start for i, start in zip(support.index, origin))] = support.values
+    shape = tuple(end - start for start, end in zip(origin, ends))
+    return origin, shape, tuple(i - start for i, start in zip(support.index, origin))
+
+
+def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]]:
+    """(block, origin): a fresh zero complex array over ``_support_box``
+    holding the support's values at its bins, and the grid's per-axis
+    indices of its first sample."""
+    origin, shape, at = _support_box(support, margin)
+    block = np.zeros(shape, dtype=np.complex128)
+    block[at] = support.values
     return block, origin
 
 
@@ -313,8 +314,9 @@ def box_piece_norms(support: Support, p, uniform: UniformPartition):
         work = _work_arrays(table, spec.d)
     block, origin = _support_block(support, 2 * uniform.half_width)
     memo = {}
-    for i in uniform.reached(support):
-        _, patch = uniform.patch(block, points[i], origin)
+    visited = uniform.reached(support)
+    for i, k in zip(visited, points[visited].tolist()):
+        _, patch = uniform.patch(block, k, origin)
         if np.abs(patch).max() <= _NEGLIGIBLE * peak:
             continue
         if parseval:
@@ -357,30 +359,69 @@ def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
                      for j in dyadic.reached(support))
 
 
+def _block_magnitudes(piece: np.ndarray, at, shape, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mags, mirror): the N^2 magnitudes of the d = 2 space samples whose
+    spectrum holds ``piece`` at the indices ``at`` of a block of ``shape``
+    and is 0 elsewhere, divided by N^2, as a multiset in two parts:
+    ``mags`` of shape (N/2 + 1, N), ``mirror`` of the rows 1..N/2 - 1.
+
+    The piece's real part a, and its imaginary part b unless b is 0, are
+    written into a zero real block and put through one real FFT padded to
+    N x N (``np.fft.rfftn``, the real axis the rows), which gives F(a) and
+    F(b) on the rows n_1 = 0..N/2. With w = exp(2 pi i / N) and the block's
+    first sample at o, the synthesis g(n) = sum_j x_j w^(jn) is
+    w^(on) (conj F(a)(n) + i conj F(b)(n)), and a and b are real, so
+    |g(-n)| = |F(a)(n) + i F(b)(n)|, which is ``mags``, and
+    |g(n)| = |F(a)(n) - i F(b)(n)|, the same bits as
+    |conj F(a)(n) + i conj F(b)(n)|, which ``mirror`` holds on the rows
+    n_1 = 1..N/2 - 1; rows 0 and N/2 are their own mirrors. For a real
+    piece the two agree, so ``mirror`` is the view ``mags[1:-1]``, not a
+    copy, and F(b) is not taken. The leading phase and the transform's sign
+    are unimodular, so the magnitudes are those of |ifftn| of the piece on
+    the full grid, in another order: every piece of one block comes in the
+    same order, so two of them pair sample by sample."""
+    parts = (piece.real, piece.imag) if piece.imag.any() else (piece.real,)
+    block = np.zeros((len(parts), *shape))
+    for plane, part in zip(block, parts):
+        plane[at] = part
+    spectra = np.fft.rfftn(block, s=(n, n), axes=(2, 1), norm="forward")
+    if len(parts) == 1:
+        mags = np.abs(spectra[0])
+        return mags, mags[1:-1]
+    a, b = spectra
+    b *= 1j
+    mirror = np.abs(a[1:-1] - b[1:-1])
+    return np.abs(np.add(a, b, out=a)), mirror
+
+
 def _piece_synthesis(support: Support):
     """The function that takes a dyadic piece of ``support`` (its values at
     the support's bins, as ``_dyadic_pieces`` yields it) to |ifftn| of the
-    piece: the samples divided by (N/P)^d, with no centering shift
-    (``_synthesized_magnitudes``), as a multiset: in d = 1 the pair
-    (mags, mirror) of ``_half_row_magnitudes``, in d = 2 one array.
-    ``grid._riemann_lp`` reduces either. Every piece comes in one sample
-    order, so the joined arrays of two levels pair sample by sample.
+    piece: the samples divided by (N/P)^d, with no centering shift, as the
+    multiset (mags, mirror) of two parts, which ``grid._riemann_lp``
+    reduces. Every piece comes in one sample order, so the joined arrays of
+    two levels pair sample by sample. An empty support has no piece, and
+    gets None.
 
-    In d = 1 a piece is synthesized on the support's band alone, as a box
-    piece is: with a..b the bins the support spans, L the next power of two
+    A piece is synthesized on the support's band (d = 1) or bounding box
+    (d = 2) alone, with no N^d complex grid. In d = 1, as a box piece is:
+    with a..b the bins the support spans, L the next power of two
     >= b - a + 1 and R = N/L, ``_half_row_magnitudes`` writes the piece's
     values at their offsets from a into a zero L-bin row and synthesizes the
     rows r = 0..R/2. Their twiddles come from two small factors
     (``_twiddle_factors``, with numpy's 1/N), built here once for all levels
     and dropped with the function. The leading phase exp(2 pi i a n / N) is
     unimodular, so the magnitudes are the dense ones in the order of the
-    (R, L) residue rows. In d = 2 a piece is scattered into a fresh zero
-    grid and inverse-transformed: the pieces of the 512^2 annulus span 95
-    to 191 of the 512 bins per axis, where E P E^T would cost more than the
-    full FFT. An empty support has no piece."""
+    (R, L) residue rows. In d = 2 ``_block_magnitudes`` takes one real FFT
+    of a block over the support's bounding box, 191 x 191 bins for the
+    512^2 annulus; E P E^T would cost more there, and a full complex
+    inverse FFT of the grid took 2.2 to 2.6 times as long per piece."""
     spec, flat = support.spec, support.flat
-    if spec.d == 2 or not flat.size:
-        return lambda piece: _synthesized_magnitudes(support.scatter(piece))
+    if not flat.size:
+        return None
+    if spec.d == 2:
+        _, shape, at = _support_box(support, 0)
+        return lambda piece: _block_magnitudes(piece, at, shape, spec.n)
     offsets = flat - flat[0]
     table = _twiddle_factors(spec.n, _next_pow2(offsets[-1] + 1), 1.0 / spec.n)
     return lambda piece: _half_row_magnitudes(piece, table, offsets)
@@ -393,9 +434,9 @@ def besov_norm(f: GridFunction, p, q, s,
     One forward transform if f is space-side and not yet floored (none
     otherwise). At p = 2 a piece's norm is ``_l2_norm`` of its spectrum;
     otherwise the piece is synthesized (``_piece_synthesis``: on the
-    support's band in d = 1, by one inverse FFT of the full grid in d = 2),
-    one per level the floored spectrum reaches, and the (N/P)^d scale
-    multiplies its norm. A level with no nonzero bin in the support of
+    support's band in d = 1, by one real FFT of the support's block in
+    d = 2), one per level the floored spectrum reaches, and the (N/P)^d
+    scale multiplies its norm. A level with no nonzero bin in the support of
     phi_j (``DyadicPartition.support``) is skipped: its piece is
     identically zero and enters as 0.0."""
     p = Exponent.of(p)
@@ -427,8 +468,9 @@ def triebel_norm(f: GridFunction, p, q, s,
     ``besov_norm`` does not skip (a skipped piece adds only zeros), with the
     (N/P)^d scale folded into the weight 2^(js). Every level is synthesized
     in one sample order (``_piece_synthesis``: the support's residue rows in
-    d = 1, its two parts joined into one array, transform order in d = 2),
-    so the pointwise l^q pairs the same points as on the grid."""
+    d = 1, the block transform's mirrored rows in d = 2), its two parts
+    joined into one array, so the pointwise l^q pairs the same points as
+    on the grid."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
@@ -445,9 +487,7 @@ def triebel_norm(f: GridFunction, p, q, s,
     support, pieces = _dyadic_pieces(f, dyadic)
     synthesize = _piece_synthesis(support)
     for j, piece in pieces:
-        mags = synthesize(piece)
-        if isinstance(mags, tuple):
-            mags = np.concatenate(mags)
+        mags = np.concatenate(synthesize(piece))
         mags *= 2.0 ** (sf * j) * scale
         if q.is_infinite:
             stack = mags if stack is None else np.maximum(stack, mags)
@@ -461,10 +501,14 @@ def triebel_norm(f: GridFunction, p, q, s,
 
 
 def sobolev_norm(f: GridFunction, s, r) -> float:
-    """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is."""
+    """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is
+    (``_piece_synthesis``); 0 for the zero function, which has no piece."""
     spec, support = f.spec, f.support
+    synthesize = _piece_synthesis(support)
+    if synthesize is None:
+        return 0.0
     multiplier = (1.0 + support.radius ** 2) ** (float(s) / 2.0)
-    mags = _piece_synthesis(support)(multiplier * support.values)
+    mags = synthesize(multiplier * support.values)
     return (spec.n / spec.period) ** spec.d * _riemann_lp(mags, spec.cell_volume, r)
 
 

@@ -96,17 +96,18 @@ class UniformPartition:
         """Window half-width in samples: (3/4) * M."""
         return (3 * self.spec.oversampling) // 4
 
-    def _axis_slice(self, k: int, start: int) -> slice:
-        center = self.spec.n // 2 + k * self.spec.oversampling - start
-        return slice(center - self.half_width, center + self.half_width + 1)
-
-    def _slices(self, k: tuple[int, ...], origin=None) -> tuple[slice, ...]:
+    def _slices(self, k, origin=None) -> tuple[slice, ...]:
         """The support of sigma_k: one axis slice per coordinate of k, into
         an array whose first sample sits at the grid's per-axis indices
         ``origin`` (by default the grid's own first sample)."""
         if origin is None:
             origin = (0,) * len(k)
-        return tuple(self._axis_slice(c, start) for c, start in zip(k, origin))
+        w, m = self.half_width, self.spec.oversampling
+        first, span, slices = self.spec.n // 2 - w, 2 * w + 1, ()
+        for c, start in zip(k, origin):
+            lo = first + c * m - start
+            slices += (slice(lo, lo + span),)
+        return slices
 
     @cached_property
     def _tile(self) -> np.ndarray:
@@ -133,9 +134,7 @@ class UniformPartition:
         ``spectrum`` is the N^d spectrum, or a block of it that holds the
         window and whose first sample sits at the grid's per-axis indices
         ``origin``; the slices index ``spectrum``."""
-        k = _as_lattice_point(k, self.spec.d)
-        self._check_index(k)
-        sl = self._slices(k, origin)
+        sl = self._slices(self._lattice_point(k), origin)
         return sl, spectrum[sl] * self._tile
 
     def reached(self, support: Support) -> list[int]:
@@ -179,8 +178,23 @@ class UniformPartition:
         images = (plain, plain[::-1, ::-1], conjugate[::-1], conjugate[:, ::-1])
         return min([x.tobytes() for x in images] + [x.T.tobytes() for x in images])
 
+    def _lattice_point(self, k) -> tuple[int, ...]:
+        """``k`` as a point of this partition's lattice, a tuple of d ints
+        with |k|_inf <= kmax: ValueError by ``_as_lattice_point``'s rule,
+        then IndexError by ``_check_index``'s. A tuple or list of d Python
+        ints in range, as the box loop passes, is taken with no call per
+        coordinate: with a call per coordinate, the 468 patches of the
+        512^2 annulus member took 2.9 ms per norm call, against 1.2 ms for
+        the slices and cuts alone (1.6 ms now)."""
+        if (type(k) in _SEQUENCES and len(k) == self.spec.d and set(map(type, k)) == _INT
+                and max(map(abs, k)) <= self.kmax):
+            return tuple(k)
+        k = _as_lattice_point(k, self.spec.d)
+        self._check_index(k)
+        return k
+
     def _check_index(self, k) -> None:
-        if max(abs(c) for c in k) > self.kmax:
+        if max(map(abs, k)) > self.kmax:
             raise IndexError(f"|k|_inf = {max(abs(c) for c in k)} exceeds kmax = {self.kmax}")
 
     def partition_sum(self) -> np.ndarray:
@@ -290,6 +304,10 @@ def _as_lattice_point(k, d: int) -> tuple[int, ...]:
     if len(k) != d:
         raise ValueError(f"lattice point {k} does not match dimension {d}")
     return k
+
+
+_SEQUENCES = (tuple, list)
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)

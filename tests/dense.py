@@ -8,6 +8,10 @@ one full inverse transform, and the Riemann L^p norm of the space samples.
 The golden digests of ``test_separable_golden`` pin the windows and the
 cube mask bit for bit.
 
+``scatter`` places values at a Support's bins on the zero N^d grid; the
+package never does, as it synthesizes a piece from its bins or from a block
+over their bounding box; ``synthesized_magnitudes`` inverse-transforms
+what it scatters, the reference for ``norms._block_magnitudes``.
 ``box_table`` is the box synthesis table taken root by root with one
 ``np.exp`` each, the reference for the factor product ``norms._box_table``
 builds. ``half_row_magnitudes`` is the half-row synthesis with its mirrored
@@ -22,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, separable, transform, \
-    _next_pow2, _riemann_lp
+from modemb.grid import FREQUENCY, SPACE, GridFunction, GridSpec, Support, separable, \
+    transform, _next_pow2, _riemann_lp
 from modemb.norms import _half_synthesis, _work_arrays
 from modemb.partitions import DyadicPartition, UniformPartition, _as_lattice_point
 
@@ -38,12 +42,25 @@ def freq_outside_cube(spec: GridSpec, radius: float) -> np.ndarray:
     return separable(np.logical_or, (np.abs(spec.freq_axis()) > radius,) * spec.d)
 
 
+def scatter(support: Support, values: np.ndarray) -> np.ndarray:
+    """A fresh zero N^d complex array holding ``values`` at the support's
+    bins; ``scatter(support, support.values)`` is the floored spectrum."""
+    out = np.zeros(support.spec.shape(), dtype=np.complex128)
+    out.reshape(-1)[support.flat] = values
+    return out
+
+
+def synthesized_magnitudes(support: Support, values: np.ndarray) -> np.ndarray:
+    """|ifftn| of ``values`` scattered onto the grid (``scatter``): the
+    magnitudes of the space samples divided by (N/P)^d, in transform order,
+    by one full-grid inverse FFT."""
+    return np.abs(np.fft.ifftn(scatter(support, values)))
+
+
 def uniform_window(partition: UniformPartition, k) -> np.ndarray:
     """Dense multiplier array for sigma_k."""
-    k = _as_lattice_point(k, partition.spec.d)
-    partition._check_index(k)
     out = np.zeros(partition.spec.shape())
-    out[partition._slices(k)] = partition._tile
+    out[partition._slices(partition._lattice_point(k))] = partition._tile
     return out
 
 

@@ -169,21 +169,26 @@ BOUNDEDNESS = ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
 
 
 @pytest.mark.parametrize("argv,code,message", [
-    (["decide", "--from", "B[p=x,q=1]", "--to", "M[p=1,q=1]"], EX_USAGE,
-     "parse error: expected a rational a/b or 'inf' (no decimals), got 'x' "
-     "at position 2: 'B[p=x,q=1]'"),
-    (["norm", "--family", "annulus", "--level", "2", "--space", "M[p=1]"], EX_USAGE,
-     "parse error: family M requires indices ['q'] at position 6: 'M[p=1]'"),
-    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1,s=zz]",
-      "--family", "annulus"], EX_USAGE,
-     "parse error: expected a rational a/b or 'inf' (no decimals), got 'zz' "
-     "at position 10: 'M[p=1,q=1,s=zz]'"),
-    (["decide", "--from", "W[r=1/2,s=0]", "--to", "M[p=2,q=2]"], 2,
-     "undecidable: hypothesis 1 <= r <= inf violated: r = 1/2; the Sobolev "
-     "characterizations assume Banach-range Lebesgue indices"),
-    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
-      "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
-     "undecidable: no catalogued family 'dilation' for B->M"),
+    pytest.param(["decide", "--from", "B[p=x,q=1]", "--to", "M[p=1,q=1]"], EX_USAGE,
+                 "parse error: expected a rational a/b or 'inf' (no decimals), got 'x' "
+                 "at position 2: 'B[p=x,q=1]'",
+                 id="decide-p-not-rational"),
+    pytest.param(["norm", "--family", "annulus", "--level", "2", "--space", "M[p=1]"], EX_USAGE,
+                 "parse error: family M requires indices ['q'] at position 6: 'M[p=1]'",
+                 id="norm-modulation-without-q"),
+    pytest.param(["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1,s=zz]",
+                  "--family", "annulus"], EX_USAGE,
+                 "parse error: expected a rational a/b or 'inf' (no decimals), got 'zz' "
+                 "at position 10: 'M[p=1,q=1,s=zz]'",
+                 id="sharpness-s-not-rational"),
+    pytest.param(["decide", "--from", "W[r=1/2,s=0]", "--to", "M[p=2,q=2]"], 2,
+                 "undecidable: hypothesis 1 <= r <= inf violated: r = 1/2; the Sobolev "
+                 "characterizations assume Banach-range Lebesgue indices",
+                 id="decide-sobolev-r-below-1"),
+    pytest.param(["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+                  "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
+                 "undecidable: no catalogued family 'dilation' for B->M",
+                 id="sharpness-dilation-not-catalogued"),
     (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
       "--family", "annulus", "--t-list", "1/4,1/8"], 2,
      "error: the annulus family takes integer levels, got 1/4, 1/8"),

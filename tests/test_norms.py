@@ -1,6 +1,7 @@
 """The five quasi-norm evaluators: exact bookkeeping cases and stability."""
 import itertools
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from dense import apply_multiplier, box_apply, box_table, delta_apply, dyadic_window, \
-    extended_lp, extended_magnitudes, freq_outside_cube, half_row_magnitudes, lp_norm
+    extended_lp, extended_magnitudes, freq_outside_cube, half_row_magnitudes, lp_norm, \
+    scatter, synthesized_magnitudes
 from modemb.families import (
     _add_box,
     _finish,
@@ -62,12 +64,12 @@ def small_spec():
 @pytest.fixture
 def full_grid_transforms(monkeypatch):
     """Counts the full-grid transforms made while the test runs: "forward"
-    for grid._fft; "inverse" for grid._ifft and for the dense synthesis of
-    a dyadic piece or W in norms (d = 2), which inverse-transforms the whole
-    grid without grid._ifft. "band" counts the d = 1 dyadic pieces and W
-    synthesized on the support's band instead, at the offsets of its bins,
-    which make no full-grid transform; "box" counts the box pieces, which
-    share that routine with no offsets. Clear it to start a new count."""
+    for grid._fft; "inverse" for grid._ifft. "band" counts the dyadic
+    pieces and W, synthesized on the support's band at the offsets of its
+    bins (d = 1) or by one real FFT of a block over its bounding box
+    (d = 2), which make no full-grid inverse transform; "box" counts the
+    box pieces, which share the d = 1 routine with no offsets. Clear it to
+    start a new count."""
     calls = Counter()
 
     def counted(original, kind):
@@ -78,8 +80,7 @@ def full_grid_transforms(monkeypatch):
 
     monkeypatch.setattr(grid, "_fft", counted(grid._fft, "forward"))
     monkeypatch.setattr(grid, "_ifft", counted(grid._ifft, "inverse"))
-    monkeypatch.setattr(norms, "_synthesized_magnitudes",
-                        counted(norms._synthesized_magnitudes, "inverse"))
+    monkeypatch.setattr(norms, "_block_magnitudes", counted(norms._block_magnitudes, "band"))
     half_rows = norms._half_row_magnitudes
 
     def band_or_box(patch, table, at=None, work=None):
@@ -97,7 +98,7 @@ def _zero(spec):
 def _floored(f):
     """f's spectrum with every bin at or below the spectral floor set to 0."""
     support = f.support
-    return support.scatter(support.values)
+    return scatter(support, support.values)
 
 
 def _train(spec, coefficients):
@@ -294,7 +295,7 @@ def test_sobolev_below_one_matches_extended_precision(annulus_level8, s):
     support = f.support
     value, dense = sobolev_norm(f, s, "1/2"), _dense_sobolev(f, s, "1/2")
     assert value == pytest.approx(
-        _extended_sobolev_half(f.spec, support.scatter(support.values), s), rel=1e-6)
+        _extended_sobolev_half(f.spec, scatter(support, support.values), s), rel=1e-6)
     assert dense == pytest.approx(_extended_sobolev_half(f.spec, f.values, s), rel=1e-5)
     assert value == pytest.approx(dense, rel=2e-5)
 
@@ -318,7 +319,7 @@ def _extended_levels(f, dyadic):
     """The extended-precision magnitudes of each level ``dyadic`` reaches:
     the dense phi_j times f's floored spectrum, one per level."""
     support = f.support
-    spectrum = support.scatter(support.values).astype(np.clongdouble)
+    spectrum = scatter(support, support.values).astype(np.clongdouble)
     return [extended_magnitudes(f.spec, dyadic_window(dyadic, j) * spectrum)
             for j in dyadic.reached(support)]
 
@@ -589,7 +590,7 @@ def test_box_piece_norms_below_one_match_extended_precision_at_large_n(annulus_l
     points, norms = box_piece_norms(f.support, "1/2", uniform)
     active = np.flatnonzero(norms)
     assert len(active) == 444
-    spectrum = f.support.scatter(f.support.values)
+    spectrum = scatter(f.support, f.support.values)
     for i in active[::16]:
         reference = _extended_box_norm(uniform, spectrum, points[i], "1/2")
         assert norms[i] == pytest.approx(reference, rel=1e-7), points[i]
@@ -663,7 +664,7 @@ def _scattered_box_piece_norms(support, p, uniform):
     if not parseval:
         table = norms._box_table(uniform)
         work = norms._work_arrays(table, spec.d)
-    spectrum = support.scatter(support.values)
+    spectrum = scatter(support, support.values)
     points = uniform.lattice()
     values = np.zeros(len(points))
     memo = {}
@@ -909,6 +910,59 @@ def test_half_row_pair_refuses_a_non_finite_sample(p, bad):
     mags[1, 5] = bad  # a mirrored row, which the view shares
     with pytest.raises(grid.NonFiniteError):
         grid._riemann_lp((mags, mags[1:-1]), spec.cell_volume, p)
+
+
+BLOCK_SYNTHESIS_CASES = {
+    # (member, whether its dyadic pieces are real)
+    "annulus-level2": (lambda: family_annulus(grid_for("annulus", d=2, level=2), 2), True),
+    "random-off-centre": (lambda: random_band_limited(GridSpec(d=2, n=256, oversampling=8),
+                                                      band_radius=2.5, center=(4.0, 3.0),
+                                                      seed=11), False),
+    "comb-level3": (lambda: family_lattice_comb(grid_for("lattice_comb", d=2, level=3), 3),
+                    False),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_SYNTHESIS_CASES)
+def test_block_synthesis_matches_the_full_grid_inverse(case):
+    """Each d = 2 dyadic piece, synthesized by one real FFT of a block over
+    the support's bounding box, is as a multiset |ifftn| of the piece
+    scattered onto the grid (dense.synthesized_magnitudes): sorted, within
+    1e-15 of the peak. mags holds the rows n_1 = 0..N/2 and mirror the
+    other N/2 - 1; a real piece's mirror is a view of mags, a complex one's
+    is memory of its own."""
+    member, real = BLOCK_SYNTHESIS_CASES[case]
+    f = member()
+    n = f.spec.n
+    support, pieces = _dyadic_pieces(f, build_dyadic(f.spec))
+    synthesize = norms._piece_synthesis(support)
+    levels = 0
+    for j, piece in pieces:
+        assert piece.imag.any() != real, j
+        mags, mirror = synthesize(piece)
+        assert mags.shape == (n // 2 + 1, n) and mirror.shape == (n // 2 - 1, n)
+        assert np.shares_memory(mags, mirror) == real
+        dense = synthesized_magnitudes(support, piece)
+        np.testing.assert_allclose(np.sort(np.concatenate((mags, mirror)), axis=None),
+                                   np.sort(dense, axis=None), rtol=0, atol=1e-15 * dense.max())
+        levels += 1
+    assert levels
+
+
+def test_block_synthesis_holds_less_than_a_full_grid():
+    """The tracemalloc peak of besov_norm(f, 1, 1, 0) on the level-3 512^2
+    annulus stays below one N^2 complex grid plus its magnitudes (6 MiB),
+    which the full-grid inverse of each piece held (6.48 MiB): a block
+    transform holds N/2 + 1 rows of N. The member is floored first."""
+    f = family_annulus(grid_for("annulus", d=2, level=3), 3)
+    assert f.spec.n == 512 and f.support.flat.size
+    tracemalloc.start()
+    try:
+        besov_norm(f, 1, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", ["1/2", 1, 3, "inf"])
@@ -1187,7 +1241,7 @@ def test_support_and_dyadic_pieces_match_the_dense_arrays(case):
     for j, piece in pieces:
         levels.append(j)
         dense = dyadic_window(dyadic, j) * spectrum
-        assert support.scatter(piece).tobytes() == dense.tobytes(), j
+        assert scatter(support, piece).tobytes() == dense.tobytes(), j
     assert levels == dyadic.reached(support) and levels
 
 
@@ -1252,14 +1306,14 @@ def _annulus_2d():
     pytest.param(lambda f, uniform, dyadic: (sobolev_norm(f, 1, 1),
                                              modulation_norm(f, 1, 1, 0, uniform)),
                  _single_box_1d, (0, 0, 1), (1, 0, 1), id="sobolev+modulation-p1"),
-    # in d = 2 each of the three reached levels is one full-grid inverse
+    # in d = 2 each of the three reached levels is one block synthesis
     pytest.param(lambda f, uniform, dyadic: besov_norm(f, 1, 2, 0, dyadic),
-                 _annulus_2d, (0, 3, 0), (1, 3, 0), id="besov-p1-2d"),
+                 _annulus_2d, (0, 0, 3), (1, 0, 3), id="besov-p1-2d"),
     pytest.param(lambda f, uniform, dyadic: triebel_norm(f, 1, 1, 0, dyadic),
-                 _annulus_2d, (0, 3, 0), (1, 3, 0), id="triebel-p1-q1-2d"),
-    # W is one piece: one full-grid inverse in d = 2; box pieces make none
+                 _annulus_2d, (0, 0, 3), (1, 0, 3), id="triebel-p1-q1-2d"),
+    # W is one piece, one block synthesis in d = 2; box pieces make none
     pytest.param(lambda f, uniform, dyadic: sobolev_norm(f, 1, 1),
-                 _annulus_2d, (0, 1, 0), (1, 1, 0), id="sobolev-2d"),
+                 _annulus_2d, (0, 0, 1), (1, 0, 1), id="sobolev-2d"),
     pytest.param(lambda f, uniform, dyadic: modulation_norm(f, 1, 1, 0, uniform),
                  _annulus_2d, (0, 0, 0), (1, 0, 0), id="modulation-p1-2d"),
 ])
@@ -1270,9 +1324,9 @@ def test_full_grid_transform_count(full_grid_transforms, norm, member,
     forward transform, shared by the band check and the norms. L^2 piece
     norms come from the spectrum, so Besov at p = 2 and Triebel at
     p = q = 2 synthesize nothing, and FL reads only the spectrum. Elsewhere
-    only the reached dyadic levels, and W as one piece, are synthesized: in
-    d = 1 on the support's band, with no full-grid inverse transform, and
-    in d = 2 by one full-grid inverse each. Box pieces make none.
+    only the reached dyadic levels, and W as one piece, are synthesized, on
+    the support's band (d = 1) or block (d = 2), with no full-grid inverse
+    transform. Box pieces make none.
     Full-grid work on empty pieces would show here as extra transforms."""
     f = member()
     uniform, dyadic = build_uniform(f.spec), build_dyadic(f.spec)
@@ -1452,14 +1506,14 @@ def test_triebel_22_matches_pointwise_synthesis(case, s):
 def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
     """No synthesis for Besov at p = 2 or Triebel at p = q = 2; one per
     reached level for Triebel at p = 2, q = 1, which stays pointwise: on the
-    support's band in d = 1, a full-grid inverse transform in d = 2."""
+    support's band in d = 1 and its block in d = 2, with no full-grid
+    inverse transform."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
     reached = len(dyadic.reached(f.support))
     assert reached >= 2
-    pointwise = (0, reached) if f.spec.d == 1 else (reached, 0)
     for norm, q, expected in ((besov_norm, 1, (0, 0)), (besov_norm, "inf", (0, 0)),
-                              (triebel_norm, 2, (0, 0)), (triebel_norm, 1, pointwise)):
+                              (triebel_norm, 2, (0, 0)), (triebel_norm, 1, (0, reached))):
         full_grid_transforms.clear()
         norm(f, 2, q, 0, dyadic)
         calls = full_grid_transforms
