@@ -12,7 +12,10 @@ level-3 annulus reads M[p=1,q=1] 15 % low at M = 8. Slopes mostly survive,
 as the error is nearly the same at every level; absolute values do not.
 The norms read a member's Support (``GridFunction.support``), floored once
 by the band-margin check, with no forward transform; ``in_space()`` gives
-the space samples. Identical parameters yield bit-identical samples.
+the space samples. A single-box or annulus member is built on the bins its
+spectrum occupies (``GridFunction.from_bins``), so it holds no N^d array
+until its ``values`` are read; the other generators write a dense spectrum.
+Identical parameters yield bit-identical samples.
 
 The family table, ``_TABLE``, is the one place a family kind is defined: one
 ``Kind`` row holds its options, fit coordinate, generator, default grid size
@@ -72,13 +75,16 @@ def _margin(spec: GridSpec) -> float:
 
 def _finish(spec: GridSpec, values: np.ndarray, bins: np.ndarray | None = None) -> GridFunction:
     """The member whose spectrum is ``values``, after the band-margin check
-    on the bins above the spectral floor. ``values`` is the generator's fresh
-    complex128 array and is handed over without a copy, with ``bins``, the
-    ascending flat indices of the only bins the single-box or annulus
-    generator wrote (None for any other spectrum). The margin check floors
-    it into the member's one Support, reading only ``bins`` when given, and
-    the norms then read it."""
-    f = GridFunction.adopt(spec, values, FREQUENCY, bins)
+    on the bins above the spectral floor. Without ``bins``, ``values`` is the
+    generator's fresh complex128 N^d array, handed over without a copy
+    (``GridFunction.adopt``). With them, the single-box and annulus
+    generators' ascending flat indices, ``values`` holds the spectrum at
+    those bins only, 0 elsewhere, and the member is built on them
+    (``GridFunction.from_bins``). The margin check floors the member into
+    its one Support, reading only the bins when given, and the norms then
+    read it."""
+    f = (GridFunction.adopt(spec, values, FREQUENCY) if bins is None
+         else GridFunction.from_bins(spec, bins, values))
     support = f.support
     if band_leak(support, support.outside_cube(_margin(spec))) > 1e-12:
         raise BandLimitError("family spectrum violates the grid band margin")
@@ -114,14 +120,21 @@ def _box_term_axis(spec: GridSpec, k: int, width: float, modulated: bool):
     return idx, vals
 
 
-def _add_box(spectrum: np.ndarray, spec: GridSpec, k: tuple[int, ...],
-             coeff: complex, width: float = 1.0, modulated: bool = True) -> np.ndarray:
-    """Add the box at lattice point k to ``spectrum`` in place, and return
-    the ascending flat indices of the block of bins it wrote."""
+def _box_bins(spec: GridSpec, k: tuple[int, ...], width: float,
+              modulated: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(bins, values) of the box at lattice point k: the ascending flat
+    indices of its block of bins, and there the product of its axis factors
+    (``_box_term_axis``), in the same order."""
     idx, vals = zip(*(_box_term_axis(spec, c, width, modulated) for c in k))
-    block = np.ix_(*idx)
-    spectrum[block] += coeff * separable(np.multiply, vals)
-    return np.ravel_multi_index(block, spec.shape()).reshape(-1)
+    bins = np.ravel_multi_index(np.ix_(*idx), spec.shape()).reshape(-1)
+    return bins, separable(np.multiply, vals).reshape(-1)
+
+
+def _add_box(spectrum: np.ndarray, spec: GridSpec, k: tuple[int, ...],
+             coeff: complex, width: float = 1.0, modulated: bool = True) -> None:
+    """Add ``coeff`` times the box at lattice point k to ``spectrum`` in place."""
+    bins, values = _box_bins(spec, k, width, modulated)
+    spectrum.reshape(-1)[bins] += coeff * values
 
 
 def _check_period(spec: GridSpec, points) -> None:
@@ -176,10 +189,8 @@ def family_single_box(spec: GridSpec, level: int) -> GridFunction:
     exactly one active uniform box, dyadic levels within |j - l| <= 3."""
     if _integer_level(level) < 2:
         raise ValueError(f"single-box family needs level >= 2, got {level}")
-    k = smallest_box_point(level, spec.d)
-    out = np.zeros(spec.shape(), dtype=np.complex128)
-    bins = _add_box(out, spec, k, 1.0, width=1.0, modulated=False)
-    return _finish(spec, out, bins)
+    bins, values = _box_bins(spec, smallest_box_point(level, spec.d), 1.0, False)
+    return _finish(spec, values, bins)
 
 
 def family_annulus(spec: GridSpec, level: int) -> GridFunction:
@@ -188,10 +199,10 @@ def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     so radii are taken on the cube |xi|_inf < hi alone, by ``freq_at`` and
     the operations of ``freq_radius`` in its order, and phi_level is
     evaluated at the bins with lo <= |xi| < hi. Each value is the dense
-    window's, phi_level at ``freq_radius()``, bit for bit; the member's
-    floor reads those bins only. The partition admits only hi <= (3/4)
-    Omega, so the cube is inside the grid: the samples o from its centre
-    with |o| <= hi M, filtered by |xi| < hi."""
+    window's, phi_level at ``freq_radius()``, bit for bit; the member holds
+    those bins only, and its floor reads them. The partition admits only
+    hi <= (3/4) Omega, so the cube is inside the grid: the samples o from
+    its centre with |o| <= hi M, filtered by |xi| < hi."""
     level = _integer_level(level, least=0)
     dyadic = build_dyadic(spec, levels=max(level, 1))
     lo, hi = dyadic.support(level)
@@ -203,9 +214,7 @@ def family_annulus(spec: GridSpec, level: int) -> GridFunction:
     radius = np.sqrt(separable(np.add, (xi ** 2,) * spec.d))
     on = np.nonzero((lo <= radius) & (radius < hi))
     bins = np.ravel_multi_index(tuple(index[i] for i in on), spec.shape())
-    out = np.zeros(spec.shape(), dtype=np.complex128)
-    out.reshape(-1)[bins] = dyadic.phi(level, radius[on])
-    return _finish(spec, out, bins)
+    return _finish(spec, dyadic.phi(level, radius[on]), bins)
 
 
 def family_lattice_comb(spec: GridSpec, level: int, width=1) -> GridFunction:

@@ -19,19 +19,22 @@ Ownership. A ``GridFunction``'s samples are read-only. The constructor
 adopts, without a copy, an array that is complex128, C-contiguous, read-only
 and owns its data; it copies any other input, so a caller's writable array
 or view stays isolated from ``f.values``. An internal producer that built
-its samples fresh (a transform or a family spectrum) hands the array over
-with ``GridFunction.adopt``, which freezes it first; it keeps no other
-reference to it. A producer that wrote only some bins of a fresh zero
-spectrum (the single-box and annulus families) hands over their flat
-indices too, as ``bins``; every other producer, and direct construction,
-leaves ``bins`` None.
+its samples fresh (a transform or a dense family spectrum) hands the array
+over with ``GridFunction.adopt``, which freezes it first; it keeps no other
+reference to it. A frequency-side function that is 0 off a few bins (the
+single-box and annulus members) is built on them alone:
+``GridFunction.from_bins`` takes over their ascending flat indices,
+``bins``, and the values there, ``bin_values``, and freezes both. Its
+dense ``values`` are scattered into a fresh zero array on first read and
+kept; no norm reads them, so a member that is only measured never holds an
+N^d array. Every other function has ``bins`` and ``bin_values`` None.
 
 Support. ``GridFunction.support`` floors a spectrum at 1e-13 of its peak
 and keeps the bins above the floor, with their coordinates and radii
 computed at those bins alone; ``band_leak`` reads a band check off them. A
 function with few nonzero bins is then checked and measured without a dense
-N^d mask. The floor reads the whole spectrum, or only its ``bins`` when
-they are set: every other bin is exactly 0 and cannot pass the floor, so
+N^d mask. The floor reads the whole spectrum, or only ``bin_values`` when
+``bins`` are set: every other bin is exactly 0 and cannot pass the floor, so
 the Support is the whole spectrum's, array for array and bit for bit. The
 floor is taken at most once per function: the Support is built on first
 read and kept, and its arrays are read-only, so every reader (the family's
@@ -150,50 +153,74 @@ class GridSpec:
         return (self.n,) * self.d
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridFunction:
     """Complex samples of a periodic band-limited function, on either side.
     ``values`` is read-only and adopted or copied by the ownership rule of
     the module docstring; ``support`` is built on first read and kept.
     ``bins`` is None, or the read-only ascending flat indices outside which
-    a frequency-side spectrum is exactly 0; only ``adopt`` sets it."""
+    a frequency-side spectrum is exactly 0, with ``bin_values`` the values
+    there; only ``from_bins`` sets them."""
 
     spec: GridSpec
-    values: np.ndarray
     side: str
-    bins: np.ndarray | None = field(default=None, init=False, repr=False)
+    bins: np.ndarray | None = field(default=None, repr=False)
+    bin_values: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.side not in (SPACE, FREQUENCY):
-            raise ValueError(f"side must be 'space' or 'frequency', got {self.side!r}")
-        values = self.values
+    def __init__(self, spec: GridSpec, values: np.ndarray, side: str):
+        if side not in (SPACE, FREQUENCY):
+            raise ValueError(f"side must be 'space' or 'frequency', got {side!r}")
         if not (isinstance(values, np.ndarray) and values.dtype == np.complex128
                 and values.flags.c_contiguous and not values.flags.writeable
                 and values.base is None):
             values = np.array(values, dtype=np.complex128, order="C", copy=True)
             values.flags.writeable = False
-        if values.shape != self.spec.shape():
-            raise ValueError(f"expected shape {self.spec.shape()}, got {values.shape}")
-        object.__setattr__(self, "values", values)
+        if values.shape != spec.shape():
+            raise ValueError(f"expected shape {spec.shape()}, got {values.shape}")
+        # Still frozen: the fields go straight into the instance dict, where
+        # ``values`` shadows the property that scatters a function's bins.
+        self.__dict__.update(spec=spec, side=side, values=values)
 
     @classmethod
-    def adopt(cls, spec: GridSpec, values: np.ndarray, side: str,
-              bins: np.ndarray | None = None) -> "GridFunction":
+    def adopt(cls, spec: GridSpec, values: np.ndarray, side: str) -> "GridFunction":
         """The GridFunction that takes over ``values``, an array its caller
         built and keeps no other reference to. The array is frozen here; a
         complex128, C-ordered array that owns its data is then kept without a
-        copy. ``bins``, the ascending flat indices of the only bins the
-        caller wrote into a zero spectrum, is taken over and frozen the same
-        way, so the floor reads those bins alone; a space-side function has
-        none."""
-        if bins is not None and side != FREQUENCY:
-            raise ValueError("bins apply to a frequency-side spectrum only")
+        copy."""
         values.flags.writeable = False
-        f = cls(spec, values, side)
-        if bins is not None:
-            bins.flags.writeable = False
-            object.__setattr__(f, "bins", bins)
+        return cls(spec, values, side)
+
+    @classmethod
+    def from_bins(cls, spec: GridSpec, bins: np.ndarray, values: np.ndarray) -> "GridFunction":
+        """The frequency-side function that is ``values`` at the flat indices
+        ``bins`` and exactly 0 elsewhere, built on those bins alone. Both
+        arrays are taken over, as by ``adopt``, and frozen; values of another
+        dtype are converted to complex128 first. A ValueError refuses bins
+        that are not a 1-D integer array of one index per value, strictly
+        ascending and inside the grid."""
+        bins, values = np.asarray(bins), np.asarray(values, dtype=np.complex128)
+        if bins.ndim != 1 or bins.dtype.kind not in "iu" or values.shape != bins.shape:
+            raise ValueError(f"bins must be a 1-D integer array with one index per value, "
+                             f"got bins of shape {bins.shape} and values of shape "
+                             f"{values.shape}")
+        if np.any(bins[1:] <= bins[:-1]):
+            raise ValueError("bins must be strictly ascending")
+        if bins.size and (bins[0] < 0 or bins[-1] >= spec.n ** spec.d):
+            raise ValueError(f"bins must lie in [0, {spec.n ** spec.d})")
+        bins.flags.writeable = values.flags.writeable = False
+        f = cls.__new__(cls)
+        f.__dict__.update(spec=spec, side=FREQUENCY, bins=bins, bin_values=values)
         return f
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The samples, read-only. A function built ``from_bins`` scatters
+        ``bin_values`` into a fresh zero array on the first read and keeps
+        it; any other function set its array when it was built."""
+        out = np.zeros(self.spec.shape(), dtype=np.complex128)
+        out.reshape(-1)[self.bins] = self.bin_values
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def support(self) -> "Support":
@@ -324,15 +351,13 @@ class Support:
 
 def _floor(f: GridFunction) -> Support:
     """``f.support``, computed. A space-side f takes one forward
-    transform. The floor reads f's ``bins`` when it has them, and otherwise
-    the whole spectrum; the bins left out are 0, so the result is the same.
-    Coordinates come from ``freq_at`` and radii by the operations of
-    ``freq_radius``, in its order, so each is the dense array's entry bit
+    transform. The floor reads f's ``bin_values`` when it has bins, and
+    otherwise the whole spectrum; the bins left out are 0, so the result is
+    the same. Coordinates come from ``freq_at`` and radii by the operations
+    of ``freq_radius``, in its order, so each is the dense array's entry bit
     for bit."""
     spec = f.spec
-    values = f.in_frequency().values.reshape(-1)
-    if f.bins is not None:
-        values = values[f.bins]
+    values = f.in_frequency().values.reshape(-1) if f.bins is None else f.bin_values
     mags = np.abs(values)
     peak = mags.max()
     if not np.isfinite(peak):

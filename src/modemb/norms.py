@@ -39,8 +39,10 @@ magnitudes. No norm builds a dense radius, mask or window, and none takes a
 full-grid inverse FFT. Box patches are cut from a block the size of the
 support's bounding box (``box_piece_norms``), with a uniform partition of
 f's own grid. A single-box or annulus member's floor reads only the bins its
-generator wrote (``GridFunction.bins``). The largest arrays left are a
-d = 2 piece's transform and magnitudes, N/2 + 1 rows of N samples each.
+generator wrote (``GridFunction.bins``), and such a member holds no N^d
+spectrum: no norm reads ``GridFunction.values``. The largest arrays left
+are a d = 2 piece's transform and magnitudes, N/2 + 1 rows of N samples
+each.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
@@ -427,6 +429,17 @@ def _piece_synthesis(support: Support):
     return lambda piece: _half_row_magnitudes(piece, table, offsets)
 
 
+def _pairwise(fn, *pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` taken part by part on multisets (mags, mirror) of one sample
+    order (``_piece_synthesis``), giving another such pair. If every input's
+    mirror is the view ``mags[1:-1]`` (a real piece's), the result's is the
+    view of its own first rows, and ``fn`` does not run on the mirrors."""
+    out = fn(*(mags for mags, _ in pairs))
+    if all(np.shares_memory(mags, mirror) for mags, mirror in pairs):
+        return out, out[1:-1]
+    return out, fn(*(mirror for _, mirror in pairs))
+
+
 def besov_norm(f: GridFunction, p, q, s,
                dyadic: DyadicPartition | None = None) -> float:
     """|| 2^(js) ||delta_j f||_p ||_{l^q} over j = 0..levels.
@@ -468,9 +481,11 @@ def triebel_norm(f: GridFunction, p, q, s,
     ``besov_norm`` does not skip (a skipped piece adds only zeros), with the
     (N/P)^d scale folded into the weight 2^(js). Every level is synthesized
     in one sample order (``_piece_synthesis``: the support's residue rows in
-    d = 1, the block transform's mirrored rows in d = 2), its two parts
-    joined into one array, so the pointwise l^q pairs the same points as
-    on the grid."""
+    d = 1, the block transform's mirrored rows in d = 2), so the pointwise
+    l^q pairs the same points as on the grid. The q-power stack keeps a
+    level's two parts apart (``_pairwise``): while every piece is real its
+    mirror is the view of its first rows, and ``_riemann_lp`` reduces the
+    pair as ``besov_norm`` does, with no joined copy."""
     p = Exponent.of(p)
     if p.is_infinite:
         raise ValueError("triebel_norm does not define the p = inf scale")
@@ -483,20 +498,18 @@ def triebel_norm(f: GridFunction, p, q, s,
     sf = np.float64(s)  # 2^(js) beyond double range reads inf, not OverflowError
     scale = (spec.n / spec.period) ** spec.d
     qf = None if q.is_infinite else float(q.value)
+    combine = np.maximum if q.is_infinite else np.add
     stack = None
     support, pieces = _dyadic_pieces(f, dyadic)
     synthesize = _piece_synthesis(support)
     for j, piece in pieces:
-        mags = np.concatenate(synthesize(piece))
-        mags *= 2.0 ** (sf * j) * scale
-        if q.is_infinite:
-            stack = mags if stack is None else np.maximum(stack, mags)
-        else:
-            contrib = mags ** qf
-            stack = contrib if stack is None else stack + contrib
+        weight = 2.0 ** (sf * j) * scale
+        contrib = _pairwise(lambda x: x * weight if qf is None else (x * weight) ** qf,
+                            synthesize(piece))
+        stack = contrib if stack is None else _pairwise(combine, stack, contrib)
     if stack is None:
         return 0.0
-    pointwise = stack if q.is_infinite else stack ** (1.0 / qf)
+    pointwise = stack if qf is None else _pairwise(lambda x: x ** (1.0 / qf), stack)
     return _riemann_lp(pointwise, spec.cell_volume, p)
 
 

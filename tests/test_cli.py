@@ -189,26 +189,34 @@ BOUNDEDNESS = ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
                   "--family", "dilation", "--lmin", "2", "--lmax", "3"], 2,
                  "undecidable: no catalogued family 'dilation' for B->M",
                  id="sharpness-dilation-not-catalogued"),
-    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
-      "--family", "annulus", "--t-list", "1/4,1/8"], 2,
-     "error: the annulus family takes integer levels, got 1/4, 1/8"),
-    (["norm", "--family", "lattice_comb", "--level", "4", "--width", "0",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: comb width must satisfy 0 < a <= 1, got 0"),
-    (["sharpness", "--from", "B[p=inf,q=1,s=0]", "--to", "M[p=inf,q=1]",
-      "--family", "lattice_comb", "--lmin", "4", "--lmax", "5", "--width", "0"], 2,
-     "error: comb width must satisfy 0 < a <= 1, got 0"),
-    (["norm", "--family", "dilation", "--lam", "0", "--space", "M[p=2,q=2]"], 2,
-     "error: dilation parameter must satisfy 0 < lambda <= 1, got 0"),
-    (["norm", "--family", "dilated_kernel", "--t", "0", "--space", "M[p=2,q=2]"], 2,
-     "error: kernel parameter must satisfy 0 < t <= 1, got 0"),
-    (["norm", "--family", "lattice_comb", "--level", "4", "--width", "1/0",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: zero denominator in '1/0'"),
-    (["norm", "--family", "dilated_kernel", "--t", "1/0", "--space", "M[p=2,q=2]"], 2,
-     "error: zero denominator in '1/0'"),
-    (["table", "--pair", "B-M", "--s", "1/0"], 2,
-     "error: zero denominator in '1/0'"),
+    pytest.param(["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+                  "--family", "annulus", "--t-list", "1/4,1/8"], 2,
+                 "error: the annulus family takes integer levels, got 1/4, 1/8",
+                 id="sharpness-annulus-t-list"),
+    pytest.param(["norm", "--family", "lattice_comb", "--level", "4", "--width", "0",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: comb width must satisfy 0 < a <= 1, got 0",
+                 id="norm-width-0"),
+    pytest.param(["sharpness", "--from", "B[p=inf,q=1,s=0]", "--to", "M[p=inf,q=1]",
+                  "--family", "lattice_comb", "--lmin", "4", "--lmax", "5", "--width", "0"], 2,
+                 "error: comb width must satisfy 0 < a <= 1, got 0",
+                 id="sharpness-width-0"),
+    pytest.param(["norm", "--family", "dilation", "--lam", "0", "--space", "M[p=2,q=2]"], 2,
+                 "error: dilation parameter must satisfy 0 < lambda <= 1, got 0",
+                 id="norm-lam-0"),
+    pytest.param(["norm", "--family", "dilated_kernel", "--t", "0", "--space", "M[p=2,q=2]"], 2,
+                 "error: kernel parameter must satisfy 0 < t <= 1, got 0",
+                 id="norm-t-0"),
+    pytest.param(["norm", "--family", "lattice_comb", "--level", "4", "--width", "1/0",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: zero denominator in '1/0'",
+                 id="norm-width-1-over-0"),
+    pytest.param(["norm", "--family", "dilated_kernel", "--t", "1/0", "--space", "M[p=2,q=2]"], 2,
+                 "error: zero denominator in '1/0'",
+                 id="norm-t-1-over-0"),
+    pytest.param(["table", "--pair", "B-M", "--s", "1/0"], 2,
+                 "error: zero denominator in '1/0'",
+                 id="table-s-1-over-0"),
     (["table", "--pair", "B-M", "--s", "0", "-d", "0"], 2,
      "error: dimension must be a positive integer, got 0"),
     # family options the chosen family does not read are refused, not ignored

@@ -1,4 +1,5 @@
 """Experiment harness: predicted slopes and sharpness/boundedness runs."""
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -73,6 +74,36 @@ def test_catalogue_coherence_with_oracle():
                             positive += 1
                             assert not decide(source, target).holds, (source, target, family)
     assert positive == 110 + 138  # B -> M cases + M -> B cases
+
+
+def test_catalogue_is_complete_for_besov_modulation():
+    """For B <-> M the catalogue is complete: on every query of the sweep,
+    the largest catalogued slope of the three witness families equals the
+    verdict's gap to its critical s, exactly (critical s - s into M, s -
+    critical s out of M). The sweep is d in {1, 2}; p0, q0 and q in
+    {1/2, 1, 4/3, 2, 3, 4, inf}; s in {-1, -1/2, 0, 1/4, 1/2, 1}; both
+    directions, with the modulation p = p0: 8232 queries. The 200 failing
+    verdicts at gap 0 are the strict clause at its critical s."""
+    exps = [F(1, 2), 1, F(4, 3), 2, 3, 4, INF]
+    smooth = [-1, F(-1, 2), 0, F(1, 4), F(1, 2), 1]
+    queries = failing_at_gap_0 = 0
+    for d in (1, 2):
+        for p0, q0, q, s in itertools.product(exps, exps, exps, smooth):
+            besov = SpaceSpec.besov(p0, q0, s, d=d)
+            modulation = SpaceSpec.modulation(p0, q, d=d)
+            for source, target in ((besov, modulation), (modulation, besov)):
+                verdict = decide(source, target)
+                gap = verdict.critical_s - s if source is besov else s - verdict.critical_s
+                slopes = []
+                for family in ("single_box", "annulus", "lattice_comb"):
+                    try:
+                        slopes.append(predicted_slope(source, target, family))
+                    except CatalogueError:
+                        continue
+                assert max(slopes) == gap, (source, target)
+                queries += 1
+                failing_at_gap_0 += gap == 0 and not verdict.holds
+    assert (queries, failing_at_gap_0) == (8232, 200)
 
 
 def test_run_sharpness_annulus_failing_query():

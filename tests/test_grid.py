@@ -1,11 +1,12 @@
 """Transform convention, Riemann quasi-norms and multipliers."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense import apply_multiplier, dyadic_window, lp_norm, space_axis
-from modemb import grid
+from modemb import families, grid
 from fractions import Fraction
 
 from modemb.families import (
@@ -26,6 +27,8 @@ from modemb.grid import (
     lq_seq_norm,
     transform,
 )
+from modemb.norms import space_norm
+from modemb.oracle import SpaceSpec
 from modemb.partitions import build_dyadic
 
 
@@ -347,6 +350,57 @@ def test_annulus_member_is_the_dense_window(name):
     assert family_annulus(spec, level).values.tobytes() == window.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_box_member_is_the_dense_box(d):
+    """A single-box member built on its bins holds, byte for byte, the
+    dense spectrum: its box's axis-factor product added into a zero N^d
+    array, as the comb adds its boxes."""
+    spec = grid_for("single_box", d=d, level=5)
+    idx, vals = zip(*(families._box_term_axis(spec, c, 1.0, False)
+                      for c in families.smallest_box_point(5, d)))
+    dense = np.zeros(spec.shape(), dtype=np.complex128)
+    dense[np.ix_(*idx)] += 1.0 * grid.separable(np.multiply, vals)
+    assert family_single_box(spec, 5).values.tobytes() == dense.tobytes()
+
+
+# The top annulus reaches past its small grid's dyadic cover, which no
+# Besov or Triebel norm then takes.
+@pytest.mark.parametrize("name", [name for name in BOX_MEMBERS if name != "annulus-d1-top"])
+def test_norms_and_the_margin_check_leave_values_unbuilt(name):
+    """A member built on its bins is checked against the band margin and
+    measured in every space with no dense spectrum: its ``values`` are built
+    only when read."""
+    f = BOX_MEMBERS[name]()
+    d = f.spec.d
+    for space in (SpaceSpec.modulation(1, 1, d=d), SpaceSpec.modulation(2, 2, d=d),
+                  SpaceSpec.besov(1, 1, 0, d=d), SpaceSpec.besov(2, 2, 0, d=d),
+                  SpaceSpec.triebel(1, 2, 0, d=d), SpaceSpec.sobolev(1, 1, d=d),
+                  SpaceSpec.fourier_l(1, d=d)):
+        space_norm(f, space)
+    assert "values" not in vars(f)
+
+
+# tracemalloc peak, in MiB, of building a member on its bins: at most a few
+# bins' worth, against one N^d complex spectrum (4 MiB for both) before.
+MEMBER_PEAKS = {"single_box-d1-l10": (lambda: family_single_box(
+                    grid_for("single_box", level=10), 10), 0.5),
+                "annulus-d2-l3": (lambda: family_annulus(
+                    grid_for("annulus", d=2, level=3), 3), 4.0)}
+
+
+@pytest.mark.parametrize("name", MEMBER_PEAKS)
+def test_member_build_holds_no_dense_spectrum(name):
+    build, bound = MEMBER_PEAKS[name]
+    build()
+    tracemalloc.start()
+    try:
+        f = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.spec.n ** f.spec.d == 2 ** 18 and peak <= bound * 2 ** 20
+
+
 @pytest.mark.parametrize("kind", GENERATOR_CALLS)
 def test_only_box_generators_set_bins(kind):
     """Members of the other generators, transforms and direct construction
@@ -357,10 +411,33 @@ def test_only_box_generators_set_bins(kind):
     assert GridFunction(f.spec, f.values, FREQUENCY).bins is None
 
 
-def test_adopt_refuses_bins_on_the_space_side(spec):
-    with pytest.raises(ValueError, match="frequency-side"):
-        GridFunction.adopt(spec, np.zeros(spec.n, dtype=np.complex128), SPACE,
-                           np.arange(3))
+@pytest.mark.parametrize("bins,values,message", [
+    pytest.param([3, 1, 2], np.ones(3), "strictly ascending", id="unsorted"),
+    pytest.param([1, 2, 2], np.ones(3), "strictly ascending", id="repeated"),
+    pytest.param([-1, 0, 1], np.ones(3), r"lie in \[0, 512\)", id="negative"),
+    pytest.param([0, 1, 512], np.ones(3), r"lie in \[0, 512\)", id="past-the-grid"),
+    pytest.param([[0, 1], [2, 3]], np.ones((2, 2)), "1-D integer array", id="not-1d"),
+    pytest.param([0.0, 1.0], np.ones(2), "1-D integer array", id="not-integer"),
+    pytest.param([0, 1, 2], np.ones(2), "one index per value", id="length-mismatch"),
+])
+def test_from_bins_refuses_malformed_bins(spec, bins, values, message):
+    with pytest.raises(ValueError, match=message):
+        GridFunction.from_bins(spec, np.array(bins), values)
+
+
+def test_from_bins_builds_values_on_first_read(spec):
+    """A function built on its bins is frequency-side and holds its bins and
+    their values, frozen and taken over without a copy; ``values`` is
+    scattered into a fresh zero array on the first read and then kept."""
+    bins, values = np.array([3, 8, 500]), np.array([1.0, -2j, 0.5 + 0.5j])
+    f = GridFunction.from_bins(spec, bins, values)
+    assert f.side == FREQUENCY and f.bins is bins and f.bin_values is values
+    assert not bins.flags.writeable and not values.flags.writeable
+    assert "values" not in vars(f)
+    dense = np.zeros(spec.n, dtype=np.complex128)
+    dense[bins] = values
+    assert f.values.tobytes() == dense.tobytes() and f.values is f.values
+    assert f.values.base is None and not f.values.flags.writeable
 
 
 FINITENESS_P = ["1/2", 1, 3, "inf"]

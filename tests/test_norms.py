@@ -965,6 +965,24 @@ def test_block_synthesis_holds_less_than_a_full_grid():
     assert peak < 6 * 2 ** 20
 
 
+@pytest.mark.parametrize("q", [1, 2, "inf"])
+def test_triebel_stack_holds_no_joined_copy(q):
+    """The tracemalloc peak of triebel_norm(f, 1, q, 0) on the level-3 512^2
+    annulus stays below 7 MiB: its q-power stack keeps each level's two
+    parts, a real piece's mirror as a view, where joining them into N^2
+    arrays held 10.0 MiB (8.0 at q = inf). It reads 6.0 MiB. The member is
+    floored first."""
+    f = family_annulus(grid_for("annulus", d=2, level=3), 3)
+    assert f.spec.n == 512 and f.support.flat.size
+    tracemalloc.start()
+    try:
+        triebel_norm(f, 1, q, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2 ** 20
+
+
 @pytest.mark.parametrize("p", ["1/2", 1, 3, "inf"])
 def test_riemann_lp_scans_no_finite_sample(p, monkeypatch):
     """A finite total proves every sample finite: _riemann_lp then tests
