@@ -274,9 +274,12 @@ def _riemann_lp(samples, cell_volume: float, p) -> float:
     as they are (x ** 1.0 is x).
 
     ``samples`` is one array, or the pair (mags, mirror) of a half-row
-    synthesis (``norms._half_row_magnitudes``): both parts count. A mirror
-    that is the view ``mags[1:-1]`` is not read again: the sum is twice
-    mags' less its first and last rows, and the maximum is mags'.
+    synthesis (``norms._half_row_magnitudes``, ``norms._block_magnitudes``):
+    both parts count. A mirror that is the view ``mags[1:-1]`` is not read
+    again: the sum is twice mags' less its first and last rows, the
+    self-mirrored ones, and the maximum is mags'. In a d = 1 block
+    transform a row is one sample, so the self-mirrored rows are the
+    samples 0 and N/2.
 
     The magnitudes are >= 0, so a NaN or Inf among them makes the total NaN
     or Inf, and a finite total needs no scan. Only a non-finite one scans

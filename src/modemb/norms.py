@@ -8,17 +8,17 @@ both come from the pieces' spectra. Sobolev: L^p of the Bessel multiplier
 (1+|xi|^2)^(s/2). Fourier-L^p: the Riemann L^r norm of the spectrum itself.
 
 Synthesis lives here, for box and dyadic pieces alike; the partitions hold
-geometry only. ``_half_row_magnitudes`` synthesizes the first half of a
-piece's output rows, by a pruned length-L FFT on residue rows in d = 1 and
-by E P E^T in d = 2, each benchmarked by its own annulus workload (on the
-annulus-1d grid E would be 131072 x 97, the residue rows 513 x 128), and
-returns those rows and the mirrored ones apart: a real piece's mirror is a
-view, which ``grid._riemann_lp`` counts twice with no copy. A d = 2 dyadic
-piece takes one real FFT of a block over the support's bounding box
-instead (``_block_magnitudes``), which returns the same two parts. Each
-norm call builds its tables and drops them: in d = 1 from one twiddle
-formula (``_twiddle_factors``), whose two factors a box multiplies into one
-(``_box_table``) and a dyadic piece keeps apart.
+geometry only. There are two routes, one per kind of piece, each the same
+in both dimensions. A box piece takes ``_half_row_magnitudes``, which
+synthesizes the first half of its output rows, by a pruned length-L FFT on
+residue rows in d = 1 and by E P E^T in d = 2, each benchmarked by its own
+annulus workload (on the annulus-1d grid E would be 131072 x 97, the
+residue rows 513 x 128). Every dyadic piece and W take one real FFT of a
+block over the support's bounding box (``_block_magnitudes``). Both return
+the first rows and the mirrored ones apart: a real piece's mirror is a
+view, which ``grid._riemann_lp`` counts twice with no copy. The box table
+(``_box_table``) is built per norm call and dropped with it; the block
+route needs no table.
 
 Support. Every norm reads the member's one Support (``f.support``, the
 ``grid.Support`` kept on f): the flat indices, values, magnitudes,
@@ -31,23 +31,22 @@ not pass the 1e-12 gate, so the decision is the dense one. phi_j is
 evaluated at their radii (``DyadicPartition.phi``), so a dyadic piece is bit
 for bit the dense phi_j(|xi|) times the spectrum on the support and 0 off
 it; at p = 2 Parseval sums the compact piece. Otherwise it is synthesized
-on the support's band in d = 1, as a box piece is, and in d = 2 by one real
-FFT of a block over the support's bounding box (``_piece_synthesis``), with
-no N-point or N^2 complex grid. W is one more piece: the Bessel multiplier
-at the support's radii times its values. Fourier-L^p sums the compact
-magnitudes. No norm builds a dense radius, mask or window, and none takes a
-full-grid inverse FFT. Box patches are cut from a block the size of the
-support's bounding box (``box_piece_norms``), with a uniform partition of
-f's own grid. A single-box or annulus member's floor reads only the bins its
-generator wrote (``GridFunction.bins``), and such a member holds no N^d
-spectrum: no norm reads ``GridFunction.values``. The largest arrays left
-are a d = 2 piece's transform and magnitudes, N/2 + 1 rows of N samples
-each.
+by one real FFT of a block over the support's bounding box
+(``_piece_synthesis``), with no N-point or N^2 complex grid. W is one more
+piece: the Bessel multiplier at the support's radii times its values.
+Fourier-L^p sums the compact magnitudes. No norm builds a dense radius,
+mask or window, and none takes a full-grid inverse FFT. Box patches are cut
+from a block the size of the support's bounding box (``box_piece_norms``),
+with a uniform partition of f's own grid. A single-box or annulus member's
+floor reads only the bins its generator wrote (``GridFunction.bins``), and
+such a member holds no N^d spectrum: no norm reads ``GridFunction.values``.
+The largest arrays left are a piece's transform and magnitudes, N/2 + 1
+rows of N^(d-1) samples each.
 
 Precision. At p >= 1 a norm holds about 1e-12 relative; the p = 2 values
 from the spectrum round unlike synthesis, by about 1e-16. Synthesized pieces
 skip the grid's centering shifts, so their magnitudes come in an order of
-their own (residue rows when pruned, mirrored rows in a d = 2 block
+their own (residue rows for a d = 1 box, mirrored rows in a block
 transform) and round unlike ``transform``'s, again by about 1e-16. A real
 half-row piece sums as twice its first rows less the two self-mirrored
 ones, within 5.4e-16 relative of one sum over the copied rows at p >= 1
@@ -56,15 +55,13 @@ about 1e-7 relative: the sum of |x|^p is dominated by space samples at
 roundoff level in each piece's tails, which p < 1 amplifies, so a change to
 the rounding of a transform moves the value in the sixth to eighth digit.
 On the level-8 d = 1 annulus (N = 2^17), against extended-precision
-syntheses of the same floored spectrum, B^0_{1/2,1} is 1.3e-6 off,
-F^0_{1/2,q} 4.2e-7 (q = 1) to 4.8e-8 (q = inf), and a box piece at p = 1/2
+syntheses of the same floored spectrum, B^0_{1/2,1} is 1.1e-6 off,
+F^0_{1/2,q} 3.5e-7 (q = 1) to 4.7e-8 (q = inf), and a box piece at p = 1/2
 within 3e-11. Never gate a p < 1 value at 1e-12; compare it against an
 extended-precision reference.
 The floor moves it more: by 1e-5 for W^{s,1/2} on that member.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -135,59 +132,31 @@ def _support_block(support: Support, margin: int) -> tuple[np.ndarray, list[int]
     return block, origin
 
 
-def _twiddle_factors(n: int, width: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The d = 1 twiddle rows exp(2 pi i j r / n) * scale, for the residues
-    r = 0..R/2 of R = n/width and the offsets j < width (both powers of
-    two), as two factors for ``_half_row_magnitudes``: with J the least power
-    of two >= sqrt(width) and j = j1 + J j2, exp(2 pi i j1 r / n) * scale of
-    shape (R/2 + 1, 1, J) and exp(2 pi i J j2 r / n) of shape
-    (R/2 + 1, width/J, 1). Only (R/2 + 1)(J + width/J) exponentials are
-    taken; their product is within about 6e-16 of each root taken alone."""
-    low = 1 << (width.bit_length() // 2)
-    r = np.arange(n // width // 2 + 1)[:, None]
-
-    def roots(step, count):
-        return np.exp(2j * np.pi * ((r * (step * np.arange(count))) % n) / n)
-
-    return (roots(1, low) * scale)[:, None, :], roots(low, width // low)[:, :, None]
-
-
-def _half_synthesis(patch: np.ndarray, table, out: np.ndarray, at=None) -> None:
-    """Writes into ``out`` the first half of the rows of the piece whose
+def _half_synthesis(patch: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """Writes into ``out`` the first half of the rows of the box piece whose
     spectrum is ``patch``, complex. In d = 1, the residues r = 0..R/2 of the
     pruned length-L FFT, an (R/2 + 1, L) array: the patch is written into
-    row 0, zero-padded to L bins (at the offsets ``at``, by default its
-    first bins), copied twiddled into the other rows, twiddled in place in
-    row 0, and the rows are transformed in place. ``table`` is a sequence
-    of twiddle factors, the first of shape (R/2 + 1, 1, J), whose product
-    on the rows viewed as (R/2 + 1, K, J), K J = L, is the twiddle of
-    offset j = j1 + J j2 on row r (``_twiddle_factors``, or a box's one
-    factor with K = 1). The first factor multiplies the patch and the rest
-    multiply in place, so a box's rows are the products of its one table
-    and the patch, bit for bit as with the table alone. In d = 2, the
-    rows n_1 = 0..N/2 of E P E^T, an (N/2 + 1, N) array, where ``table``
-    is E."""
+    row 0, zero-padded to L bins, multiplied by the table's rows into the
+    other rows, by its row 0 in place, and the rows are transformed in
+    place; ``table`` is the (R/2 + 1, L) array of twiddles of offset j on
+    row r. In d = 2, the rows n_1 = 0..N/2 of E P E^T, an (N/2 + 1, N)
+    array, where ``table`` is E."""
     if patch.ndim == 1:
         out[0] = 0
-        out[0, slice(patch.size) if at is None else at] = patch
-        first, *rest = table
-        view = out.reshape(len(out), -1, first.shape[-1])
-        np.multiply(first[1:], view[0], out=view[1:])
-        np.multiply(first[0], view[0], out=view[0])
-        for factor in rest:
-            view *= factor
+        out[0, :patch.size] = patch
+        np.multiply(table[1:], out[0], out=out[1:])
+        out[0] *= table[0]
         np.fft.ifft(out, axis=-1, norm="forward", out=out)
     else:
         np.matmul(table[:len(out)] @ patch, table.T, out=out)
 
 
-def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _work_arrays(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Fresh (half, out) for ``_half_row_magnitudes`` on ``table``: the
     complex rows r = 0..R/2 (d = 1) or n_1 = 0..N/2 (d = 2), and the N^d
     magnitudes' rows, of which that function returns two views."""
     if d == 1:
-        # the factors span complementary axes of the (K, J) view of a row
-        rows, width = len(table[0]), math.prod(f[0].size for f in table)
+        rows, width = table.shape
         total = max(2 * rows - 2, 1)
     else:
         total = width = len(table)
@@ -195,16 +164,17 @@ def _work_arrays(table, d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, width), dtype=np.complex128), np.empty((total, width))
 
 
-def _half_row_magnitudes(patch: np.ndarray, table, at=None,
+def _half_row_magnitudes(patch: np.ndarray, table: np.ndarray,
                          work=None) -> tuple[np.ndarray, np.ndarray]:
-    """(mags, mirror): the N^d magnitudes of the space-side samples whose
-    spectrum is ``patch``, as a multiset in two parts, scaled by the table.
-    In d = 1 ``mags`` is the (R/2 + 1, L) array of residue rows r = 0..R/2,
-    where ``table`` holds their twiddle factors and the patch puts its
-    values at the offsets ``at`` < L (by default its first bins); in d = 2
-    it is the (N/2 + 1, N) array of rows n_1 = 0..N/2 of E P E^T, from the
-    N x S matrix E (``_half_synthesis`` states both); ``mirror`` holds the
-    mirrored rows.
+    """(mags, mirror): the N^d magnitudes of the space-side samples of the
+    box piece whose spectrum is ``patch``, as a multiset in two parts,
+    scaled by the table. In d = 1 ``mags`` is the (R/2 + 1, L) array of
+    residue rows r = 0..R/2, where ``table`` holds their twiddles and the
+    patch fills the first bins of a row of L; in d = 2 it is the
+    (N/2 + 1, N) array of rows n_1 = 0..N/2 of E P E^T, from the N x S
+    matrix E (``_half_synthesis`` states both); ``mirror`` holds the
+    mirrored rows. Only boxes take this route; a dyadic piece or W takes
+    ``_block_magnitudes``.
 
     Half the rows are synthesized. With g_x(n) = sum_j x_j w^(jn),
     w = exp(2 pi i / N), g_x(-n) = conj(g_conj(x)(n)), so the rows -n hold
@@ -226,29 +196,39 @@ def _half_row_magnitudes(patch: np.ndarray, table, at=None,
     overwrites the result of the one before."""
     half, out = _work_arrays(table, patch.ndim) if work is None else work
     rows = len(half)
-    _half_synthesis(patch, table, half, at)
+    _half_synthesis(patch, table, half)
     mags = np.abs(half, out=out[:rows])
     if rows > 2 and patch.imag.any():
-        _half_synthesis(np.conj(patch), table, half, at)
+        _half_synthesis(np.conj(patch), table, half)
         return mags, np.abs(half[1:rows - 1], out=out[rows:])
     return mags, mags[1:-1]
 
 
-def _box_table(uniform: UniformPartition):
+def _box_table(uniform: UniformPartition) -> np.ndarray:
     """The synthesis table of the boxes of ``uniform``, built on each call:
     exp(2 pi i (j n mod N) / N) / P per axis, for the rows n the pruned
-    synthesis needs and the patch offsets j it reads. In d = 1, the product
-    of ``_twiddle_factors``' two factors for the residues r = 0..R/2 of
-    R = N/L and j < L, kept as one factor of shape (R/2 + 1, 1, L): on two
-    factors a box synthesis was 1.24-1.38x slower. In d = 2, the N x S
-    matrix E of all N outputs, of which the left factor reads rows 0..N/2."""
+    synthesis needs and the patch offsets j it reads. In d = 1, the
+    (R/2 + 1, L) array for the residues r = 0..R/2 of R = N/L and j < L.
+    With J the least power of two >= sqrt(L) and j = j1 + J j2, it is the
+    product of exp(2 pi i j1 r / N) / P and exp(2 pi i J j2 r / N), so only
+    (R/2 + 1)(J + L/J) exponentials are taken: 6x faster than np.exp of
+    every phase, and within about 6e-16 of each root taken alone. In d = 2,
+    the N x S matrix E of all N outputs, of which the left factor reads
+    rows 0..N/2."""
     spec = uniform.spec
-    width = 2 * uniform.half_width + 1
+    n, width = spec.n, 2 * uniform.half_width + 1
     if spec.d == 1:
-        low, high = _twiddle_factors(spec.n, _next_pow2(width), 1.0 / spec.period)
-        return ((low * high).reshape(len(low), 1, -1),)
-    phase = (np.arange(spec.n)[:, None] * np.arange(width)[None, :]) % spec.n
-    return np.exp(2j * np.pi * phase / spec.n) / spec.period
+        width = _next_pow2(width)
+        low = 1 << (width.bit_length() // 2)
+        r = np.arange(n // width // 2 + 1)[:, None, None]
+
+        def roots(j):
+            return np.exp(2j * np.pi * ((r * j) % n) / n)
+
+        high = roots(low * np.arange(width // low)[:, None])
+        return (roots(np.arange(low)) * (1.0 / spec.period) * high).reshape(len(r), width)
+    phase = (np.arange(n)[:, None] * np.arange(width)[None, :]) % n
+    return np.exp(2j * np.pi * phase / n) / spec.period
 
 
 def box_piece_norms(support: Support, p, uniform: UniformPartition):
@@ -362,16 +342,18 @@ def _dyadic_pieces(f: GridFunction, dyadic: DyadicPartition):
 
 
 def _block_magnitudes(piece: np.ndarray, at, shape, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mags, mirror): the N^2 magnitudes of the d = 2 space samples whose
+    """(mags, mirror): the N^d magnitudes of the space samples whose
     spectrum holds ``piece`` at the indices ``at`` of a block of ``shape``
-    and is 0 elsewhere, divided by N^2, as a multiset in two parts:
-    ``mags`` of shape (N/2 + 1, N), ``mirror`` of the rows 1..N/2 - 1.
+    (d = len(shape)) and is 0 elsewhere, divided by N^d, as a multiset in
+    two parts: ``mags`` of the rows n_1 = 0..N/2, of shape (N/2 + 1,) in
+    d = 1 and (N/2 + 1, N) in d = 2, and ``mirror`` of the rows
+    1..N/2 - 1. In d = 1 a row is one sample.
 
     The piece's real part a, and its imaginary part b unless b is 0, are
     written into a zero real block and put through one real FFT padded to
-    N x N (``np.fft.rfftn``, the real axis the rows), which gives F(a) and
-    F(b) on the rows n_1 = 0..N/2. With w = exp(2 pi i / N) and the block's
-    first sample at o, the synthesis g(n) = sum_j x_j w^(jn) is
+    N per axis (``np.fft.rfftn``, the real axis the first), which gives F(a)
+    and F(b) on the rows n_1 = 0..N/2. With w = exp(2 pi i / N) and the
+    block's first sample at o, the synthesis g(n) = sum_j x_j w^(jn) is
     w^(on) (conj F(a)(n) + i conj F(b)(n)), and a and b are real, so
     |g(-n)| = |F(a)(n) + i F(b)(n)|, which is ``mags``, and
     |g(n)| = |F(a)(n) - i F(b)(n)|, the same bits as
@@ -382,11 +364,12 @@ def _block_magnitudes(piece: np.ndarray, at, shape, n: int) -> tuple[np.ndarray,
     are unimodular, so the magnitudes are those of |ifftn| of the piece on
     the full grid, in another order: every piece of one block comes in the
     same order, so two of them pair sample by sample."""
+    d = len(shape)
     parts = (piece.real, piece.imag) if piece.imag.any() else (piece.real,)
     block = np.zeros((len(parts), *shape))
     for plane, part in zip(block, parts):
         plane[at] = part
-    spectra = np.fft.rfftn(block, s=(n, n), axes=(2, 1), norm="forward")
+    spectra = np.fft.rfftn(block, s=(n,) * d, axes=tuple(range(d, 0, -1)), norm="forward")
     if len(parts) == 1:
         mags = np.abs(spectra[0])
         return mags, mags[1:-1]
@@ -398,35 +381,23 @@ def _block_magnitudes(piece: np.ndarray, at, shape, n: int) -> tuple[np.ndarray,
 
 def _piece_synthesis(support: Support):
     """The function that takes a dyadic piece of ``support`` (its values at
-    the support's bins, as ``_dyadic_pieces`` yields it) to |ifftn| of the
-    piece: the samples divided by (N/P)^d, with no centering shift, as the
-    multiset (mags, mirror) of two parts, which ``grid._riemann_lp``
-    reduces. Every piece comes in one sample order, so the joined arrays of
-    two levels pair sample by sample. An empty support has no piece, and
-    gets None.
+    the support's bins, as ``_dyadic_pieces`` yields it), or W's one piece,
+    to |ifftn| of the piece: the samples divided by (N/P)^d, with no
+    centering shift, as the multiset (mags, mirror) of two parts, which
+    ``grid._riemann_lp`` reduces. Every piece comes in one sample order, so
+    the joined arrays of two levels pair sample by sample. An empty support
+    has no piece, and gets None.
 
-    A piece is synthesized on the support's band (d = 1) or bounding box
-    (d = 2) alone, with no N^d complex grid. In d = 1, as a box piece is:
-    with a..b the bins the support spans, L the next power of two
-    >= b - a + 1 and R = N/L, ``_half_row_magnitudes`` writes the piece's
-    values at their offsets from a into a zero L-bin row and synthesizes the
-    rows r = 0..R/2. Their twiddles come from two small factors
-    (``_twiddle_factors``, with numpy's 1/N), built here once for all levels
-    and dropped with the function. The leading phase exp(2 pi i a n / N) is
-    unimodular, so the magnitudes are the dense ones in the order of the
-    (R, L) residue rows. In d = 2 ``_block_magnitudes`` takes one real FFT
-    of a block over the support's bounding box, 191 x 191 bins for the
-    512^2 annulus; E P E^T would cost more there, and a full complex
-    inverse FFT of the grid took 2.2 to 2.6 times as long per piece."""
-    spec, flat = support.spec, support.flat
-    if not flat.size:
+    In both dimensions a piece takes one real FFT of a block over the
+    support's bounding box (``_block_magnitudes``), with no N^d complex
+    grid: 48,887 bins for the level-8 d = 1 annulus, 191 x 191 for the
+    512^2 one. The box routine's pruned half rows would cost more in
+    d = 2, and a full complex inverse FFT of the grid took 2.2 to 2.6 times
+    as long per d = 2 piece."""
+    if not support.flat.size:
         return None
-    if spec.d == 2:
-        _, shape, at = _support_box(support, 0)
-        return lambda piece: _block_magnitudes(piece, at, shape, spec.n)
-    offsets = flat - flat[0]
-    table = _twiddle_factors(spec.n, _next_pow2(offsets[-1] + 1), 1.0 / spec.n)
-    return lambda piece: _half_row_magnitudes(piece, table, offsets)
+    _, shape, at = _support_box(support, 0)
+    return lambda piece: _block_magnitudes(piece, at, shape, support.spec.n)
 
 
 def _pairwise(fn, *pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -446,12 +417,12 @@ def besov_norm(f: GridFunction, p, q, s,
 
     One forward transform if f is space-side and not yet floored (none
     otherwise). At p = 2 a piece's norm is ``_l2_norm`` of its spectrum;
-    otherwise the piece is synthesized (``_piece_synthesis``: on the
-    support's band in d = 1, by one real FFT of the support's block in
-    d = 2), one per level the floored spectrum reaches, and the (N/P)^d
-    scale multiplies its norm. A level with no nonzero bin in the support of
-    phi_j (``DyadicPartition.support``) is skipped: its piece is
-    identically zero and enters as 0.0."""
+    otherwise the piece is synthesized by one real FFT of the support's
+    block (``_piece_synthesis``, in either dimension), one per level the
+    floored spectrum reaches, and the (N/P)^d scale multiplies its norm. A
+    level with no nonzero bin in the support of phi_j
+    (``DyadicPartition.support``) is skipped: its piece is identically zero
+    and enters as 0.0."""
     p = Exponent.of(p)
     spec = f.spec
     if dyadic is None:
@@ -480,9 +451,9 @@ def triebel_norm(f: GridFunction, p, q, s,
     so F_{2,2} = B_{2,2} up to rounding. Other (p, q) synthesize each level
     ``besov_norm`` does not skip (a skipped piece adds only zeros), with the
     (N/P)^d scale folded into the weight 2^(js). Every level is synthesized
-    in one sample order (``_piece_synthesis``: the support's residue rows in
-    d = 1, the block transform's mirrored rows in d = 2), so the pointwise
-    l^q pairs the same points as on the grid. The q-power stack keeps a
+    by one real FFT of the support's block, in one sample order
+    (``_piece_synthesis``: the block transform's rows and mirrored rows), so
+    the pointwise l^q pairs the same points as on the grid. The q-power stack keeps a
     level's two parts apart (``_pairwise``): while every piece is real its
     mirror is the view of its first rows, and ``_riemann_lp`` reduces the
     pair as ``besov_norm`` does, with no joined copy."""
@@ -514,8 +485,9 @@ def triebel_norm(f: GridFunction, p, q, s,
 
 
 def sobolev_norm(f: GridFunction, s, r) -> float:
-    """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is
-    (``_piece_synthesis``); 0 for the zero function, which has no piece."""
+    """|| (I - Laplacian)^(s/2) f ||_r, synthesized as one dyadic piece is,
+    by one real FFT of the support's block (``_piece_synthesis``); 0 for the
+    zero function, which has no piece."""
     spec, support = f.spec, f.support
     synthesize = _piece_synthesis(support)
     if synthesize is None:

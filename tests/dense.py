@@ -13,7 +13,7 @@ package never does, as it synthesizes a piece from its bins or from a block
 over their bounding box; ``synthesized_magnitudes`` inverse-transforms
 what it scatters, the reference for ``norms._block_magnitudes``.
 ``box_table`` is the box synthesis table taken root by root with one
-``np.exp`` each, the reference for the factor product ``norms._box_table``
+``np.exp`` each, the reference for the factorized roots ``norms._box_table``
 builds. ``half_row_magnitudes`` is the half-row synthesis with its mirrored
 rows copied into one N^d multiset, the reference for the two parts
 ``norms._half_row_magnitudes`` returns.
@@ -102,11 +102,11 @@ def delta_apply(f: GridFunction, j: int, partition: DyadicPartition) -> GridFunc
     return apply_multiplier(f, dyadic_window(partition, j))
 
 
-def box_table(partition: UniformPartition):
+def box_table(partition: UniformPartition) -> np.ndarray:
     """exp(2 pi i (j n mod N) / N) / P, one ``np.exp`` per root, for the rows n
     and patch offsets j of ``norms._box_table``: in d = 1 the residues
-    r = 0..R/2 of R = N/L and j < L, as one factor of shape (R/2 + 1, 1, L);
-    in d = 2 the N x S matrix E."""
+    r = 0..R/2 of R = N/L and j < L, an (R/2 + 1, L) array; in d = 2 the
+    N x S matrix E."""
     spec = partition.spec
     width = 2 * partition.half_width + 1
     if spec.d == 1:
@@ -115,8 +115,7 @@ def box_table(partition: UniformPartition):
     else:
         rows = spec.n
     phase = (np.arange(rows)[:, None] * np.arange(width)[None, :]) % spec.n
-    table = np.exp(2j * np.pi * phase / spec.n) / spec.period
-    return (table[:, None, :],) if spec.d == 1 else table
+    return np.exp(2j * np.pi * phase / spec.n) / spec.period
 
 
 def extended_magnitudes(spec: GridSpec, spectrum: np.ndarray) -> np.ndarray:
@@ -136,7 +135,7 @@ def extended_lp(mags: np.ndarray, spec: GridSpec, p) -> np.longdouble:
     return (np.longdouble(spec.cell_volume) * np.sum(mags ** pf)) ** (1 / pf)
 
 
-def half_row_magnitudes(patch: np.ndarray, table, at=None) -> np.ndarray:
+def half_row_magnitudes(patch: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The N^d magnitudes of the piece whose spectrum is ``patch``, as one
     array: the first half of the rows synthesized as
     ``norms._half_row_magnitudes`` does, then the mirrored rows, copied from
@@ -144,10 +143,10 @@ def half_row_magnitudes(patch: np.ndarray, table, at=None) -> np.ndarray:
     complex one (R > 2)."""
     half, out = _work_arrays(table, patch.ndim)
     rows = len(half)
-    _half_synthesis(patch, table, half, at)
+    _half_synthesis(patch, table, half)
     np.abs(half, out=out[:rows])
     if rows > 2 and patch.imag.any():
-        _half_synthesis(np.conj(patch), table, half, at)
+        _half_synthesis(np.conj(patch), table, half)
         np.abs(half[1:rows - 1], out=out[rows:])
     else:
         out[rows:] = out[1:rows - 1]

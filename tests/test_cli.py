@@ -217,30 +217,39 @@ BOUNDEDNESS = ["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
     pytest.param(["table", "--pair", "B-M", "--s", "1/0"], 2,
                  "error: zero denominator in '1/0'",
                  id="table-s-1-over-0"),
-    (["table", "--pair", "B-M", "--s", "0", "-d", "0"], 2,
-     "error: dimension must be a positive integer, got 0"),
+    pytest.param(["table", "--pair", "B-M", "--s", "0", "-d", "0"], 2,
+                 "error: dimension must be a positive integer, got 0",
+                 id="table-dimension-0"),
     # family options the chosen family does not read are refused, not ignored
-    (["norm", "--family", "annulus", "--level", "3", "--width", "0",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: --width does not apply to the annulus family"),
-    (["norm", "--family", "single_box", "--level", "4", "--lam", "0",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: --lam does not apply to the single_box family"),
-    (["norm", "--family", "dilation", "--lam", "1/2", "--t", "1/2",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: --t does not apply to the dilation family"),
-    (["norm", "--family", "dilation", "--lam", "1/2", "--level", "3",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: --level does not apply to the dilation family"),
-    (["norm", "--family", "dilated_kernel", "--t", "1/2", "--level", "3",
-      "--space", "M[p=2,q=2]"], 2,
-     "error: --level does not apply to the dilated_kernel family"),
-    (["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
-      "--family", "annulus", "--lmin", "2", "--lmax", "3", "--width", "1/2"], 2,
-     "error: --width does not apply to the annulus family"),
-    (["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
-      "--family", "dilated_kernel", "--t-list", "1/2,1/4", "--lmin", "4", "--lmax", "5"], 2,
-     "error: --t-list cannot be combined with --lmin or --lmax"),
+    pytest.param(["norm", "--family", "annulus", "--level", "3", "--width", "0",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: --width does not apply to the annulus family",
+                 id="norm-annulus-width"),
+    pytest.param(["norm", "--family", "single_box", "--level", "4", "--lam", "0",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: --lam does not apply to the single_box family",
+                 id="norm-single_box-lam"),
+    pytest.param(["norm", "--family", "dilation", "--lam", "1/2", "--t", "1/2",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: --t does not apply to the dilation family",
+                 id="norm-dilation-t"),
+    pytest.param(["norm", "--family", "dilation", "--lam", "1/2", "--level", "3",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: --level does not apply to the dilation family",
+                 id="norm-dilation-level"),
+    pytest.param(["norm", "--family", "dilated_kernel", "--t", "1/2", "--level", "3",
+                  "--space", "M[p=2,q=2]"], 2,
+                 "error: --level does not apply to the dilated_kernel family",
+                 id="norm-dilated_kernel-level"),
+    pytest.param(["sharpness", "--from", "B[p=1,q=1,s=0]", "--to", "M[p=1,q=1]",
+                  "--family", "annulus", "--lmin", "2", "--lmax", "3", "--width", "1/2"], 2,
+                 "error: --width does not apply to the annulus family",
+                 id="sharpness-annulus-width"),
+    pytest.param(["boundedness", "--from", "B[p=2,q=2,s=0]", "--to", "M[p=2,q=2]",
+                  "--family", "dilated_kernel", "--t-list", "1/2,1/4", "--lmin", "4",
+                  "--lmax", "5"], 2,
+                 "error: --t-list cannot be combined with --lmin or --lmax",
+                 id="t-list-with-lmin-lmax"),
     (["boundedness", "--from", "W[r=1,s=0]", "--to", "M[p=1,q=inf]",
       "--family", "dilated_kernel", "--t-list", "1/4,1/16", "--lmax", "5"], 2,
      "error: --t-list cannot be combined with --lmin or --lmax"),

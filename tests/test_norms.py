@@ -65,29 +65,23 @@ def small_spec():
 def full_grid_transforms(monkeypatch):
     """Counts the full-grid transforms made while the test runs: "forward"
     for grid._fft; "inverse" for grid._ifft. "band" counts the dyadic
-    pieces and W, synthesized on the support's band at the offsets of its
-    bins (d = 1) or by one real FFT of a block over its bounding box
-    (d = 2), which make no full-grid inverse transform; "box" counts the
-    box pieces, which share the d = 1 routine with no offsets. Clear it to
-    start a new count."""
+    pieces and W, each one real FFT of a block over the support's bounding
+    box in either dimension, which make no full-grid inverse transform;
+    "box" counts the box pieces' half-row syntheses. Clear it to start a
+    new count."""
     calls = Counter()
 
     def counted(original, kind):
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls[kind] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return spy
 
     monkeypatch.setattr(grid, "_fft", counted(grid._fft, "forward"))
     monkeypatch.setattr(grid, "_ifft", counted(grid._ifft, "inverse"))
     monkeypatch.setattr(norms, "_block_magnitudes", counted(norms._block_magnitudes, "band"))
-    half_rows = norms._half_row_magnitudes
-
-    def band_or_box(patch, table, at=None, work=None):
-        calls["box" if at is None else "band"] += 1
-        return half_rows(patch, table, at, work)
-
-    monkeypatch.setattr(norms, "_half_row_magnitudes", band_or_box)
+    monkeypatch.setattr(norms, "_half_row_magnitudes",
+                        counted(norms._half_row_magnitudes, "box"))
     return calls
 
 
@@ -304,7 +298,7 @@ def test_besov_below_one_matches_extended_precision_at_large_n(annulus_level8):
     """B^0_{1/2,1} of the level-8 d = 1 annulus (N = 2^17) against its
     extended-precision synthesis: per reached level, the dense phi_j times
     the floored spectrum transformed by np.fft on clongdouble. The float64
-    value is 1.34e-6 from it, nearly all from the level-8 piece (1.9e-6):
+    value is 1.13e-6 from it, nearly all from the level-8 piece (1.6e-6):
     its tail samples sit at roundoff level, and the square root amplifies
     them. The full-grid float64 transform of the same piece errs as much
     (1.8e-6), so the bound is the norms module's p < 1 contract at this N."""
@@ -328,8 +322,8 @@ def _extended_levels(f, dyadic):
 def test_triebel_below_one_matches_extended_precision_at_large_n(annulus_level8, q):
     """F^0_{1/2,q} of the level-8 d = 1 annulus (N = 2^17) against the
     pointwise l^q, in extended precision, of each reached level's
-    extended-precision synthesis, then its L^{1/2} norm. It reads 4.2e-7
-    off at q = 1, 1.3e-7 at q = 2 and 4.8e-8 at q = inf, so the bound is the
+    extended-precision synthesis, then its L^{1/2} norm. It reads 3.5e-7
+    off at q = 1, 1.1e-7 at q = 2 and 4.7e-8 at q = inf, so the bound is the
     norms module's p < 1 contract at this N."""
     f = annulus_level8
     levels = _extended_levels(f, build_dyadic(f.spec))
@@ -912,6 +906,28 @@ def test_half_row_pair_refuses_a_non_finite_sample(p, bad):
         grid._riemann_lp((mags, mags[1:-1]), spec.cell_volume, p)
 
 
+def _band_cases():
+    """(name, d = 1 function) for the d = 1 dyadic synthesis; R in a name is
+    N over the next power of two >= the bins the support spans: a lattice
+    comb, whose modulated translates make its pieces complex, on a grid
+    eight times its default; a random function whose support spans more
+    than N/2 bins; and a random function reaching levels 0..5, whose pieces
+    span from a few bins to all of the support, all synthesized on one
+    block."""
+    comb = grid_for("lattice_comb", d=1, level=4)
+    comb = GridSpec(d=1, n=8 * comb.n, oversampling=comb.oversampling)
+    return {
+        "comb-R8": family_lattice_comb(comb, 4, F(1, 2)),
+        "random-R1": random_band_limited(GridSpec(d=1, n=2 ** 10, oversampling=8),
+                                         band_radius=36, seed=17),
+        "random-levels-R8": random_band_limited(GridSpec(d=1, n=2 ** 12, oversampling=8),
+                                                band_radius=20, seed=3),
+    }
+
+
+BAND_CASES = _band_cases()
+
+
 BLOCK_SYNTHESIS_CASES = {
     # (member, whether its dyadic pieces are real)
     "annulus-level2": (lambda: family_annulus(grid_for("annulus", d=2, level=2), 2), True),
@@ -920,28 +936,32 @@ BLOCK_SYNTHESIS_CASES = {
                                                       seed=11), False),
     "comb-level3": (lambda: family_lattice_comb(grid_for("lattice_comb", d=2, level=3), 3),
                     False),
+    **{name: (lambda f=f: f, False) for name, f in BAND_CASES.items()},
 }
 
 
 @pytest.mark.parametrize("case", BLOCK_SYNTHESIS_CASES)
 def test_block_synthesis_matches_the_full_grid_inverse(case):
-    """Each d = 2 dyadic piece, synthesized by one real FFT of a block over
-    the support's bounding box, is as a multiset |ifftn| of the piece
+    """Each dyadic piece, d = 1 or 2, synthesized by one real FFT of a block
+    over the support's bounding box, is as a multiset |ifftn| of the piece
     scattered onto the grid (dense.synthesized_magnitudes): sorted, within
     1e-15 of the peak. mags holds the rows n_1 = 0..N/2 and mirror the
-    other N/2 - 1; a real piece's mirror is a view of mags, a complex one's
-    is memory of its own."""
+    other N/2 - 1, a row one sample in d = 1; a real piece's mirror is a
+    view of mags, a complex one's is memory of its own."""
     member, real = BLOCK_SYNTHESIS_CASES[case]
     f = member()
-    n = f.spec.n
+    n, d = f.spec.n, f.spec.d
     support, pieces = _dyadic_pieces(f, build_dyadic(f.spec))
     synthesize = norms._piece_synthesis(support)
     levels = 0
     for j, piece in pieces:
-        assert piece.imag.any() != real, j
+        # a reached level whose window is 0 at every bin has a zero piece, which is real
+        real_piece = not piece.imag.any()
+        assert real_piece == real or not piece.any(), j
         mags, mirror = synthesize(piece)
-        assert mags.shape == (n // 2 + 1, n) and mirror.shape == (n // 2 - 1, n)
-        assert np.shares_memory(mags, mirror) == real
+        row = (n,) * (d - 1)
+        assert mags.shape == (n // 2 + 1, *row) and mirror.shape == (n // 2 - 1, *row)
+        assert np.shares_memory(mags, mirror) == real_piece
         dense = synthesized_magnitudes(support, piece)
         np.testing.assert_allclose(np.sort(np.concatenate((mags, mirror)), axis=None),
                                    np.sort(dense, axis=None), rtol=0, atol=1e-15 * dense.max())
@@ -1012,16 +1032,15 @@ BOX_TABLE_GRIDS = {
 
 @pytest.mark.parametrize("name", BOX_TABLE_GRIDS)
 def test_box_table_matches_the_exp_table(name):
-    """The d = 1 box table, the product of the two twiddle factors, holds
-    every root within 1e-15/P of the root taken alone by np.exp; the d = 2
-    matrix E is the np.exp table byte for byte."""
+    """The d = 1 box table, built from two factorized roots, holds every
+    root within 1e-15/P of the root taken alone by np.exp; the d = 2 matrix
+    E is the np.exp table byte for byte."""
     spec = BOX_TABLE_GRIDS[name]
     uniform = UniformPartition(spec, 0, _uniform_axis_profile(spec.oversampling))
     table, reference = norms._box_table(uniform), box_table(uniform)
     if spec.d == 2:
         assert table.dtype == reference.dtype and table.tobytes() == reference.tobytes()
         return
-    (table,), (reference,) = table, reference
     assert table.shape == reference.shape
     assert np.abs(table - reference).max() <= 1e-15 / spec.period
 
@@ -1035,7 +1054,7 @@ BOX_TABLE_MEMBERS = {
 @pytest.mark.parametrize("p,rel", [(1, 1e-15), (3, 1e-15), ("inf", 1e-15), ("1/2", 1e-13)])
 @pytest.mark.parametrize("member", BOX_TABLE_MEMBERS)
 def test_box_norms_match_the_exp_table(member, p, rel, monkeypatch):
-    """Every d = 1 box norm on the factor-product table is within 1e-15
+    """Every d = 1 box norm on the factorized table is within 1e-15
     relative of the norm on the np.exp table at p >= 1, and within 1e-13 at
     p = 1/2, where roundoff-level tails dominate the sum."""
     family, spec, level = BOX_TABLE_MEMBERS[member]
@@ -1060,7 +1079,7 @@ def test_box_table_dies_with_the_norm_call(d, monkeypatch):
 
     def spy(partition):
         table = box_table_of(partition)
-        built.extend(weakref.ref(t) for t in (table if d == 1 else (table,)))
+        built.append(weakref.ref(table))
         return table
 
     monkeypatch.setattr(norms, "_box_table", spy)
@@ -1343,7 +1362,7 @@ def test_full_grid_transform_count(full_grid_transforms, norm, member,
     norms come from the spectrum, so Besov at p = 2 and Triebel at
     p = q = 2 synthesize nothing, and FL reads only the spectrum. Elsewhere
     only the reached dyadic levels, and W as one piece, are synthesized, on
-    the support's band (d = 1) or block (d = 2), with no full-grid inverse
+    the support's block in either dimension, with no full-grid inverse
     transform. Box pieces make none.
     Full-grid work on empty pieces would show here as extra transforms."""
     f = member()
@@ -1437,41 +1456,18 @@ def _triebel_by_synthesis(pieces, p, q, s):
     return lp_norm(GridFunction(pieces[0].spec, pointwise, SPACE), p)
 
 
-def _band_cases():
-    """(name, (d = 1 function, R = N/L)) for the dyadic synthesis on the
-    support's band, L the next power of two >= the bins the support spans: a
-    lattice comb, whose modulated translates make its pieces complex, on a
-    grid eight times its default, so R = 8 and the conjugate patch's
-    synthesis fills the mirrored rows; a random function whose support
-    spans more than N/2 bins, so R = 1 and the band is the whole grid; and a
-    random function reaching levels 0..5, whose pieces span from a few bins
-    to all of the support, all synthesized on one layout."""
-    comb = grid_for("lattice_comb", d=1, level=4)
-    comb = GridSpec(d=1, n=8 * comb.n, oversampling=comb.oversampling)
-    return {
-        "comb-R8": (family_lattice_comb(comb, 4, F(1, 2)), 8),
-        "random-R1": (random_band_limited(GridSpec(d=1, n=2 ** 10, oversampling=8),
-                                          band_radius=36, seed=17), 1),
-        "random-levels-R8": (random_band_limited(GridSpec(d=1, n=2 ** 12, oversampling=8),
-                                                 band_radius=20, seed=3), 8),
-    }
-
-
-BAND_CASES = _band_cases()
-
-
 @pytest.mark.parametrize("case", BAND_CASES)
 @pytest.mark.parametrize("p,rel", [(1, 1e-12), (F(3, 2), 1e-12), ("inf", 1e-12),
                                    # p < 1 holds only about 1e-7 (module docstring)
                                    (F(1, 2), 1e-7)])
 def test_band_synthesis_matches_dense_pieces(case, p, rel):
-    """In d = 1 the pieces synthesized on the support's band give the Besov
-    norm (every q) and the Triebel norm (q = 1, inf; p < inf) of the dense
-    delta_apply pieces, with complex pieces and mirrored rows, with R = 1,
-    and with levels of different extent paired on one layout."""
-    f, rows = BAND_CASES[case]
+    """In d = 1 the pieces synthesized on the support's block give the
+    Besov norm (every q) and the Triebel norm (q = 1, inf; p < inf) of the
+    dense delta_apply pieces, with complex pieces and mirrored samples, with
+    a support wider than N/2, and with levels of different extent paired
+    on one block."""
+    f = BAND_CASES[case]
     support = f.support
-    assert f.spec.n // _next_pow2(support.flat[-1] - support.flat[0] + 1) == rows
     assert support.values.imag.any() and f.spec.d == 1
     dyadic = build_dyadic(f.spec)
     pieces = _synthesized_pieces(f, dyadic)
@@ -1487,24 +1483,29 @@ def test_band_synthesis_matches_dense_pieces(case, p, rel):
                                                                        abs=0), q
 
 
-@pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
-def test_band_twiddles_die_with_the_norm_call(norm, monkeypatch):
-    """The d = 1 twiddle factors are built once per norm call, for all its
-    levels, and nothing keeps them after the call returns."""
-    f, _ = BAND_CASES["random-levels-R8"]
-    dyadic = build_dyadic(f.spec)
-    built = []
-    factors = norms._twiddle_factors
-
-    def spy(*args):
-        tables = factors(*args)
-        built.extend(weakref.ref(t) for t in tables)
-        return tables
-
-    monkeypatch.setattr(norms, "_twiddle_factors", spy)
-    assert norm(f, 1, 1, 0, dyadic) > 0.0
-    assert len(built) == 2
-    assert all(ref() is None for ref in built)
+@pytest.mark.parametrize("norm,bound", [
+    pytest.param(lambda f: besov_norm(f, 1, 1, 0), 3.2, id="besov"),
+    pytest.param(lambda f: sobolev_norm(f, 1, 1), 3.2, id="sobolev"),
+    pytest.param(lambda f: triebel_norm(f, 1, 1, 0), 4.5, id="triebel-q1"),
+    pytest.param(lambda f: triebel_norm(f, 1, "inf", 0), 4.5, id="triebel-qinf"),
+])
+def test_d1_block_synthesis_peak_memory(annulus_level8, norm, bound):
+    """The tracemalloc peak of B^0_{1,1} and W^{1,1} on the level-8 d = 1
+    annulus (N = 2^17) stays under 3.2 MiB, and of F^0_{1,q} (q = 1, inf)
+    under 4.5 MiB: a d = 1 piece holds its block transform, N/2 + 1 complex
+    samples. They read 2.65, 2.74 and 3.52 MiB; the pruned synthesis on the
+    support's band, (R/2 + 1) x L = 2 x 65,536 complex samples a piece with
+    its twiddle factors, read 3.92, 4.01 and 5.79 MiB. The member is floored
+    first."""
+    f = annulus_level8
+    assert f.spec.n == 2 ** 17 and f.support.flat.size
+    tracemalloc.start()
+    try:
+        norm(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2 ** 20
 
 
 @pytest.mark.parametrize("case", PARSEVAL_CASES)
@@ -1524,8 +1525,8 @@ def test_triebel_22_matches_pointwise_synthesis(case, s):
 def test_l2_dyadic_norms_make_no_inverse_transform(case, full_grid_transforms):
     """No synthesis for Besov at p = 2 or Triebel at p = q = 2; one per
     reached level for Triebel at p = 2, q = 1, which stays pointwise: on the
-    support's band in d = 1 and its block in d = 2, with no full-grid
-    inverse transform."""
+    support's block in either dimension, with no full-grid inverse
+    transform."""
     f = PARSEVAL_CASES[case]
     dyadic = build_dyadic(f.spec)
     reached = len(dyadic.reached(f.support))

@@ -231,6 +231,81 @@ def test_triebel_verdicts_lie_in_the_besov_sandwich(query):
         assert not out_of or _holds(mod, large)
 
 
+def _mod_included(small, large):
+    """M^{s0}_{p0,q0} in M^{s1}_{p1,q1}: iff p0 <= p1 and either q0 <= q1
+    and s0 >= s1, or q0 > q1 and s0 - s1 > d(1/q1 - 1/q0), the weighted l^q
+    inclusion on the lattice (Feichtinger 1983; Wang, Huo, Hao & Guo 2011,
+    ch. 6)."""
+    if not small.p <= large.p:
+        return False
+    if small.q <= large.q:
+        return small.s >= large.s
+    return small.s - large.s > small.d * (large.q.reciprocal() - small.q.reciprocal())
+
+
+def _scale_included(small, large):
+    """X^{s0}_{p,q0} in X^{s1}_{p,q1} for X = B or F: s0 = s1 and q0 <= q1,
+    or s0 > s1 with any q0, q1 (Triebel 1983, 2.3.2, Prop. 2)."""
+    return small.p == large.p and (small.s > large.s or
+                                   small.s == large.s and small.q <= large.q)
+
+
+def _included(small, large):
+    """Whether a classical inclusion puts ``small`` inside ``large``: two
+    spaces of one family, M, B or F, on one dimension."""
+    if small.family is not large.family or small.d != large.d:
+        return False
+    if small.family is Family.MODULATION:
+        return _mod_included(small, large)
+    return _scale_included(small, large)
+
+
+_SCALES = {Family.MODULATION: SpaceSpec.modulation, Family.BESOV: SpaceSpec.besov,
+           Family.TRIEBEL: SpaceSpec.triebel}
+
+
+@st.composite
+def inclusion_queries(draw):
+    """(a, b, other): two spaces of one family that an inclusion may nest,
+    b drawn near a (each index a's or a fresh one), and a space across one
+    of decide's routes from them: B or F for M^0, M^0 for B and F. M keeps
+    s = 0, the only modulation smoothness decide routes against B and F."""
+    d = draw(st.integers(1, 2))
+    family = draw(st.sampled_from(list(_SCALES)))
+    mod = family is Family.MODULATION
+    p, q = draw(sandwich_indices), draw(sandwich_indices)
+    s = F(0) if mod else draw(sandwich_s)
+    p1, q1 = (draw(st.one_of(st.just(x), sandwich_indices)) for x in (p, q))
+    s1 = s if mod else draw(st.one_of(st.just(s), sandwich_s))
+    scale = _SCALES[family]
+    a, b = scale(p, q, s, d), scale(p1, q1, s1, d)
+    if mod:
+        partner = _SCALES[draw(st.sampled_from([Family.BESOV, Family.TRIEBEL]))]
+        other = partner(draw(sandwich_indices), draw(sandwich_indices), draw(sandwich_s), d)
+    else:
+        other = SpaceSpec.modulation(draw(sandwich_indices), draw(sandwich_indices), 0, d)
+    return a, b, other
+
+
+@settings(max_examples=400)
+@given(query=inclusion_queries())
+def test_verdicts_agree_with_the_classical_inclusions(query):
+    """No routed B/F <-> M verdict contradicts another one composed with a
+    classical inclusion: with small inside large, large -> Y holding makes
+    small -> Y hold, and Y -> small holding makes Y -> large hold, wherever
+    decide answers both sides."""
+    a, b, other = query
+    for small, large in ((a, b), (b, a)):
+        if not _included(small, large):
+            continue
+        into = _holds(small, other), _holds(large, other)
+        if None not in into:
+            assert into[0] or not into[1], (small, large, other)
+        out_of = _holds(other, small), _holds(other, large)
+        if None not in out_of:
+            assert out_of[1] or not out_of[0], (small, large, other)
+
+
 @settings(max_examples=200)
 @given(p=sandwich_indices, q=sandwich_indices, s=sandwich_s, d=st.integers(1, 2))
 def test_equal_spaces_get_equal_verdicts(p, q, s, d):
